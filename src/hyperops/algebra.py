@@ -4,13 +4,20 @@ Conventions (all 0-indexed internally, 1-indexed in reports and I/O):
   Lie:     [e_i, e_j] = sum_k c[i][j][k] e_k
   pre-Lie: e_i . e_j  = sum_k p[i][j][k] e_k
   Representation matrices act on column coordinate vectors.
+
+The tensors are kept as Scalars for I/O and axiom checks; each algebra also
+holds a sparse integer copy (Gaussian-integer numerators over one
+denominator), built once, that bracket/product contract with the integer
+arrays of the argument matrices.  Representations likewise hold their
+matrices' numerators over one denominator for `act`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import DimensionError, Matrix
+from .linalg import DimensionError, Matrix, gaussian_parts
 from .reporting import Report
 from .scalars import ZERO, Scalar
 
@@ -30,6 +37,64 @@ def _tensor(dim, data) -> tuple:
     return tuple(out)
 
 
+def _sparse(dim: int, t: tuple) -> tuple:
+    """Integer copy of a tensor t[i][j][k]: (den, real, rows, flat) where
+    rows[i] lists (j, ((k, re, im), ...)) over the nonzero slices and flat is
+    (re, im) of all entries, row-major."""
+    re, im, den = gaussian_parts([v for plane in t for line in plane for v in line])
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            base = (i * dim + j) * dim
+            terms = tuple((k, re[base + k], im[base + k])
+                          for k in range(dim) if re[base + k] or im[base + k])
+            if terms:
+                row.append((j, terms))
+        rows.append(tuple(row))
+    return den, not any(im), tuple(rows), (re, im)
+
+
+def _contract(sp: tuple, dim: int, x: Matrix, y: Matrix) -> Matrix:
+    """sum_{i,j,k} x_i y_j t[i][j][k] e_k for column vectors x, y."""
+    den, real, rows, _ = sp
+    xr, xi, yr, yi = x.re, x.im, y.re, y.im
+    out_r = [0] * dim
+    if real and x.is_real() and y.is_real():
+        for i, row in enumerate(rows):
+            a = xr[i]
+            if not a:
+                continue
+            for j, terms in row:
+                b = yr[j]
+                if b:
+                    ab = a * b
+                    for k, cr, _ in terms:
+                        out_r[k] += ab * cr
+        return Matrix._make(dim, 1, out_r, (0,) * dim, x.den * y.den * den)
+    out_i = [0] * dim
+    for i, row in enumerate(rows):
+        ar, ai = xr[i], xi[i]
+        if not (ar or ai):
+            continue
+        for j, terms in row:
+            br, bi = yr[j], yi[j]
+            if not (br or bi):
+                continue
+            pr, pi = ar * br - ai * bi, ar * bi + ai * br
+            for k, cr, ci in terms:
+                out_r[k] += pr * cr - pi * ci
+                out_i[k] += pr * ci + pi * cr
+    return Matrix._make(dim, 1, out_r, out_i, x.den * y.den * den)
+
+
+def _slice(sp: tuple, dim: int, i: int, j: int) -> Matrix:
+    """The column t[i][j] of a tensor, from its integer copy."""
+    den, _, _, (re, im) = sp
+    base = (i * dim + j) * dim
+    return Matrix._make(dim, 1, re[base:base + dim], im[base:base + dim], den)
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
@@ -37,6 +102,7 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "c", _tensor(self.dim, self.c))
+        object.__setattr__(self, "_sp", _sparse(self.dim, self.c))
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "LieAlgebra":
@@ -53,22 +119,10 @@ class LieAlgebra:
 
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         """Bracket of coordinate column vectors."""
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            xi = x[i, 0]
-            if not xi:
-                continue
-            for j in range(self.dim):
-                yj = y[j, 0]
-                if not yj:
-                    continue
-                for k in range(self.dim):
-                    if self.c[i][j][k]:
-                        out[k] = out[k] + xi * yj * self.c[i][j][k]
-        return Matrix.column(out)
+        return _contract(self._sp, self.dim, x, y)
 
     def basis_bracket(self, i: int, j: int) -> Matrix:
-        return Matrix.column(self.c[i][j])
+        return _slice(self._sp, self.dim, i, j)
 
 
 @dataclass(frozen=True)
@@ -78,6 +132,7 @@ class PreLieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _tensor(self.dim, self.p))
+        object.__setattr__(self, "_sp", _sparse(self.dim, self.p))
 
     @classmethod
     def from_products(cls, dim: int, products: dict) -> "PreLieAlgebra":
@@ -91,22 +146,10 @@ class PreLieAlgebra:
         return cls(dim, p)
 
     def product(self, x: Matrix, y: Matrix) -> Matrix:
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            xi = x[i, 0]
-            if not xi:
-                continue
-            for j in range(self.dim):
-                yj = y[j, 0]
-                if not yj:
-                    continue
-                for k in range(self.dim):
-                    if self.p[i][j][k]:
-                        out[k] = out[k] + xi * yj * self.p[i][j][k]
-        return Matrix.column(out)
+        return _contract(self._sp, self.dim, x, y)
 
     def basis_product(self, i: int, j: int) -> Matrix:
-        return Matrix.column(self.p[i][j])
+        return _slice(self._sp, self.dim, i, j)
 
 
 @dataclass(frozen=True)
@@ -126,14 +169,27 @@ class Representation:
             raise DimensionError(
                 f"{len(self.mats)} matrices for algebra of dim {self.algebra.dim}"
             )
+        # all matrices over one denominator, for act
+        den = lcm(*(m.den for m in self.mats))
+        nums = tuple((tuple(v * (den // m.den) for v in m.re),
+                      tuple(v * (den // m.den) for v in m.im)) for m in self.mats)
+        object.__setattr__(self, "_nums", (den, all(m.is_real() for m in self.mats), nums))
 
     def act(self, x: Matrix) -> Matrix:
         """Matrix of rho(x) for a coordinate column vector x."""
-        out = Matrix.zero(self.module_dim, self.module_dim)
-        for i in range(self.algebra.dim):
-            if x[i, 0]:
-                out = out + self.mats[i].scale(x[i, 0])
-        return out
+        den, real, nums = self._nums
+        m = self.module_dim
+        out_r = [0] * (m * m)
+        out_i = [0] * (m * m)
+        for (mr, mi), ar, ai in zip(nums, x.re, x.im):
+            if not (ar or ai):
+                continue
+            if real and not ai:
+                out_r = [o + ar * a for o, a in zip(out_r, mr)]
+            else:
+                out_r = [o + ar * a - ai * b for o, a, b in zip(out_r, mr, mi)]
+                out_i = [o + ar * b + ai * a for o, a, b in zip(out_i, mr, mi)]
+        return Matrix._make(m, m, out_r, out_i, den * x.den)
 
     def check(self) -> Report:
         """Homomorphism law rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on basis pairs."""
@@ -141,10 +197,7 @@ class Representation:
         g = self.algebra
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = Matrix.zero(self.module_dim, self.module_dim)
-                for k in range(g.dim):
-                    if g.c[i][j][k]:
-                        lhs = lhs + self.mats[k].scale(g.c[i][j][k])
+                lhs = self.act(g.basis_bracket(i, j))
                 rhs = self.mats[i] * self.mats[j] - self.mats[j] * self.mats[i]
                 rep.record("rep-hom", (i + 1, j + 1), lhs == rhs,
                            None if lhs == rhs else (i + 1, j + 1))

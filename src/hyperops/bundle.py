@@ -23,6 +23,11 @@ Schema (all scalar values are strings in the grammar of scalars.parse_scalar):
 Structure constants are sparse: Lie entries list i < j pairs and the mirrored
 pair is filled by antisymmetry unless it is given explicitly; pre-Lie entries
 list every nonzero product.  Indices are 1-based throughout.
+
+Every section and record must have the shape above, or parsing raises
+BundleError.  Algebra ``dim`` and module ``module_dim`` are capped at
+MAX_DIM, checked before any tensor is allocated: an algebra holds dim^3
+structure constants, and the operator checks loop over basis tuples.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ from .scalars import ZERO, ScalarParseError, parse_scalar
 
 class BundleError(ValueError):
     """The bundle document is malformed; message names the offending field."""
+
+
+MAX_DIM = 64
 
 
 _TERM_RE = re.compile(r"^e(\d+)\^?\*([∧⊗])e(\d+)\^?\*$")
@@ -99,7 +107,7 @@ class Bundle:
 
 
 def _lookup(table: dict, name: str, what: str):
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise BundleError(f"unknown {what} {name!r} (have: {sorted(table)})")
     return table[name]
 
@@ -112,21 +120,35 @@ def _scalar(text, where: str):
 
 
 def _matrix(rows, where: str) -> Matrix:
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise BundleError(f"{where}: matrix rows are empty or ragged")
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)):
+        raise BundleError(f"{where}: matrix must be a list of equal-length nonempty rows")
     return Matrix.from_rows(
         [[_scalar(v, where) for v in row] for row in rows]
     )
 
 
+def _dim(value, where: str) -> int:
+    if type(value) is not int or not 1 <= value <= MAX_DIM:
+        raise BundleError(f"{where}: need an integer dimension from 1 to {MAX_DIM}, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise BundleError(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _parse_algebra(name: str, rec: dict):
     kind = rec.get("kind")
-    dim = rec.get("dim")
-    if kind not in ("lie", "prelie") or not isinstance(dim, int) or dim < 1:
-        raise BundleError(f"algebra {name!r}: need kind lie|prelie and a positive dim")
+    if kind not in ("lie", "prelie"):
+        raise BundleError(f"algebra {name!r}: need kind lie|prelie")
+    dim = _dim(rec.get("dim"), f"algebra {name!r}")
+    constants = _list(rec.get("constants", []), f"algebra {name!r}: constants")
     tensor = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     explicit = set()
-    for rec_ijk in rec.get("constants", []):
+    for rec_ijk in constants:
         try:
             i, j, k = int(rec_ijk["i"]), int(rec_ijk["j"]), int(rec_ijk["k"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -151,7 +173,7 @@ def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
     g = _lookup(algebras, alg_name, "algebra")
     ctor = rec.get("constructor")
     if ctor is not None:
-        if ctor not in _CONSTRUCTORS:
+        if not isinstance(ctor, str) or ctor not in _CONSTRUCTORS:
             raise BundleError(f"rep {name!r}: unknown constructor {ctor!r}")
         want_cls, fn = _CONSTRUCTORS[ctor]
         if not isinstance(g, want_cls):
@@ -163,9 +185,9 @@ def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
     if not isinstance(g, LieAlgebra):
         raise BundleError(f"rep {name!r}: explicit matrices need a Lie algebra")
     mats = rec.get("matrices")
-    mdim = rec.get("module_dim")
-    if not isinstance(mats, list) or not isinstance(mdim, int):
+    if not isinstance(mats, list) or "module_dim" not in rec:
         raise BundleError(f"rep {name!r}: need module_dim and matrices (or a constructor)")
+    mdim = _dim(rec["module_dim"], f"rep {name!r}")
     if len(mats) != g.dim:
         raise BundleError(f"rep {name!r}: {len(mats)} matrices for algebra of dim {g.dim}")
     return Representation(g, mdim, tuple(_matrix(m, f"rep {name!r}") for m in mats))
@@ -185,7 +207,9 @@ def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
     if symmetry not in (SKEW, SYMMETRIC):
         raise BundleError(f"form {name!r}: symmetry must be 'skew' or 'symmetric'")
     terms = []
-    for t in rec.get("terms", []):
+    for t in _list(rec.get("terms", []), f"form {name!r}: terms"):
+        if not isinstance(t, dict):
+            raise BundleError(f"form {name!r}: term records must be objects, got {t!r}")
         text = str(t.get("term", "")).replace(" ", "")
         m = _TERM_RE.match(text)
         if m is None:
@@ -204,8 +228,9 @@ def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
 def _parse_triple(name: str, rec: dict, bundle: Bundle) -> TripleRef:
     kind = rec.get("kind")
     members = rec.get("members")
-    if kind not in ("maps", "forms") or not isinstance(members, list) or len(members) != 3:
-        raise BundleError(f"triple {name!r}: need kind maps|forms and exactly three members")
+    if (kind not in ("maps", "forms") or not isinstance(members, list) or len(members) != 3
+            or not all(isinstance(m, str) for m in members)):
+        raise BundleError(f"triple {name!r}: need kind maps|forms and exactly three member names")
     alg_name = rec.get("algebra")
     _lookup(bundle.algebras, alg_name, "algebra")
     rep_name = rec.get("rep")
@@ -232,17 +257,28 @@ def parse_bundle(doc: dict) -> Bundle:
     if doc.get("field", "gaussian_rational") != "gaussian_rational":
         raise BundleError(f"unsupported field {doc.get('field')!r}")
     b = Bundle(raw=doc)
-    for name, rec in doc.get("algebras", {}).items():
+    for name, rec in _records(doc, "algebras"):
         b.algebras[name] = _parse_algebra(name, rec)
-    for name, rec in doc.get("reps", {}).items():
+    for name, rec in _records(doc, "reps"):
         b.reps[name] = _parse_rep(name, rec, b.algebras)
-    for name, rec in doc.get("maps", {}).items():
+    for name, rec in _records(doc, "maps"):
         b.maps[name] = _parse_map(name, rec)
-    for name, rec in doc.get("forms", {}).items():
+    for name, rec in _records(doc, "forms"):
         b.forms[name], b.form_algebra[name] = _parse_form(name, rec, b.algebras)
-    for name, rec in doc.get("triples", {}).items():
+    for name, rec in _records(doc, "triples"):
         b.triples[name] = _parse_triple(name, rec, b)
     return b
+
+
+def _records(doc: dict, section: str) -> list:
+    """The (name, record) pairs of a section, each record a JSON object."""
+    table = doc.get(section, {})
+    if not isinstance(table, dict):
+        raise BundleError(f"{section!r} must be an object of named records")
+    for name, rec in table.items():
+        if not isinstance(rec, dict):
+            raise BundleError(f"{section} {name!r}: record must be an object, got {rec!r}")
+    return list(table.items())
 
 
 def load_bundle(path: str) -> Bundle:

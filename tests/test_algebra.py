@@ -1,6 +1,9 @@
 """Structure constants, axiom checks, and the standard representations."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperops.algebra import (
     LieAlgebra,
@@ -20,7 +23,7 @@ from hyperops.algebra import (
 from hyperops.corpus import export_bundle
 from hyperops.bundle import parse_bundle
 from hyperops.linalg import Matrix
-from hyperops.scalars import Scalar
+from hyperops.scalars import ZERO, Scalar
 
 
 def sl2():
@@ -119,3 +122,64 @@ def test_rep_homomorphism_failure_detected():
     mats[0] = Matrix.identity(3)
     rep = Representation(g, 3, tuple(mats)).check()
     assert not rep.passed
+
+
+# -- integer contraction against the Scalar structure constants -------
+
+gauss = st.builds(
+    lambda a, da, b, db: Scalar(Fraction(a, da), Fraction(b, db)),
+    st.integers(-7, 7), st.sampled_from([1, 2, 3, 4]),
+    st.integers(-3, 3), st.sampled_from([1, 1, 3]),
+) | st.just(ZERO)
+
+
+@st.composite
+def tensor_and_vectors(draw):
+    n = draw(st.integers(1, 4))
+    t = [[[draw(gauss) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    x = [draw(gauss) for _ in range(n)]
+    y = [draw(gauss) for _ in range(n)]
+    return n, t, x, y
+
+
+def direct_sum(t, x, y):
+    """sum_{i,j} x_i y_j t[i][j][k], computed entrywise with Scalars."""
+    n = len(x)
+    out = []
+    for k in range(n):
+        s = ZERO
+        for i in range(n):
+            for j in range(n):
+                s = s + x[i] * y[j] * t[i][j][k]
+        out.append(s)
+    return out
+
+
+@given(tensor_and_vectors())
+@settings(max_examples=80, deadline=None)
+def test_bracket_and_product_match_structure_constant_sum(data):
+    n, t, x, y = data
+    expect = Matrix.column(direct_sum(t, x, y))
+    xs, ys = Matrix.column(x), Matrix.column(y)
+    # bracket does not assume antisymmetry, so any tensor serves both
+    g, p = LieAlgebra(n, t), PreLieAlgebra(n, t)
+    assert g.bracket(xs, ys) == expect
+    assert p.product(xs, ys) == expect
+    for i in range(n):
+        for j in range(n):
+            assert g.basis_bracket(i, j).entries() == tuple(t[i][j])
+            assert p.basis_product(i, j).entries() == tuple(t[i][j])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_act_matches_linear_combination(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    mats = tuple(Matrix(m, m, [data.draw(gauss) for _ in range(m * m)]) for _ in range(n))
+    x = [data.draw(gauss) for _ in range(n)]
+    expect = Matrix.zero(m, m)
+    for xi, mi in zip(x, mats):
+        expect = expect + mi.scale(xi)
+    assert Representation(abelian(n), m, mats).act(Matrix.column(x)) == expect
+

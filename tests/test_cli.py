@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, and stability."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hyperops
 from hyperops import cli
 from hyperops.corpus import broken_variant, export_bundle
 
@@ -96,6 +98,27 @@ def test_parse_errors_exit_two(bundles):
     assert code == cli.EXIT_PARSE  # missing --triple
 
 
+MALFORMED_BUNDLES = {
+    # name: (document, part of the error message)
+    "algebra-not-object": ({"algebras": {"g": 5}}, "record must be an object"),
+    "constants-not-list": ({"algebras": {"g": {"kind": "lie", "dim": 2, "constants": 7}}},
+                           "constants must be a list"),
+    "dim-too-large": ({"algebras": {"g": {"kind": "lie", "dim": 1000000, "constants": []}}},
+                      "dimension from 1 to"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundles_exit_two(tmp_path, name):
+    doc, message = MALFORMED_BUNDLES[name]
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(doc))
+    code, payload = cli.run(["check", str(p), "--what", "lie", "--args", "g"])
+    assert code == cli.EXIT_PARSE, payload
+    assert payload["status"] == "input-error"
+    assert message in payload["error"]
+
+
 def test_precondition_failures_exit_three(bundles):
     # product-one suite on a signature-product -1 triple
     code, payload = cli.run(
@@ -143,14 +166,22 @@ def test_decompose_payload_shape(bundles):
     assert len(payload["hflat"]) == 4 and len(payload["I1"][0]) == 4
 
 
+# the child interpreter imports hyperops from the same source tree as the tests
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(hyperops.__file__)))
+
+
+def _env(**extra):
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": _SRC, **extra}
+
+
 def test_entry_point_and_color(bundles):
     base = [sys.executable, "-m", "hyperops.cli", "corpus", "run", "abelian.para"]
     plain = subprocess.run(base, capture_output=True, text=True,
-                           env={"PATH": "/usr/bin:/bin", "HYPEROPS_COLOR": "0"})
+                           env=_env(HYPEROPS_COLOR="0"))
     assert plain.returncode == 0
     assert "\x1b[" not in plain.stdout and "PASS" in plain.stdout
     color = subprocess.run(base, capture_output=True, text=True,
-                           env={"PATH": "/usr/bin:/bin", "HYPEROPS_COLOR": "1"})
+                           env=_env(HYPEROPS_COLOR="1"))
     assert color.returncode == 0
     assert "\x1b[32mPASS\x1b[0m" in color.stdout
 
@@ -159,6 +190,6 @@ def test_entry_point_exit_codes(bundles):
     jq = subprocess.run(
         [sys.executable, "-m", "hyperops.cli", "check", bundles["non-jacobi"],
          "--what", "lie", "--args", "broken", "--format", "json"],
-        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin"})
+        capture_output=True, text=True, env=_env())
     assert jq.returncode == 1
     json.loads(jq.stdout)  # stdout is a single valid JSON document

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperops.bundle import BundleError, parse_bundle
+from hyperops.bundle import MAX_DIM, BundleError, parse_bundle
 from hyperops.corpus import (
     broken_variant,
     broken_variants,
@@ -89,5 +89,25 @@ def test_parse_rejects_malformed_documents():
         parse_bundle({"field": "real"})
     doc = export_bundle("lie.L4sym")
     doc["forms"]["w1"]["terms"][0]["term"] = "garbage"
+    with pytest.raises(BundleError):
+        parse_bundle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"algebras": {"g": 5}},
+    {"algebras": []},
+    {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": 7}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": ["ijk"]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": True}}},
+    {"algebras": {"g": {"kind": "lie", "dim": MAX_DIM + 1}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 1000000}}},
+    {"maps": {"m": {"domain": "algebra", "codomain": "module", "matrix": [1, 2]}}},
+    {"reps": {"r": {"algebra": ["g"], "constructor": "adjoint"}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2}},
+     "forms": {"f": {"algebra": "g", "symmetry": "skew", "terms": 3}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2}},
+     "forms": {"f": {"algebra": "g", "symmetry": "skew", "terms": ["e1^*∧e2^*"]}}},
+])
+def test_parse_rejects_malformed_shapes(doc):
     with pytest.raises(BundleError):
         parse_bundle(doc)
