@@ -14,12 +14,13 @@ matrices' numerators over one denominator for `act`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import DimensionError, Matrix, gaussian_parts
+from .linalg import DimensionError, Matrix, gaussian_parts, unit_columns
 from .reporting import Report
-from .scalars import ZERO, Scalar
+from .scalars import ZERO
 
 
 def _tensor(dim, data) -> tuple:
@@ -194,38 +195,27 @@ class Representation:
     def check(self) -> Report:
         """Homomorphism law rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on basis pairs."""
         rep = Report("representation homomorphism law")
-        g = self.algebra
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = self.act(g.basis_bracket(i, j))
-                rhs = self.mats[i] * self.mats[j] - self.mats[j] * self.mats[i]
-                rep.record("rep-hom", (i + 1, j + 1), lhs == rhs,
-                           None if lhs == rhs else (i + 1, j + 1))
+        g, mats = self.algebra, self.mats
+        rep.record_tuples("rep-hom", itertools.combinations(range(g.dim), 2), lambda i, j: (
+            self.act(g.basis_bracket(i, j)) == mats[i] * mats[j] - mats[j] * mats[i]))
         return rep
 
 
 def check_lie(g: LieAlgebra) -> Report:
     """Antisymmetry and Jacobi on all basis tuples."""
     rep = Report("Lie algebra axioms")
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ok = g.c[i][j][k] == -g.c[j][i][k]
-                if not ok:
-                    rep.record("antisymmetry", (i + 1, j + 1, k + 1), False,
-                               (i + 1, j + 1, k + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ei, ej, ek = (Matrix.column([ZERO] * t + [Scalar(1)] + [ZERO] * (n - t - 1))
-                              for t in (i, j, k))
-                s = (g.bracket(g.bracket(ei, ej), ek)
-                     + g.bracket(g.bracket(ek, ei), ej)
-                     + g.bracket(g.bracket(ej, ek), ei))
-                if not s.is_zero():
-                    rep.record("jacobi", (i + 1, j + 1, k + 1), False, (i + 1, j + 1, k + 1))
-    if not rep.results:
+    n, c, br = g.dim, g.c, g.bracket
+    eb = unit_columns(n)
+    antisymmetric = rep.record_tuples(
+        "antisymmetry", itertools.product(range(n), repeat=3),
+        lambda i, j, k: c[i][j][k] == -c[j][i][k], failures_only=True)
+
+    def jacobi(i, j, k):
+        x, y, z = eb[i], eb[j], eb[k]
+        return (br(br(x, y), z) + br(br(z, x), y) + br(br(y, z), x)).is_zero()
+
+    if rep.record_tuples("jacobi", itertools.combinations(range(n), 3), jacobi,
+                         failures_only=True) and antisymmetric:
         rep.record("lie-axioms", (), True)
     return rep
 
@@ -233,18 +223,14 @@ def check_lie(g: LieAlgebra) -> Report:
 def check_prelie(g: PreLieAlgebra) -> Report:
     """Left-symmetry of the associator on all basis triples."""
     rep = Report("pre-Lie identity")
-    n = g.dim
-    basis = [Matrix.column([ZERO] * t + [Scalar(1)] + [ZERO] * (n - t - 1)) for t in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                a = g.product(g.product(x, y), z) - g.product(x, g.product(y, z))
-                b = g.product(g.product(y, x), z) - g.product(y, g.product(x, z))
-                if a != b:
-                    rep.record("left-symmetry", (i + 1, j + 1, k + 1), False,
-                               (i + 1, j + 1, k + 1))
-    if not rep.results:
+    eb, pr = unit_columns(g.dim), g.product
+
+    def left_symmetric(i, j, k):
+        x, y, z = eb[i], eb[j], eb[k]
+        return pr(pr(x, y), z) - pr(x, pr(y, z)) == pr(pr(y, x), z) - pr(y, pr(x, z))
+
+    if rep.record_tuples("left-symmetry", itertools.product(range(g.dim), repeat=3),
+                         left_symmetric, failures_only=True):
         rep.record("prelie-identity", (), True)
     return rep
 

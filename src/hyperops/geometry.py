@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import (
     LieAlgebra,
@@ -22,8 +23,8 @@ from .algebra import (
     subadjacent,
 )
 from .hyper import HyperTriple, classify_hyper, ClassificationError
-from .linalg import DimensionError, Matrix
-from .operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_rdo, nijenhuis_square_sign, _basis
+from .linalg import DimensionError, Matrix, unit_columns
+from .operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_rdo, nijenhuis_square_sign
 from .reporting import PreconditionError, Report
 from .scalars import Scalar
 
@@ -75,6 +76,58 @@ class BilForm:
         return cls(Matrix.from_rows(m), symmetry)
 
 
+@dataclass(frozen=True)
+class FormIdentity:
+    """A linear identity on the bilinear forms f of one symmetry class over
+    one kind of algebra, with an instance per basis tuple t: terms(g, *e_t)
+    lists signed pairs (sign, a, b) and the instance reads
+    sum(sign * f(a, b)) = 0.  The form checks below and the linear systems of
+    `search.solve_forms` both evaluate these terms."""
+
+    claim: str
+    algebra: type
+    symmetry: str
+    tuples: Callable  # n -> 0-indexed basis tuples, in report order
+    terms: Callable
+
+    def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
+        """Record the identity for f at every basis tuple of g."""
+        eb, m = unit_columns(g.dim), f.matrix
+
+        def holds(*t):
+            total = Matrix.zero(1, 1)
+            for sign, a, b in self.terms(g, *(eb[i] for i in t)):
+                total = total + (a.transpose() * m * b).scale(sign)
+            return total.is_zero()
+
+        return rep.record_tuples(self.claim, self.tuples(g.dim), holds, failures_only)
+
+
+def _all_triples(n: int):
+    return itertools.product(range(n), repeat=3)
+
+
+# w([x,y],z) + w([z,x],y) + w([y,z],x) = 0 for i < j < k
+COCYCLE = FormIdentity(
+    "cocycle", LieAlgebra, SKEW, lambda n: itertools.combinations(range(n), 3),
+    lambda g, x, y, z: ((1, g.bracket(x, y), z), (1, g.bracket(z, x), y),
+                        (1, g.bracket(y, z), x)))
+# B(xy,z) - B(x,yz) - B(yx,z) + B(y,xz) = 0 for i < j, all k
+HESSIAN_IDENTITY = FormIdentity(
+    "hessian-identity", PreLieAlgebra, SYMMETRIC,
+    lambda n: ((i, j, k) for i, j in itertools.combinations(range(n), 2) for k in range(n)),
+    lambda g, x, y, z: ((1, g.product(x, y), z), (-1, x, g.product(y, z)),
+                        (-1, g.product(y, x), z), (1, y, g.product(x, z))))
+# B([x,y],z) - B(x,[y,z]) = 0
+AD_INVARIANCE = FormIdentity(
+    "ad-invariance", LieAlgebra, SYMMETRIC, _all_triples,
+    lambda g, x, y, z: ((1, g.bracket(x, y), z), (-1, x, g.bracket(y, z))))
+# w(xy,z) + w(y,[x,z]) = 0, with the sub-adjacent bracket [x,z] = xz - zx
+PRELIE_INVARIANCE = FormIdentity(
+    "prelie-invariance", PreLieAlgebra, SKEW, _all_triples,
+    lambda g, x, y, z: ((1, g.product(x, y), z), (1, y, g.product(x, z) - g.product(z, x))))
+
+
 def form_to_map(f: BilForm) -> LinMap:
     """The flat map x -> f(x, .) into the dual, in dual bases.
 
@@ -84,76 +137,60 @@ def form_to_map(f: BilForm) -> LinMap:
     return LinMap(f.matrix.transpose(), ALGEBRA, MODULE)
 
 
+def _coadjoint_context(g: LieAlgebra) -> OperatorContext:
+    return OperatorContext(g, coadjoint_rep(g))
+
+
+def _coregular_context(g: PreLieAlgebra) -> OperatorContext:
+    return OperatorContext(subadjacent(g), coregular_rep(g))
+
+
+def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm, flat_context) -> Report:
+    """The identity plus nondegeneracy, cross-checked against the flat map
+    being a relative differential operator for the action of flat_context(g)."""
+    if f.symmetry != identity.symmetry:
+        raise ValueError(f"{kind} candidate must be declared {identity.symmetry}")
+    if f.dim != g.dim:
+        raise DimensionError(f"form dim {f.dim} != algebra dim {g.dim}")
+    rep = Report(f"{kind} structure")
+    direct = identity.check(rep, g, f)
+    rep.record("nondegenerate", (), f.is_nondegenerate())
+    rdo = is_rdo(flat_context(g), form_to_map(f)).passed
+    rep.record("flat-map RDO (cross-check)", (), rdo)
+    rep.record("routes agree", (), direct == rdo)
+    return rep
+
+
 def is_symplectic(g: LieAlgebra, w: BilForm) -> Report:
     """2-cocycle identity plus nondegeneracy; cross-checked against the flat
     map being a relative differential operator for the coadjoint action."""
-    if w.symmetry != SKEW:
-        raise ValueError("symplectic candidate must be declared skew")
-    if w.dim != g.dim:
-        raise DimensionError(f"form dim {w.dim} != algebra dim {g.dim}")
-    rep = Report("symplectic structure")
-    eb = _basis(g.dim)
-    for i, j, k in itertools.combinations(range(g.dim), 3):
-        x, y, z = eb[i], eb[j], eb[k]
-        s = (w(g.bracket(x, y), z) + w(g.bracket(z, x), y) + w(g.bracket(y, z), x))
-        ok = s.is_zero()
-        rep.record("cocycle", (i + 1, j + 1, k + 1), ok, None if ok else (i + 1, j + 1, k + 1))
-    rep.record("nondegenerate", (), w.is_nondegenerate())
-    ctx = OperatorContext(g, coadjoint_rep(g))
-    rdo = is_rdo(ctx, form_to_map(w)).passed
-    rep.record("flat-map RDO (cross-check)", (), rdo)
-    cocycle_ok = all(r.passed for r in rep.results if r.claim == "cocycle")
-    rep.record("routes agree", (), cocycle_ok == rdo)
-    return rep
+    return _form_structure("symplectic", COCYCLE, g, w, _coadjoint_context)
 
 
 def is_hessian(g: PreLieAlgebra, b: BilForm) -> Report:
     """Hessian identity plus nondegeneracy; cross-checked against the flat map
     being an RDO for the coregular action of the sub-adjacent algebra."""
-    if b.symmetry != SYMMETRIC:
-        raise ValueError("Hessian candidate must be declared symmetric")
-    if b.dim != g.dim:
-        raise DimensionError(f"form dim {b.dim} != algebra dim {g.dim}")
-    rep = Report("Hessian structure")
-    eb = _basis(g.dim)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(g.dim):
-                x, y, z = eb[i], eb[j], eb[k]
-                s = (b(g.product(x, y), z) - b(x, g.product(y, z))
-                     - b(g.product(y, x), z) + b(y, g.product(x, z)))
-                ok = s.is_zero()
-                rep.record("hessian-identity", (i + 1, j + 1, k + 1), ok,
-                           None if ok else (i + 1, j + 1, k + 1))
-    rep.record("nondegenerate", (), b.is_nondegenerate())
-    ctx = OperatorContext(subadjacent(g), coregular_rep(g))
-    rdo = is_rdo(ctx, form_to_map(b)).passed
-    rep.record("flat-map RDO (cross-check)", (), rdo)
-    ident_ok = all(r.passed for r in rep.results if r.claim == "hessian-identity")
-    rep.record("routes agree", (), ident_ok == rdo)
+    rep = _form_structure("Hessian", HESSIAN_IDENTITY, g, b, _coregular_context)
     if not b.is_real():
         rep.note("form has non-real entries")
     return rep
 
 
-def classify_hyper_symplectic(g: LieAlgebra, w1: BilForm, w2: BilForm, w3: BilForm) -> HyperTriple:
-    pre = Report("symplectic preconditions")
-    for idx, w in enumerate((w1, w2, w3)):
-        pre.merge(is_symplectic(g, w), f"w{idx + 1}:")
+def _classify_forms(kind: str, check, prefix: str, flat_context, g, forms) -> HyperTriple:
+    pre = Report(f"{kind} preconditions")
+    for idx, f in enumerate(forms):
+        pre.merge(check(g, f), f"{prefix}{idx + 1}:")
     if not pre.passed:
-        raise PreconditionError("not all forms are symplectic", pre)
-    ctx = OperatorContext(g, coadjoint_rep(g))
-    return classify_hyper(ctx, form_to_map(w1), form_to_map(w2), form_to_map(w3))
+        raise PreconditionError(f"not all forms are {kind}", pre)
+    return classify_hyper(flat_context(g), *(form_to_map(f) for f in forms))
+
+
+def classify_hyper_symplectic(g: LieAlgebra, w1: BilForm, w2: BilForm, w3: BilForm) -> HyperTriple:
+    return _classify_forms("symplectic", is_symplectic, "w", _coadjoint_context, g, (w1, w2, w3))
 
 
 def classify_hyper_hessian(g: PreLieAlgebra, b1: BilForm, b2: BilForm, b3: BilForm) -> HyperTriple:
-    pre = Report("Hessian preconditions")
-    for idx, b in enumerate((b1, b2, b3)):
-        pre.merge(is_hessian(g, b), f"B{idx + 1}:")
-    if not pre.passed:
-        raise PreconditionError("not all forms are Hessian", pre)
-    ctx = OperatorContext(subadjacent(g), coregular_rep(g))
-    return classify_hyper(ctx, form_to_map(b1), form_to_map(b2), form_to_map(b3))
+    return _classify_forms("Hessian", is_hessian, "B", _coregular_context, g, (b1, b2, b3))
 
 
 HERMITIAN = "hermitian"
@@ -283,59 +320,24 @@ def is_invariant_form(g, f: BilForm) -> Report:
     flat-map conjugation identity."""
     rep = Report("invariant form")
     rep.record("nondegenerate", (), f.is_nondegenerate())
-    eb = _basis(g.dim)
     if isinstance(g, LieAlgebra):
-        if f.symmetry != SYMMETRIC:
-            raise ValueError("ad-invariance check needs a symmetric form")
-        # B([x,y],z) = B(x,[y,z]) on basis triples
-        direct_ok = True
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k in range(g.dim):
-                    s = f(g.bracket(eb[i], eb[j]), eb[k]) - f(eb[i], g.bracket(eb[j], eb[k]))
-                    if not s.is_zero():
-                        direct_ok = False
-                        rep.record("ad-invariance", (i + 1, j + 1, k + 1), False,
-                                   (i + 1, j + 1, k + 1))
-        if direct_ok:
-            rep.record("ad-invariance", (), True)
-        # conjugation identity: ad*_x B#(y) = B#(ad_x y)
-        sharp = form_to_map(f)
-        coad = coadjoint_rep(g)
-        ad = adjoint_rep(g)
-        conj_ok = all(
-            coad.mats[i] * sharp.matrix == sharp.matrix * ad.mats[i]
-            for i in range(g.dim)
-        )
-        rep.record("conjugation identity (cross-check)", (), conj_ok)
-        rep.record("routes agree", (), direct_ok == conj_ok)
+        identity, ctx, what = AD_INVARIANCE, _coadjoint_context(g), "ad-invariance"
     elif isinstance(g, PreLieAlgebra):
-        if f.symmetry != SKEW:
-            raise ValueError("pre-Lie invariance check needs a skew form")
-        gc = subadjacent(g)
-        direct_ok = True
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k in range(g.dim):
-                    s = f(g.product(eb[i], eb[j]), eb[k]) + f(eb[j], gc.bracket(eb[i], eb[k]))
-                    if not s.is_zero():
-                        direct_ok = False
-                        rep.record("prelie-invariance", (i + 1, j + 1, k + 1), False,
-                                   (i + 1, j + 1, k + 1))
-        if direct_ok:
-            rep.record("prelie-invariance", (), True)
-        # conjugation identity: L*_x w_nat(y) = w_nat(ad_x y)
-        nat = form_to_map(f)
-        coreg = coregular_rep(g)
-        adc = adjoint_rep(gc)
-        conj_ok = all(
-            coreg.mats[i] * nat.matrix == nat.matrix * adc.mats[i]
-            for i in range(g.dim)
-        )
-        rep.record("conjugation identity (cross-check)", (), conj_ok)
-        rep.record("routes agree", (), direct_ok == conj_ok)
+        identity, ctx, what = PRELIE_INVARIANCE, _coregular_context(g), "pre-Lie invariance"
     else:
         raise TypeError("expected a LieAlgebra or PreLieAlgebra")
+    if f.symmetry != identity.symmetry:
+        raise ValueError(f"{what} check needs a {identity.symmetry} form")
+    direct_ok = identity.check(rep, g, f, failures_only=True)
+    if direct_ok:
+        rep.record(identity.claim, (), True)
+    # conjugation identity: rho(x) f#(y) = f#([x,y]) for the coadjoint (Lie) or
+    # coregular (pre-Lie, sub-adjacent bracket) action rho
+    flat = form_to_map(f).matrix
+    ad = adjoint_rep(ctx.g)
+    conj_ok = all(m * flat == flat * a for m, a in zip(ctx.rep.mats, ad.mats))
+    rep.record("conjugation identity (cross-check)", (), conj_ok)
+    rep.record("routes agree", (), direct_ok == conj_ok)
     return rep
 
 
@@ -353,27 +355,19 @@ def endomorphism_symmetry(f: BilForm, phi: LinMap, kind: str) -> bool:
 
 def _is_lie_derivation(g: LieAlgebra, d: LinMap) -> Report:
     rep = Report("Lie derivation")
-    eb = _basis(g.dim)
+    eb = unit_columns(g.dim)
     dm = d.matrix
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = dm * g.basis_bracket(i, j)
-            rhs = g.bracket(dm * eb[i], eb[j]) + g.bracket(eb[i], dm * eb[j])
-            ok = lhs == rhs
-            rep.record("derivation", (i + 1, j + 1), ok, None if ok else (i + 1, j + 1))
+    rep.record_tuples("derivation", itertools.combinations(range(g.dim), 2), lambda i, j: (
+        dm * g.basis_bracket(i, j) == g.bracket(dm * eb[i], eb[j]) + g.bracket(eb[i], dm * eb[j])))
     return rep
 
 
 def _is_prelie_derivation(g: PreLieAlgebra, d: LinMap) -> Report:
     rep = Report("pre-Lie derivation")
-    eb = _basis(g.dim)
+    eb = unit_columns(g.dim)
     dm = d.matrix
-    for i in range(g.dim):
-        for j in range(g.dim):
-            lhs = dm * g.basis_product(i, j)
-            rhs = g.product(dm * eb[i], eb[j]) + g.product(eb[i], dm * eb[j])
-            ok = lhs == rhs
-            rep.record("derivation", (i + 1, j + 1), ok, None if ok else (i + 1, j + 1))
+    rep.record_tuples("derivation", itertools.product(range(g.dim), repeat=2), lambda i, j: (
+        dm * g.basis_product(i, j) == g.product(dm * eb[i], eb[j]) + g.product(eb[i], dm * eb[j])))
     return rep
 
 

@@ -8,9 +8,10 @@ Index convention: triples are stored 0-indexed; i-1 and i+1 are cyclic mod 3.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .linalg import Matrix, SingularMatrixError
+from .linalg import Matrix, SingularMatrixError, unit_columns
 from .operators import (
     ALGEBRA,
     MODULE,
@@ -24,7 +25,6 @@ from .operators import (
     is_o_operator,
     is_rdo,
     nijenhuis_square_sign,
-    _basis,
 )
 from .reporting import PreconditionError, Report
 
@@ -174,26 +174,23 @@ def product_one_suite(t: HyperTriple) -> Report:
             f"suite requires eps product +1, got eps={t.eps}")
     rep = Report("eps-product +1 suite")
     ctx = t.ctx
-    vb = _basis(ctx.m)
+    vb = unit_columns(ctx.m)
     hb = t.hflat
     hb_inv = hb.inv()
     for i in range(3):
         im = _cyc(i - 1)
         rep.record("(d_i,N_i) DN-structure", (i + 1,), is_dn(ctx, t.d[i], t.n[i]).passed)
         # key identity: S rho(Tu)v - S rho(Tv)u - rho(Tu)(Sv) + rho(Tv)(Su) = 0
-        ok_pairs = True
-        first = None
-        for a in range(ctx.m):
-            for b in range(a + 1, ctx.m):
-                u, v = vb[a], vb[b]
-                tu, tv = t.t[i](u), t.t[i](v)
-                sm = t.s[i].matrix
-                val = (sm * (ctx.rep.act(tu) * v) - sm * (ctx.rep.act(tv) * u)
-                       - ctx.rep.act(tu) * (sm * v) + ctx.rep.act(tv) * (sm * u))
-                if not val.is_zero() and first is None:
-                    ok_pairs = False
-                    first = (a + 1, b + 1)
-        rep.record("key identity", (i + 1,), ok_pairs, first)
+        sm = t.s[i].matrix
+
+        def holds(a, b):
+            u, v = vb[a], vb[b]
+            rho_u, rho_v = ctx.rep.act(t.t[i](u)), ctx.rep.act(t.t[i](v))
+            return (sm * (rho_u * v) - sm * (rho_v * u)
+                    - rho_u * (sm * v) + rho_v * (sm * u)).is_zero()
+
+        rep.record_tuples("key identity", itertools.combinations(range(ctx.m), 2), holds,
+                          at=(i + 1,))
         rep.record("(K_i,d_i) KD-structure", (i + 1,), is_kd(ctx, t.k(i), t.d[i]).passed)
         ni_from_h = t.t[i].compose(hb)
         rep.record("T_i∘hflat=eps[i-1]·N_i", (i + 1,),

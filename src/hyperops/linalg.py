@@ -359,6 +359,12 @@ class Matrix:
         return _kernel(m, pivots, self.cols)
 
 
+def unit_columns(n: int) -> list[Matrix]:
+    """The standard basis e_1, ..., e_n as column vectors."""
+    return [Matrix._make(n, 1, [int(i == t) for i in range(n)], (0,) * n, 1, reduce=False)
+            for t in range(n)]
+
+
 def _gauss_jordan(rr: list, ri: list | None, cols: int) -> list:
     """Fraction-free Gauss-Jordan elimination, in place, on the Gaussian-integer
     rows rr + i*ri (ri is None for real rows).  Returns the pivot columns;

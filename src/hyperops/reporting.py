@@ -42,6 +42,32 @@ class Report:
                counterexample: tuple | None = None, detail: str = "") -> None:
         self.results.append(ClaimResult(claim, tuple(indices), passed, counterexample, detail))
 
+    def record_tuples(self, claims, tuples, holds, failures_only: bool = False,
+                      at: tuple | None = None) -> bool:
+        """Evaluate holds(*t) at each 0-indexed basis tuple t and record the
+        outcome at t 1-indexed, with t as the counterexample when it fails.
+
+        `claims` is one claim name, or a tuple of names for which holds
+        returns one flag each, recorded interleaved tuple by tuple.  With
+        failures_only, only failing tuples are recorded.  With `at`, the one
+        claim is recorded once, at those indices, with the first failing
+        tuple as counterexample.  Returns whether every evaluation held."""
+        names = (claims,) if isinstance(claims, str) else claims
+        held = True
+        for t in tuples:
+            flags = holds(*t)
+            idx = tuple(i + 1 for i in t)
+            for name, ok in zip(names, (flags,) if isinstance(claims, str) else flags):
+                held = held and ok
+                if at is not None and not ok:
+                    self.record(name, at, False, idx)
+                    return False
+                if at is None and not (ok and failures_only):
+                    self.record(name, idx, ok, None if ok else idx)
+        if at is not None:
+            self.record(claims, at, True)
+        return held
+
     def note(self, text: str) -> None:
         self.notes.append(text)
 
@@ -60,23 +86,6 @@ class Report:
         if self.notes:
             out["notes"] = self.notes
         return out
-
-    def render_text(self) -> str:
-        lines = []
-        if self.title:
-            lines.append(f"== {self.title}: {'PASS' if self.passed else 'FAIL'} ==")
-        for r in self.results:
-            mark = "ok " if r.passed else "FAIL"
-            idx = ",".join(str(i) for i in r.indices)
-            line = f"[{mark}] {r.claim}" + (f" @ ({idx})" if r.indices else "")
-            if not r.passed and r.counterexample is not None:
-                line += f"  counterexample basis {tuple(r.counterexample)}"
-            if r.detail:
-                line += f"  ({r.detail})"
-            lines.append(line)
-        for n in self.notes:
-            lines.append(f"note: {n}")
-        return "\n".join(lines)
 
 
 class PreconditionError(ValueError):

@@ -8,25 +8,39 @@ on or above the diagonal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, PreLieAlgebra, subadjacent
-from .geometry import SKEW, SYMMETRIC, BilForm
-from .linalg import AffineSolutionSpace, DimensionError, Matrix, Poly, generic_determinant, solve_affine
-from .operators import _basis
-from .scalars import ONE, ZERO
+from .algebra import LieAlgebra
+from .geometry import (
+    AD_INVARIANCE,
+    COCYCLE,
+    HESSIAN_IDENTITY,
+    PRELIE_INVARIANCE,
+    SKEW,
+    BilForm,
+    FormIdentity,
+)
+from .linalg import (
+    AffineSolutionSpace,
+    DimensionError,
+    Matrix,
+    Poly,
+    generic_determinant,
+    solve_affine,
+    unit_columns,
+)
+from .scalars import ZERO
 
 SYMPLECTIC = "symplectic"
 HESSIAN = "hessian"
 AD_INVARIANT = "ad-invariant"
 PRELIE_INVARIANT = "prelie-invariant"
 
-_TARGET_SYMMETRY = {
-    SYMPLECTIC: SKEW,
-    HESSIAN: SYMMETRIC,
-    AD_INVARIANT: SYMMETRIC,
-    PRELIE_INVARIANT: SKEW,
+_TARGETS = {
+    SYMPLECTIC: COCYCLE,
+    HESSIAN: HESSIAN_IDENTITY,
+    AD_INVARIANT: AD_INVARIANCE,
+    PRELIE_INVARIANT: PRELIE_INVARIANCE,
 }
 
 
@@ -46,17 +60,6 @@ def _embed(n: int, symmetry: str, coords, coord_vector) -> Matrix:
         elif i != j:
             rows[j][i] = v
     return Matrix.from_rows(rows)
-
-
-def _coeff_matrix(n: int, symmetry: str, coords) -> list[Matrix]:
-    """Basis of the symmetry class as matrices, one per coordinate."""
-    unit = [ZERO] * len(coords)
-    out = []
-    for k in range(len(coords)):
-        unit[k] = ONE
-        out.append(_embed(n, symmetry, coords, unit))
-        unit[k] = ZERO
-    return out
 
 
 @dataclass(frozen=True)
@@ -93,81 +96,37 @@ class FormSpaceResult:
         return solve_affine(a, diff) is not None
 
 
-def _target_rows(g, target: str, coeff_mats, n: int):
-    """One linear condition row per (basis triple, matrix coordinate)."""
-    eb = _basis(n)
+def _system(g, identity: FormIdentity, coords) -> Matrix:
+    """One row per basis tuple: the identity at each coordinate's unit form.
+
+    The terms of an instance sum to <P, f> = sum_ij P_ij f(e_i, e_j) with
+    P = sum(sign * a b^T), so coordinate (i, j) gets P_ij - P_ji (skew),
+    P_ij + P_ji (symmetric, i < j) or P_ii."""
+    n = g.dim
+    eb = unit_columns(n)
+    flip = -1 if identity.symmetry == SKEW else 1
     rows = []
-    if target == SYMPLECTIC:
-        assert isinstance(g, LieAlgebra)
-        for i, j, k in itertools.combinations(range(n), 3):
-            x, y, z = eb[i], eb[j], eb[k]
-            row = []
-            for m in coeff_mats:
-                def f(a, b, m=m):
-                    return (a.transpose() * m * b)[0, 0]
-                row.append(f(g.bracket(x, y), z) + f(g.bracket(z, x), y) + f(g.bracket(y, z), x))
-            rows.append(row)
-    elif target == HESSIAN:
-        assert isinstance(g, PreLieAlgebra)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    x, y, z = eb[i], eb[j], eb[k]
-                    row = []
-                    for m in coeff_mats:
-                        def f(a, b, m=m):
-                            return (a.transpose() * m * b)[0, 0]
-                        row.append(f(g.product(x, y), z) - f(x, g.product(y, z))
-                                   - f(g.product(y, x), z) + f(y, g.product(x, z)))
-                    rows.append(row)
-    elif target == AD_INVARIANT:
-        assert isinstance(g, LieAlgebra)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    x, y, z = eb[i], eb[j], eb[k]
-                    row = []
-                    for m in coeff_mats:
-                        def f(a, b, m=m):
-                            return (a.transpose() * m * b)[0, 0]
-                        row.append(f(g.bracket(x, y), z) - f(x, g.bracket(y, z)))
-                    rows.append(row)
-    elif target == PRELIE_INVARIANT:
-        assert isinstance(g, PreLieAlgebra)
-        gc = subadjacent(g)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    x, y, z = eb[i], eb[j], eb[k]
-                    row = []
-                    for m in coeff_mats:
-                        def f(a, b, m=m):
-                            return (a.transpose() * m * b)[0, 0]
-                        row.append(f(g.product(x, y), z) + f(y, gc.bracket(x, z)))
-                    rows.append(row)
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    return rows
+    for t in identity.tuples(n):
+        p = Matrix.zero(n, n)
+        for sign, a, b in identity.terms(g, *(eb[i] for i in t)):
+            p = p + (a * b.transpose()).scale(sign)
+        rows.append([p[i, j] + flip * p[j, i] if i != j else p[i, i] for i, j in coords])
+    return Matrix.from_rows(rows) if rows else Matrix.zero(1, len(coords))
 
 
 def solve_forms(g, target: str) -> FormSpaceResult:
     """Parametrize the symmetry class, assemble the linear system from basis
     identities, solve exactly, and decide nondegeneracy symbolically."""
-    symmetry = _TARGET_SYMMETRY.get(target)
-    if symmetry is None:
+    identity = _TARGETS.get(target)
+    if identity is None:
         raise ValueError(f"unknown target {target!r}")
-    if target in (SYMPLECTIC, AD_INVARIANT) and not isinstance(g, LieAlgebra):
-        raise TypeError(f"target {target} needs a Lie algebra")
-    if target in (HESSIAN, PRELIE_INVARIANT) and not isinstance(g, PreLieAlgebra):
-        raise TypeError(f"target {target} needs a pre-Lie algebra")
+    if not isinstance(g, identity.algebra):
+        kind = "Lie" if identity.algebra is LieAlgebra else "pre-Lie"
+        raise TypeError(f"target {target} needs a {kind} algebra")
     n = g.dim
+    symmetry = identity.symmetry
     coords = _coords(n, symmetry)
-    coeff_mats = _coeff_matrix(n, symmetry, coords)
-    rows = _target_rows(g, target, coeff_mats, n)
-    if rows:
-        a = Matrix.from_rows(rows)
-    else:
-        a = Matrix.zero(1, len(coords))
+    a = _system(g, identity, coords)
     space = solve_affine(a, [ZERO] * a.rows)
     # homogeneous system is always feasible
     assert space is not None

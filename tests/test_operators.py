@@ -1,9 +1,11 @@
 """Operator predicates: differential operators, O-operators, Nijenhuis
 operators, deformations, and the paired structures."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperops.algebra import (
     LieAlgebra,
@@ -204,6 +206,67 @@ def test_compatibility_and_hierarchy():
     assert are_compatible(t.ctx, t.t[0], t.t[1]).passed
     assert kn_hierarchy(t.ctx, t.t[0], t.s[1], t.n[1], kmax=3).passed
     assert dn_powers(t.ctx, t.d[0], t.n[1], kmax=4).passed
+
+
+def _combination(mats, x):
+    """sum_i x_i mats[i] for a column vector x."""
+    out = Matrix.zero(mats[0].rows, mats[0].cols)
+    for i, m in enumerate(mats):
+        out = out + m.scale(x[i, 0])
+    return out
+
+
+def _coadjoint_l4sym():
+    g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
+    n = g.dim
+    ad = [Matrix(n, n, [g.c[i][j][k] for k in range(n) for j in range(n)]) for i in range(n)]
+    rho = [-m.transpose() for m in ad]
+    return OperatorContext(g, coadjoint_rep(g)), ad, rho
+
+
+def _cross(ad, rho, a, b, u, v):
+    """[Au,Bv] - A(rho(Bu)v - rho(Bv)u): the O-operator defect of T at (u, v)
+    is _cross(T, T), and the mixed identity of T1, T2 is
+    _cross(T1, T2) + _cross(T2, T1)."""
+    return (_combination(ad, a * u) * (b * v)
+            - a * (_combination(rho, b * u) * v - _combination(rho, b * v) * u))
+
+
+_UNITS4 = [Matrix.column([1 if i == t else 0 for i in range(4)]) for t in range(4)]
+_small = st.integers(-3, 3)
+
+
+@given(st.lists(_small, min_size=16, max_size=16), st.lists(_small, min_size=16, max_size=16),
+       st.integers(-4, 4), st.integers(-4, 4))
+@settings(max_examples=25, deadline=None)
+def test_o_operator_defect_is_quadratic(e1, e2, k1, k2):
+    # def(k1 T1 + k2 T2) = k1^2 def(T1) + k2^2 def(T2) + k1 k2 mixed(T1, T2),
+    # which is why are_compatible checks the mixed identity alone
+    ctx, ad, rho = _coadjoint_l4sym()
+    t1, t2 = Matrix(4, 4, e1), Matrix(4, 4, e2)
+    comb = t1.scale(k1) + t2.scale(k2)
+    all_zero = True
+    for a, b in itertools.combinations(range(4), 2):
+        u, v = _UNITS4[a], _UNITS4[b]
+        lhs = _cross(ad, rho, comb, comb, u, v)
+        rhs = (_cross(ad, rho, t1, t1, u, v).scale(k1 * k1)
+               + _cross(ad, rho, t2, t2, u, v).scale(k2 * k2)
+               + (_cross(ad, rho, t1, t2, u, v) + _cross(ad, rho, t2, t1, u, v)).scale(k1 * k2))
+        assert lhs == rhs
+        all_zero = all_zero and lhs.is_zero()
+    assert is_o_operator(ctx, LinMap(comb, MODULE, ALGEBRA)).passed == all_zero
+
+
+def test_are_compatible_records_only_the_mixed_identity():
+    t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
+    rep = are_compatible(t.ctx, t.t[0], t.t[1])
+    assert [(r.claim, r.indices) for r in rep.results] == [
+        ("mixed-identity", p) for p in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
+    _, ad, rho = _coadjoint_l4sym()
+    t1, t2 = t.t[0].matrix, t.t[1].matrix
+    for a, b in itertools.combinations(range(4), 2):
+        u, v = _UNITS4[a], _UNITS4[b]
+        assert (_cross(ad, rho, t1, t2, u, v) + _cross(ad, rho, t2, t1, u, v)).is_zero()
 
 
 def test_power_and_compose_shapes():

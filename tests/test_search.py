@@ -124,3 +124,92 @@ def test_instantiate_length_check():
     res = solve_forms(_prelie("prelie.I4"), HESSIAN)
     with pytest.raises(Exception):
         instantiate(res, [Scalar(1)] * (res.dim + 1))
+
+
+# -- the linear systems, rebuilt independently ----------------------------
+
+
+def _unit_forms(n, skew):
+    """One matrix per coordinate, row-major over the upper triangle."""
+    out = []
+    for i in range(n):
+        for j in range(i + 1 if skew else i, n):
+            m = [[0] * n for _ in range(n)]
+            m[i][j] = 1
+            if i != j:
+                m[j][i] = -1 if skew else 1
+            out.append(Matrix.from_rows(m))
+    return out
+
+
+def _independent_system(g, target):
+    """Each row is one basis-tuple instance of the target identity, evaluated
+    at every coordinate's unit form U as f(a, b) = a^T U b."""
+    from hyperops.algebra import subadjacent
+
+    n = g.dim
+    e = [Matrix.column([1 if i == t else 0 for i in range(n)]) for t in range(n)]
+    units = _unit_forms(n, target in (SYMPLECTIC, PRELIE_INVARIANT))
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = e[i], e[j], e[k]
+                if target == SYMPLECTIC and i < j < k:
+                    def ident(f, br=g.bracket):
+                        return f(br(x, y), z) + f(br(z, x), y) + f(br(y, z), x)
+                elif target == HESSIAN and i < j:
+                    def ident(f, p=g.product):
+                        return f(p(x, y), z) - f(x, p(y, z)) - f(p(y, x), z) + f(y, p(x, z))
+                elif target == AD_INVARIANT:
+                    def ident(f, br=g.bracket):
+                        return f(br(x, y), z) - f(x, br(y, z))
+                elif target == PRELIE_INVARIANT:
+                    def ident(f, p=g.product, br=subadjacent(g).bracket):
+                        return f(p(x, y), z) + f(y, br(x, z))
+                else:
+                    continue
+                rows.append([ident(lambda a, b, u=u: (a.transpose() * u * b)[0, 0])
+                             for u in units])
+    return Matrix.from_rows(rows) if rows else Matrix.zero(1, len(units))
+
+
+def _family_i(n, perm):
+    """I_n (e1·e1 = 2e1, e1·ei = ei, ei·ei = e1) with its basis relabelled by perm."""
+    from hyperops.algebra import PreLieAlgebra
+
+    products = {(perm[0], perm[0]): {perm[0]: 2}}
+    for i in perm[1:]:
+        products[(perm[0], i)] = {i: 1}
+        products[(i, i)] = {perm[0]: 1}
+    return PreLieAlgebra.from_products(n, products)
+
+
+def _search_cases():
+    from hyperops.algebra import LieAlgebra, check_prelie
+    from hyperops.corpus import list_examples
+
+    cases = []
+    for eid, _, _ in list_examples():
+        for name, g in parse_bundle(export_bundle(eid)).algebras.items():
+            lie = isinstance(g, LieAlgebra)
+            for target in ((SYMPLECTIC, AD_INVARIANT) if lie else (HESSIAN, PRELIE_INVARIANT)):
+                cases.append(pytest.param(g, target, id=f"{eid}:{name}-{target}"))
+    i5 = _family_i(5, [3, 5, 1, 4, 2])
+    assert check_prelie(i5).passed
+    cases += [pytest.param(i5, t, id=f"I5-relabelled-{t}") for t in (HESSIAN, PRELIE_INVARIANT)]
+    return cases
+
+
+@pytest.mark.parametrize("g,target", _search_cases())
+def test_solve_forms_matches_independent_system(g, target):
+    from hyperops.linalg import solve_affine
+
+    a = _independent_system(g, target)
+    want = solve_affine(a, [0] * a.rows)
+    res = solve_forms(g, target)
+    assert res.space.particular == want.particular
+    assert res.space.basis == want.basis
+    assert len(res.coords) == len(_unit_forms(g.dim, target in (SYMPLECTIC, PRELIE_INVARIANT)))
+    if g.dim == 5 and target == HESSIAN:
+        assert res.dim == 1 and res.exists_nondegenerate
