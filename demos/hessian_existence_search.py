@@ -4,12 +4,13 @@ form.
 The Hessian condition is linear in the form's coefficients, so the set of
 solutions is a linear space we can compute by exact elimination.  The only
 nonlinear question, nondegeneracy, reduces to whether the determinant of the
-generic solution is the zero polynomial.
+generic solution is the zero polynomial.  The search answers it witness
+first: a parameter point where the determinant is nonzero proves existence,
+and the form at that point is a concrete nondegenerate Hessian form.
 """
 
 from hyperops.bundle import parse_bundle
 from hyperops.corpus import export_bundle
-from hyperops.scalars import Scalar
 from hyperops.search import HESSIAN, instantiate, solve_forms
 
 for name in ("prelie.I4", "prelie.A4", "prelie.B4"):
@@ -24,8 +25,7 @@ for name in ("prelie.I4", "prelie.A4", "prelie.B4"):
         member = res.contains(bundle.form("B"))
         print(f"  the stored form B lies in the solution space: {member}")
     if res.exists_nondegenerate:
-        # pick a concrete point and show its determinant
-        params = [Scalar(k + 1) for k in range(res.dim)]
-        f = instantiate(res, params)
-        print(f"  sample instantiation det = {f.matrix.det().render()}")
+        # the witness the search found, and the determinant of its form
+        f = instantiate(res, res.witness)
+        print(f"  witness parameters {res.witness}: det = {f.matrix.det().render()}")
     print()

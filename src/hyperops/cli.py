@@ -66,19 +66,22 @@ def _need_args(args, n, usage):
     return args
 
 
+def _algebra(bundle, name: str, kind: type):
+    """The bundle's algebra `name`, which must be a Lie or pre-Lie algebra as
+    `kind` says."""
+    g = bundle.algebra(name)
+    if not isinstance(g, kind):
+        raise InputError(f"{name!r} is not a {'Lie' if kind is LieAlgebra else 'pre-Lie'} algebra")
+    return g
+
+
 def _check_dispatch(bundle, what: str, args: list[str]) -> Report:
     if what == "lie":
         (a,) = _need_args(args, 1, "algebra")
-        g = bundle.algebra(a)
-        if not isinstance(g, LieAlgebra):
-            raise InputError(f"{a!r} is not a Lie algebra")
-        return check_lie(g)
+        return check_lie(_algebra(bundle, a, LieAlgebra))
     if what == "prelie":
         (a,) = _need_args(args, 1, "algebra")
-        g = bundle.algebra(a)
-        if not isinstance(g, PreLieAlgebra):
-            raise InputError(f"{a!r} is not a pre-Lie algebra")
-        return check_prelie(g)
+        return check_prelie(_algebra(bundle, a, PreLieAlgebra))
     if what == "rep":
         (r,) = _need_args(args, 1, "rep")
         return bundle.rep(r).check()
@@ -90,10 +93,7 @@ def _check_dispatch(bundle, what: str, args: list[str]) -> Report:
         return is_o_operator(bundle.context(r), bundle.map(m))
     if what == "nijenhuis":
         a, m = _need_args(args, 2, "algebra map")
-        g = bundle.algebra(a)
-        if not isinstance(g, LieAlgebra):
-            raise InputError(f"{a!r} is not a Lie algebra")
-        return is_nijenhuis(g, bundle.map(m))
+        return is_nijenhuis(_algebra(bundle, a, LieAlgebra), bundle.map(m))
     if what == "dn":
         r, d, n = _need_args(args, 3, "rep d n")
         return is_dn(bundle.context(r), bundle.map(d), bundle.map(n))
@@ -105,17 +105,17 @@ def _check_dispatch(bundle, what: str, args: list[str]) -> Report:
         return is_kn(bundle.context(r), bundle.map(t), bundle.map(s), bundle.map(n))
     if what == "symplectic":
         a, f = _need_args(args, 2, "algebra form")
-        return is_symplectic(bundle.algebra(a), bundle.form(f))
+        return is_symplectic(_algebra(bundle, a, LieAlgebra), bundle.form(f))
     if what == "hessian":
         a, f = _need_args(args, 2, "algebra form")
-        return is_hessian(bundle.algebra(a), bundle.form(f))
+        return is_hessian(_algebra(bundle, a, PreLieAlgebra), bundle.form(f))
     if what.startswith("hermitian:"):
         variant = what.split(":", 1)[1]
         if variant not in _VARIANTS:
             raise InputError(f"unknown hermitian variant {variant!r} "
                              f"(have: {sorted(_VARIANTS)})")
         a, f, m = _need_args(args, 3, "algebra form map")
-        return check_hermitian_variant(bundle.algebra(a), bundle.form(f),
+        return check_hermitian_variant(_algebra(bundle, a, LieAlgebra), bundle.form(f),
                                        bundle.map(m), variant)
     if what == "invariant-form":
         a, f = _need_args(args, 2, "algebra form")

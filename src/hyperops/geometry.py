@@ -15,7 +15,6 @@ from typing import Callable
 from .algebra import (
     LieAlgebra,
     PreLieAlgebra,
-    Representation,
     adjoint_rep,
     coadjoint_rep,
     coregular_rep,

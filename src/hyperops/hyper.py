@@ -22,7 +22,6 @@ from .operators import (
     is_kd,
     is_kn,
     is_nijenhuis,
-    is_o_operator,
     is_rdo,
     nijenhuis_square_sign,
 )

@@ -528,6 +528,36 @@ class Poly:
                 d[e] = d.get(e, ZERO) + c1 * c2
         return Poly._from_dict(self.variables, d)
 
+    def substitute(self, k: int, value: int) -> "Poly":
+        """Set variable k to an integer value; its exponents become 0."""
+        d: dict = {}
+        for e, c in self.terms:
+            e0 = e[:k] + (0,) + e[k + 1:]
+            d[e0] = d.get(e0, ZERO) + c * value ** e[k]
+        return Poly._from_dict(self.variables, d)
+
+    def nonzero_point(self, degree: int) -> tuple:
+        """A point of {0, ..., degree}^variables where this nonzero polynomial,
+        of degree at most `degree` in each variable, does not vanish.
+
+        Variables are fixed one at a time to the first value that keeps the
+        polynomial nonzero; one of degree + 1 values always does, since a
+        nonzero polynomial of degree <= degree in t_k has at most degree
+        roots in t_k."""
+        if self.is_zero():
+            raise ValueError("the zero polynomial vanishes everywhere")
+        p, point = self, []
+        for k in range(self.variables):
+            for v in range(degree + 1):
+                q = p.substitute(k, v)
+                if not q.is_zero():
+                    break
+            else:
+                raise ValueError(f"degree in t_{k + 1} exceeds {degree}")
+            p = q
+            point.append(v)
+        return tuple(point)
+
     def evaluate(self, values: Sequence[Scalar]) -> Scalar:
         if len(values) != self.variables:
             raise DimensionError(f"need {self.variables} values, got {len(values)}")
@@ -566,12 +596,16 @@ def _poly_det(entries: list[list[Poly]], nvars: int) -> Poly:
     return out
 
 
-def generic_determinant(space: AffineSolutionSpace, shape: int) -> Poly:
-    """det(particular + sum t_k basis_k) reshaped to shape x shape, as a Poly in t."""
+def _check_reshape(space: AffineSolutionSpace, shape: int):
     if len(space.particular) != shape * shape:
         raise DimensionError(
             f"solution vectors of length {len(space.particular)} do not reshape to {shape}x{shape}"
         )
+
+
+def generic_determinant(space: AffineSolutionSpace, shape: int) -> Poly:
+    """det(particular + sum t_k basis_k) reshaped to shape x shape, as a Poly in t."""
+    _check_reshape(space, shape)
     nvars = space.dim
     entries = []
     for i in range(shape):
@@ -585,3 +619,41 @@ def generic_determinant(space: AffineSolutionSpace, shape: int) -> Poly:
             row.append(p)
         entries.append(row)
     return _poly_det(entries, nvars)
+
+
+def witness_points(nvars: int) -> list[tuple]:
+    """The parameter points `det_witness` tries, in order: t = (1, 2, ..., nvars),
+    then three points whose coordinates are successive terms of
+    x -> (75 x + 74) mod 65537 from x = 1, each reduced to x mod 33 - 16."""
+    points = [tuple(range(1, nvars + 1))]
+    x = 1
+    for _ in range(3):
+        point = []
+        for _ in range(nvars):
+            x = (75 * x + 74) % 65537
+            point.append(x % 33 - 16)
+        points.append(tuple(point))
+    return points
+
+
+def det_witness(space: AffineSolutionSpace, shape: int) -> tuple | None:
+    """Integer parameters t with det(particular + sum t_k basis_k) != 0, the
+    vectors reshaped to shape x shape, or None when that determinant is the
+    zero polynomial.
+
+    A nonzero determinant at any point proves the polynomial nonzero, so the
+    points of `witness_points` are tried first, each by one Bareiss `det`.
+    Only when all of them give 0 is the polynomial expanded by
+    `generic_determinant`: zero means no such t exists, and otherwise a
+    point is read off it.  Its degree in each t_k is at most shape, since
+    every entry is affine in t."""
+    _check_reshape(space, shape)
+    nvars = space.dim
+    stack = Matrix(nvars + 1, shape * shape,
+                   [*space.particular, *(v for b in space.basis for v in b)])
+    for point in witness_points(nvars):
+        m = Matrix._make(1, nvars + 1, (1, *point), (0,) * (nvars + 1), 1, reduce=False) * stack
+        if not Matrix._make(shape, shape, m.re, m.im, m.den, reduce=False).det().is_zero():
+            return point
+    det = generic_determinant(space, shape)
+    return None if det.is_zero() else det.nonzero_point(shape)

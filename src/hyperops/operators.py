@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, PreLieAlgebra, Representation, check_lie, check_prelie
+from .algebra import LieAlgebra, PreLieAlgebra, Representation
 from .linalg import DimensionError, Matrix, unit_columns
 from .reporting import PreconditionError, Report
 from .scalars import ZERO

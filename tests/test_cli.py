@@ -9,7 +9,8 @@ import pytest
 
 import hyperops
 from hyperops import cli
-from hyperops.corpus import broken_variant, export_bundle
+from hyperops.corpus import broken_variant, export_bundle, list_examples
+from hyperops.geometry import _VARIANTS
 
 
 @pytest.fixture()
@@ -193,3 +194,78 @@ def test_entry_point_exit_codes(bundles):
         capture_output=True, text=True, env=_env())
     assert jq.returncode == 1
     json.loads(jq.stdout)  # stdout is a single valid JSON document
+
+
+# -- every check kind on every corpus algebra ---------------------------------
+
+_CORPUS = {eid: export_bundle(eid) for eid, _, _ in list_examples()}
+# argument slots of each --what kind: a = algebra, r = rep, m = map, f = form
+_SLOTS = {"lie": "a", "prelie": "a", "rep": "r", "rdo": "rm", "o-operator": "rm",
+          "nijenhuis": "am", "dn": "rmm", "kd": "rmm", "kn": "rmmm", "symplectic": "af",
+          "hessian": "af", "invariant-form": "af",
+          **{f"hermitian:{v}": "afm" for v in sorted(_VARIANTS)}}
+# kinds that take only one kind of algebra
+_NEEDS = {"lie": "lie", "nijenhuis": "lie", "symplectic": "lie", "prelie": "prelie",
+          "hessian": "prelie", **{f"hermitian:{v}": "lie" for v in _VARIANTS}}
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    paths = {}
+    for eid, doc in _CORPUS.items():
+        p = root / (eid + ".json")
+        p.write_text(json.dumps(doc))
+        paths[eid] = str(p)
+    return paths
+
+
+def _check_args(doc, algebra, what):
+    """Names for the kind's argument slots: the algebra, then the first rep,
+    map and form of the bundle (preferring those on the algebra), or a name
+    the bundle lacks."""
+    def first(section):
+        names = sorted(doc.get(section, {}))
+        own = [n for n in names if doc[section][n].get("algebra") == algebra]
+        return (own or names or ["missing"])[0]
+    names = {"a": algebra, "r": first("reps"), "m": first("maps"), "f": first("forms")}
+    return [names[s] for s in _SLOTS[what]]
+
+
+def _check_cases(wrong_only):
+    cases = []
+    for eid, doc in _CORPUS.items():
+        for algebra, record in sorted(doc["algebras"].items()):
+            for what in _SLOTS:
+                wrong = _NEEDS.get(what, record["kind"]) != record["kind"]
+                if wrong or not wrong_only:
+                    prefix = "wrong-kind-" if wrong else ""
+                    cases.append(pytest.param(eid, algebra, what,
+                                              id=f"{prefix}{what}-{eid}:{algebra}"))
+    return cases
+
+
+def _run_json(capsys, argv):
+    code = cli.main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    payload = json.loads(out)  # exactly one JSON document, nothing after it
+    assert payload["exit"] == code
+    return code, payload
+
+
+@pytest.mark.parametrize("eid,algebra,what", _check_cases(wrong_only=False))
+def test_every_check_kind_on_every_corpus_algebra(corpus_files, capsys, eid, algebra, what):
+    args = _check_args(_CORPUS[eid], algebra, what)
+    code, _ = _run_json(capsys, ["check", corpus_files[eid], "--what", what, "--args", *args])
+    assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_PARSE, cli.EXIT_PRECONDITION)
+
+
+@pytest.mark.parametrize("eid,algebra,what", _check_cases(wrong_only=True))
+def test_check_on_wrong_algebra_kind_exits_two(corpus_files, capsys, eid, algebra, what):
+    args = _check_args(_CORPUS[eid], algebra, what)
+    code, payload = _run_json(capsys, ["check", corpus_files[eid], "--what", what,
+                                       "--args", *args])
+    assert code == cli.EXIT_PARSE
+    assert payload["status"] == "input-error"
+    kind = "a Lie algebra" if _NEEDS[what] == "lie" else "a pre-Lie algebra"
+    assert payload["error"] == f"{algebra!r} is not {kind}"

@@ -1,6 +1,10 @@
 """Linear form searches: solution spaces, membership, and nondegeneracy."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperops.bundle import parse_bundle
 from hyperops.corpus import export_bundle
@@ -186,7 +190,7 @@ def _family_i(n, perm):
 
 
 def _search_cases():
-    from hyperops.algebra import LieAlgebra, check_prelie
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra, check_prelie
     from hyperops.corpus import list_examples
 
     cases = []
@@ -198,7 +202,26 @@ def _search_cases():
     i5 = _family_i(5, [3, 5, 1, 4, 2])
     assert check_prelie(i5).passed
     cases += [pytest.param(i5, t, id=f"I5-relabelled-{t}") for t in (HESSIAN, PRELIE_INVARIANT)]
+    # isomorphic copies in a complex basis: structure constants with imaginary
+    # parts and unequal denominators
+    i5c = _transport(i5, PreLieAlgebra, "product")
+    cases += [pytest.param(i5c, t, id=f"I5-complex-basis-{t}") for t in (HESSIAN, PRELIE_INVARIANT)]
+    l4c = _transport(parse_bundle(export_bundle("lie.L4sym")).algebra("g"), LieAlgebra, "bracket")
+    cases += [pytest.param(l4c, t, id=f"L4sym-complex-basis-{t}")
+              for t in (SYMPLECTIC, AD_INVARIANT)]
     return cases
+
+
+def _transport(g, kind, op):
+    """The algebra x *' y = P^-1 (Px * Py) for an upper triangular complex P."""
+    n = g.dim
+    p = Matrix(n, n, [Scalar(1 + i % 2) if i == j else
+                      Scalar(Fraction(1, 2 + i), Fraction(j - i, 3)) if i < j else 0
+                      for i in range(n) for j in range(n)])
+    pinv = p.inv()
+    cols = [p * Matrix.column([1 if i == t else 0 for i in range(n)]) for t in range(n)]
+    mul = getattr(g, op)
+    return kind(n, [[(pinv * mul(cols[i], cols[j])).col(0) for j in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("g,target", _search_cases())
@@ -213,3 +236,143 @@ def test_solve_forms_matches_independent_system(g, target):
     assert len(res.coords) == len(_unit_forms(g.dim, target in (SYMPLECTIC, PRELIE_INVARIANT)))
     if g.dim == 5 and target == HESSIAN:
         assert res.dim == 1 and res.exists_nondegenerate
+
+
+# -- witness-first existence ---------------------------------------------------
+
+_CHECK = {SYMPLECTIC: is_symplectic, HESSIAN: is_hessian,
+          AD_INVARIANT: is_invariant_form, PRELIE_INVARIANT: is_invariant_form}
+
+
+def _zero_constants(n):
+    return [[[0] * n for _ in range(n)] for _ in range(n)]
+
+
+def _witness_cases():
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra
+    from hyperops.corpus import list_examples
+
+    cases = []
+    for eid, _, _ in list_examples():
+        for name, g in parse_bundle(export_bundle(eid)).algebras.items():
+            lie = isinstance(g, LieAlgebra)
+            for target in ((SYMPLECTIC, AD_INVARIANT) if lie else (HESSIAN, PRELIE_INVARIANT)):
+                cases.append(pytest.param(g, target, id=f"{eid}:{name}-{target}"))
+    for n in range(3, 9):
+        cases.append(pytest.param(_family_i(n, list(range(1, n + 1))), HESSIAN, id=f"I{n}"))
+        cases.append(pytest.param(PreLieAlgebra(n, _zero_constants(n)), HESSIAN,
+                                  id=f"abelian-prelie{n}"))
+    for n in (4, 6, 8):
+        cases.append(pytest.param(LieAlgebra(n, _zero_constants(n)), SYMPLECTIC,
+                                  id=f"abelian-lie{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("g,target", _witness_cases())
+def test_witness_is_a_nondegenerate_solution(g, target):
+    res = solve_forms(g, target)
+    assert res.exists_nondegenerate == (res.witness is not None)
+    if res.witness is not None:
+        f = instantiate(res, res.witness)
+        assert not f.matrix.det().is_zero()
+        assert res.contains(f)
+        assert _CHECK[target](g, f).passed
+    if g.dim <= 6:
+        assert res.exists_nondegenerate == (not res.generic_det.is_zero())
+
+
+def test_corpus_existence_decisions():
+    for eid, target, exists in (
+            ("prelie.B4", HESSIAN, False), ("lie.heis4", AD_INVARIANT, False),
+            ("prelie.rot4", PRELIE_INVARIANT, False), ("prelie.I4", HESSIAN, True),
+            ("prelie.A4", HESSIAN, True), ("prelie.rot4", HESSIAN, True)):
+        g = parse_bundle(export_bundle(eid)).algebra("g")
+        assert solve_forms(g, target).exists_nondegenerate is exists, (eid, target)
+
+
+def _vanishing_form(nvars):
+    """Coefficients (a, b_1, ..., b_nvars) of a nonzero a + sum b_k t_k that
+    vanishes at every point of `witness_points(nvars)`; needs nvars >= 4."""
+    from hyperops.linalg import witness_points
+
+    return Matrix.from_rows([[1, *p] for p in witness_points(nvars)]).kernel_basis()
+
+
+def _affine_space(n, nvars, entries):
+    from hyperops.linalg import AffineSolutionSpace
+
+    size = n * n
+    vecs = [tuple(Scalar(v) if isinstance(v, int) else v for v in entries[k * size:(k + 1) * size])
+            for k in range(nvars + 1)]
+    return AffineSolutionSpace(vecs[0], tuple(vecs[1:]))
+
+
+def _check_witness_against_oracle(space, n):
+    from hyperops.linalg import det_witness, generic_determinant
+
+    w = det_witness(space, n)
+    det = generic_determinant(space, n)
+    assert (w is None) == det.is_zero()
+    if w is not None:
+        value = Matrix(n, n, space.point(list(w))).det()
+        assert not value.is_zero()
+        assert value == det.evaluate(w)
+    return w, det
+
+
+def test_witness_read_off_reaches_the_degree_bound():
+    # a 1 x 1 family whose entry, a linear form in t_1..t_5 without constant
+    # term, vanishes at every tried point: the read-off keeps t_1..t_4 = 0
+    # and must give t_5 its top value 1
+    from hyperops.linalg import witness_points
+
+    kernel = Matrix.from_rows([list(p) for p in witness_points(5)]).kernel_basis()
+    assert len(kernel) == 1 and kernel[0][4] == Scalar(1)
+    space = _affine_space(1, 5, [0, *kernel[0]])
+    w, _ = _check_witness_against_oracle(space, 1)
+    assert w == (0, 0, 0, 0, 1)
+
+
+@st.composite
+def _families(draw):
+    """(space, n, kind): a random integer affine family of n x n matrices, or one
+    built to be singular (a zero row, two equal rows), or one whose (1, 1)
+    entry vanishes at every tried point with the rest of its row and column
+    zero, so its determinant does too."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("random", "zero-row", "equal-rows", "vanishing")))
+    nvars = draw(st.integers(4, 5) if kind == "vanishing" else st.integers(0, 4))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=(nvars + 1) * n * n,
+                            max_size=(nvars + 1) * n * n))
+    for k in range(nvars + 1):
+        block = k * n * n
+        if kind == "zero-row":
+            for j in range(n):
+                entries[block + j] = 0
+        elif kind == "equal-rows" and n > 1:
+            for j in range(n):
+                entries[block + n + j] = entries[block + j]
+        elif kind == "vanishing":
+            for j in range(1, n):
+                entries[block + j] = entries[block + j * n] = 0
+    if kind == "vanishing":
+        kernel = _vanishing_form(nvars)
+        coeffs = kernel[draw(st.integers(0, len(kernel) - 1))]
+        for k in range(nvars + 1):
+            entries[k * n * n] = coeffs[k]
+    return _affine_space(n, nvars, entries), n, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families())
+def test_witness_first_matches_cofactor_oracle(family):
+    from hyperops.linalg import witness_points
+
+    space, n, kind = family
+    w, det = _check_witness_against_oracle(space, n)
+    if kind == "zero-row" or (kind == "equal-rows" and n > 1):
+        assert w is None
+    if kind == "vanishing":
+        assert all(det.evaluate(p).is_zero() for p in witness_points(space.dim))
+        if w is not None:  # read off the polynomial: every value in {0, ..., n}
+            assert all(0 <= v <= n for v in w)
