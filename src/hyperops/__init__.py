@@ -36,6 +36,7 @@ from .geometry import (
     is_hessian,
     is_invariant_form,
     is_symplectic,
+    kahler_suite,
 )
 from .hyper import (
     ClassificationError,
@@ -63,7 +64,6 @@ from .operators import (
     MODULE,
     LinMap,
     OperatorContext,
-    algebra_map,
     are_compatible,
     bracket_T,
     brackets_coincide,
@@ -79,7 +79,6 @@ from .operators import (
     is_o_operator,
     is_rdo,
     kn_hierarchy,
-    module_map,
     nijenhuis_square_sign,
 )
 from .reporting import ClaimResult, PreconditionError, Report

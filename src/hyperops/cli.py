@@ -1,4 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: a thin table over the library.
+
+`_CHECKS` maps each `check --what` kind to its argument usage and the library
+call, `_SUITES` maps each `suite --which` name to its identity suite, and
+`_COMMANDS` lists the subcommands `build_parser` adds.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = input/parse error,
 3 = a stated precondition failed.  JSON is the canonical report format; text
@@ -14,22 +18,14 @@ import sys
 
 from .algebra import LieAlgebra, PreLieAlgebra, check_lie, check_prelie
 from .bundle import BundleError, classify_triple, load_bundle, triple_flavor
-from .corpus import list_examples, load_example, run_example
+from .corpus import list_examples, run_example
 from .geometry import (
     _VARIANTS,
-    HYPER_ANTI_KAHLER,
-    HYPER_KAHLER,
-    PARA_HYPER_ANTI_KAHLER,
-    PARA_HYPER_KAHLER,
-    SKEW,
-    SYMMETRIC,
-    BilForm,
-    KahlerQuad,
     check_hermitian_variant,
-    check_kahler_quad,
     is_hessian,
     is_invariant_form,
     is_symplectic,
+    kahler_suite,
 )
 from .hyper import (
     ClassificationError,
@@ -56,14 +52,10 @@ class InputError(ValueError):
     """Bad command-line input (wrong names, wrong arity); maps to exit 2."""
 
 
-def _matrix_json(m):
-    return [[m[i, j].render() for j in range(m.cols)] for i in range(m.rows)]
-
-
-def _need_args(args, n, usage):
-    if len(args) != n:
-        raise InputError(f"expected {n} --args ({usage}), got {len(args)}")
-    return args
+def _maps_json(**maps) -> dict:
+    """Each map's matrix as rows of rendered entries."""
+    return {key: [[f.matrix[i, j].render() for j in range(f.matrix.cols)]
+                  for i in range(f.matrix.rows)] for key, f in maps.items()}
 
 
 def _algebra(bundle, name: str, kind: type):
@@ -75,129 +67,90 @@ def _algebra(bundle, name: str, kind: type):
     return g
 
 
-def _check_dispatch(bundle, what: str, args: list[str]) -> Report:
-    if what == "lie":
-        (a,) = _need_args(args, 1, "algebra")
-        return check_lie(_algebra(bundle, a, LieAlgebra))
-    if what == "prelie":
-        (a,) = _need_args(args, 1, "algebra")
-        return check_prelie(_algebra(bundle, a, PreLieAlgebra))
-    if what == "rep":
-        (r,) = _need_args(args, 1, "rep")
-        return bundle.rep(r).check()
-    if what == "rdo":
-        r, m = _need_args(args, 2, "rep map")
-        return is_rdo(bundle.context(r), bundle.map(m))
-    if what == "o-operator":
-        r, m = _need_args(args, 2, "rep map")
-        return is_o_operator(bundle.context(r), bundle.map(m))
-    if what == "nijenhuis":
-        a, m = _need_args(args, 2, "algebra map")
-        return is_nijenhuis(_algebra(bundle, a, LieAlgebra), bundle.map(m))
-    if what == "dn":
-        r, d, n = _need_args(args, 3, "rep d n")
-        return is_dn(bundle.context(r), bundle.map(d), bundle.map(n))
-    if what == "kd":
-        r, t, d = _need_args(args, 3, "rep t d")
-        return is_kd(bundle.context(r), bundle.map(t), bundle.map(d))
-    if what == "kn":
-        r, t, s, n = _need_args(args, 4, "rep t s n")
-        return is_kn(bundle.context(r), bundle.map(t), bundle.map(s), bundle.map(n))
-    if what == "symplectic":
-        a, f = _need_args(args, 2, "algebra form")
-        return is_symplectic(_algebra(bundle, a, LieAlgebra), bundle.form(f))
-    if what == "hessian":
-        a, f = _need_args(args, 2, "algebra form")
-        return is_hessian(_algebra(bundle, a, PreLieAlgebra), bundle.form(f))
-    if what.startswith("hermitian:"):
-        variant = what.split(":", 1)[1]
-        if variant not in _VARIANTS:
-            raise InputError(f"unknown hermitian variant {variant!r} "
-                             f"(have: {sorted(_VARIANTS)})")
-        a, f, m = _need_args(args, 3, "algebra form map")
-        return check_hermitian_variant(_algebra(bundle, a, LieAlgebra), bundle.form(f),
-                                       bundle.map(m), variant)
-    if what == "invariant-form":
-        a, f = _need_args(args, 2, "algebra form")
-        return is_invariant_form(bundle.algebra(a), bundle.form(f))
-    raise InputError(f"unknown check {what!r}")
+def _hermitian(variant: str):
+    return lambda b, a, f, m: check_hermitian_variant(_algebra(b, a, LieAlgebra), b.form(f),
+                                                      b.map(m), variant)
 
 
-def _cmd_check(ns) -> tuple[int, dict]:
-    bundle = load_bundle(ns.bundle)
-    report = _check_dispatch(bundle, ns.what, ns.args)
-    code = EXIT_PASS if report.passed else EXIT_FAIL
-    return code, {"report": report.to_json()}
-
-
-def _cmd_classify(ns) -> tuple[int, dict]:
-    bundle = load_bundle(ns.bundle)
-    triple = classify_triple(bundle, ns.triple, ns.flavor)
-    return EXIT_PASS, {"eps": list(triple.eps), "eps_product": triple.eps_product}
-
-
-_SUITES = ("hflat", "table", "derived", "product-one", "kahler")
-
-_KAHLER_VARIANT = {
-    # (flavor, eps) -> quad variant
-    ("symplectic", (-1, -1, -1)): HYPER_KAHLER,
-    ("symplectic", (1, 1, -1)): PARA_HYPER_KAHLER,
-    ("hessian", (-1, -1, -1)): HYPER_ANTI_KAHLER,
-    ("hessian", (1, 1, -1)): PARA_HYPER_ANTI_KAHLER,
+# kind: (usage with one word per --args name, check(bundle, *names)).  The
+# checks call library functions by module name inside lambdas, so that a
+# wrapper installed on the module attribute sees every call.
+_CHECKS = {
+    "lie": ("algebra", lambda b, a: check_lie(_algebra(b, a, LieAlgebra))),
+    "prelie": ("algebra", lambda b, a: check_prelie(_algebra(b, a, PreLieAlgebra))),
+    "rep": ("rep", lambda b, r: b.rep(r).check()),
+    "rdo": ("rep map", lambda b, r, m: is_rdo(b.context(r), b.map(m))),
+    "o-operator": ("rep map", lambda b, r, m: is_o_operator(b.context(r), b.map(m))),
+    "nijenhuis": ("algebra map",
+                  lambda b, a, m: is_nijenhuis(_algebra(b, a, LieAlgebra), b.map(m))),
+    "dn": ("rep d n", lambda b, r, d, n: is_dn(b.context(r), b.map(d), b.map(n))),
+    "kd": ("rep t d", lambda b, r, t, d: is_kd(b.context(r), b.map(t), b.map(d))),
+    "kn": ("rep t s n",
+           lambda b, r, t, s, n: is_kn(b.context(r), b.map(t), b.map(s), b.map(n))),
+    "symplectic": ("algebra form",
+                   lambda b, a, f: is_symplectic(_algebra(b, a, LieAlgebra), b.form(f))),
+    "hessian": ("algebra form",
+                lambda b, a, f: is_hessian(_algebra(b, a, PreLieAlgebra), b.form(f))),
+    **{f"hermitian:{v}": ("algebra form map", _hermitian(v)) for v in _VARIANTS},
+    "invariant-form": ("algebra form",
+                       lambda b, a, f: is_invariant_form(b.algebra(a), b.form(f))),
 }
 
 
-def _kahler_suite(bundle, name: str) -> Report:
+def _check_dispatch(bundle, what: str, args: list[str]) -> Report:
+    if what not in _CHECKS:
+        if what.startswith("hermitian:"):
+            raise InputError(f"unknown hermitian variant {what.split(':', 1)[1]!r} "
+                             f"(have: {sorted(_VARIANTS)})")
+        raise InputError(f"unknown check {what!r}")
+    usage, check = _CHECKS[what]
+    n = len(usage.split())
+    if len(args) != n:
+        raise InputError(f"expected {n} --args ({usage}), got {len(args)}")
+    return check(bundle, *args)
+
+
+def _reported(report: Report) -> tuple[int, dict]:
+    return (EXIT_PASS if report.passed else EXIT_FAIL), {"report": report.to_json()}
+
+
+def _cmd_check(ns) -> tuple[int, dict]:
+    return _reported(_check_dispatch(load_bundle(ns.bundle), ns.what, ns.args))
+
+
+def _cmd_classify(ns) -> tuple[int, dict]:
+    triple = classify_triple(load_bundle(ns.bundle), ns.triple, ns.flavor)
+    return EXIT_PASS, {"eps": list(triple.eps), "eps_product": triple.eps_product}
+
+
+def _kahler(bundle, name: str) -> Report:
     ref = bundle.triple(name)
-    flavor = triple_flavor(bundle, ref)
-    if flavor == "rdo":
+    if triple_flavor(bundle, ref) == "rdo":
         raise InputError("the kahler suite needs a form triple, not a map triple")
-    triple = classify_triple(bundle, name)
-    dec = decompose_hyper(triple)
-    variant = _KAHLER_VARIANT.get((flavor, triple.eps))
-    if variant is None:
-        raise PreconditionError(f"no quad variant for eps={triple.eps}")
-    # the quad's base form has the opposite symmetry from the induced forms:
-    # a symmetric pseudo-metric induces the skew forms, a skew form the
-    # symmetric ones
-    symmetry = SYMMETRIC if flavor == "symplectic" else SKEW
-    form = BilForm(dec.hflat.matrix.transpose(), symmetry)
-    quad = KahlerQuad(form, dec.i1, dec.i2, dec.i3, variant)
-    g = bundle.algebra(ref.algebra)
-    rep = check_kahler_quad(g, quad)
-    rebuilt = reconstruct_hyper(triple.ctx, dec.hflat, dec.i1, dec.i2)
-    perm = dec.permutation
-    same = all(rebuilt.d[k].matrix == triple.d[perm[k]].matrix for k in range(3))
-    rep.record("round-trip rebuilds the triple", (), same)
-    return rep
+    return kahler_suite(bundle.algebra(ref.algebra), classify_triple(bundle, name))
+
+
+# name: suite(bundle, triple name)
+_SUITES = {
+    "hflat": lambda b, t: verify_hflat_identities(classify_triple(b, t)),
+    "table": lambda b, t: verify_composition_table(classify_triple(b, t)),
+    "derived": lambda b, t: derived_structures_report(classify_triple(b, t)),
+    "product-one": lambda b, t: product_one_suite(classify_triple(b, t)),
+    "kahler": _kahler,
+}
 
 
 def _cmd_suite(ns) -> tuple[int, dict]:
-    bundle = load_bundle(ns.bundle)
-    if ns.which == "kahler":
-        report = _kahler_suite(bundle, ns.triple)
-    else:
-        triple = classify_triple(bundle, ns.triple)
-        fn = {"hflat": verify_hflat_identities,
-              "table": verify_composition_table,
-              "derived": derived_structures_report,
-              "product-one": product_one_suite}[ns.which]
-        report = fn(triple)
-    code = EXIT_PASS if report.passed else EXIT_FAIL
-    return code, {"report": report.to_json()}
+    return _reported(_SUITES[ns.which](load_bundle(ns.bundle), ns.triple))
 
 
 def _cmd_decompose(ns) -> tuple[int, dict]:
-    bundle = load_bundle(ns.bundle)
-    triple = classify_triple(bundle, ns.triple)
+    triple = classify_triple(load_bundle(ns.bundle), ns.triple)
     dec = decompose_hyper(triple)
     return EXIT_PASS, {
         "eps": list(triple.eps),
         "permutation": [p + 1 for p in dec.permutation],
-        "hflat": _matrix_json(dec.hflat.matrix),
-        "I1": _matrix_json(dec.i1.matrix),
-        "I2": _matrix_json(dec.i2.matrix),
-        "I3": _matrix_json(dec.i3.matrix),
+        **_maps_json(hflat=dec.hflat, I1=dec.i1, I2=dec.i2, I3=dec.i3),
     }
 
 
@@ -206,17 +159,12 @@ def _cmd_reconstruct(ns) -> tuple[int, dict]:
     ctx = bundle.context(ns.rep)
     triple = reconstruct_hyper(ctx, bundle.map(ns.hflat),
                                bundle.map(ns.i1), bundle.map(ns.i2))
-    return EXIT_PASS, {
-        "eps": list(triple.eps),
-        "d1": _matrix_json(triple.d[0].matrix),
-        "d2": _matrix_json(triple.d[1].matrix),
-        "d3": _matrix_json(triple.d[2].matrix),
-    }
+    d1, d2, d3 = triple.d
+    return EXIT_PASS, {"eps": list(triple.eps), **_maps_json(d1=d1, d2=d2, d3=d3)}
 
 
 def _cmd_search_forms(ns) -> tuple[int, dict]:
-    bundle = load_bundle(ns.bundle)
-    g = bundle.algebra(ns.algebra)
+    g = load_bundle(ns.bundle).algebra(ns.algebra)
     try:
         result = solve_forms(g, ns.target)
     except TypeError as exc:
@@ -240,13 +188,41 @@ def _cmd_corpus(ns) -> tuple[int, dict]:
     ok = True
     for example_id in ids:
         try:
-            load_example(example_id)
+            rep = run_example(example_id)
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-        rep = run_example(example_id)
         reports[example_id] = rep.to_json()
         ok = ok and rep.passed
     return (EXIT_PASS if ok else EXIT_FAIL), {"runs": reports}
+
+
+_TRIPLE = ("--triple", {"required": True})
+
+# command: (help, handler, arguments after the bundle); corpus reads no bundle
+_COMMANDS = {
+    "check": ("run a single named check from a bundle", _cmd_check, (
+        ("--what", {"required": True}),
+        ("--args", {"nargs": "*", "default": []}))),
+    "classify-hyper": ("classify a triple and print its signature", _cmd_classify, (
+        _TRIPLE,
+        ("--flavor", {"choices": ("rdo", "symplectic", "hessian")}))),
+    "suite": ("run an identity suite on a classified triple", _cmd_suite, (
+        _TRIPLE,
+        ("--which", {"required": True, "choices": _SUITES}))),
+    "decompose": ("split a signature-product -1 triple into hflat and I1, I2, I3",
+                  _cmd_decompose, (_TRIPLE,)),
+    "reconstruct": ("rebuild a triple from hflat and two anticommuting structures",
+                    _cmd_reconstruct,
+                    tuple((flag, {"required": True})
+                          for flag in ("--rep", "--hflat", "--i1", "--i2"))),
+    "search-forms": ("solve for all forms of a kind on an algebra", _cmd_search_forms, (
+        ("--algebra", {"required": True}),
+        ("--target", {"required": True, "choices": (
+            "symplectic", "hessian", "ad-invariant", "prelie-invariant")}))),
+    "corpus": ("list or re-run the built-in examples", _cmd_corpus, (
+        ("action", {"choices": ("list", "run")}),
+        ("id", {"nargs": "?"}))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,62 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "and pre-Lie algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    for name, (help_, fn, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if name != "corpus":
+            p.add_argument("bundle")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("check", help="run a single named check from a bundle")
-    p.add_argument("bundle")
-    p.add_argument("--what", required=True)
-    p.add_argument("--args", nargs="*", default=[])
-    add_format(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("classify-hyper", help="classify a triple and print its signature")
-    p.add_argument("bundle")
-    p.add_argument("--triple", required=True)
-    p.add_argument("--flavor", choices=("rdo", "symplectic", "hessian"))
-    add_format(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("suite", help="run an identity suite on a classified triple")
-    p.add_argument("bundle")
-    p.add_argument("--triple", required=True)
-    p.add_argument("--which", required=True, choices=_SUITES)
-    add_format(p)
-    p.set_defaults(fn=_cmd_suite)
-
-    p = sub.add_parser("decompose",
-                       help="split a signature-product -1 triple into hflat and I1, I2, I3")
-    p.add_argument("bundle")
-    p.add_argument("--triple", required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("reconstruct",
-                       help="rebuild a triple from hflat and two anticommuting structures")
-    p.add_argument("bundle")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--hflat", required=True)
-    p.add_argument("--i1", required=True)
-    p.add_argument("--i2", required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_reconstruct)
-
-    p = sub.add_parser("search-forms", help="solve for all forms of a kind on an algebra")
-    p.add_argument("bundle")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--target", required=True,
-                   choices=("symplectic", "hessian", "ad-invariant", "prelie-invariant"))
-    add_format(p)
-    p.set_defaults(fn=_cmd_search_forms)
-
-    p = sub.add_parser("corpus", help="list or re-run the built-in examples")
-    p.add_argument("action", choices=("list", "run"))
-    p.add_argument("id", nargs="?")
-    add_format(p)
-    p.set_defaults(fn=_cmd_corpus)
-
+        p.set_defaults(fn=fn)
     return parser
 
 

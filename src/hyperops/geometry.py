@@ -19,9 +19,14 @@ from .algebra import (
     coadjoint_rep,
     coregular_rep,
     regular_rep,
-    subadjacent,
 )
-from .hyper import HyperTriple, classify_hyper, ClassificationError
+from .hyper import (
+    ClassificationError,
+    HyperTriple,
+    classify_hyper,
+    decompose_hyper,
+    reconstruct_hyper,
+)
 from .linalg import DimensionError, Matrix, unit_columns
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_rdo, nijenhuis_square_sign
 from .reporting import PreconditionError, Report
@@ -141,7 +146,8 @@ def _coadjoint_context(g: LieAlgebra) -> OperatorContext:
 
 
 def _coregular_context(g: PreLieAlgebra) -> OperatorContext:
-    return OperatorContext(subadjacent(g), coregular_rep(g))
+    rep = coregular_rep(g)  # over the sub-adjacent algebra it builds
+    return OperatorContext(rep.algebra, rep)
 
 
 def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm, flat_context) -> Report:
@@ -240,6 +246,7 @@ _KAHLER_EPS = {
     HYPER_ANTI_KAHLER: (-1, -1, -1),
     PARA_HYPER_ANTI_KAHLER: (1, 1, -1),
 }
+_ANTI_KAHLER = (HYPER_ANTI_KAHLER, PARA_HYPER_ANTI_KAHLER)
 
 
 @dataclass(frozen=True)
@@ -275,7 +282,7 @@ def check_kahler_quad(g, q: KahlerQuad) -> Report:
     induced triple, and assert the predicted signature."""
     if q.variant not in _KAHLER_EPS:
         raise ValueError(f"unknown variant {q.variant!r}")
-    anti = q.variant in (HYPER_ANTI_KAHLER, PARA_HYPER_ANTI_KAHLER)
+    anti = q.variant in _ANTI_KAHLER
     if anti and not isinstance(g, PreLieAlgebra):
         raise ValueError("anti-Kahler variants need an explicit pre-Lie algebra")
     if not anti and not isinstance(g, LieAlgebra):
@@ -310,6 +317,27 @@ def check_kahler_quad(g, q: KahlerQuad) -> Report:
     rep.record("predicted signature", tuple(_KAHLER_EPS[q.variant]),
                triple.eps == _KAHLER_EPS[q.variant],
                detail=f"got eps={triple.eps}")
+    return rep
+
+
+def kahler_suite(g, triple: HyperTriple) -> Report:
+    """The Kahler-type quad of a signature-product -1 triple over g: decompose
+    the triple, check the quad (h, I1, I2, I3) in the variant named by the
+    normalized signature and by g's kind, and record whether the decomposition
+    rebuilds the triple."""
+    dec = decompose_hyper(triple)
+    eps = tuple(triple.eps[p] for p in dec.permutation)
+    anti = isinstance(g, PreLieAlgebra)
+    variant = next(v for v, want in _KAHLER_EPS.items()
+                   if want == eps and (v in _ANTI_KAHLER) == anti)
+    # the quad's base form has the opposite symmetry from the induced forms:
+    # a symmetric pseudo-metric induces the skew forms, a skew form the
+    # symmetric ones
+    form = BilForm(dec.hflat.matrix.transpose(), SKEW if anti else SYMMETRIC)
+    rep = check_kahler_quad(g, KahlerQuad(form, dec.i1, dec.i2, dec.i3, variant))
+    rebuilt = reconstruct_hyper(triple.ctx, dec.hflat, dec.i1, dec.i2)
+    same = all(rebuilt.d[k].matrix == triple.d[p].matrix for k, p in enumerate(dec.permutation))
+    rep.record("round-trip rebuilds the triple", (), same)
     return rep
 
 
@@ -420,7 +448,8 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
         ctx = OperatorContext(g, adjoint_rep(g))
         form_symmetry = SKEW
     else:
-        ctx = OperatorContext(subadjacent(g), regular_rep(g))
+        regular = regular_rep(g)  # over the sub-adjacent algebra it builds
+        ctx = OperatorContext(regular.algebra, regular)
         form_symmetry = SYMMETRIC
     endo_maps = tuple(LinMap(d.matrix, ALGEBRA, MODULE) for d in ds)
     endo_ok, endo_eps, endo_detail = True, None, ""

@@ -96,14 +96,6 @@ class LinMap:
         return LinMap(-self.matrix, self.domain, self.codomain)
 
 
-def algebra_map(m: Matrix) -> LinMap:
-    return LinMap(m, ALGEBRA, ALGEBRA)
-
-
-def module_map(m: Matrix) -> LinMap:
-    return LinMap(m, MODULE, MODULE)
-
-
 # -- single-operator predicates ---------------------------------------
 
 

@@ -269,3 +269,63 @@ def test_check_on_wrong_algebra_kind_exits_two(corpus_files, capsys, eid, algebr
     assert payload["status"] == "input-error"
     kind = "a Lie algebra" if _NEEDS[what] == "lie" else "a pre-Lie algebra"
     assert payload["error"] == f"{algebra!r} is not {kind}"
+
+
+# -- the check table's messages ------------------------------------------------
+
+# usage of each --what kind, one word per --args name
+_USAGE = {"lie": "algebra", "prelie": "algebra", "rep": "rep", "rdo": "rep map",
+          "o-operator": "rep map", "nijenhuis": "algebra map", "dn": "rep d n",
+          "kd": "rep t d", "kn": "rep t s n", "symplectic": "algebra form",
+          "hessian": "algebra form", "invariant-form": "algebra form",
+          **{f"hermitian:{v}": "algebra form map" for v in _VARIANTS}}
+
+
+def test_check_kinds_are_the_documented_ones():
+    assert sorted(cli._CHECKS) == sorted(_USAGE) == sorted(_SLOTS)
+
+
+@pytest.mark.parametrize("what", sorted(_USAGE))
+def test_check_arity_message(bundles, what):
+    usage = _USAGE[what]
+    n = len(usage.split())
+    code, payload = cli.run(["check", bundles["lie.L4sym"], "--what", what,
+                             "--args", *["g"] * (n - 1)])
+    assert code == cli.EXIT_PARSE
+    assert payload["error"] == f"expected {n} --args ({usage}), got {n - 1}"
+
+
+def test_unknown_check_messages(bundles):
+    code, payload = cli.run(["check", bundles["lie.L4sym"], "--what", "no-such-check"])
+    assert code == cli.EXIT_PARSE
+    assert payload["error"] == "unknown check 'no-such-check'"
+    code, payload = cli.run(["check", bundles["lie.L4sym"], "--what", "hermitian:bogus",
+                             "--args", "g", "w1", "m"])
+    assert code == cli.EXIT_PARSE
+    assert payload["error"] == ("unknown hermitian variant 'bogus' (have: ['anti-hermitian', "
+                                "'hermitian', 'para-anti-hermitian', 'para-hermitian'])")
+
+
+def test_kahler_suite_on_relabelled_para_hyper_triple(tmp_path):
+    # classify-hyper gives eps (1, -1, 1) and (-1, 1, 1) for the cyclic
+    # relabellings; the suite picks the quad of the normalized triple
+    doc = export_bundle("lie.L4sym")
+    doc["triples"]["rot1"] = dict(doc["triples"]["omega"], members=["w2", "w3", "w1"])
+    doc["triples"]["rot2"] = dict(doc["triples"]["omega"], members=["w3", "w1", "w2"])
+    p = tmp_path / "relabelled.json"
+    p.write_text(json.dumps(doc))
+    for name, eps in (("rot1", [1, -1, 1]), ("rot2", [-1, 1, 1])):
+        code, payload = cli.run(["classify-hyper", str(p), "--triple", name])
+        assert payload["eps"] == eps
+        code, payload = cli.run(["suite", str(p), "--triple", name, "--which", "kahler"])
+        assert code == cli.EXIT_PASS, payload
+        claims = payload["report"]["claims"]
+        assert claims[-1] == {"claim": "round-trip rebuilds the triple", "indices": [],
+                              "pass": True}
+
+
+def test_kahler_suite_rejects_map_triples(bundles):
+    code, payload = cli.run(["suite", bundles["abelian.quat"], "--triple", "quat",
+                             "--which", "kahler"])
+    assert code == cli.EXIT_PARSE
+    assert payload["error"] == "the kahler suite needs a form triple, not a map triple"

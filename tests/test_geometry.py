@@ -28,6 +28,7 @@ from hyperops.geometry import (
     is_hessian,
     is_invariant_form,
     is_symplectic,
+    kahler_suite,
 )
 from hyperops.hyper import decompose_hyper, reconstruct_hyper
 from hyperops.linalg import Matrix
@@ -170,6 +171,46 @@ def test_anti_kahler_needs_explicit_prelie():
     quad = KahlerQuad(w, dec.i1, dec.i2, dec.i3, HYPER_ANTI_KAHLER)
     with pytest.raises(ValueError):
         check_kahler_quad(g, quad)
+
+
+def _rotations(triple_forms):
+    return [triple_forms[s:] + triple_forms[:s] for s in range(3)]
+
+
+@pytest.mark.parametrize("name,tname,aname,variant", [
+    ("lie.L4sym", "omega", "g", PARA_HYPER_KAHLER),
+    ("abelian.quat", "quat", "a", HYPER_KAHLER),
+])
+def test_kahler_suite_on_corpus_triples(name, tname, aname, variant):
+    b, t, _ = _decomposed(name, tname)
+    rep = kahler_suite(b.algebra(aname), t)
+    assert rep.passed and rep.title == f"{variant} quad"
+    assert [r.claim for r in rep.results][-1] == "round-trip rebuilds the triple"
+
+
+def test_kahler_suite_normalizes_relabelled_triples():
+    # every cyclic relabelling of a para-hyper triple has the same quad, and
+    # the round trip undoes the relabelling
+    b = parse_bundle(export_bundle("lie.L4sym"))
+    g = b.algebra("g")
+    for forms in _rotations([b.form(n) for n in ("w1", "w2", "w3")]):
+        t = classify_hyper_symplectic(g, *forms)
+        rep = kahler_suite(g, t)
+        assert rep.passed and rep.title == f"{PARA_HYPER_KAHLER} quad", t.eps
+
+
+def test_kahler_suite_anti_variant_on_prelie():
+    # the symmetric forms induced from a skew invariant form by a para-hyper
+    # endomorphism triple on the 2-dim abelian pre-Lie algebra
+    g = PreLieAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    w = BilForm(Matrix.from_rows([[0, 1], [-1, 0]]), SKEW)
+    ds = [LinMap(m, ALGEBRA, ALGEBRA) for m in (
+        Matrix.diag([1, -1]), Matrix.from_rows([[0, 1], [1, 0]]),
+        Matrix.from_rows([[0, -1], [1, 0]]))]
+    for forms in _rotations([induced_form(w, d, SYMMETRIC) for d in ds]):
+        t = classify_hyper_hessian(g, *forms)
+        rep = kahler_suite(g, t)
+        assert rep.passed and rep.title == "para-hyper-anti-kahler quad", t.eps
 
 
 def test_invariant_forms():
