@@ -2,7 +2,8 @@
 
 `_CHECKS` maps each `check --what` kind to its argument usage and the library
 call, `_SUITES` maps each `suite --which` name to its identity suite, and
-`_COMMANDS` lists the subcommands `build_parser` adds.
+`_COMMANDS` lists the subcommands `build_parser` adds.  `run` builds one parser
+on its first request and reuses it for every later request in the process.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = input/parse error,
 3 = a stated precondition failed.  JSON is the canonical report format; text
@@ -12,6 +13,7 @@ output is a rendering of it.  Set HYPEROPS_COLOR=1 to colorize text output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -97,7 +99,7 @@ _CHECKS = {
 }
 
 
-def _check_dispatch(bundle, what: str, args: list[str]) -> Report:
+def _check_dispatch(bundle, what: str, args: tuple[str, ...] | list[str]) -> Report:
     if what not in _CHECKS:
         if what.startswith("hermitian:"):
             raise InputError(f"unknown hermitian variant {what.split(':', 1)[1]!r} "
@@ -202,7 +204,7 @@ _TRIPLE = ("--triple", {"required": True})
 _COMMANDS = {
     "check": ("run a single named check from a bundle", _cmd_check, (
         ("--what", {"required": True}),
-        ("--args", {"nargs": "*", "default": []}))),
+        ("--args", {"nargs": "*", "default": ()}))),
     "classify-hyper": ("classify a triple and print its signature", _cmd_classify, (
         _TRIPLE,
         ("--flavor", {"choices": ("rdo", "symplectic", "hessian")}))),
@@ -242,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
     return parser
 
+
+_parser = functools.cache(build_parser)
 
 _STATUS = {
     EXIT_PASS: "pass",
@@ -304,9 +308,8 @@ def _report_text(rep_json: dict) -> str:
 
 def run(argv: list[str]) -> tuple[int, dict]:
     """Parse and execute; returns (exit code, JSON-ready payload)."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         code = EXIT_PASS if exc.code == 0 else EXIT_PARSE
         return code, {"status": _STATUS[code], "error": "argument parsing failed"}

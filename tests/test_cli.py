@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output formats, and stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -329,3 +331,69 @@ def test_kahler_suite_rejects_map_triples(bundles):
                              "--which", "kahler"])
     assert code == cli.EXIT_PARSE
     assert payload["error"] == "the kahler suite needs a form triple, not a map triple"
+
+
+# -- one parser per process ----------------------------------------------------
+
+def _captured(argv):
+    """(exit code, stdout, stderr) of one in-process request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_keeps_no_state_between_requests(bundles, tmp_path, monkeypatch):
+    lie, quat = bundles["lie.L4sym"], bundles["abelian.quat"]
+    _, dec = cli.run(["decompose", quat, "--triple", "quat"])
+    doc = export_bundle("abelian.quat")
+    for key, kind in (("hflat", "module"), ("I1", "algebra"), ("I2", "algebra")):
+        doc["maps"][key.lower()] = {"domain": "algebra", "codomain": kind,
+                                    "matrix": dec[key]}
+    rebuilt = tmp_path / "rebuilt.json"
+    rebuilt.write_text(json.dumps(doc))
+    valid = (
+        ["check", lie, "--what", "symplectic", "--args", "g", "w1"],
+        ["check", bundles["non-jacobi"], "--what", "lie", "--args", "broken"],
+        ["classify-hyper", bundles["prelie.rot4"], "--triple", "B"],
+        ["suite", lie, "--triple", "omega", "--which", "table"],
+        ["decompose", quat, "--triple", "quat"],
+        ["reconstruct", str(rebuilt), "--rep", "triv", "--hflat", "hflat",
+         "--i1", "i1", "--i2", "i2"],
+        ["search-forms", bundles["prelie.B4"], "--algebra", "g", "--target", "hessian"],
+        ["corpus", "list"],
+        ["corpus", "run", "abelian.para"],
+    )
+    failures = (
+        ["--help"],
+        ["check", "--help"],
+        ["no-such-command", lie],
+        ["suite", lie, "--triple", "omega", "--which", "bogus"],
+        ["search-forms", lie, "--algebra", "g", "--target", "bogus"],
+        ["check", lie, "--args", "g"],  # no --what
+        ["check", lie, "--what", "lie"],  # no --args
+        ["check", lie, "--what", "lie", "--format", "json"],
+    )
+    requests = [argv + fmt for argv in valid for fmt in (["--format", "json"], [])]
+    mixed = [r for pair in zip(requests, failures * 3) for r in pair]
+    mixed += mixed[::-1]
+    cached = [_captured(argv) for argv in mixed]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_captured(argv) for argv in mixed]
+    for argv, got, want in zip(mixed, cached, fresh):
+        assert got == want, argv
+    assert {code for code, _, _ in cached} == {0, 1, 2}
+
+
+def test_parser_is_built_on_the_first_request():
+    script = ("from hyperops import cli\n"
+              "assert cli._parser.cache_info().currsize == 0\n"
+              "cli.run(['corpus', 'list'])\n"
+              "cli.run(['--help'])\n"
+              "info = cli._parser.cache_info()\n"
+              "assert (info.misses, info.hits) == (1, 1), info\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_env())
+    assert done.returncode == 0, done.stderr
