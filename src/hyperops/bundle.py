@@ -45,7 +45,8 @@ from .algebra import (
     coregular_rep,
     regular_rep,
 )
-from .geometry import SKEW, SYMMETRIC, BilForm
+from .geometry import SKEW, SYMMETRIC, BilForm, classify_hyper_hessian, classify_hyper_symplectic
+from .hyper import classify_hyper
 from .linalg import Matrix
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext
 from .scalars import ZERO, ScalarParseError, parse_scalar
@@ -292,30 +293,16 @@ def load_bundle(path: str) -> Bundle:
     return parse_bundle(doc)
 
 
-def triple_flavor(bundle: Bundle, ref: TripleRef) -> str:
-    """Natural flavor of a triple: rdo for map triples, symplectic/hessian for
-    form triples over a Lie/pre-Lie algebra."""
-    if ref.kind == "maps":
-        return "rdo"
-    g = bundle.algebra(ref.algebra)
-    return "symplectic" if isinstance(g, LieAlgebra) else "hessian"
-
-
-def classify_triple(bundle: Bundle, name: str, flavor: str | None = None):
-    """Resolve and classify a named triple; returns the classified triple."""
-    from .geometry import classify_hyper_hessian, classify_hyper_symplectic
-    from .hyper import classify_hyper
-
+def classify_triple(bundle: Bundle, name: str):
+    """Resolve and classify a named triple: a map triple against its rep, a
+    form triple as hyper symplectic (Lie algebra) or hyper Hessian (pre-Lie
+    algebra)."""
     ref = bundle.triple(name)
-    natural = triple_flavor(bundle, ref)
-    flavor = flavor or natural
-    if flavor != natural:
-        raise BundleError(f"triple {name!r} is a {natural} triple, not {flavor}")
-    if flavor == "rdo":
+    if ref.kind == "maps":
         ctx = bundle.context(ref.rep)
         return classify_hyper(ctx, *(bundle.map(m) for m in ref.members))
     g = bundle.algebra(ref.algebra)
     forms = [bundle.form(m) for m in ref.members]
-    if flavor == "symplectic":
+    if isinstance(g, LieAlgebra):
         return classify_hyper_symplectic(g, *forms)
     return classify_hyper_hessian(g, *forms)

@@ -19,7 +19,7 @@ import os
 import sys
 
 from .algebra import LieAlgebra, PreLieAlgebra, check_lie, check_prelie
-from .bundle import BundleError, classify_triple, load_bundle, triple_flavor
+from .bundle import BundleError, classify_triple, load_bundle
 from .corpus import list_examples, run_example
 from .geometry import (
     _VARIANTS,
@@ -121,13 +121,13 @@ def _cmd_check(ns) -> tuple[int, dict]:
 
 
 def _cmd_classify(ns) -> tuple[int, dict]:
-    triple = classify_triple(load_bundle(ns.bundle), ns.triple, ns.flavor)
+    triple = classify_triple(load_bundle(ns.bundle), ns.triple)
     return EXIT_PASS, {"eps": list(triple.eps), "eps_product": triple.eps_product}
 
 
 def _kahler(bundle, name: str) -> Report:
     ref = bundle.triple(name)
-    if triple_flavor(bundle, ref) == "rdo":
+    if ref.kind == "maps":
         raise InputError("the kahler suite needs a form triple, not a map triple")
     return kahler_suite(bundle.algebra(ref.algebra), classify_triple(bundle, name))
 
@@ -205,9 +205,7 @@ _COMMANDS = {
     "check": ("run a single named check from a bundle", _cmd_check, (
         ("--what", {"required": True}),
         ("--args", {"nargs": "*", "default": ()}))),
-    "classify-hyper": ("classify a triple and print its signature", _cmd_classify, (
-        _TRIPLE,
-        ("--flavor", {"choices": ("rdo", "symplectic", "hessian")}))),
+    "classify-hyper": ("classify a triple and print its signature", _cmd_classify, (_TRIPLE,)),
     "suite": ("run an identity suite on a classified triple", _cmd_suite, (
         _TRIPLE,
         ("--which", {"required": True, "choices": _SUITES}))),
@@ -227,8 +225,23 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError with argparse's reason instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _format_of(argv: list[str]) -> str:
+    """The --format of a request that failed to parse: json if it asks for json."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--format", nargs="?")
+    return "json" if parser.parse_known_args(argv)[0].format == "json" else "text"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperops",
         description="Exact checks for differential-operator structures on Lie "
                     "and pre-Lie algebras.",
@@ -306,13 +319,16 @@ def _report_text(rep_json: dict) -> str:
     return "\n".join(lines)
 
 
-def run(argv: list[str]) -> tuple[int, dict]:
-    """Parse and execute; returns (exit code, JSON-ready payload)."""
+def run(argv: list[str]) -> tuple[int, dict | None]:
+    """Parse and execute; returns (exit code, JSON-ready payload).  After
+    --help, which argparse prints itself, the payload is None."""
     try:
         ns = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = EXIT_PASS if exc.code == 0 else EXIT_PARSE
-        return code, {"status": _STATUS[code], "error": "argument parsing failed"}
+    except SystemExit:  # --help
+        return EXIT_PASS, None
+    except InputError as exc:
+        return EXIT_PARSE, {"status": _STATUS[EXIT_PARSE], "exit": EXIT_PARSE,
+                            "error": str(exc), "format": _format_of(argv)}
     payload: dict = {"command": ns.command}
     try:
         code, extra = ns.fn(ns)
@@ -338,6 +354,8 @@ def run(argv: list[str]) -> tuple[int, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     code, payload = run(sys.argv[1:] if argv is None else argv)
+    if payload is None:
+        return code
     fmt = payload.pop("format", "text")
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -8,8 +8,11 @@ at (i,j) and -1 at (j,i), tensor e_i*⊗e_j* contributes +1 at (i,j).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 from typing import Callable
 
 from .algebra import (
@@ -27,10 +30,10 @@ from .hyper import (
     decompose_hyper,
     reconstruct_hyper,
 )
-from .linalg import DimensionError, Matrix, unit_columns
+from .linalg import DimensionError, Matrix, _to_scalar, unit_columns
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_rdo, nijenhuis_square_sign
 from .reporting import PreconditionError, Report
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -64,9 +67,6 @@ class BilForm:
     @classmethod
     def from_terms(cls, dim: int, terms, symmetry: str) -> "BilForm":
         """terms: iterable of (kind, i, j, coeff), kind 'wedge' or 'tensor', 1-indexed."""
-        from .linalg import _to_scalar
-        from .scalars import ZERO
-
         m = [[ZERO] * dim for _ in range(dim)]
         for kind, i, j, co in terms:
             co = _to_scalar(co)
@@ -80,13 +80,17 @@ class BilForm:
         return cls(Matrix.from_rows(m), symmetry)
 
 
+# built once per dimension: FormIdentity.row runs once per basis tuple
+_unit_columns = functools.cache(lambda n: tuple(unit_columns(n)))
+
+
 @dataclass(frozen=True)
 class FormIdentity:
     """A linear identity on the bilinear forms f of one symmetry class over
     one kind of algebra, with an instance per basis tuple t: terms(g, *e_t)
     lists signed pairs (sign, a, b) and the instance reads
     sum(sign * f(a, b)) = 0.  The form checks below and the linear systems of
-    `search.solve_forms` both evaluate these terms."""
+    `search.solve_forms` both evaluate these terms, through `row`."""
 
     claim: str
     algebra: type
@@ -94,17 +98,49 @@ class FormIdentity:
     tuples: Callable  # n -> 0-indexed basis tuples, in report order
     terms: Callable
 
+    def coords(self, n: int) -> list[tuple[int, int]]:
+        """The form's coordinates: the entries above the diagonal (skew) or on
+        and above it (symmetric), row-major."""
+        return [(i, j) for i in range(n) for j in range(i + (self.symmetry == SKEW), n)]
+
+    def row(self, g, t, coords) -> tuple[list, list]:
+        """The instance at basis tuple t, times a positive integer, as
+        Gaussian-integer coefficients (real parts, imaginary parts) on coords:
+        the terms sum to sum_ij P_ij f(e_i, e_j) with P = sum(sign * a b^T),
+        so coordinate (i, j) gets P_ij -/+ P_ji (skew/symmetric) or P_ii."""
+        n = g.dim
+        eb = _unit_columns(n)
+        terms = self.terms(g, *(eb[i] for i in t))
+        den = lcm(*(a.den * b.den for _, a, b in terms))
+        pr, pi = [0] * (n * n), [0] * (n * n)
+        for sign, a, b in terms:
+            f = sign * (den // (a.den * b.den))
+            bs = [(j, b.re[j], b.im[j]) for j in range(n) if b.re[j] or b.im[j]]
+            for i in range(n):
+                ar, ai = f * a.re[i], f * a.im[i]
+                if ar or ai:
+                    for j, br, bi in bs:
+                        pr[i * n + j] += ar * br - ai * bi
+                        pi[i * n + j] += ar * bi + ai * br
+        flip = -1 if self.symmetry == SKEW else 1
+        return tuple([p[i * n + j] + flip * p[j * n + i] if i != j else p[i * n + i]
+                      for i, j in coords] for p in (pr, pi))
+
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
-        """Record the identity for f at every basis tuple of g."""
-        eb, m = unit_columns(g.dim), f.matrix
+        """Record the identity for f, a form of this identity's symmetry, at
+        every basis tuple of g: each instance is its row evaluated on f's
+        coordinate numerators."""
+        n, m = g.dim, f.matrix
+        coords = self.coords(n)
+        fr = [m.re[i * n + j] for i, j in coords]
+        fi = [m.im[i * n + j] for i, j in coords]
 
         def holds(*t):
-            total = Matrix.zero(1, 1)
-            for sign, a, b in self.terms(g, *(eb[i] for i in t)):
-                total = total + (a.transpose() * m * b).scale(sign)
-            return total.is_zero()
+            rr, ri = self.row(g, t, coords)
+            return (sum(map(mul, rr, fr)) == sum(map(mul, ri, fi))
+                    and sum(map(mul, rr, fi)) + sum(map(mul, ri, fr)) == 0)
 
-        return rep.record_tuples(self.claim, self.tuples(g.dim), holds, failures_only)
+        return rep.record_tuples(self.claim, self.tuples(n), holds, failures_only)
 
 
 def _all_triples(n: int):
@@ -141,18 +177,16 @@ def form_to_map(f: BilForm) -> LinMap:
     return LinMap(f.matrix.transpose(), ALGEBRA, MODULE)
 
 
-def _coadjoint_context(g: LieAlgebra) -> OperatorContext:
-    return OperatorContext(g, coadjoint_rep(g))
-
-
-def _coregular_context(g: PreLieAlgebra) -> OperatorContext:
-    rep = coregular_rep(g)  # over the sub-adjacent algebra it builds
+def _flat_context(g) -> OperatorContext:
+    """The coadjoint action of a Lie algebra, or the coregular action of a
+    pre-Lie algebra's sub-adjacent algebra: the flat maps' target."""
+    rep = coadjoint_rep(g) if isinstance(g, LieAlgebra) else coregular_rep(g)
     return OperatorContext(rep.algebra, rep)
 
 
-def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm, flat_context) -> Report:
+def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm) -> Report:
     """The identity plus nondegeneracy, cross-checked against the flat map
-    being a relative differential operator for the action of flat_context(g)."""
+    being a relative differential operator for the action of _flat_context(g)."""
     if f.symmetry != identity.symmetry:
         raise ValueError(f"{kind} candidate must be declared {identity.symmetry}")
     if f.dim != g.dim:
@@ -160,7 +194,7 @@ def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm, flat_conte
     rep = Report(f"{kind} structure")
     direct = identity.check(rep, g, f)
     rep.record("nondegenerate", (), f.is_nondegenerate())
-    rdo = is_rdo(flat_context(g), form_to_map(f)).passed
+    rdo = is_rdo(_flat_context(g), form_to_map(f)).passed
     rep.record("flat-map RDO (cross-check)", (), rdo)
     rep.record("routes agree", (), direct == rdo)
     return rep
@@ -169,33 +203,33 @@ def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm, flat_conte
 def is_symplectic(g: LieAlgebra, w: BilForm) -> Report:
     """2-cocycle identity plus nondegeneracy; cross-checked against the flat
     map being a relative differential operator for the coadjoint action."""
-    return _form_structure("symplectic", COCYCLE, g, w, _coadjoint_context)
+    return _form_structure("symplectic", COCYCLE, g, w)
 
 
 def is_hessian(g: PreLieAlgebra, b: BilForm) -> Report:
     """Hessian identity plus nondegeneracy; cross-checked against the flat map
     being an RDO for the coregular action of the sub-adjacent algebra."""
-    rep = _form_structure("Hessian", HESSIAN_IDENTITY, g, b, _coregular_context)
+    rep = _form_structure("Hessian", HESSIAN_IDENTITY, g, b)
     if not b.is_real():
         rep.note("form has non-real entries")
     return rep
 
 
-def _classify_forms(kind: str, check, prefix: str, flat_context, g, forms) -> HyperTriple:
+def _classify_forms(kind: str, check, prefix: str, g, forms) -> HyperTriple:
     pre = Report(f"{kind} preconditions")
     for idx, f in enumerate(forms):
         pre.merge(check(g, f), f"{prefix}{idx + 1}:")
     if not pre.passed:
         raise PreconditionError(f"not all forms are {kind}", pre)
-    return classify_hyper(flat_context(g), *(form_to_map(f) for f in forms))
+    return classify_hyper(_flat_context(g), *(form_to_map(f) for f in forms))
 
 
 def classify_hyper_symplectic(g: LieAlgebra, w1: BilForm, w2: BilForm, w3: BilForm) -> HyperTriple:
-    return _classify_forms("symplectic", is_symplectic, "w", _coadjoint_context, g, (w1, w2, w3))
+    return _classify_forms("symplectic", is_symplectic, "w", g, (w1, w2, w3))
 
 
 def classify_hyper_hessian(g: PreLieAlgebra, b1: BilForm, b2: BilForm, b3: BilForm) -> HyperTriple:
-    return _classify_forms("Hessian", is_hessian, "B", _coregular_context, g, (b1, b2, b3))
+    return _classify_forms("Hessian", is_hessian, "B", g, (b1, b2, b3))
 
 
 HERMITIAN = "hermitian"
@@ -348,9 +382,9 @@ def is_invariant_form(g, f: BilForm) -> Report:
     rep = Report("invariant form")
     rep.record("nondegenerate", (), f.is_nondegenerate())
     if isinstance(g, LieAlgebra):
-        identity, ctx, what = AD_INVARIANCE, _coadjoint_context(g), "ad-invariance"
+        identity, what = AD_INVARIANCE, "ad-invariance"
     elif isinstance(g, PreLieAlgebra):
-        identity, ctx, what = PRELIE_INVARIANCE, _coregular_context(g), "pre-Lie invariance"
+        identity, what = PRELIE_INVARIANCE, "pre-Lie invariance"
     else:
         raise TypeError("expected a LieAlgebra or PreLieAlgebra")
     if f.symmetry != identity.symmetry:
@@ -360,6 +394,7 @@ def is_invariant_form(g, f: BilForm) -> Report:
         rep.record(identity.claim, (), True)
     # conjugation identity: rho(x) f#(y) = f#([x,y]) for the coadjoint (Lie) or
     # coregular (pre-Lie, sub-adjacent bracket) action rho
+    ctx = _flat_context(g)
     flat = form_to_map(f).matrix
     ad = adjoint_rep(ctx.g)
     conj_ok = all(m * flat == flat * a for m, a in zip(ctx.rep.mats, ad.mats))
@@ -380,21 +415,18 @@ def endomorphism_symmetry(f: BilForm, phi: LinMap, kind: str) -> bool:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _is_lie_derivation(g: LieAlgebra, d: LinMap) -> Report:
-    rep = Report("Lie derivation")
+def _is_derivation(g, d: LinMap) -> Report:
+    """d[x, y] = [dx, y] + [x, dy] for i < j on a Lie algebra, or
+    d(xy) = (dx)y + x(dy) for all i, j on a pre-Lie algebra."""
+    rep = Report("derivation")
     eb = unit_columns(g.dim)
     dm = d.matrix
-    rep.record_tuples("derivation", itertools.combinations(range(g.dim), 2), lambda i, j: (
-        dm * g.basis_bracket(i, j) == g.bracket(dm * eb[i], eb[j]) + g.bracket(eb[i], dm * eb[j])))
-    return rep
-
-
-def _is_prelie_derivation(g: PreLieAlgebra, d: LinMap) -> Report:
-    rep = Report("pre-Lie derivation")
-    eb = unit_columns(g.dim)
-    dm = d.matrix
-    rep.record_tuples("derivation", itertools.product(range(g.dim), repeat=2), lambda i, j: (
-        dm * g.basis_product(i, j) == g.product(dm * eb[i], eb[j]) + g.product(eb[i], dm * eb[j])))
+    if isinstance(g, LieAlgebra):
+        pairs, basis_op, op = itertools.combinations(range(g.dim), 2), g.basis_bracket, g.bracket
+    else:
+        pairs, basis_op, op = itertools.product(range(g.dim), repeat=2), g.basis_product, g.product
+    rep.record_tuples("derivation", pairs, lambda i, j: (
+        dm * basis_op(i, j) == op(dm * eb[i], eb[j]) + op(eb[i], dm * eb[j])))
     return rep
 
 
@@ -412,27 +444,19 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
     prelie-omega: invariant skew omega, symmetric endomorphism pre-Lie
     derivations, induced symmetric forms checked as a hyper Hessian structure.
     """
+    if setting not in (LIE_B, PRELIE_OMEGA):
+        raise ValueError(f"unknown setting {setting!r}")
+    lie = setting == LIE_B
+    if not isinstance(g, LieAlgebra if lie else PreLieAlgebra):
+        raise TypeError(f"{setting} setting needs a {'Lie' if lie else 'pre-Lie'} algebra")
+    # the endomorphisms and the forms they induce share one symmetry
+    symmetry = SKEW if lie else SYMMETRIC
     ds = (d1, d2, d3)
     pre = Report("correspondence preconditions")
-    if setting == LIE_B:
-        if not isinstance(g, LieAlgebra):
-            raise TypeError("lie-B setting needs a Lie algebra")
-        pre.merge(is_invariant_form(g, f), "B:")
-        endo_kind = SKEW
-        for idx, d in enumerate(ds):
-            pre.record("skew endomorphism", (idx + 1,), endomorphism_symmetry(f, d, endo_kind))
-            pre.merge(_is_lie_derivation(g, d), f"d{idx + 1}:")
-    elif setting == PRELIE_OMEGA:
-        if not isinstance(g, PreLieAlgebra):
-            raise TypeError("prelie-omega setting needs a pre-Lie algebra")
-        pre.merge(is_invariant_form(g, f), "omega:")
-        endo_kind = SYMMETRIC
-        for idx, d in enumerate(ds):
-            pre.record("symmetric endomorphism", (idx + 1,),
-                       endomorphism_symmetry(f, d, endo_kind))
-            pre.merge(_is_prelie_derivation(g, d), f"d{idx + 1}:")
-    else:
-        raise ValueError(f"unknown setting {setting!r}")
+    pre.merge(is_invariant_form(g, f), "B:" if lie else "omega:")
+    for idx, d in enumerate(ds):
+        pre.record(f"{symmetry} endomorphism", (idx + 1,), endomorphism_symmetry(f, d, symmetry))
+        pre.merge(_is_derivation(g, d), f"d{idx + 1}:")
     for idx, d in enumerate(ds):
         try:
             d.inv()
@@ -443,14 +467,10 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
         raise PreconditionError("correspondence preconditions failed", pre)
 
     rep = Report(f"endomorphism-triple correspondence ({setting})")
-    # endomorphism direction: classify (d1,d2,d3) against adjoint/regular action
-    if setting == LIE_B:
-        ctx = OperatorContext(g, adjoint_rep(g))
-        form_symmetry = SKEW
-    else:
-        regular = regular_rep(g)  # over the sub-adjacent algebra it builds
-        ctx = OperatorContext(regular.algebra, regular)
-        form_symmetry = SYMMETRIC
+    # endomorphism direction: classify (d1,d2,d3) against the adjoint action,
+    # or the regular action of the sub-adjacent algebra
+    action = adjoint_rep(g) if lie else regular_rep(g)
+    ctx = OperatorContext(action.algebra, action)
     endo_maps = tuple(LinMap(d.matrix, ALGEBRA, MODULE) for d in ds)
     endo_ok, endo_eps, endo_detail = True, None, ""
     try:
@@ -465,15 +485,13 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
     forms_ok, forms_eps, forms_detail = True, None, ""
     try:
         for d in ds:
-            forms.append(induced_form(f, d, form_symmetry))
+            forms.append(induced_form(f, d, symmetry))
     except ValueError as exc:
         forms_ok, forms_detail = False, str(exc)
     if forms_ok:
         try:
-            if setting == LIE_B:
-                form_triple = classify_hyper_symplectic(g, *forms)
-            else:
-                form_triple = classify_hyper_hessian(g, *forms)
+            form_triple = (classify_hyper_symplectic(g, *forms) if lie
+                           else classify_hyper_hessian(g, *forms))
             forms_eps = form_triple.eps
         except (ClassificationError, PreconditionError) as exc:
             forms_ok, forms_detail = False, str(exc)

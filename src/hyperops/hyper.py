@@ -61,11 +61,11 @@ class ClassificationError(ValueError):
 def classify_hyper(ctx: OperatorContext, d1: LinMap, d2: LinMap, d3: LinMap) -> HyperTriple:
     """Check the three maps are invertible RDOs and the N_i square to +/-Id;
     eps is always computed from the matrices, never supplied."""
-    ds = (d1, d2, d3)
+    ds, ts = (d1, d2, d3), []
     for i, d in enumerate(ds):
         d.check_shape(ctx)
         try:
-            d.inv()
+            ts.append(d.inv())
         except SingularMatrixError as exc:
             raise ClassificationError(f"d{i + 1} is not invertible ({exc})") from exc
         r = is_rdo(ctx, d)
@@ -74,7 +74,6 @@ def classify_hyper(ctx: OperatorContext, d1: LinMap, d2: LinMap, d3: LinMap) -> 
                 f"d{i + 1} is not a relative differential operator; "
                 f"first violation at basis pair {r.violations[0].indices}"
             )
-    ts = tuple(d.inv() for d in ds)
     ns = tuple(ts[_cyc(i - 1)].compose(ds[_cyc(i + 1)]) for i in range(3))
     eps = []
     for i in range(3):
@@ -84,7 +83,7 @@ def classify_hyper(ctx: OperatorContext, d1: LinMap, d2: LinMap, d3: LinMap) -> 
         eps.append(sign)
     ss = tuple(ds[_cyc(i + 1)].compose(ts[_cyc(i - 1)]) for i in range(3))
     hflat = ds[2].compose(ts[0]).compose(ds[1]).scale(eps[2] * eps[1])
-    return HyperTriple(ctx, ds, ts, ns, tuple(ss), tuple(eps), hflat)
+    return HyperTriple(ctx, ds, tuple(ts), ns, tuple(ss), tuple(eps), hflat)
 
 
 def verify_hflat_identities(t: HyperTriple) -> Report:

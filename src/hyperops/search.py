@@ -1,24 +1,22 @@
-"""Solve for the full affine space of forms of a given kind on an algebra and
+"""Solve for the full space of forms of a given kind on an algebra and
 decide whether a nondegenerate solution exists.
 
-Coordinates for the symmetry classes are row-major over the upper triangle:
-skew uses the n(n-1)/2 strict upper entries, symmetric the n(n+1)/2 entries
-on or above the diagonal.
-
-The identity is linear in the form, so the solution space comes from one
-exact elimination of an integer system.  Existence is decided witness first
-(`linalg.det_witness`): a nonzero determinant at a small integer parameter
-point proves that a nondegenerate form exists and is kept as
-`FormSpaceResult.witness`.  Only when every tried point gives 0 is the
-determinant of the generic solution expanded as a polynomial, which proves
-nonexistence when it is zero and yields a witness otherwise.
+The identity is linear in the form, so its solutions are the kernel of an
+integer system over the identity's coordinates (`FormIdentity.coords`), one
+row per basis tuple: the `FormIdentity.row` that the form checks evaluate
+too.  The kernel comes from one exact elimination; the particular solution
+is zero.  Existence is decided witness first (`linalg.det_witness`): a
+nonzero determinant at a small integer parameter point proves that a
+nondegenerate form exists and is kept as `FormSpaceResult.witness`.  Only
+when every tried point gives 0 is the determinant of the generic solution
+expanded as a polynomial, which proves nonexistence when it is zero and
+yields a witness otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .algebra import LieAlgebra
 from .geometry import (
@@ -38,7 +36,6 @@ from .linalg import (
     det_witness,
     generic_determinant,
     solve_affine,
-    unit_columns,
 )
 from .scalars import ZERO
 
@@ -53,12 +50,6 @@ _TARGETS = {
     AD_INVARIANT: AD_INVARIANCE,
     PRELIE_INVARIANT: PRELIE_INVARIANCE,
 }
-
-
-def _coords(n: int, symmetry: str) -> list[tuple[int, int]]:
-    if symmetry == SKEW:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def _embed(n: int, symmetry: str, coords, coord_vector) -> Matrix:
@@ -112,52 +103,22 @@ class FormSpaceResult:
         return tuple(f.matrix[i, j] for (i, j) in self.coords)
 
     def contains(self, f: BilForm) -> bool:
-        """Membership test: does the affine space contain this form's coordinates?"""
+        """Membership test: does the solution space contain this form's coordinates?"""
         target = self.coords_of(f)
-        diff = [t - p for t, p in zip(target, self.space.particular)]
-        if not self.space.basis:
-            return all(v.is_zero() for v in diff)
         a = Matrix(len(target), self.space.dim,
                    [b[k] for k in range(len(target)) for b in self.space.basis])
-        return solve_affine(a, diff) is not None
+        return solve_affine(a, target) is not None
 
 
 def _system(g, identity: FormIdentity, coords) -> Matrix:
-    """One row per basis tuple: the identity at each coordinate's unit form.
-
-    The terms of an instance sum to <P, f> = sum_ij P_ij f(e_i, e_j) with
-    P = sum(sign * a b^T), so coordinate (i, j) gets P_ij - P_ji (skew),
-    P_ij + P_ji (symmetric, i < j) or P_ii.  P is accumulated on the
-    Gaussian-integer numerators of a and b, each row scaled by the lcm of
-    its terms' denominators; scaling a row of a homogeneous system keeps its
-    solutions, and the RREF they are read from is unique."""
-    n = g.dim
-    eb = unit_columns(n)
-    flip = -1 if identity.symmetry == SKEW else 1
-    at = [(i * n + j, j * n + i) for i, j in coords]
-    re, im, nrows = [], [], 0
-    for t in identity.tuples(n):
-        terms = identity.terms(g, *(eb[i] for i in t))
-        den = lcm(*(a.den * b.den for _, a, b in terms))
-        pr, pi = [0] * (n * n), [0] * (n * n)
-        for sign, a, b in terms:
-            f = sign * (den // (a.den * b.den))
-            real = a.is_real() and b.is_real()
-            for i in range(n):
-                ar, ai = f * a.re[i], f * a.im[i]
-                if not (ar or ai):
-                    continue
-                for j in range(n):
-                    br, bi = b.re[j], b.im[j]
-                    pr[i * n + j] += ar * br - ai * bi
-                    if not real:
-                        pi[i * n + j] += ar * bi + ai * br
-        re.extend(pr[k] + flip * pr[kt] if k != kt else pr[k] for k, kt in at)
-        im.extend(pi[k] + flip * pi[kt] if k != kt else pi[k] for k, kt in at)
-        nrows += 1
-    if not nrows:
+    """The identity's rows at every basis tuple, stacked in one integer
+    matrix over coords.  Each row is an instance scaled by a positive
+    integer, which keeps the kernel."""
+    rows = [identity.row(g, t, coords) for t in identity.tuples(g.dim)]
+    if not rows:
         return Matrix.zero(1, len(coords))
-    return Matrix._make(nrows, len(coords), re, im, 1)
+    return Matrix._make(len(rows), len(coords), [v for re, _ in rows for v in re],
+                        [v for _, im in rows for v in im], 1)
 
 
 def solve_forms(g, target: str) -> FormSpaceResult:
@@ -171,11 +132,9 @@ def solve_forms(g, target: str) -> FormSpaceResult:
         raise TypeError(f"target {target} needs a {kind} algebra")
     n = g.dim
     symmetry = identity.symmetry
-    coords = _coords(n, symmetry)
-    a = _system(g, identity, coords)
-    space = solve_affine(a, [ZERO] * a.rows)
-    # homogeneous system is always feasible
-    assert space is not None
+    coords = identity.coords(n)
+    kernel = _system(g, identity, coords).kernel_basis()
+    space = AffineSolutionSpace((ZERO,) * len(coords), tuple(kernel))
     witness = det_witness(_matrix_space(n, symmetry, coords, space), n)
     return FormSpaceResult(g, target, symmetry, tuple(coords), space, witness)
 

@@ -397,3 +397,47 @@ def test_parser_is_built_on_the_first_request():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_env())
     assert done.returncode == 0, done.stderr
+
+
+# -- argument parsing failures and --help ---------------------------------------
+
+_WHICH = "'hflat', 'table', 'derived', 'product-one', 'kahler'"
+_COMMAND_NAMES = ("'check', 'classify-hyper', 'suite', 'decompose', 'reconstruct', "
+                  "'search-forms', 'corpus'")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["suite", "LIE", "--triple", "omega", "--which", "bogus"],
+     f"argument --which: invalid choice: 'bogus' (choose from {_WHICH})"),
+    (["check", "LIE", "--args", "g"], "the following arguments are required: --what"),
+    (["classify-hyper", "LIE", "--triple", "omega", "--flavor", "symplectic"],
+     "unrecognized arguments: --flavor symplectic"),
+    (["no-such-command", "LIE"],
+     f"argument command: invalid choice: 'no-such-command' (choose from {_COMMAND_NAMES})"),
+])
+def test_parse_failure_names_the_reason_in_the_requested_format(bundles, argv, error):
+    argv = [bundles["lie.L4sym"] if a == "LIE" else a for a in argv]
+    for fmt in (["--format", "json"], ["--format=json"], ["--form", "json"]):
+        code, out, _ = _captured(argv + fmt)
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out) == {"status": "input-error", "exit": cli.EXIT_PARSE, "error": error}
+    for fmt in ([], ["--format", "text"]):
+        code, out, _ = _captured(argv + fmt)
+        assert code == cli.EXIT_PARSE
+        assert out == f"status: input-error\nerror: {error}\n"
+
+
+def test_invalid_format_value_is_the_reported_reason(bundles):
+    code, out, _ = _captured(["corpus", "list", "--format", "xml"])
+    assert code == cli.EXIT_PARSE
+    assert out == ("status: input-error\nerror: argument --format: invalid choice: 'xml' "
+                   "(choose from 'text', 'json')\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"],
+                                  ["suite", "-h", "--format", "json"]])
+def test_help_prints_only_the_help(argv):
+    code, out, err = _captured(argv)
+    assert code == cli.EXIT_PASS
+    assert out.startswith("usage: hyperops") and "status:" not in out
+    assert err == ""

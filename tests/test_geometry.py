@@ -1,17 +1,24 @@
 """Forms, flat maps, Hermitian variants, Kahler-type quadruples, invariant
 forms, and the endomorphism-triple correspondence."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperops.algebra import LieAlgebra, PreLieAlgebra, abelian, subadjacent
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.corpus import broken_variant, export_bundle
 from hyperops.geometry import (
+    AD_INVARIANCE,
     ANTI_HERMITIAN,
+    COCYCLE,
+    HESSIAN_IDENTITY,
     HYPER_ANTI_KAHLER,
     HYPER_KAHLER,
     LIE_B,
     PARA_HYPER_KAHLER,
+    PRELIE_INVARIANCE,
     PRELIE_OMEGA,
     SKEW,
     SYMMETRIC,
@@ -33,8 +40,9 @@ from hyperops.geometry import (
 from hyperops.hyper import decompose_hyper, reconstruct_hyper
 from hyperops.linalg import Matrix
 from hyperops.operators import ALGEBRA, MODULE, LinMap
-from hyperops.reporting import PreconditionError
-from hyperops.scalars import Scalar
+from hyperops.reporting import ClaimResult, PreconditionError, Report
+from hyperops.scalars import ZERO, Scalar
+from hyperops.search import instantiate, solve_forms
 
 
 def test_symplectic_forms_on_corpus():
@@ -290,3 +298,77 @@ def test_induced_form_symmetry_enforced():
     with pytest.raises(ValueError):
         induced_form(f, p, SKEW)
     assert induced_form(f, p, SYMMETRIC).matrix == Matrix.diag([1, -1])
+
+
+# -- the form identities' row path against a direct evaluation ----------------
+
+# Gaussian rationals with unequal denominators, drawn from a fixed pool: a
+# 4-dimensional algebra takes 64 constants
+_POOL = [ZERO] + [Scalar(Fraction(a, da), Fraction(b, db)) for a in range(-3, 4)
+                  for da in (1, 2, 3) for b in (-2, 0, 1) for db in (1, 5)]
+_gauss = st.sampled_from(_POOL)
+# two zeros in three, so that some instances hold and some fail
+_sparse = st.sampled_from([ZERO] * (2 * len(_POOL)) + _POOL)
+
+_TARGET = {COCYCLE: "symplectic", HESSIAN_IDENTITY: "hessian",
+           AD_INVARIANCE: "ad-invariant", PRELIE_INVARIANCE: "prelie-invariant"}
+
+
+@st.composite
+def _algebra_and_form(draw, identity):
+    """A random 2-4 dimensional algebra of the identity's kind and a form of its
+    symmetry: random entries, a combination of the solution basis, or such a
+    combination with one entry pair changed."""
+    n = draw(st.integers(2, 4))
+    const = [[[draw(_sparse) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    g = identity.algebra(n, const)
+    skew = identity.symmetry == SKEW
+    mode = draw(st.sampled_from(["random", "solution", "perturbed"]))
+    if mode == "random":
+        m = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + skew, n):
+                m[i][j] = draw(_gauss)
+                m[j][i] = -m[i][j] if skew else m[i][j]
+        return g, BilForm(Matrix.from_rows(m), identity.symmetry), mode
+    res = solve_forms(g, _TARGET[identity])
+    f = instantiate(res, [draw(_gauss) for _ in range(res.dim)])
+    if mode == "perturbed":
+        i, j = draw(st.sampled_from(identity.coords(n)))
+        v = draw(_gauss.filter(lambda v: not v.is_zero()))
+        rows = [list(f.matrix.row(r)) for r in range(n)]
+        rows[i][j] = rows[i][j] + v
+        if i != j:
+            rows[j][i] = rows[j][i] + (-v if skew else v)
+        f = BilForm(Matrix.from_rows(rows), identity.symmetry)
+    return g, f, mode
+
+
+def _direct_claims(identity, g, f):
+    """The claims FormIdentity.check should record, each instance evaluated
+    as sum(sign * a^T M b) with matrix products."""
+    n = g.dim
+    e = [Matrix.column([1 if i == t else 0 for i in range(n)]) for t in range(n)]
+    claims = []
+    for t in identity.tuples(n):
+        value = sum((sign * (a.transpose() * f.matrix * b)[0, 0]
+                     for sign, a, b in identity.terms(g, *(e[i] for i in t))), ZERO)
+        idx = tuple(i + 1 for i in t)
+        claims.append(ClaimResult(identity.claim, idx, value.is_zero(),
+                                  None if value.is_zero() else idx))
+    return claims
+
+
+@pytest.mark.parametrize("identity", list(_TARGET), ids=lambda i: i.claim)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_form_identity_rows_match_direct_evaluation(identity, data):
+    g, f, mode = data.draw(_algebra_and_form(identity))
+    want = _direct_claims(identity, g, f)
+    for failures_only in (False, True):
+        rep = Report()
+        held = identity.check(rep, g, f, failures_only)
+        assert rep.results == [c for c in want if not (failures_only and c.passed)]
+        assert held == all(c.passed for c in want)
+    if mode == "solution":
+        assert held
