@@ -8,7 +8,6 @@ at (i,j) and -1 at (j,i), tensor e_i*⊗e_j* contributes +1 at (i,j).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm
@@ -80,10 +79,6 @@ class BilForm:
         return cls(Matrix.from_rows(m), symmetry)
 
 
-# built once per dimension: FormIdentity.row runs once per basis tuple
-_unit_columns = functools.cache(lambda n: tuple(unit_columns(n)))
-
-
 @dataclass(frozen=True)
 class FormIdentity:
     """A linear identity on the bilinear forms f of one symmetry class over
@@ -103,13 +98,13 @@ class FormIdentity:
         and above it (symmetric), row-major."""
         return [(i, j) for i in range(n) for j in range(i + (self.symmetry == SKEW), n)]
 
-    def row(self, g, t, coords) -> tuple[list, list]:
-        """The instance at basis tuple t, times a positive integer, as
-        Gaussian-integer coefficients (real parts, imaginary parts) on coords:
-        the terms sum to sum_ij P_ij f(e_i, e_j) with P = sum(sign * a b^T),
-        so coordinate (i, j) gets P_ij -/+ P_ji (skew/symmetric) or P_ii."""
+    def row(self, g, eb, t, coords) -> tuple[list, list]:
+        """The instance at basis tuple t of the unit columns eb, times a
+        positive integer, as Gaussian-integer coefficients (real parts,
+        imaginary parts) on coords: the terms sum to sum_ij P_ij f(e_i, e_j)
+        with P = sum(sign * a b^T), so coordinate (i, j) gets P_ij -/+ P_ji
+        (skew/symmetric) or P_ii."""
         n = g.dim
-        eb = _unit_columns(n)
         terms = self.terms(g, *(eb[i] for i in t))
         den = lcm(*(a.den * b.den for _, a, b in terms))
         pr, pi = [0] * (n * n), [0] * (n * n)
@@ -129,14 +124,17 @@ class FormIdentity:
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
         """Record the identity for f, a form of this identity's symmetry, at
         every basis tuple of g: each instance is its row evaluated on f's
-        coordinate numerators."""
+        coordinate numerators.  Raises DimensionError if f is not on g's
+        dimension."""
         n, m = g.dim, f.matrix
-        coords = self.coords(n)
+        if f.dim != n:
+            raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
+        eb, coords = unit_columns(n), self.coords(n)
         fr = [m.re[i * n + j] for i, j in coords]
         fi = [m.im[i * n + j] for i, j in coords]
 
         def holds(*t):
-            rr, ri = self.row(g, t, coords)
+            rr, ri = self.row(g, eb, t, coords)
             return (sum(map(mul, rr, fr)) == sum(map(mul, ri, fi))
                     and sum(map(mul, rr, fi)) + sum(map(mul, ri, fr)) == 0)
 
@@ -189,8 +187,6 @@ def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm) -> Report:
     being a relative differential operator for the action of _flat_context(g)."""
     if f.symmetry != identity.symmetry:
         raise ValueError(f"{kind} candidate must be declared {identity.symmetry}")
-    if f.dim != g.dim:
-        raise DimensionError(f"form dim {f.dim} != algebra dim {g.dim}")
     rep = Report(f"{kind} structure")
     direct = identity.check(rep, g, f)
     rep.record("nondegenerate", (), f.is_nondegenerate())

@@ -36,6 +36,7 @@ from .linalg import (
     det_witness,
     generic_determinant,
     solve_affine,
+    unit_columns,
 )
 from .scalars import ZERO
 
@@ -114,7 +115,8 @@ def _system(g, identity: FormIdentity, coords) -> Matrix:
     """The identity's rows at every basis tuple, stacked in one integer
     matrix over coords.  Each row is an instance scaled by a positive
     integer, which keeps the kernel."""
-    rows = [identity.row(g, t, coords) for t in identity.tuples(g.dim)]
+    eb = unit_columns(g.dim)
+    rows = [identity.row(g, eb, t, coords) for t in identity.tuples(g.dim)]
     if not rows:
         return Matrix.zero(1, len(coords))
     return Matrix._make(len(rows), len(coords), [v for re, _ in rows for v in re],

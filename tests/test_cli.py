@@ -441,3 +441,37 @@ def test_help_prints_only_the_help(argv):
     assert code == cli.EXIT_PASS
     assert out.startswith("usage: hyperops") and "status:" not in out
     assert err == ""
+
+
+# -- a form from an algebra of another dimension ---------------------------------
+
+def _form(algebra, symmetry):
+    term = "e1^*∧e2^*" if symmetry == "skew" else "e1^*⊗e1^*"
+    return {"algebra": algebra, "symmetry": symmetry, "terms": [{"term": term, "coeff": "1"}]}
+
+
+@pytest.fixture()
+def mixed_dims(tmp_path):
+    doc = {"field": "gaussian_rational",
+           "algebras": {f"{k}{n}": {"kind": kind, "dim": n, "constants": []}
+                        for k, kind in (("g", "lie"), ("p", "prelie")) for n in (2, 3)},
+           # B.. symmetric, w.. skew, each on the named algebra
+           "forms": {f"{c}{k}{n}": _form(f"{k}{n}", s)
+                     for c, s in (("B", "symmetric"), ("w", "skew"))
+                     for k in "gp" for n in (2, 3)}}
+    p = tmp_path / "mixed.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("what,algebra,form", [
+    ("invariant-form", "g3", "Bg2"), ("invariant-form", "g2", "Bg3"),
+    ("invariant-form", "p3", "wp2"), ("invariant-form", "p2", "wp3"),
+    ("symplectic", "g3", "wg2"), ("hessian", "p2", "Bp3"),
+])
+def test_form_of_another_dimension_exits_two(mixed_dims, capsys, what, algebra, form):
+    code, payload = _run_json(capsys, ["check", mixed_dims, "--what", what,
+                                       "--args", algebra, form])
+    assert code == cli.EXIT_PARSE
+    assert payload["status"] == "input-error"
+    assert payload["error"] == f"form dim {form[-1]} != algebra dim {algebra[-1]}"
