@@ -29,8 +29,16 @@ from .hyper import (
     decompose_hyper,
     reconstruct_hyper,
 )
-from .linalg import DimensionError, Matrix, _to_scalar, unit_columns
-from .operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_rdo, nijenhuis_square_sign
+from .linalg import DimensionError, Matrix, SingularMatrixError, _to_scalar, unit_columns
+from .operators import (
+    ALGEBRA,
+    MODULE,
+    LinMap,
+    OperatorContext,
+    is_nijenhuis,
+    is_rdo,
+    nijenhuis_square_sign,
+)
 from .reporting import PreconditionError, Report
 from .scalars import ZERO, Scalar
 
@@ -98,6 +106,12 @@ class FormIdentity:
         and above it (symmetric), row-major."""
         return [(i, j) for i in range(n) for j in range(i + (self.symmetry == SKEW), n)]
 
+    def check_algebra(self, g, what: str) -> None:
+        """Raise TypeError naming the kind needed unless g is this identity's kind."""
+        if not isinstance(g, self.algebra):
+            kind = "Lie" if self.algebra is LieAlgebra else "pre-Lie"
+            raise TypeError(f"{what} needs a {kind} algebra")
+
     def row(self, g, eb, t, coords) -> tuple[list, list]:
         """The instance at basis tuple t of the unit columns eb, times a
         positive integer, as Gaussian-integer coefficients (real parts,
@@ -124,8 +138,9 @@ class FormIdentity:
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
         """Record the identity for f, a form of this identity's symmetry, at
         every basis tuple of g: each instance is its row evaluated on f's
-        coordinate numerators.  Raises DimensionError if f is not on g's
-        dimension."""
+        coordinate numerators.  Raises TypeError if g is not this identity's
+        kind of algebra, DimensionError if f is not on g's dimension."""
+        self.check_algebra(g, self.claim)
         n, m = g.dim, f.matrix
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
@@ -215,8 +230,7 @@ def _classify_forms(kind: str, check, prefix: str, g, forms) -> HyperTriple:
     pre = Report(f"{kind} preconditions")
     for idx, f in enumerate(forms):
         pre.merge(check(g, f), f"{prefix}{idx + 1}:")
-    if not pre.passed:
-        raise PreconditionError(f"not all forms are {kind}", pre)
+    pre.require(f"not all forms are {kind}")
     return classify_hyper(_flat_context(g), *(form_to_map(f) for f in forms))
 
 
@@ -251,12 +265,9 @@ def check_hermitian_variant(g: LieAlgebra, f: BilForm, i_map: LinMap, variant: s
         raise ValueError(f"{variant} requires a {symmetry} form")
     pre = Report(f"{variant} preconditions")
     pre.record("nondegenerate", (), f.is_nondegenerate())
-    from .operators import is_nijenhuis
-
     pre.record("I Nijenhuis", (), is_nijenhuis(g, i_map).passed)
     pre.record("I square sign", (), nijenhuis_square_sign(g, i_map) == sq_sign)
-    if not pre.passed:
-        raise PreconditionError(f"{variant} preconditions failed", pre)
+    pre.require(f"{variant} preconditions failed")
     rep = Report(variant)
     # f(Ix, Iy) = inv_sign * f(x,y)  <=>  I^T M I = inv_sign * M
     im = i_map.matrix
@@ -309,7 +320,7 @@ def induced_form(f: BilForm, i_map: LinMap, symmetry: str) -> BilForm:
 def check_kahler_quad(g, q: KahlerQuad) -> Report:
     """Build the three induced forms, check them symplectic (Kahler variants on a
     Lie algebra) or Hessian (anti variants on a pre-Lie algebra), classify the
-    induced triple, and assert the predicted signature."""
+    flat maps of the forms so proved, and assert the predicted signature."""
     if q.variant not in _KAHLER_EPS:
         raise ValueError(f"unknown variant {q.variant!r}")
     anti = q.variant in _ANTI_KAHLER
@@ -317,10 +328,7 @@ def check_kahler_quad(g, q: KahlerQuad) -> Report:
         raise ValueError("anti-Kahler variants need an explicit pre-Lie algebra")
     if not anti and not isinstance(g, LieAlgebra):
         raise ValueError("Kahler variants need a Lie algebra")
-    dim = g.dim
-    pre = _quad_preconditions(q, dim)
-    if not pre.passed:
-        raise PreconditionError("quad preconditions failed", pre)
+    _quad_preconditions(q, g.dim).require("quad preconditions failed")
     rep = Report(f"{q.variant} quad")
     target_symmetry = SYMMETRIC if anti else SKEW
     forms = []
@@ -338,9 +346,8 @@ def check_kahler_quad(g, q: KahlerQuad) -> Report:
     if not rep.passed:
         return rep
     try:
-        triple = (classify_hyper_hessian(g, *forms) if anti
-                  else classify_hyper_symplectic(g, *forms))
-    except (ClassificationError, PreconditionError) as exc:
+        triple = classify_hyper(_flat_context(g), *(form_to_map(f) for f in forms))
+    except ClassificationError as exc:
         rep.record("induced triple classifies", (), False, detail=str(exc))
         return rep
     rep.record("induced triple classifies", (), True)
@@ -457,10 +464,9 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
         try:
             d.inv()
             pre.record("invertible", (idx + 1,), True)
-        except Exception:
+        except SingularMatrixError:
             pre.record("invertible", (idx + 1,), False)
-    if not pre.passed:
-        raise PreconditionError("correspondence preconditions failed", pre)
+    pre.require("correspondence preconditions failed")
 
     rep = Report(f"endomorphism-triple correspondence ({setting})")
     # endomorphism direction: classify (d1,d2,d3) against the adjoint action,

@@ -256,8 +256,7 @@ def reconstruct_hyper(ctx: OperatorContext, hflat: LinMap, i1: LinMap, i2: LinMa
         problems.record("hflat invertible", (), True)
     except SingularMatrixError:
         problems.record("hflat invertible", (), False)
-    if not problems.passed:
-        raise PreconditionError("reconstruction preconditions failed", problems)
+    problems.require("reconstruction preconditions failed")
     i3 = i1.compose(i2)
     return classify_hyper(ctx, hflat.compose(i1), hflat.compose(i2), hflat.compose(i3))
 

@@ -4,6 +4,11 @@ DN / KD / KN structure and compatibility checks.
 
 All identities are multilinear, so quantifying over basis tuples is exhaustive;
 reports cite 1-indexed basis indices.
+
+Public functions prove their preconditions once, at entry, each stated with
+`Report.require`, then call private builders (`_deformed_bracket`,
+`_deformed_representation`, `_coincidence`) that take inputs already proved;
+`is_kn` calls the builders on the pair its own preconditions proved.
 """
 
 from __future__ import annotations
@@ -11,10 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, PreLieAlgebra, Representation
+from .algebra import LieAlgebra, PreLieAlgebra, Representation, subadjacent
 from .linalg import DimensionError, Matrix, unit_columns
 from .reporting import PreconditionError, Report
-from .scalars import ZERO
 
 ALGEBRA = "algebra"
 MODULE = "module"
@@ -173,23 +177,20 @@ def deformed_bracket(g: LieAlgebra, n_map: LinMap) -> LieAlgebra:
     if not nij.passed:
         v = nij.violations[0]
         raise PreconditionError(f"not a Nijenhuis operator; first violation at {v.indices}", nij)
+    return _deformed_bracket(g, n_map.matrix)
+
+
+def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
+    """[.,.]_N for the matrix nm of a Nijenhuis operator."""
     eb = unit_columns(g.dim)
-    nm = n_map.matrix
-    c = [[[ZERO] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(g.dim):
-            v = (g.bracket(nm * eb[i], eb[j]) + g.bracket(eb[i], nm * eb[j])
-                 - nm * g.basis_bracket(i, j))
-            for k in range(g.dim):
-                c[i][j][k] = v[k, 0]
-    return LieAlgebra(g.dim, c)
+    return LieAlgebra(g.dim, [[(g.bracket(nm * eb[i], eb[j]) + g.bracket(eb[i], nm * eb[j])
+                                - nm * g.basis_bracket(i, j)).col(0) for j in range(g.dim)]
+                              for i in range(g.dim)])
 
 
 def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -> Report:
     """rho(Nx)(Sv) = S(rho(Nx)v) + rho(x)(S^2 v) - S(rho(x)(Sv)) for basis x, v."""
-    nij = is_nijenhuis(ctx.g, n_map)
-    if not nij.passed:
-        raise PreconditionError("N is not a Nijenhuis operator", nij)
+    is_nijenhuis(ctx.g, n_map).require("N is not a Nijenhuis operator")
     s_map.check_shape(ctx)
     rep = Report("dual-Nijenhuis pair")
     eb, vb = unit_columns(ctx.n), unit_columns(ctx.m)
@@ -207,17 +208,15 @@ def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -
 
 def deformed_representation(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -> Representation:
     """varrho(x) = rho(Nx) - [rho(x), S], a representation of (g, [.,.]_N) on V."""
-    pair = is_dual_nijenhuis_pair(ctx, n_map, s_map)
-    if not pair.passed:
-        raise PreconditionError("(N,S) is not a dual-Nijenhuis pair", pair)
-    gn = deformed_bracket(ctx.g, n_map)
+    is_dual_nijenhuis_pair(ctx, n_map, s_map).require("(N,S) is not a dual-Nijenhuis pair")
+    return _deformed_representation(ctx, n_map.matrix, s_map.matrix)
+
+
+def _deformed_representation(ctx: OperatorContext, nm: Matrix, sm: Matrix) -> Representation:
+    """varrho for the matrices nm, sm of a dual-Nijenhuis pair."""
     eb = unit_columns(ctx.n)
-    nm, sm = n_map.matrix, s_map.matrix
-    mats = []
-    for i in range(ctx.n):
-        rho_x = ctx.rep.mats[i]
-        mats.append(ctx.rep.act(nm * eb[i]) - (rho_x * sm - sm * rho_x))
-    return Representation(gn, ctx.m, mats)
+    return Representation(_deformed_bracket(ctx.g, nm), ctx.m, [
+        ctx.rep.act(nm * x) - (rho_x * sm - sm * rho_x) for x, rho_x in zip(eb, ctx.rep.mats)])
 
 
 # -- brackets induced by an O-operator --------------------------------
@@ -225,20 +224,9 @@ def deformed_representation(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) 
 
 def bracket_T(ctx: OperatorContext, t: LinMap) -> tuple[PreLieAlgebra, LieAlgebra]:
     """Pre-Lie product u *T v = rho(Tu)v on V and its sub-adjacent bracket."""
-    oo = is_o_operator(ctx, t)
-    if not oo.passed:
-        raise PreconditionError("T is not an O-operator", oo)
-    vb = unit_columns(ctx.m)
-    p = [[[ZERO] * ctx.m for _ in range(ctx.m)] for _ in range(ctx.m)]
-    for i in range(ctx.m):
-        act = ctx.rep.act(t(vb[i]))
-        for j in range(ctx.m):
-            w = act * vb[j]
-            for k in range(ctx.m):
-                p[i][j][k] = w[k, 0]
-    from .algebra import subadjacent
-
-    prelie = PreLieAlgebra(ctx.m, p)
+    is_o_operator(ctx, t).require("T is not an O-operator")
+    acts = [ctx.rep.act(t(u)) for u in unit_columns(ctx.m)]
+    prelie = PreLieAlgebra(ctx.m, [[act.col(j) for j in range(ctx.m)] for act in acts])
     return prelie, subadjacent(prelie)
 
 
@@ -252,12 +240,16 @@ def brackets_coincide(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: Lin
     ts = t.compose(s_map)
     for a in range(ctx.m):
         if nt.matrix.col(a) != ts.matrix.col(a):
-            raise PreconditionError(
-                f"N∘T ≠ T∘S at module basis vector {a + 1}", None)
-    varrho = deformed_representation(ctx, n_map, s_map)
+            raise PreconditionError(f"N∘T ≠ T∘S at module basis vector {a + 1}")
+    return _coincidence(ctx, t, s_map.matrix, nt, deformed_representation(ctx, n_map, s_map))
+
+
+def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
+                 varrho: Representation) -> Report:
+    """The coincidence claims, given nt = N∘T = T∘S for the matrix sm of S and
+    the representation varrho of a dual-Nijenhuis pair (N, S)."""
     rep = Report("bracket coincidence")
     vb = unit_columns(ctx.m)
-    sm = s_map.matrix
 
     def holds(a, b):
         u, v = vb[a], vb[b]
@@ -281,8 +273,7 @@ def is_dn(ctx: OperatorContext, d: LinMap, n_map: LinMap) -> Report:
     pre = Report("DN preconditions")
     pre.merge(is_rdo(ctx, d), "d:")
     pre.merge(is_nijenhuis(ctx.g, n_map), "N:")
-    if not pre.passed:
-        raise PreconditionError("DN preconditions failed", pre)
+    pre.require("DN preconditions failed")
     rep = Report("DN-structure")
     rep.merge(is_rdo(ctx, d.compose(n_map)), "d∘N:")
     return rep
@@ -304,8 +295,7 @@ def is_kd(ctx: OperatorContext, t: LinMap, d: LinMap) -> Report:
     pre = Report("KD preconditions")
     pre.merge(is_o_operator(ctx, t), "T:")
     pre.merge(is_rdo(ctx, d), "d:")
-    if not pre.passed:
-        raise PreconditionError("KD preconditions failed", pre)
+    pre.require("KD preconditions failed")
     n_map = t.compose(d)
     rep = Report("KD-structure")
     rep.merge(is_rdo(ctx, d.compose(n_map)), "d∘(T∘d):")
@@ -317,17 +307,16 @@ def is_kn(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap) -> Repo
     pre = Report("KN preconditions")
     pre.merge(is_o_operator(ctx, t), "T:")
     pre.merge(is_dual_nijenhuis_pair(ctx, n_map, s_map), "(N,S):")
-    if not pre.passed:
-        raise PreconditionError("KN preconditions failed", pre)
+    pre.require("KN preconditions failed")
     rep = Report("KN-structure")
     nt = n_map.compose(t)
     commute = nt.matrix == t.compose(s_map).matrix
     rep.record("N∘T=T∘S", (), commute)
     if commute:
-        rep.merge(brackets_coincide(ctx, t, s_map, n_map))
+        varrho = _deformed_representation(ctx, n_map.matrix, s_map.matrix)
+        rep.merge(_coincidence(ctx, t, s_map.matrix, nt, varrho))
         # consequences: T is an O-operator for (deformed bracket, varrho);
         # N∘T is an O-operator for (g, rho)
-        varrho = deformed_representation(ctx, n_map, s_map)
         rep.record("T O-operator on deformed algebra", (),
                    is_o_operator(OperatorContext(varrho.algebra, varrho), t).passed)
         rep.record("N∘T O-operator", (), is_o_operator(ctx, nt).passed)
@@ -344,8 +333,7 @@ def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
     pre = Report("compatibility preconditions")
     pre.merge(is_o_operator(ctx, t1), "T1:")
     pre.merge(is_o_operator(ctx, t2), "T2:")
-    if not pre.passed:
-        raise PreconditionError("compatibility preconditions failed", pre)
+    pre.require("compatibility preconditions failed")
     rep = Report("compatible O-operators")
     vb = unit_columns(ctx.m)
 
@@ -362,9 +350,7 @@ def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
 def kn_hierarchy(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap,
                  kmax: int) -> Report:
     """N^k∘T are O-operators and pairwise compatible, for k, l <= kmax."""
-    kn = is_kn(ctx, t, s_map, n_map)
-    if not kn.passed:
-        raise PreconditionError("(T,S,N) is not a KN-structure", kn)
+    is_kn(ctx, t, s_map, n_map).require("(T,S,N) is not a KN-structure")
     rep = Report(f"KN hierarchy up to {kmax}")
     powers = [n_map.power(k).compose(t) for k in range(kmax + 1)]
     for k in range(kmax + 1):

@@ -68,6 +68,12 @@ class Report:
             self.record(claims, at, True)
         return held
 
+    def require(self, message: str) -> "Report":
+        """This report if every claim passed; otherwise raises PreconditionError(message, self)."""
+        if not self.passed:
+            raise PreconditionError(message, self)
+        return self
+
     def note(self, text: str) -> None:
         self.notes.append(text)
 

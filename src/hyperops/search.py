@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import LieAlgebra
 from .geometry import (
     AD_INVARIANCE,
     COCYCLE,
@@ -129,9 +128,7 @@ def solve_forms(g, target: str) -> FormSpaceResult:
     identity = _TARGETS.get(target)
     if identity is None:
         raise ValueError(f"unknown target {target!r}")
-    if not isinstance(g, identity.algebra):
-        kind = "Lie" if identity.algebra is LieAlgebra else "pre-Lie"
-        raise TypeError(f"target {target} needs a {kind} algebra")
+    identity.check_algebra(g, f"target {target}")
     n = g.dim
     symmetry = identity.symmetry
     coords = identity.coords(n)

@@ -292,6 +292,39 @@ def test_correspondence_rejects_non_derivation():
     assert ("d2:derivation", (1, 2)) in claims
 
 
+def test_correspondence_records_singular_endomorphism():
+    g = abelian(2)
+    f = BilForm(Matrix.identity(2), SYMMETRIC)
+    rot = LinMap(Matrix.from_rows([[0, -1], [1, 0]]), ALGEBRA, ALGEBRA)
+    zero = LinMap(Matrix.zero(2, 2), ALGEBRA, ALGEBRA)
+    with pytest.raises(PreconditionError) as exc:
+        endo_triple_correspondence(g, f, zero, rot, rot, LIE_B)
+    assert [(r.claim, r.indices) for r in exc.value.report.violations] == [("invertible", (1,))]
+
+
+def test_correspondence_does_not_hide_errors_from_inverting(monkeypatch):
+    # only a singular matrix counts as "not invertible"; any other error escapes
+    def broken_inv(self):
+        raise RuntimeError("broken inverse")
+
+    monkeypatch.setattr(LinMap, "inv", broken_inv)
+    rot = LinMap(Matrix.from_rows([[0, -1], [1, 0]]), ALGEBRA, ALGEBRA)
+    with pytest.raises(RuntimeError, match="broken inverse"):
+        endo_triple_correspondence(abelian(2), BilForm(Matrix.identity(2), SYMMETRIC),
+                                   rot, rot, rot, LIE_B)
+
+
+def test_form_checks_reject_the_wrong_algebra_kind():
+    lie = parse_bundle(export_bundle("lie.L4sym"))
+    prelie = parse_bundle(export_bundle("prelie.I4")).algebra("g")
+    with pytest.raises(TypeError, match="^cocycle needs a Lie algebra$"):
+        is_symplectic(prelie, lie.form("w1"))
+    with pytest.raises(TypeError, match="^hessian-identity needs a pre-Lie algebra$"):
+        is_hessian(lie.algebra("g"), BilForm(Matrix.identity(4), SYMMETRIC))
+    with pytest.raises(TypeError, match="needs a Lie algebra"):
+        COCYCLE.check(Report(), prelie, lie.form("w1"))
+
+
 def test_induced_form_symmetry_enforced():
     f = BilForm(Matrix.identity(2), SYMMETRIC)
     p = LinMap(Matrix.diag([1, -1]), ALGEBRA, ALGEBRA)

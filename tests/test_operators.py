@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperops import operators
 from hyperops.algebra import (
     LieAlgebra,
     adjoint_rep,
@@ -133,9 +134,9 @@ def test_deformed_bracket_requires_nijenhuis():
     g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
     bad = LinMap(Matrix.from_rows(
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]), ALGEBRA, ALGEBRA)
-    if not is_nijenhuis(g, bad).passed:
-        with pytest.raises(PreconditionError):
-            deformed_bracket(g, bad)
+    assert not is_nijenhuis(g, bad).passed
+    with pytest.raises(PreconditionError):
+        deformed_bracket(g, bad)
 
 
 def test_dual_nijenhuis_and_deformed_representation():
@@ -170,6 +171,40 @@ def test_brackets_coincide_names_basis_vector_on_mismatch():
     with pytest.raises(PreconditionError) as exc:
         brackets_coincide(t.ctx, t.t[0], t.s[0].scale(Scalar(2)), t.n[0])
     assert "basis vector" in str(exc.value)
+
+
+def test_kn_proves_nijenhuis_and_pair_once(monkeypatch):
+    # the pair check inside is_kn proves N Nijenhuis; the deformation and the
+    # coincidence claims are then built on that one proof
+    calls = {"is_nijenhuis": 0, "is_dual_nijenhuis_pair": 0}
+    for name in calls:
+        fn = getattr(operators, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(operators, name, counted)
+    t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
+    assert operators.is_kn(t.ctx, t.t[0], t.s[1], t.n[1]).passed
+    assert calls == {"is_nijenhuis": 1, "is_dual_nijenhuis_pair": 1}
+
+
+def test_failing_pair_is_a_precondition_with_its_claims():
+    t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
+    s2 = t.s[1].scale(Scalar(2))
+    pair = is_dual_nijenhuis_pair(t.ctx, t.n[1], s2)
+    failing = [(r.claim, r.indices) for r in pair.violations]
+    assert failing
+    with pytest.raises(PreconditionError) as exc:
+        deformed_representation(t.ctx, t.n[1], s2)
+    assert str(exc.value) == "(N,S) is not a dual-Nijenhuis pair"
+    assert [(r.claim, r.indices) for r in exc.value.report.violations] == failing
+    with pytest.raises(PreconditionError) as exc:
+        is_kn(t.ctx, t.t[0], s2, t.n[1])
+    assert str(exc.value) == "KN preconditions failed"
+    assert [(r.claim, r.indices) for r in exc.value.report.violations] == [
+        ("(N,S):" + claim, idx) for claim, idx in failing]
 
 
 def test_dn_kd_kn_on_derived_data():

@@ -5,6 +5,8 @@ and counterexamples are 1-indexed basis tuples."""
 
 import dataclasses
 
+import pytest
+
 from hyperops import hyper
 from hyperops.algebra import LieAlgebra, check_lie, coadjoint_rep
 from hyperops.bundle import classify_triple, parse_bundle
@@ -20,7 +22,7 @@ from hyperops.operators import (
     is_kn,
     is_rdo,
 )
-from hyperops.reporting import Report
+from hyperops.reporting import PreconditionError, Report
 
 
 def _claims(rep):
@@ -114,3 +116,14 @@ def test_first_failure_key_identity(monkeypatch):
     ]
     assert [c for c in _claims(hyper.product_one_suite(t)) if c[0] == "key identity"] == [
         ("key identity", (i,), True, None) for i in (1, 2, 3)]
+
+
+def test_require_returns_the_report_or_raises_with_it():
+    rep = Report("pre")
+    rep.record("a", (1,), True)
+    assert rep.require("unused") is rep
+    rep.record("b", (2,), False, (2,))
+    with pytest.raises(PreconditionError) as exc:
+        rep.require("pre failed")
+    assert str(exc.value) == "pre failed"
+    assert exc.value.report is rep

@@ -124,6 +124,14 @@ def test_wrong_algebra_kind_rejected():
         solve_forms(b.algebra("g"), "no-such-target")
 
 
+def test_wrong_algebra_kind_message():
+    g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
+    with pytest.raises(TypeError, match=r"^target hessian needs a pre-Lie algebra$"):
+        solve_forms(g, HESSIAN)
+    with pytest.raises(TypeError, match=r"^target symplectic needs a Lie algebra$"):
+        solve_forms(_prelie("prelie.I4"), SYMPLECTIC)
+
+
 def test_instantiate_length_check():
     res = solve_forms(_prelie("prelie.I4"), HESSIAN)
     with pytest.raises(Exception):
