@@ -2,11 +2,12 @@
 form.
 
 The Hessian condition is linear in the form's coefficients, so the set of
-solutions is a linear space we can compute by exact elimination.  The only
-nonlinear question, nondegeneracy, reduces to whether the determinant of the
-generic solution is the zero polynomial.  The search answers it witness
-first: a parameter point where the determinant is nonzero proves existence,
-and the form at that point is a concrete nondegenerate Hessian form.
+solutions is a linear space we can compute by exact elimination: the forms
+sum t_k B_k over a basis B_1, ..., B_d of form matrices.  The only nonlinear
+question, nondegeneracy, reduces to whether det(sum t_k B_k) is the zero
+polynomial in t.  The search answers it witness first: a parameter point
+where the determinant is nonzero proves existence, and the form at that
+point is a concrete nondegenerate Hessian form.
 """
 
 from hyperops.bundle import parse_bundle

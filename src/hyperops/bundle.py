@@ -22,7 +22,8 @@ Schema (all scalar values are strings in the grammar of scalars.parse_scalar):
 
 Structure constants are sparse: Lie entries list i < j pairs and the mirrored
 pair is filled by antisymmetry unless it is given explicitly; pre-Lie entries
-list every nonzero product.  Indices are 1-based throughout.
+list every nonzero product.  The indices i, j, k are JSON integers (not
+floats, booleans or strings).  Indices are 1-based throughout.
 
 Every section and record must have the shape above, or parsing raises
 BundleError.  Algebra ``dim`` and module ``module_dim`` are capped at
@@ -150,10 +151,9 @@ def _parse_algebra(name: str, rec: dict):
     tensor = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     explicit = set()
     for rec_ijk in constants:
-        try:
-            i, j, k = int(rec_ijk["i"]), int(rec_ijk["j"]), int(rec_ijk["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BundleError(f"algebra {name!r}: bad constant record {rec_ijk!r}") from exc
+        if not isinstance(rec_ijk, dict) or any(type(rec_ijk.get(t)) is not int for t in "ijk"):
+            raise BundleError(f"algebra {name!r}: bad constant record {rec_ijk!r}")
+        i, j, k = rec_ijk["i"], rec_ijk["j"], rec_ijk["k"]
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise BundleError(f"algebra {name!r}: index out of range in {rec_ijk!r}")
         co = _scalar(rec_ijk.get("coeff", "1"), f"algebra {name!r}")

@@ -2,7 +2,8 @@
 
 Everything downstream (operator identities, cocycle systems, form searches)
 reduces to the handful of primitives here: product, inverse, rank, kernel,
-affine solving, and a sparse polynomial for generic-determinant tests.
+affine solving, and the determinant of a pencil sum t_k M_k of square
+matrices, at integer points t or as a sparse polynomial in t.
 
 A Matrix holds Gaussian-integer numerators over one denominator: integer
 tuples ``re`` and ``im`` (row-major) and a positive integer ``den``, so entry
@@ -13,7 +14,7 @@ scaling and transpose are integer loops that skip the imaginary parts of real
 operands.  ``det`` is Bareiss elimination with exact division in Z[i]
 (E. Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968).  The reduced row echelon form behind
-``rank``, ``inv``, ``kernel_basis`` and ``solve_affine`` comes from
+``rank``, ``inv``, ``kernel`` and ``solve_affine`` comes from
 fraction-free Gauss-Jordan elimination on integer rows, each updated row
 divided by the gcd of its parts; only the pivot rows are divided out at the
 end.  RREF, determinant and inverse are unique, so every pivot, kernel basis
@@ -21,8 +22,9 @@ and inverse is the one field arithmetic gives.
 
 Scalar is the boundary type.  Constructors take Scalars (or ints, Fractions,
 literals); ``__getitem__``, ``row``, ``col`` and ``entries`` return Scalars,
-built on first access and cached, and so do ``det``, the kernel vectors and
-affine solutions.  Poly keeps Scalar coefficients.
+built on first access and cached, and so do ``det`` and ``solve_affine``.
+``kernel`` returns its basis as the rows of one Matrix, and a pencil is a
+sequence of Matrices.  Poly keeps Scalar coefficients.
 """
 
 from __future__ import annotations
@@ -353,10 +355,10 @@ class Matrix:
             raise SingularMatrixError(npiv, n)
         return m._block(0, n, n, 2 * n)
 
-    def kernel_basis(self) -> list[tuple]:
-        """Pivot-normalized basis of the right kernel, canonical ordering."""
-        m, pivots = self._rref()
-        return _kernel(m, pivots, self.cols)
+    def kernel(self) -> "Matrix":
+        """Pivot-normalized basis of the right kernel, one vector a row, in
+        the canonical order of the free columns."""
+        return _kernel(*self._rref(), self.cols)
 
 
 def unit_columns(n: int) -> list[Matrix]:
@@ -425,20 +427,21 @@ def _hstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._make(a.rows, ca + cb, re, im, den)
 
 
-def _kernel(m: Matrix, pivots: list, ncols: int) -> list[tuple]:
-    """Kernel basis read off an RREF: one vector per free column among the
-    first ncols, with 1 at the free column and minus that column's RREF
-    entries at the pivot columns."""
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
+def _kernel(m: Matrix, pivots: list, ncols: int) -> Matrix:
+    """Kernel basis read off an RREF, as the rows of one matrix: one row per
+    free column among the first ncols, with 1 at the free column and minus
+    that column's RREF entries at the pivot columns."""
+    c = m.cols
+    free = [fc for fc in range(ncols) if fc not in pivots]
+    re, im = [], []
+    for fc in free:
+        vr, vi = [0] * ncols, [0] * ncols
+        vr[fc] = m.den
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r, fc]
-        basis.append(tuple(v))
-    return basis
+            vr[pc], vi[pc] = -m.re[r * c + fc], -m.im[r * c + fc]
+        re += vr
+        im += vi
+    return Matrix._make(len(free), ncols, re, im, m.den)
 
 
 @dataclass(frozen=True)
@@ -451,16 +454,6 @@ class AffineSolutionSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def point(self, params: Sequence[Scalar]) -> tuple:
-        if len(params) != self.dim:
-            raise DimensionError(f"need {self.dim} parameters, got {len(params)}")
-        out = list(self.particular)
-        for t, b in zip(params, self.basis):
-            t = _to_scalar(t)
-            for k in range(len(out)):
-                out[k] = out[k] + t * b[k]
-        return tuple(out)
 
 
 def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSpace | None:
@@ -475,7 +468,8 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSpace | None:
     particular = [ZERO] * a.cols
     for r, pc in enumerate(pivots):
         particular[pc] = m[r, a.cols]
-    return AffineSolutionSpace(tuple(particular), tuple(_kernel(m, pivots, a.cols)))
+    k = _kernel(m, pivots, a.cols)
+    return AffineSolutionSpace(tuple(particular), tuple(k.row(r) for r in range(k.rows)))
 
 
 # -- sparse polynomials -----------------------------------------------
@@ -596,28 +590,21 @@ def _poly_det(entries: list[list[Poly]], nvars: int) -> Poly:
     return out
 
 
-def _check_reshape(space: AffineSolutionSpace, shape: int):
-    if len(space.particular) != shape * shape:
-        raise DimensionError(
-            f"solution vectors of length {len(space.particular)} do not reshape to {shape}x{shape}"
-        )
+def pencil(mats: Sequence[Matrix], t: Sequence, n: int) -> Matrix:
+    """The n x n matrix sum t_k mats[k]; the zero matrix when mats is empty."""
+    if len(t) != len(mats):
+        raise DimensionError(f"need {len(mats)} parameters, got {len(t)}")
+    return sum((m.scale(v) for v, m in zip(t, mats)), Matrix.zero(n, n))
 
 
-def generic_determinant(space: AffineSolutionSpace, shape: int) -> Poly:
-    """det(particular + sum t_k basis_k) reshaped to shape x shape, as a Poly in t."""
-    _check_reshape(space, shape)
-    nvars = space.dim
-    entries = []
-    for i in range(shape):
-        row = []
-        for j in range(shape):
-            idx = i * shape + j
-            p = Poly.constant(nvars, space.particular[idx])
-            for k, b in enumerate(space.basis):
-                if not b[idx].is_zero():
-                    p = p + Poly(nvars, ((tuple(1 if v == k else 0 for v in range(nvars)), b[idx]),))
-            row.append(p)
-        entries.append(row)
+def generic_determinant(mats: Sequence[Matrix], n: int) -> Poly:
+    """det(sum t_k mats[k]) of n x n matrices, as a Poly in t."""
+    if any(m.rows != n or m.cols != n for m in mats):
+        raise DimensionError(f"a pencil of {n}x{n} matrices needs every matrix {n}x{n}")
+    nvars = len(mats)
+    units = [tuple(int(v == k) for v in range(nvars)) for k in range(nvars)]
+    entries = [[Poly._from_dict(nvars, {e: m[i, j] for e, m in zip(units, mats)})
+                for j in range(n)] for i in range(n)]
     return _poly_det(entries, nvars)
 
 
@@ -636,24 +623,21 @@ def witness_points(nvars: int) -> list[tuple]:
     return points
 
 
-def det_witness(space: AffineSolutionSpace, shape: int) -> tuple | None:
-    """Integer parameters t with det(particular + sum t_k basis_k) != 0, the
-    vectors reshaped to shape x shape, or None when that determinant is the
-    zero polynomial.
+def det_witness(mats: Sequence[Matrix], n: int) -> tuple | None:
+    """Integer parameters t with det(sum t_k mats[k]) != 0 for the pencil of
+    n x n matrices (n >= 1), or None when that determinant is the zero
+    polynomial.  An empty pencil is the zero matrix, so it gives None.
 
     A nonzero determinant at any point proves the polynomial nonzero, so the
     points of `witness_points` are tried first, each by one Bareiss `det`.
     Only when all of them give 0 is the polynomial expanded by
     `generic_determinant`: zero means no such t exists, and otherwise a
-    point is read off it.  Its degree in each t_k is at most shape, since
-    every entry is affine in t."""
-    _check_reshape(space, shape)
-    nvars = space.dim
-    stack = Matrix(nvars + 1, shape * shape,
-                   [*space.particular, *(v for b in space.basis for v in b)])
-    for point in witness_points(nvars):
-        m = Matrix._make(1, nvars + 1, (1, *point), (0,) * (nvars + 1), 1, reduce=False) * stack
-        if not Matrix._make(shape, shape, m.re, m.im, m.den, reduce=False).det().is_zero():
+    point is read off it.  Its degree in each t_k is at most n, since every
+    entry is linear in t."""
+    if not mats:
+        return None
+    for point in witness_points(len(mats)):
+        if not pencil(mats, point, n).det().is_zero():
             return point
-    det = generic_determinant(space, shape)
-    return None if det.is_zero() else det.nonzero_point(shape)
+    det = generic_determinant(mats, n)
+    return None if det.is_zero() else det.nonzero_point(n)

@@ -4,13 +4,14 @@ decide whether a nondegenerate solution exists.
 The identity is linear in the form, so its solutions are the kernel of an
 integer system over the identity's coordinates (`FormIdentity.coords`), one
 row per basis tuple: the `FormIdentity.row` that the form checks evaluate
-too.  The kernel comes from one exact elimination; the particular solution
-is zero.  Existence is decided witness first (`linalg.det_witness`): a
-nonzero determinant at a small integer parameter point proves that a
-nondegenerate form exists and is kept as `FormSpaceResult.witness`.  Only
-when every tried point gives 0 is the determinant of the generic solution
-expanded as a polynomial, which proves nonexistence when it is zero and
-yields a witness otherwise.
+too.  The kernel comes from one exact elimination, and each of its rows is
+embedded once, in integers, as an n x n form matrix.  The forms are the
+pencil sum t_k basis_k of these matrices.  Existence is decided witness
+first (`linalg.det_witness`): a nonzero determinant of the pencil at a small
+integer point t proves that a nondegenerate form exists and is kept as
+`FormSpaceResult.witness`.  Only when every tried point gives 0 is the
+determinant expanded as a polynomial in t, which proves nonexistence when it
+is zero and yields a witness otherwise.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ from .geometry import (
     FormIdentity,
 )
 from .linalg import (
-    AffineSolutionSpace,
     DimensionError,
     Matrix,
     Poly,
     det_witness,
     generic_determinant,
+    pencil,
     solve_affine,
     unit_columns,
 )
-from .scalars import ZERO
 
 SYMPLECTIC = "symplectic"
 HESSIAN = "hessian"
@@ -52,33 +52,13 @@ _TARGETS = {
 }
 
 
-def _embed(n: int, symmetry: str, coords, coord_vector) -> Matrix:
-    """Coordinate vector over the upper triangle -> full n x n matrix."""
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in zip(coords, coord_vector):
-        rows[i][j] = v
-        if symmetry == SKEW:
-            rows[j][i] = -v
-        elif i != j:
-            rows[j][i] = v
-    return Matrix.from_rows(rows)
-
-
-def _matrix_space(n: int, symmetry: str, coords, space: AffineSolutionSpace) -> AffineSolutionSpace:
-    """The coordinate space embedded as full n x n matrices, flattened row-major."""
-    return AffineSolutionSpace(
-        _embed(n, symmetry, coords, space.particular).entries(),
-        tuple(_embed(n, symmetry, coords, b).entries() for b in space.basis),
-    )
-
-
 @dataclass(frozen=True)
 class FormSpaceResult:
     algebra: object
     target: str
     symmetry: str
     coords: tuple  # coordinate index pairs (0-indexed)
-    space: AffineSolutionSpace
+    basis: tuple  # n x n form matrices; the solutions are their combinations
     witness: tuple | None  # parameters of a nondegenerate form; None when none exists
 
     @property
@@ -87,27 +67,22 @@ class FormSpaceResult:
 
     @cached_property
     def generic_det(self) -> Poly:
-        """The determinant of the generic solution as a polynomial in the
-        parameters, expanded by cofactors on first access."""
-        n = self.algebra.dim
-        return generic_determinant(_matrix_space(n, self.symmetry, self.coords, self.space), n)
+        """det(sum t_k basis_k) as a polynomial in t, expanded by cofactors
+        on first access."""
+        return generic_determinant(self.basis, self.algebra.dim)
 
     @property
     def dim(self) -> int:
-        return self.space.dim
-
-    def form_matrix(self, coord_vector) -> Matrix:
-        return _embed(self.algebra.dim, self.symmetry, self.coords, coord_vector)
-
-    def coords_of(self, f: BilForm):
-        return tuple(f.matrix[i, j] for (i, j) in self.coords)
+        return len(self.basis)
 
     def contains(self, f: BilForm) -> bool:
-        """Membership test: does the solution space contain this form's coordinates?"""
-        target = self.coords_of(f)
-        a = Matrix(len(target), self.space.dim,
-                   [b[k] for k in range(len(target)) for b in self.space.basis])
-        return solve_affine(a, target) is not None
+        """Does f's full matrix lie in the span of the basis?"""
+        n = self.algebra.dim
+        if f.dim != n:
+            raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
+        cols = [b.entries() for b in self.basis]
+        a = Matrix(n * n, self.dim, [v for row in zip(*cols) for v in row])
+        return solve_affine(a, f.matrix.entries()) is not None
 
 
 def _system(g, identity: FormIdentity, coords) -> Matrix:
@@ -130,17 +105,21 @@ def solve_forms(g, target: str) -> FormSpaceResult:
         raise ValueError(f"unknown target {target!r}")
     identity.check_algebra(g, f"target {target}")
     n = g.dim
-    symmetry = identity.symmetry
     coords = identity.coords(n)
-    kernel = _system(g, identity, coords).kernel_basis()
-    space = AffineSolutionSpace((ZERO,) * len(coords), tuple(kernel))
-    witness = det_witness(_matrix_space(n, symmetry, coords, space), n)
-    return FormSpaceResult(g, target, symmetry, tuple(coords), space, witness)
+    k = _system(g, identity, coords).kernel()
+    sign = -1 if identity.symmetry == SKEW else 1
+    basis = []
+    for r in range(k.rows):
+        re, im = [0] * (n * n), [0] * (n * n)
+        row = slice(r * k.cols, (r + 1) * k.cols)
+        for (i, j), a, b in zip(coords, k.re[row], k.im[row]):
+            re[i * n + j], im[i * n + j] = a, b
+            re[j * n + i], im[j * n + i] = sign * a, sign * b
+        basis.append(Matrix._make(n, n, re, im, k.den))
+    return FormSpaceResult(g, target, identity.symmetry, tuple(coords), tuple(basis),
+                           det_witness(basis, n))
 
 
 def instantiate(result: FormSpaceResult, params) -> BilForm:
-    """Concrete form particular + sum params_k basis_k with its symmetry tag."""
-    if len(params) != result.dim:
-        raise DimensionError(f"need {result.dim} parameters, got {len(params)}")
-    coord_vector = result.space.point(list(params))
-    return BilForm(result.form_matrix(coord_vector), result.symmetry)
+    """The form sum params_k basis_k with its symmetry tag."""
+    return BilForm(pencil(result.basis, params, result.algebra.dim), result.symmetry)

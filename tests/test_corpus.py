@@ -98,6 +98,12 @@ def test_parse_rejects_malformed_documents():
     {"algebras": []},
     {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": 7}}},
     {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": ["ijk"]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2,
+                        "constants": [{"i": 1.9, "j": 2.2, "k": True}]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": [{"i": 1, "j": 2, "k": 1.0}]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": [{"i": 1, "j": True, "k": 1}]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": [{"i": "1", "j": 2, "k": 1}]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": [{"i": 1, "j": 2}]}}},
     {"algebras": {"g": {"kind": "lie", "dim": True}}},
     {"algebras": {"g": {"kind": "lie", "dim": MAX_DIM + 1}}},
     {"algebras": {"g": {"kind": "lie", "dim": 1000000}}},

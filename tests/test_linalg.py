@@ -9,15 +9,16 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hyperops.linalg import (
-    AffineSolutionSpace,
     DimensionError,
     Matrix,
     Poly,
     SingularMatrixError,
+    det_witness,
     generic_determinant,
+    pencil,
     solve_affine,
 )
-from hyperops.scalars import ONE, ZERO, Scalar
+from hyperops.scalars import ZERO, Scalar
 
 
 def mat(rows):
@@ -83,22 +84,27 @@ def test_det_matches_sympy(a):
 @given(matrices3)
 @settings(max_examples=60, deadline=None)
 def test_rank_plus_nullity(a):
-    assert a.rank() + len(a.kernel_basis()) == 3
+    k = a.kernel()
+    assert a.rank() + k.rows == 3 and k.cols == 3
 
 
 @given(matrices3)
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(a):
-    for v in a.kernel_basis():
-        assert (a * Matrix.column(v)).is_zero()
+    assert (a * a.kernel().transpose()).is_zero()
 
 
-def test_kernel_basis_is_canonical():
+def test_kernel_is_canonical():
     a = mat([[1, 2, 3], [2, 4, 6]])
-    b1 = a.kernel_basis()
-    b2 = mat([[2, 4, 6], [1, 2, 3]]).kernel_basis()
+    b1 = a.kernel()
+    b2 = mat([[2, 4, 6], [1, 2, 3]]).kernel()
     assert b1 == b2
-    assert len(b1) == 2
+    assert b1 == mat([[-2, 1, 0], [-3, 0, 1]])
+
+
+def test_kernel_of_a_full_rank_matrix_has_no_rows():
+    k = mat([[1, 2], [3, 4]]).kernel()
+    assert (k.rows, k.cols) == (0, 2)
 
 
 def test_solve_affine_unique():
@@ -112,7 +118,7 @@ def test_solve_affine_underdetermined():
     a = mat([[1, 1, 1]])
     space = solve_affine(a, [Scalar(6)])
     assert space.dim == 2
-    pt = space.point([Scalar(1), Scalar(2)])
+    pt = [p + b1 + b2 * 2 for p, b1, b2 in zip(space.particular, *space.basis)]
     total = pt[0] + pt[1] + pt[2]
     assert total == Scalar(6)
 
@@ -131,26 +137,38 @@ def test_poly_arithmetic_and_evaluation():
 
 
 def test_generic_determinant_matches_pointwise():
-    # 2x2 space: particular = [[1,0],[0,0]], basis adds t at (1,1)
-    space = AffineSolutionSpace(
-        (ONE, ZERO, ZERO, ZERO),
-        ((ZERO, ZERO, ZERO, ONE),),
-    )
-    det = generic_determinant(space, 2)
+    # the pencil [[s, 0], [0, t]]: s at (0, 0), t at (1, 1)
+    mats = (mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
+    det = generic_determinant(mats, 2)
     assert not det.is_zero()
-    for t in (Scalar(0), Scalar(1), Scalar(7), Scalar(0, 1)):
-        pt = space.point([t])
-        concrete = Matrix(2, 2, list(pt)).det()
-        assert det.evaluate([t]) == concrete
+    for s, t in ((Scalar(0), Scalar(3)), (Scalar(1), Scalar(1)), (Scalar(2), Scalar(7)),
+                 (Scalar(5), Scalar(0, 1))):
+        concrete = Matrix(2, 2, [s, ZERO, ZERO, t]).det()
+        assert det.evaluate([s, t]) == concrete == s * t
 
 
 def test_generic_determinant_zero_polynomial():
-    # all matrices in this family are singular (rank <= 1)
-    space = AffineSolutionSpace(
-        (ZERO,) * 4,
-        ((ONE, ZERO, ONE, ZERO),),
-    )
-    assert generic_determinant(space, 2).is_zero()
+    # all matrices in this pencil are singular (rank <= 1)
+    mats = (mat([[1, 0], [1, 0]]), mat([[0, 2], [0, 2]]))
+    assert generic_determinant(mats, 2).is_zero()
+
+
+def test_empty_pencil_is_the_zero_matrix():
+    assert pencil((), (), 3) == Matrix.zero(3, 3)
+    assert generic_determinant((), 3).is_zero()
+    assert det_witness((), 3) is None
+
+
+def test_pencil_shapes_are_checked():
+    mats = (mat([[1, 0], [0, 1]]),)
+    with pytest.raises(DimensionError):
+        pencil(mats, (1, 2), 2)
+    with pytest.raises(DimensionError):
+        pencil(mats, (1,), 3)
+    with pytest.raises(DimensionError):
+        generic_determinant(mats, 3)
+    with pytest.raises(DimensionError):
+        det_witness(mats, 3)
 
 
 # -- the integer kernel against a Fraction-pair reference -------------
@@ -295,7 +313,10 @@ def test_ring_operations_match_reference(data):
 def test_rank_and_kernel_match_reference(a):
     rref, pivots = ref_rref(ref_of(a))
     assert a.rank() == len(pivots)
-    assert [pairs(v) for v in a.kernel_basis()] == ref_kernel(rref, pivots, a.cols)
+    k = a.kernel()
+    assert k.cols == a.cols
+    assert [pairs(k.row(r)) for r in range(k.rows)] == ref_kernel(rref, pivots, a.cols)
+    assert_canonical(k)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: matrices(rows=n, cols=n)))

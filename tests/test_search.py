@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from hyperops.bundle import parse_bundle
 from hyperops.corpus import export_bundle
-from hyperops.geometry import is_hessian, is_invariant_form, is_symplectic
-from hyperops.linalg import Matrix
-from hyperops.scalars import Scalar
+from hyperops.geometry import BilForm, is_hessian, is_invariant_form, is_symplectic
+from hyperops.linalg import DimensionError, Matrix, det_witness, generic_determinant, witness_points
+from hyperops.scalars import ZERO, Scalar
 from hyperops.search import (
     AD_INVARIANT,
     HESSIAN,
@@ -138,6 +138,41 @@ def test_instantiate_length_check():
         instantiate(res, [Scalar(1)] * (res.dim + 1))
 
 
+def test_contains_rejects_a_form_of_another_dimension():
+    b = parse_bundle(export_bundle("prelie.I4"))
+    res = solve_forms(b.algebra("g"), HESSIAN)
+    # B in the upper-left block of a 5 x 5 form, and a 3 x 3 form
+    big = Matrix(5, 5, [b.form("B").matrix[i, j] if i < 4 and j < 4 else 0
+                        for i in range(5) for j in range(5)])
+    for m in (big, Matrix.identity(3)):
+        with pytest.raises(DimensionError, match=rf"^form dim {m.rows} != algebra dim 4$"):
+            res.contains(BilForm(m, "symmetric"))
+
+
+def test_contains_decides_on_the_full_matrix():
+    from hyperops.algebra import LieAlgebra
+
+    res = solve_forms(LieAlgebra(4, _zero_constants(4)), SYMPLECTIC)
+    assert res.dim == 6
+    # above the diagonal the identity has the entries of the zero skew form
+    assert not res.contains(BilForm(Matrix.identity(4), "symmetric"))
+    skew = Matrix.from_rows([[0, 1, 0, 2], [-1, 0, 3, 0], [0, -3, 0, 0], [-2, 0, 0, 0]])
+    assert res.contains(BilForm(skew, "skew"))
+
+
+def test_zero_dimensional_space():
+    from hyperops.algebra import LieAlgebra
+
+    res = solve_forms(LieAlgebra(1, _zero_constants(1)), SYMPLECTIC)
+    assert res.dim == 0 and res.basis == ()
+    assert res.witness is None and not res.exists_nondegenerate
+    assert res.generic_det.is_zero()
+    f = instantiate(res, ())
+    assert f.matrix == Matrix.zero(1, 1)
+    assert res.contains(f)
+    assert not res.contains(BilForm(Matrix.identity(1), "symmetric"))
+
+
 # -- the linear systems, rebuilt independently ----------------------------
 
 
@@ -234,14 +269,18 @@ def _transport(g, kind, op):
 
 @pytest.mark.parametrize("g,target", _search_cases())
 def test_solve_forms_matches_independent_system(g, target):
-    from hyperops.linalg import solve_affine
-
-    a = _independent_system(g, target)
-    want = solve_affine(a, [0] * a.rows)
+    n = g.dim
+    units = _unit_forms(n, target in (SYMPLECTIC, PRELIE_INVARIANT))
+    want = _independent_system(g, target).kernel()
     res = solve_forms(g, target)
-    assert res.space.particular == want.particular
-    assert res.space.basis == want.basis
-    assert len(res.coords) == len(_unit_forms(g.dim, target in (SYMPLECTIC, PRELIE_INVARIANT)))
+    assert len(res.coords) == len(units)
+    # the basis read back on the coordinates is the canonical kernel itself
+    assert Matrix(res.dim, len(res.coords),
+                  [b[i, j] for b in res.basis for (i, j) in res.coords]) == want
+    # and each basis matrix is its kernel row spread over the unit forms
+    assert res.basis == tuple(
+        sum((u.scale(want[r, c]) for c, u in enumerate(units)), Matrix.zero(n, n))
+        for r in range(want.rows))
     if g.dim == 5 and target == HESSIAN:
         assert res.dim == 1 and res.exists_nondegenerate
 
@@ -299,60 +338,52 @@ def test_corpus_existence_decisions():
 
 
 def _vanishing_form(nvars):
-    """Coefficients (a, b_1, ..., b_nvars) of a nonzero a + sum b_k t_k that
-    vanishes at every point of `witness_points(nvars)`; needs nvars >= 4."""
-    from hyperops.linalg import witness_points
+    """The rows are the coefficients (b_1, ..., b_nvars) of linear forms
+    sum b_k t_k that vanish at every point of `witness_points(nvars)`; there
+    is a nonzero one when nvars >= 5."""
+    return Matrix.from_rows([list(p) for p in witness_points(nvars)]).kernel()
 
-    return Matrix.from_rows([[1, *p] for p in witness_points(nvars)]).kernel_basis()
 
-
-def _affine_space(n, nvars, entries):
-    from hyperops.linalg import AffineSolutionSpace
-
+def _pencil(n, nvars, entries):
     size = n * n
-    vecs = [tuple(Scalar(v) if isinstance(v, int) else v for v in entries[k * size:(k + 1) * size])
-            for k in range(nvars + 1)]
-    return AffineSolutionSpace(vecs[0], tuple(vecs[1:]))
+    return tuple(Matrix(n, n, entries[k * size:(k + 1) * size]) for k in range(nvars))
 
 
-def _check_witness_against_oracle(space, n):
-    from hyperops.linalg import det_witness, generic_determinant
-
-    w = det_witness(space, n)
-    det = generic_determinant(space, n)
+def _check_witness_against_oracle(mats, n):
+    w = det_witness(mats, n)
+    det = generic_determinant(mats, n)
     assert (w is None) == det.is_zero()
     if w is not None:
-        value = Matrix(n, n, space.point(list(w))).det()
+        # the pencil at w, summed entry by entry
+        value = Matrix(n, n, [sum((m[i, j] * t for m, t in zip(mats, w)), ZERO)
+                              for i in range(n) for j in range(n)]).det()
         assert not value.is_zero()
         assert value == det.evaluate(w)
     return w, det
 
 
 def test_witness_read_off_reaches_the_degree_bound():
-    # a 1 x 1 family whose entry, a linear form in t_1..t_5 without constant
-    # term, vanishes at every tried point: the read-off keeps t_1..t_4 = 0
-    # and must give t_5 its top value 1
-    from hyperops.linalg import witness_points
-
-    kernel = Matrix.from_rows([list(p) for p in witness_points(5)]).kernel_basis()
-    assert len(kernel) == 1 and kernel[0][4] == Scalar(1)
-    space = _affine_space(1, 5, [0, *kernel[0]])
-    w, _ = _check_witness_against_oracle(space, 1)
+    # a 1 x 1 pencil whose entry, a linear form in t_1..t_5, vanishes at
+    # every tried point: the read-off keeps t_1..t_4 = 0 and must give t_5
+    # its top value 1
+    kernel = _vanishing_form(5)
+    assert kernel.rows == 1 and kernel[0, 4] == Scalar(1)
+    w, _ = _check_witness_against_oracle(_pencil(1, 5, kernel.row(0)), 1)
     assert w == (0, 0, 0, 0, 1)
 
 
 @st.composite
 def _families(draw):
-    """(space, n, kind): a random integer affine family of n x n matrices, or one
+    """(mats, n, kind): a random integer pencil of n x n matrices, or one
     built to be singular (a zero row, two equal rows), or one whose (1, 1)
     entry vanishes at every tried point with the rest of its row and column
     zero, so its determinant does too."""
     n = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(("random", "zero-row", "equal-rows", "vanishing")))
-    nvars = draw(st.integers(4, 5) if kind == "vanishing" else st.integers(0, 4))
-    entries = draw(st.lists(st.integers(-2, 2), min_size=(nvars + 1) * n * n,
-                            max_size=(nvars + 1) * n * n))
-    for k in range(nvars + 1):
+    nvars = draw(st.integers(5, 6) if kind == "vanishing" else st.integers(0, 5))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=nvars * n * n,
+                            max_size=nvars * n * n))
+    for k in range(nvars):
         block = k * n * n
         if kind == "zero-row":
             for j in range(n):
@@ -365,22 +396,20 @@ def _families(draw):
                 entries[block + j] = entries[block + j * n] = 0
     if kind == "vanishing":
         kernel = _vanishing_form(nvars)
-        coeffs = kernel[draw(st.integers(0, len(kernel) - 1))]
-        for k in range(nvars + 1):
+        coeffs = kernel.row(draw(st.integers(0, kernel.rows - 1)))
+        for k in range(nvars):
             entries[k * n * n] = coeffs[k]
-    return _affine_space(n, nvars, entries), n, kind
+    return _pencil(n, nvars, entries), n, kind
 
 
 @settings(max_examples=150, deadline=None)
 @given(_families())
 def test_witness_first_matches_cofactor_oracle(family):
-    from hyperops.linalg import witness_points
-
-    space, n, kind = family
-    w, det = _check_witness_against_oracle(space, n)
-    if kind == "zero-row" or (kind == "equal-rows" and n > 1):
+    mats, n, kind = family
+    w, det = _check_witness_against_oracle(mats, n)
+    if kind == "zero-row" or (kind == "equal-rows" and n > 1) or not mats:
         assert w is None
     if kind == "vanishing":
-        assert all(det.evaluate(p).is_zero() for p in witness_points(space.dim))
+        assert all(det.evaluate(p).is_zero() for p in witness_points(len(mats)))
         if w is not None:  # read off the polynomial: every value in {0, ..., n}
             assert all(0 <= v <= n for v in w)
