@@ -39,26 +39,20 @@ def _tensor(dim, data) -> tuple:
 
 
 def _sparse(dim: int, t: tuple) -> tuple:
-    """Integer copy of a tensor t[i][j][k]: (den, real, rows, flat) where
-    rows[i] lists (j, ((k, re, im), ...)) over the nonzero slices and flat is
-    (re, im) of all entries, row-major."""
+    """Integer copy of a tensor t[i][j][k]: (den, real, rows, flat, cols).
+    cols[i * dim + j] lists the nonzero (k, re, im) of t[i][j], rows[i] the
+    nonzero (j, cols[i * dim + j]) and flat all entries' (re, im), row-major."""
     re, im, den = gaussian_parts([v for plane in t for line in plane for v in line])
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            base = (i * dim + j) * dim
-            terms = tuple((k, re[base + k], im[base + k])
-                          for k in range(dim) if re[base + k] or im[base + k])
-            if terms:
-                row.append((j, terms))
-        rows.append(tuple(row))
-    return den, not any(im), tuple(rows), (re, im)
+    cols = tuple(tuple((k, re[b + k], im[b + k]) for k in range(dim) if re[b + k] or im[b + k])
+                 for b in range(0, dim ** 3, dim))
+    rows = tuple(tuple((j, cols[i * dim + j]) for j in range(dim) if cols[i * dim + j])
+                 for i in range(dim))
+    return den, not any(im), rows, (re, im), cols
 
 
 def _contract(sp: tuple, dim: int, x: Matrix, y: Matrix) -> Matrix:
     """sum_{i,j,k} x_i y_j t[i][j][k] e_k for column vectors x, y."""
-    den, real, rows, _ = sp
+    den, real, rows, _, _ = sp
     xr, xi, yr, yi = x.re, x.im, y.re, y.im
     out_r = [0] * dim
     if real and x.is_real() and y.is_real():
@@ -91,7 +85,7 @@ def _contract(sp: tuple, dim: int, x: Matrix, y: Matrix) -> Matrix:
 
 def _slice(sp: tuple, dim: int, i: int, j: int) -> Matrix:
     """The column t[i][j] of a tensor, from its integer copy."""
-    den, _, _, (re, im) = sp
+    den, _, _, (re, im), _ = sp
     base = (i * dim + j) * dim
     return Matrix._make(dim, 1, re[base:base + dim], im[base:base + dim], den)
 
@@ -125,6 +119,11 @@ class LieAlgebra:
     def basis_bracket(self, i: int, j: int) -> Matrix:
         return _slice(self._sp, self.dim, i, j)
 
+    def column_numerators(self, i: int, j: int) -> tuple:
+        """The nonzero (k, re, im) of [e_i, e_j] (e_i . e_j in a pre-Lie
+        algebra), as numerators over the structure constants' denominator."""
+        return self._sp[4][i * self.dim + j]
+
 
 @dataclass(frozen=True)
 class PreLieAlgebra:
@@ -151,6 +150,8 @@ class PreLieAlgebra:
 
     def basis_product(self, i: int, j: int) -> Matrix:
         return _slice(self._sp, self.dim, i, j)
+
+    column_numerators = LieAlgebra.column_numerators
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for differential-operator structures on Lie "
                     "and pre-Lie algebras.",
     )
+    # --format before or after the command; unset, it is text (see run), and
+    # a command's default would overwrite the one given before it
+    fmt = {"choices": ("text", "json"), "default": argparse.SUPPRESS}
+    parser.add_argument("--format", **fmt)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, fn, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("bundle")
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", **fmt)
         p.set_defaults(fn=fn)
     return parser
 

@@ -8,9 +8,9 @@ at (i,j) and -1 at (j,i), tensor e_i*⊗e_j* contributes +1 at (i,j).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 from typing import Callable
 
@@ -87,13 +87,23 @@ class BilForm:
         return cls(Matrix.from_rows(m), symmetry)
 
 
+@functools.cache
+def _coordinates(n: int, skew: bool) -> tuple:
+    """The coordinates of an n-dimensional form, and at r * n + u the (index,
+    sign) of f(e_r, e_u) among them, with sign 0 on a skew form's diagonal."""
+    coords = tuple((i, j) for i in range(n) for j in range(i + skew, n))
+    at = {(j, i): (m, -1 if skew else 1) for m, (i, j) in enumerate(coords)}
+    at.update((c, (m, 1)) for m, c in enumerate(coords))
+    return coords, tuple(at.get((r, u), (0, 0)) for r in range(n) for u in range(n))
+
+
 @dataclass(frozen=True)
 class FormIdentity:
     """A linear identity on the bilinear forms f of one symmetry class over
-    one kind of algebra, with an instance per basis tuple t: terms(g, *e_t)
-    lists signed pairs (sign, a, b) and the instance reads
-    sum(sign * f(a, b)) = 0.  The form checks below and the linear systems of
-    `search.solve_forms` both evaluate these terms, through `row`."""
+    one kind of algebra, with an instance per basis tuple t: terms(*t) lists
+    (sign, a, b) and the instance reads sum(sign * f(a, b)) = 0, where one of
+    a, b is an index u for e_u and the other a pair (p, q) for e_p e_q.  The
+    form checks below and `search.solve_forms` both evaluate it through `row`."""
 
     claim: str
     algebra: type
@@ -104,7 +114,7 @@ class FormIdentity:
     def coords(self, n: int) -> list[tuple[int, int]]:
         """The form's coordinates: the entries above the diagonal (skew) or on
         and above it (symmetric), row-major."""
-        return [(i, j) for i in range(n) for j in range(i + (self.symmetry == SKEW), n)]
+        return list(_coordinates(n, self.symmetry == SKEW)[0])
 
     def check_algebra(self, g, what: str) -> None:
         """Raise TypeError naming the kind needed unless g is this identity's kind."""
@@ -112,28 +122,23 @@ class FormIdentity:
             kind = "Lie" if self.algebra is LieAlgebra else "pre-Lie"
             raise TypeError(f"{what} needs a {kind} algebra")
 
-    def row(self, g, eb, t, coords) -> tuple[list, list]:
-        """The instance at basis tuple t of the unit columns eb, times a
-        positive integer, as Gaussian-integer coefficients (real parts,
-        imaginary parts) on coords: the terms sum to sum_ij P_ij f(e_i, e_j)
-        with P = sum(sign * a b^T), so coordinate (i, j) gets P_ij -/+ P_ji
-        (skew/symmetric) or P_ii."""
+    def row(self, g, t) -> tuple[list, list]:
+        """The instance at basis tuple t times the denominator of g's structure
+        constants, as Gaussian-integer coefficients (real parts, imaginary
+        parts) on coords(n): each component c_k of e_p e_q in a term
+        sign * f(e_p e_q, e_u) adds sign * c_k at f(e_k, e_u)'s `_coordinates` place."""
         n = g.dim
-        terms = self.terms(g, *(eb[i] for i in t))
-        den = lcm(*(a.den * b.den for _, a, b in terms))
-        pr, pi = [0] * (n * n), [0] * (n * n)
-        for sign, a, b in terms:
-            f = sign * (den // (a.den * b.den))
-            bs = [(j, b.re[j], b.im[j]) for j in range(n) if b.re[j] or b.im[j]]
-            for i in range(n):
-                ar, ai = f * a.re[i], f * a.im[i]
-                if ar or ai:
-                    for j, br, bi in bs:
-                        pr[i * n + j] += ar * br - ai * bi
-                        pi[i * n + j] += ar * bi + ai * br
-        flip = -1 if self.symmetry == SKEW else 1
-        return tuple([p[i * n + j] + flip * p[j * n + i] if i != j else p[i * n + i]
-                      for i, j in coords] for p in (pr, pi))
+        coords, place = _coordinates(n, self.symmetry == SKEW)
+        rr, ri = [0] * len(coords), [0] * len(coords)
+        for sign, a, b in self.terms(*t):
+            left = isinstance(a, tuple)
+            (p, q), u = (a, b) if left else (b, a)
+            for k, vr, vi in g.column_numerators(p, q):
+                m, s = place[k * n + u if left else u * n + k]
+                if s:
+                    rr[m] += sign * s * vr
+                    ri[m] += sign * s * vi
+        return rr, ri
 
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
         """Record the identity for f, a form of this identity's symmetry, at
@@ -144,12 +149,10 @@ class FormIdentity:
         n, m = g.dim, f.matrix
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        eb, coords = unit_columns(n), self.coords(n)
-        fr = [m.re[i * n + j] for i, j in coords]
-        fi = [m.im[i * n + j] for i, j in coords]
+        fr, fi = ([v[i * n + j] for i, j in self.coords(n)] for v in (m.re, m.im))
 
         def holds(*t):
-            rr, ri = self.row(g, eb, t, coords)
+            rr, ri = self.row(g, t)
             return (sum(map(mul, rr, fr)) == sum(map(mul, ri, fi))
                     and sum(map(mul, rr, fi)) + sum(map(mul, ri, fr)) == 0)
 
@@ -163,22 +166,20 @@ def _all_triples(n: int):
 # w([x,y],z) + w([z,x],y) + w([y,z],x) = 0 for i < j < k
 COCYCLE = FormIdentity(
     "cocycle", LieAlgebra, SKEW, lambda n: itertools.combinations(range(n), 3),
-    lambda g, x, y, z: ((1, g.bracket(x, y), z), (1, g.bracket(z, x), y),
-                        (1, g.bracket(y, z), x)))
+    lambda i, j, k: ((1, (i, j), k), (1, (k, i), j), (1, (j, k), i)))
 # B(xy,z) - B(x,yz) - B(yx,z) + B(y,xz) = 0 for i < j, all k
 HESSIAN_IDENTITY = FormIdentity(
     "hessian-identity", PreLieAlgebra, SYMMETRIC,
     lambda n: ((i, j, k) for i, j in itertools.combinations(range(n), 2) for k in range(n)),
-    lambda g, x, y, z: ((1, g.product(x, y), z), (-1, x, g.product(y, z)),
-                        (-1, g.product(y, x), z), (1, y, g.product(x, z))))
+    lambda i, j, k: ((1, (i, j), k), (-1, i, (j, k)), (-1, (j, i), k), (1, j, (i, k))))
 # B([x,y],z) - B(x,[y,z]) = 0
 AD_INVARIANCE = FormIdentity(
     "ad-invariance", LieAlgebra, SYMMETRIC, _all_triples,
-    lambda g, x, y, z: ((1, g.bracket(x, y), z), (-1, x, g.bracket(y, z))))
+    lambda i, j, k: ((1, (i, j), k), (-1, i, (j, k))))
 # w(xy,z) + w(y,[x,z]) = 0, with the sub-adjacent bracket [x,z] = xz - zx
 PRELIE_INVARIANCE = FormIdentity(
     "prelie-invariance", PreLieAlgebra, SKEW, _all_triples,
-    lambda g, x, y, z: ((1, g.product(x, y), z), (1, y, g.product(x, z) - g.product(z, x))))
+    lambda i, j, k: ((1, (i, j), k), (1, j, (i, k)), (-1, j, (k, i))))
 
 
 def form_to_map(f: BilForm) -> LinMap:

@@ -4,10 +4,13 @@ decide whether a nondegenerate solution exists.
 The identity is linear in the form, so its solutions are the kernel of an
 integer system over the identity's coordinates (`FormIdentity.coords`), one
 row per basis tuple: the `FormIdentity.row` that the form checks evaluate
-too.  The kernel comes from one exact elimination, and each of its rows is
-embedded once, in integers, as an n x n form matrix.  The forms are the
-pencil sum t_k basis_k of these matrices.  Existence is decided witness
-first (`linalg.det_witness`): a nonzero determinant of the pencil at a small
+too, which scatters the algebra's integer structure constants onto the
+coordinates named by the identity's index terms.  The kernel comes from one
+exact elimination, and each of its rows is embedded once, in integers, as an
+n x n form matrix.  The forms are the pencil sum t_k basis_k of these
+matrices.  A skew target on an odd dimension has no nondegenerate form, as
+det A = det(-A^T) = -det A.  Otherwise existence is decided witness first
+(`linalg.det_witness`): a nonzero determinant of the pencil at a small
 integer point t proves that a nondegenerate form exists and is kept as
 `FormSpaceResult.witness`.  Only when every tried point gives 0 is the
 determinant expanded as a polynomial in t, which proves nonexistence when it
@@ -36,7 +39,6 @@ from .linalg import (
     generic_determinant,
     pencil,
     solve_affine,
-    unit_columns,
 )
 
 SYMPLECTIC = "symplectic"
@@ -89,8 +91,7 @@ def _system(g, identity: FormIdentity, coords) -> Matrix:
     """The identity's rows at every basis tuple, stacked in one integer
     matrix over coords.  Each row is an instance scaled by a positive
     integer, which keeps the kernel."""
-    eb = unit_columns(g.dim)
-    rows = [identity.row(g, eb, t, coords) for t in identity.tuples(g.dim)]
+    rows = [identity.row(g, t) for t in identity.tuples(g.dim)]
     if not rows:
         return Matrix.zero(1, len(coords))
     return Matrix._make(len(rows), len(coords), [v for re, _ in rows for v in re],
@@ -116,8 +117,9 @@ def solve_forms(g, target: str) -> FormSpaceResult:
             re[i * n + j], im[i * n + j] = a, b
             re[j * n + i], im[j * n + i] = sign * a, sign * b
         basis.append(Matrix._make(n, n, re, im, k.den))
-    return FormSpaceResult(g, target, identity.symmetry, tuple(coords), tuple(basis),
-                           det_witness(basis, n))
+    # no odd skew matrix is invertible, so there is no witness to search for
+    witness = None if sign < 0 and n % 2 else det_witness(basis, n)
+    return FormSpaceResult(g, target, identity.symmetry, tuple(coords), tuple(basis), witness)
 
 
 def instantiate(result: FormSpaceResult, params) -> BilForm:

@@ -49,7 +49,6 @@ from hyperops.operators import (
     kn_hierarchy,
 )
 from hyperops.reporting import PreconditionError
-from hyperops.scalars import Scalar
 
 TRIPLES = {
     "lie.L4sym": ("omega", (1, 1, -1)),

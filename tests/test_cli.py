@@ -374,8 +374,9 @@ def test_cached_parser_keeps_no_state_between_requests(bundles, tmp_path, monkey
         ["check", lie, "--what", "lie"],  # no --args
         ["check", lie, "--what", "lie", "--format", "json"],
     )
-    requests = [argv + fmt for argv in valid for fmt in (["--format", "json"], [])]
-    mixed = [r for pair in zip(requests, failures * 3) for r in pair]
+    requests = [r for argv in valid
+                for r in (argv + ["--format", "json"], argv, ["--format", "json"] + argv)]
+    mixed = [r for pair in zip(requests, failures * 4) for r in pair]
     mixed += mixed[::-1]
     cached = [_captured(argv) for argv in mixed]
     assert cli._parser() is cli._parser()
@@ -385,6 +386,10 @@ def test_cached_parser_keeps_no_state_between_requests(bundles, tmp_path, monkey
     for argv, got, want in zip(mixed, cached, fresh):
         assert got == want, argv
     assert {code for code, _, _ in cached} == {0, 1, 2}
+    # --format before the command answers byte for byte as after it
+    answers = dict(zip(map(tuple, mixed), cached))
+    for argv in valid:
+        assert answers[("--format", "json", *argv)] == answers[(*argv, "--format", "json")], argv
 
 
 def test_parser_is_built_on_the_first_request():

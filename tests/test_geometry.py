@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperops.algebra import LieAlgebra, PreLieAlgebra, abelian, subadjacent
+from hyperops.algebra import LieAlgebra, PreLieAlgebra, abelian
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.corpus import broken_variant, export_bundle
 from hyperops.geometry import (
@@ -39,7 +39,7 @@ from hyperops.geometry import (
 )
 from hyperops.hyper import decompose_hyper, reconstruct_hyper
 from hyperops.linalg import Matrix
-from hyperops.operators import ALGEBRA, MODULE, LinMap
+from hyperops.operators import ALGEBRA, LinMap
 from hyperops.reporting import ClaimResult, PreconditionError, Report
 from hyperops.scalars import ZERO, Scalar
 from hyperops.search import instantiate, solve_forms
@@ -377,15 +377,27 @@ def _algebra_and_form(draw, identity):
     return g, f, mode
 
 
+def _term_vectors(identity, g, t):
+    """The instance's terms at basis tuple t as (sign, a, b) with coordinate
+    columns: an index u is the unit column e_u, a pair (p, q) the bracket or
+    product of unit columns."""
+    n = g.dim
+    e = [Matrix.column([1 if i == s else 0 for i in range(n)]) for s in range(n)]
+    op = g.bracket if isinstance(g, LieAlgebra) else g.product
+
+    def vector(a):
+        return op(e[a[0]], e[a[1]]) if isinstance(a, tuple) else e[a]
+
+    return [(sign, vector(a), vector(b)) for sign, a, b in identity.terms(*t)]
+
+
 def _direct_claims(identity, g, f):
     """The claims FormIdentity.check should record, each instance evaluated
     as sum(sign * a^T M b) with matrix products."""
-    n = g.dim
-    e = [Matrix.column([1 if i == t else 0 for i in range(n)]) for t in range(n)]
     claims = []
-    for t in identity.tuples(n):
+    for t in identity.tuples(g.dim):
         value = sum((sign * (a.transpose() * f.matrix * b)[0, 0]
-                     for sign, a, b in identity.terms(g, *(e[i] for i in t))), ZERO)
+                     for sign, a, b in _term_vectors(identity, g, t)), ZERO)
         idx = tuple(i + 1 for i in t)
         claims.append(ClaimResult(identity.claim, idx, value.is_zero(),
                                   None if value.is_zero() else idx))
@@ -405,3 +417,38 @@ def test_form_identity_rows_match_direct_evaluation(identity, data):
         assert held == all(c.passed for c in want)
     if mode == "solution":
         assert held
+
+
+def _p_readout(identity, g, t):
+    """The instance at t as coefficients on coords(n), read off
+    P = sum(sign * a b^T): coordinate (i, j) gets P_ij -/+ P_ji (skew/symmetric)
+    off the diagonal and P_ii on it."""
+    n = g.dim
+    p = Matrix.zero(n, n)
+    for sign, a, b in _term_vectors(identity, g, t):
+        p = p + (a * b.transpose()).scale(sign)
+    flip = -1 if identity.symmetry == SKEW else 1
+    return [p[i, j] + flip * p[j, i] if i != j else p[i, i] for i, j in identity.coords(n)]
+
+
+@pytest.mark.parametrize("identity", list(_TARGET), ids=lambda i: i.claim)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_form_identity_rows_are_positive_multiples_of_the_p_readout(identity, data):
+    # random sparse constants, not an algebra's: the rows are defined for any
+    # tensor, and skew or symmetric slices would hide a swapped (p, q)
+    n = data.draw(st.integers(2, 5))
+    const = data.draw(st.lists(_sparse, min_size=n ** 3, max_size=n ** 3))
+    g = identity.algebra(n, [[const[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+                             for i in range(n)])
+    for t in identity.tuples(n):
+        rr, ri = identity.row(g, t)
+        got = [Scalar(a, b) for a, b in zip(rr, ri)]
+        want = _p_readout(identity, g, t)
+        lead = next((m for m, w in enumerate(want) if not w.is_zero()), None)
+        if lead is None:
+            assert not any(got), t
+            continue
+        factor = got[lead] / want[lead]
+        assert factor.is_real() and factor.re > 0, (t, factor)
+        assert got == [w * factor for w in want], t

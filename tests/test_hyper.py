@@ -3,7 +3,7 @@
 import pytest
 
 from hyperops.bundle import classify_triple, parse_bundle
-from hyperops.corpus import export_bundle, list_examples
+from hyperops.corpus import export_bundle
 from hyperops.hyper import (
     ClassificationError,
     classify_hyper,

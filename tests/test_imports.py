@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test file imports is used in that
+module."""
 
 import ast
 import pathlib
@@ -10,6 +11,7 @@ import hyperops
 _PACKAGE = pathlib.Path(hyperops.__file__).parent
 # __init__ imports names only to export them
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _imported(tree):
@@ -22,7 +24,7 @@ def _imported(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _MODULES + _TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

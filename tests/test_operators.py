@@ -9,15 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from hyperops import operators
 from hyperops.algebra import (
-    LieAlgebra,
-    adjoint_rep,
     check_lie,
     coadjoint_rep,
     coregular_rep,
     subadjacent,
 )
 from hyperops.bundle import classify_triple, parse_bundle
-from hyperops.corpus import export_bundle, list_examples
+from hyperops.corpus import export_bundle
 from hyperops.geometry import form_to_map
 from hyperops.linalg import Matrix
 from hyperops.operators import (

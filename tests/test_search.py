@@ -337,6 +337,43 @@ def test_corpus_existence_decisions():
         assert solve_forms(g, target).exists_nondegenerate is exists, (eid, target)
 
 
+def _heisenberg(m):
+    """h_{2m+1}: [x_i, y_i] = z on the basis x_1..x_m, y_1..y_m, z."""
+    from hyperops.algebra import LieAlgebra
+
+    return LieAlgebra.from_brackets(2 * m + 1, {(i, m + i): {2 * m + 1: 1}
+                                                for i in range(1, m + 1)})
+
+
+def _odd_skew_cases():
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra
+
+    # every skew form of an abelian algebra solves the identity; the
+    # symplectic forms of h_{2m+1}, m >= 2, are the 2-forms on x, y
+    cases = [pytest.param(LieAlgebra(n, _zero_constants(n)), SYMPLECTIC, n * (n - 1) // 2,
+                          id=f"abelian-lie{n}") for n in (3, 5, 7, 9, 11)]
+    cases += [pytest.param(_heisenberg(m), SYMPLECTIC, dim, id=f"h{2 * m + 1}")
+              for m, dim in ((1, 3), (2, 6), (3, 15))]
+    cases += [pytest.param(PreLieAlgebra(n, _zero_constants(n)), PRELIE_INVARIANT,
+                           n * (n - 1) // 2, id=f"abelian-prelie{n}") for n in (3, 5, 7)]
+    return cases
+
+
+@pytest.mark.parametrize("g,target,dim", _odd_skew_cases())
+def test_odd_skew_targets_have_no_nondegenerate_form(g, target, dim, monkeypatch):
+    from hyperops import search
+
+    def no_witness_search(*_):
+        raise AssertionError("det_witness called on an odd skew target")
+
+    monkeypatch.setattr(search, "det_witness", no_witness_search)
+    res = solve_forms(g, target)
+    assert res.dim == dim
+    assert res.witness is None and not res.exists_nondegenerate
+    if g.dim <= 5:
+        assert res.generic_det.is_zero()
+
+
 def _vanishing_form(nvars):
     """The rows are the coefficients (b_1, ..., b_nvars) of linear forms
     sum b_k t_k that vanish at every point of `witness_points(nvars)`; there
