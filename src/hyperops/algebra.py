@@ -1,15 +1,19 @@
 """Structure-constant Lie and pre-Lie algebras and their standard representations.
 
 Conventions (all 0-indexed internally, 1-indexed in reports and I/O):
-  Lie:     [e_i, e_j] = sum_k c[i][j][k] e_k
-  pre-Lie: e_i . e_j  = sum_k p[i][j][k] e_k
+  Lie:     [e_i, e_j] = sum_k c[i][k, j] e_k
+  pre-Lie: e_i . e_j  = sum_k p[i][k, j] e_k
   Representation matrices act on column coordinate vectors.
 
-The tensors are kept as Scalars for I/O and axiom checks; each algebra also
-holds a sparse integer copy (Gaussian-integer numerators over one
-denominator), built once, that bracket/product contract with the integer
-arrays of the argument matrices.  Representations likewise hold their
-matrices' numerators over one denominator for `act`.
+An algebra stores its structure constants once, as the integer matrices of
+left multiplication by the basis vectors: column j of c[i] (p[i]) is
+[e_i, e_j] (e_i . e_j), so c[i] is ad(e_i) and p[i] is L(e_i).  The
+constructor also takes a nested tensor t[i][j][k], the k-th coordinate of
+e_i e_j, and converts it once.  From the matrices each algebra derives a
+sparse view (Gaussian-integer numerators over one denominator) that
+bracket/product contract with the integer arrays of the argument vectors.
+Representations likewise hold their matrices' numerators over one
+denominator for `act`.
 """
 
 from __future__ import annotations
@@ -18,41 +22,49 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import DimensionError, Matrix, gaussian_parts, unit_columns
+from .linalg import DimensionError, Matrix, _hstack, _to_scalar, gaussian_parts, unit_columns
 from .reporting import Report
 from .scalars import ZERO
 
 
-def _tensor(dim, data) -> tuple:
-    """Normalize a nested structure-constant tensor to immutable Scalars."""
-    from .linalg import _to_scalar
-
-    out = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            plane.append(tuple(_to_scalar(v) for v in data[i][j]))
-            if len(plane[-1]) != dim:
+def _left_multiplications(dim: int, data) -> tuple:
+    """The structure constants as dim x dim matrices L_i, column j of L_i
+    holding e_i e_j.  data holds such matrices, or is a nested tensor
+    data[i][j][k] (the k-th coordinate of e_i e_j), converted here."""
+    if not all(isinstance(m, Matrix) for m in data):
+        for i, j in itertools.product(range(dim), repeat=2):
+            if len(data[i][j]) != dim:
                 raise DimensionError(f"tensor slice ({i},{j}) has wrong length")
-        out.append(tuple(plane))
-    return tuple(out)
+        r, size = range(dim), dim * dim
+        re, im, den = gaussian_parts([_to_scalar(data[i][j][k]) for i in r for k in r for j in r])
+        data = [Matrix._make(dim, dim, re[b:b + size], im[b:b + size], den)
+                for b in range(0, dim * size, size)]
+    mats = tuple(data)
+    if len(mats) != dim or any(m.rows != dim or m.cols != dim for m in mats):
+        raise DimensionError(f"a {dim}-dimensional algebra needs {dim} {dim}x{dim} matrices")
+    return mats
 
 
-def _sparse(dim: int, t: tuple) -> tuple:
-    """Integer copy of a tensor t[i][j][k]: (den, real, rows, flat, cols).
-    cols[i * dim + j] lists the nonzero (k, re, im) of t[i][j], rows[i] the
-    nonzero (j, cols[i * dim + j]) and flat all entries' (re, im), row-major."""
-    re, im, den = gaussian_parts([v for plane in t for line in plane for v in line])
-    cols = tuple(tuple((k, re[b + k], im[b + k]) for k in range(dim) if re[b + k] or im[b + k])
-                 for b in range(0, dim ** 3, dim))
+def _sparse(dim: int, mats: tuple) -> tuple:
+    """Integer view of left-multiplication matrices, over their common
+    denominator den: (den, real, rows, cols).  cols[i * dim + j] lists the
+    nonzero (k, re, im) of column j of mats[i], rows[i] the nonzero
+    (j, cols[i * dim + j])."""
+    den = lcm(*(m.den for m in mats))
+    cols = []
+    for m in mats:
+        f = den // m.den
+        for j in range(dim):
+            cols.append(tuple((k, m.re[b] * f, m.im[b] * f)
+                              for k, b in enumerate(range(j, dim * dim, dim)) if m.re[b] or m.im[b]))
     rows = tuple(tuple((j, cols[i * dim + j]) for j in range(dim) if cols[i * dim + j])
                  for i in range(dim))
-    return den, not any(im), rows, (re, im), cols
+    return den, all(m.is_real() for m in mats), rows, tuple(cols)
 
 
 def _contract(sp: tuple, dim: int, x: Matrix, y: Matrix) -> Matrix:
-    """sum_{i,j,k} x_i y_j t[i][j][k] e_k for column vectors x, y."""
-    den, real, rows, _, _ = sp
+    """sum_{i,j} x_i y_j e_i e_j for column vectors x, y."""
+    den, real, rows, _ = sp
     xr, xi, yr, yi = x.re, x.im, y.re, y.im
     out_r = [0] * dim
     if real and x.is_real() and y.is_real():
@@ -83,28 +95,19 @@ def _contract(sp: tuple, dim: int, x: Matrix, y: Matrix) -> Matrix:
     return Matrix._make(dim, 1, out_r, out_i, x.den * y.den * den)
 
 
-def _slice(sp: tuple, dim: int, i: int, j: int) -> Matrix:
-    """The column t[i][j] of a tensor, from its integer copy."""
-    den, _, _, (re, im), _ = sp
-    base = (i * dim + j) * dim
-    return Matrix._make(dim, 1, re[base:base + dim], im[base:base + dim], den)
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
-    c: tuple  # c[i][j][k]
+    c: tuple  # c[i] = ad(e_i): column j is [e_i, e_j]
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _tensor(self.dim, self.c))
+        object.__setattr__(self, "c", _left_multiplications(self.dim, self.c))
         object.__setattr__(self, "_sp", _sparse(self.dim, self.c))
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict) -> "LieAlgebra":
         """brackets maps 1-indexed (i, j) with i < j to {k: coeff}; antisymmetry filled in."""
         c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        from .linalg import _to_scalar
-
         for (i, j), comps in brackets.items():
             for k, v in comps.items():
                 v = _to_scalar(v)
@@ -117,29 +120,27 @@ class LieAlgebra:
         return _contract(self._sp, self.dim, x, y)
 
     def basis_bracket(self, i: int, j: int) -> Matrix:
-        return _slice(self._sp, self.dim, i, j)
+        return self.c[i]._block(0, self.dim, j, j + 1)
 
     def column_numerators(self, i: int, j: int) -> tuple:
         """The nonzero (k, re, im) of [e_i, e_j] (e_i . e_j in a pre-Lie
         algebra), as numerators over the structure constants' denominator."""
-        return self._sp[4][i * self.dim + j]
+        return self._sp[3][i * self.dim + j]
 
 
 @dataclass(frozen=True)
 class PreLieAlgebra:
     dim: int
-    p: tuple  # p[i][j][k]
+    p: tuple  # p[i] = L(e_i): column j is e_i . e_j
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _tensor(self.dim, self.p))
+        object.__setattr__(self, "p", _left_multiplications(self.dim, self.p))
         object.__setattr__(self, "_sp", _sparse(self.dim, self.p))
 
     @classmethod
     def from_products(cls, dim: int, products: dict) -> "PreLieAlgebra":
         """products maps 1-indexed (i, j) to {k: coeff}."""
         p = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        from .linalg import _to_scalar
-
         for (i, j), comps in products.items():
             for k, v in comps.items():
                 p[i - 1][j - 1][k - 1] = _to_scalar(v)
@@ -149,7 +150,7 @@ class PreLieAlgebra:
         return _contract(self._sp, self.dim, x, y)
 
     def basis_product(self, i: int, j: int) -> Matrix:
-        return _slice(self._sp, self.dim, i, j)
+        return self.p[i]._block(0, self.dim, j, j + 1)
 
     column_numerators = LieAlgebra.column_numerators
 
@@ -206,10 +207,10 @@ def check_lie(g: LieAlgebra) -> Report:
     """Antisymmetry and Jacobi on all basis tuples."""
     rep = Report("Lie algebra axioms")
     n, c, br = g.dim, g.c, g.bracket
-    eb = unit_columns(n)
+    eb, neg = unit_columns(n), [-m for m in c]
     antisymmetric = rep.record_tuples(
         "antisymmetry", itertools.product(range(n), repeat=3),
-        lambda i, j, k: c[i][j][k] == -c[j][i][k], failures_only=True)
+        lambda i, j, k: c[i][k, j] == neg[j][k, i], failures_only=True)
 
     def jacobi(i, j, k):
         x, y, z = eb[i], eb[j], eb[k]
@@ -237,26 +238,20 @@ def check_prelie(g: PreLieAlgebra) -> Report:
 
 
 def subadjacent(g: PreLieAlgebra) -> LieAlgebra:
-    """Commutator Lie algebra of a pre-Lie algebra."""
-    n = g.dim
-    c = [
-        [[g.p[i][j][k] - g.p[j][i][k] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return LieAlgebra(n, c)
+    """Commutator Lie algebra of a pre-Lie algebra: ad(e_i) = L_i - R_i, where
+    column j of the right multiplication R_i is column i of L_j."""
+    n, p = g.dim, g.p
+    return LieAlgebra(n, [p[i] - _hstack(*(q._block(0, n, i, i + 1) for q in p))
+                          for i in range(n)])
 
 
 def regular_rep(g: PreLieAlgebra) -> Representation:
     """Left multiplications L(e_i) as a representation of the sub-adjacent algebra."""
-    n = g.dim
-    mats = [Matrix(n, n, [g.p[i][j][k] for k in range(n) for j in range(n)]) for i in range(n)]
-    return Representation(subadjacent(g), n, mats)
+    return Representation(subadjacent(g), g.dim, g.p)
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
-    n = g.dim
-    mats = [Matrix(n, n, [g.c[i][j][k] for k in range(n) for j in range(n)]) for i in range(n)]
-    return Representation(g, n, mats)
+    return Representation(g, g.dim, g.c)
 
 
 def dual_rep(r: Representation) -> Representation:
@@ -278,5 +273,4 @@ def trivial_rep(g: LieAlgebra, module_dim: int) -> Representation:
 
 
 def abelian(dim: int) -> LieAlgebra:
-    z = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    return LieAlgebra(dim, z)
+    return LieAlgebra(dim, [Matrix.zero(dim, dim)] * dim)

@@ -413,18 +413,17 @@ def _gauss_jordan(rr: list, ri: list | None, cols: int) -> list:
     return pivots
 
 
-def _hstack(a: Matrix, b: Matrix) -> Matrix:
-    """[a | b] for matrices with the same number of rows."""
-    den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    ca, cb = a.cols, b.cols
+def _hstack(*blocks: Matrix) -> Matrix:
+    """[b_1 | b_2 | ...] for one or more matrices with the same number of rows."""
+    rows = blocks[0].rows
+    den = lcm(*(b.den for b in blocks))
+    scaled = [(b.cols, den // b.den, b) for b in blocks]
     re, im = [], []
-    for i in range(a.rows):
-        re.extend(v * fa for v in a.re[i * ca:(i + 1) * ca])
-        re.extend(v * fb for v in b.re[i * cb:(i + 1) * cb])
-        im.extend(v * fa for v in a.im[i * ca:(i + 1) * ca])
-        im.extend(v * fb for v in b.im[i * cb:(i + 1) * cb])
-    return Matrix._make(a.rows, ca + cb, re, im, den)
+    for i in range(rows):
+        for c, f, b in scaled:
+            re.extend(v * f for v in b.re[i * c:(i + 1) * c])
+            im.extend(v * f for v in b.im[i * c:(i + 1) * c])
+    return Matrix._make(rows, sum(b.cols for b in blocks), re, im, den)
 
 
 def _kernel(m: Matrix, pivots: list, ncols: int) -> Matrix:

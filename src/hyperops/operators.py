@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, PreLieAlgebra, Representation, subadjacent
-from .linalg import DimensionError, Matrix, unit_columns
+from .algebra import LieAlgebra, PreLieAlgebra, Representation, adjoint_rep, subadjacent
+from .linalg import DimensionError, Matrix, _hstack, unit_columns
 from .reporting import PreconditionError, Report
 
 ALGEBRA = "algebra"
@@ -117,9 +117,7 @@ def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
 
 def inner_rdo(ctx: OperatorContext, u: Matrix) -> LinMap:
     """The coboundary x -> rho(x) u; always a relative differential operator."""
-    cols = [ctx.rep.mats[i] * u for i in range(ctx.n)]
-    m = Matrix(ctx.m, ctx.n, [cols[j][i, 0] for i in range(ctx.m) for j in range(ctx.n)])
-    return LinMap(m, ALGEBRA, MODULE)
+    return LinMap(_hstack(*(m * u for m in ctx.rep.mats)), ALGEBRA, MODULE)
 
 
 def is_o_operator(ctx: OperatorContext, t: LinMap) -> Report:
@@ -181,11 +179,11 @@ def deformed_bracket(g: LieAlgebra, n_map: LinMap) -> LieAlgebra:
 
 
 def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
-    """[.,.]_N for the matrix nm of a Nijenhuis operator."""
-    eb = unit_columns(g.dim)
-    return LieAlgebra(g.dim, [[(g.bracket(nm * eb[i], eb[j]) + g.bracket(eb[i], nm * eb[j])
-                                - nm * g.basis_bracket(i, j)).col(0) for j in range(g.dim)]
-                              for i in range(g.dim)])
+    """[.,.]_N for the matrix nm of a Nijenhuis operator:
+    ad_N(e_i) = ad(N e_i) + ad(e_i) N - N ad(e_i)."""
+    ad = adjoint_rep(g)
+    return LieAlgebra(g.dim, [ad.act(nm * e) + a * nm - nm * a
+                              for e, a in zip(unit_columns(g.dim), g.c)])
 
 
 def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -> Report:
@@ -226,7 +224,7 @@ def bracket_T(ctx: OperatorContext, t: LinMap) -> tuple[PreLieAlgebra, LieAlgebr
     """Pre-Lie product u *T v = rho(Tu)v on V and its sub-adjacent bracket."""
     is_o_operator(ctx, t).require("T is not an O-operator")
     acts = [ctx.rep.act(t(u)) for u in unit_columns(ctx.m)]
-    prelie = PreLieAlgebra(ctx.m, [[act.col(j) for j in range(ctx.m)] for act in acts])
+    prelie = PreLieAlgebra(ctx.m, acts)
     return prelie, subadjacent(prelie)
 
 

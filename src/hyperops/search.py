@@ -35,6 +35,7 @@ from .linalg import (
     DimensionError,
     Matrix,
     Poly,
+    _hstack,
     det_witness,
     generic_determinant,
     pencil,
@@ -82,8 +83,8 @@ class FormSpaceResult:
         n = self.algebra.dim
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        cols = [b.entries() for b in self.basis]
-        a = Matrix(n * n, self.dim, [v for row in zip(*cols) for v in row])
+        cols = [Matrix._make(n * n, 1, b.re, b.im, b.den, reduce=False) for b in self.basis]
+        a = _hstack(*cols) if cols else Matrix.zero(n * n, 0)
         return solve_affine(a, f.matrix.entries()) is not None
 
 

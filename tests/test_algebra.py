@@ -20,9 +20,19 @@ from hyperops.algebra import (
     subadjacent,
     trivial_rep,
 )
+from hyperops.cli import _SUITES, InputError
 from hyperops.corpus import export_bundle
-from hyperops.bundle import parse_bundle
+from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.linalg import Matrix
+from hyperops.operators import (
+    ALGEBRA,
+    MODULE,
+    LinMap,
+    OperatorContext,
+    _deformed_bracket,
+    bracket_T,
+)
+from hyperops.reporting import PreconditionError
 from hyperops.scalars import ZERO, Scalar
 
 
@@ -101,7 +111,7 @@ def test_subadjacent_is_lie():
 def test_subadjacent_of_commutative_prelie_is_abelian():
     # symmetric products commute, so the commutator bracket vanishes
     g = PreLieAlgebra.from_products(2, {(1, 1): {1: 1}})
-    assert all(v.is_zero() for plane in subadjacent(g).c for row in plane for v in row)
+    assert all(m.is_zero() for m in subadjacent(g).c)
 
 
 def test_trivial_rep():
@@ -169,6 +179,8 @@ def test_bracket_and_product_match_structure_constant_sum(data):
         for j in range(n):
             assert g.basis_bracket(i, j).entries() == tuple(t[i][j])
             assert p.basis_product(i, j).entries() == tuple(t[i][j])
+            for k in range(n):
+                assert g.c[i][k, j] == p.p[i][k, j] == t[i][j][k]
 
 
 @given(st.data())
@@ -183,3 +195,69 @@ def test_act_matches_linear_combination(data):
         expect = expect + mi.scale(xi)
     assert Representation(abelian(n), m, mats).act(Matrix.column(x)) == expect
 
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_derived_structures_match_scalar_tensor_formulas(data):
+    """subadjacent, adjoint_rep, regular_rep, the deformed bracket and bracket_T
+    against their definitions, summed entry by entry over Scalar tensors."""
+    n = data.draw(st.integers(1, 3))
+    r = range(n)
+    t = [[[data.draw(gauss) for _ in r] for _ in r] for _ in r]
+    g, p = LieAlgebra(n, t), PreLieAlgebra(n, t)
+    left = tuple(Matrix(n, n, [t[i][j][k] for k in r for j in r]) for i in r)
+    assert adjoint_rep(g).mats == regular_rep(p).mats == left
+    sub = LieAlgebra(n, [[[t[i][j][k] - t[j][i][k] for k in r] for j in r] for i in r])
+    assert subadjacent(p) == regular_rep(p).algebra == sub
+
+    # [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] for any N (the Nijenhuis
+    # precondition only makes the result a Lie bracket)
+    nm = Matrix(n, n, [data.draw(gauss) for _ in range(n * n)])
+    deformed = [[[sum((nm[a, i] * t[a][j][k] + nm[a, j] * t[i][a][k] - nm[k, a] * t[i][j][a]
+                       for a in r), ZERO) for k in r] for j in r] for i in r]
+    assert _deformed_bracket(g, nm) == LieAlgebra(n, deformed)
+
+    # rho(e_i) = s_i A on an abelian algebra, with A = e_m a^T, is a
+    # representation; T e_m = 0 gives T A = 0, which makes T an O-operator
+    m = data.draw(st.integers(1, 3))
+    s = [data.draw(gauss) for _ in r]
+    a = [data.draw(gauss) for _ in range(m)]
+    am = Matrix(m, m, [a[j] if k == m - 1 else ZERO for k in range(m) for j in range(m)])
+    tm = Matrix(n, m, [data.draw(gauss) if j < m - 1 else ZERO for _ in r for j in range(m)])
+    rho = [am.scale(v) for v in s]
+    ctx = OperatorContext(abelian(n), Representation(abelian(n), m, rho))
+    prelie, lie = bracket_T(ctx, LinMap(tm, MODULE, ALGEBRA))
+    # e_b ._T e_j = rho(T e_b) e_j has k-th coordinate sum_i T[i, b] rho_i[k, j]
+    q = [[[sum((tm[i, b] * rho[i][k, j] for i in r), ZERO) for k in range(m)]
+          for j in range(m)] for b in range(m)]
+    assert prelie == PreLieAlgebra(m, q)
+    assert lie == LieAlgebra(m, [[[q[b][j][k] - q[j][b][k] for k in range(m)]
+                                  for j in range(m)] for b in range(m)])
+
+
+# -- the parse boundary -----------------------------------------------
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+               "__truediv__", "__rtruediv__", "__pow__", "conj", "inv")
+_TRIPLES = (("lie.L4sym", "omega"), ("prelie.rot4", "B"), ("abelian.quat", "quat"),
+            ("abelian.para", "para"))
+
+
+def test_no_scalar_arithmetic_past_parse(monkeypatch):
+    """Once parse_bundle has built a corpus triple's bundle, classifying the
+    triple and running every identity suite on it stays in integers."""
+    bundles = {eid: parse_bundle(export_bundle(eid)) for eid, _ in _TRIPLES}
+    calls = []
+    for name in _ARITHMETIC:
+        method = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name,
+                            lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args))
+    for eid, triple in _TRIPLES:
+        classify_triple(bundles[eid], triple)
+        for suite in _SUITES.values():
+            try:
+                suite(bundles[eid], triple)
+            except (InputError, PreconditionError):
+                pass  # the suite does not apply to this triple
+    assert calls == []

@@ -251,8 +251,7 @@ def _combination(mats, x):
 
 def _coadjoint_l4sym():
     g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
-    n = g.dim
-    ad = [Matrix(n, n, [g.c[i][j][k] for k in range(n) for j in range(n)]) for i in range(n)]
+    ad = list(g.c)  # column j of c[i] is [e_i, e_j], so c[i] is ad(e_i)
     rho = [-m.transpose() for m in ad]
     return OperatorContext(g, coadjoint_rep(g)), ad, rho
 
