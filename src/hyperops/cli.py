@@ -19,7 +19,7 @@ import os
 import sys
 
 from .algebra import LieAlgebra, PreLieAlgebra, check_lie, check_prelie
-from .bundle import BundleError, classify_triple, load_bundle
+from .bundle import classify_triple, load_bundle
 from .corpus import list_examples, run_example
 from .geometry import (
     _VARIANTS,
@@ -38,10 +38,8 @@ from .hyper import (
     verify_composition_table,
     verify_hflat_identities,
 )
-from .linalg import DimensionError
 from .operators import is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo
 from .reporting import PreconditionError, Report
-from .scalars import ScalarParseError
 from .search import solve_forms
 
 EXIT_PASS = 0
@@ -337,8 +335,7 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
     try:
         code, extra = ns.fn(ns)
         payload.update(extra)
-    except (BundleError, ScalarParseError, InputError, DimensionError,
-            ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, PreconditionError):
             code = EXIT_PRECONDITION
             payload["error"] = str(exc)

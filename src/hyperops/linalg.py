@@ -11,14 +11,14 @@ tuples ``re`` and ``im`` (row-major) and a positive integer ``den``, so entry
 reduced (den and all numerators have gcd 1), which makes it unique, so
 equality and hashing compare it structurally.  Product, sum, negation,
 scaling and transpose are integer loops that skip the imaginary parts of real
-operands.  ``det`` is Bareiss elimination with exact division in Z[i]
-(E. Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968).  The reduced row echelon form behind
-``rank``, ``inv``, ``kernel`` and ``solve_affine`` comes from
-fraction-free Gauss-Jordan elimination on integer rows, each updated row
-divided by the gcd of its parts; only the pivot rows are divided out at the
-end.  RREF, determinant and inverse are unique, so every pivot, kernel basis
-and inverse is the one field arithmetic gives.
+operands.  ``det`` and the reduced row echelon form behind ``rank``, ``inv``,
+``kernel`` and ``solve_affine`` run one fraction-free elimination,
+``_eliminate``, with two row updates: real rows are divided by their gcd, and
+non-real rows exactly, in Z[i], by the previous pivot (E. Bareiss, Math. Comp.
+22, 1968; the Gauss-Jordan form is in Nakos, Turner and Williams, SIGSAM
+Bull. 31, 1997), so each entry stays a minor of the input.  RREF, determinant
+and inverse are unique, so every pivot, kernel basis and inverse is the one
+field arithmetic gives.
 
 Scalar is the boundary type.  Constructors take Scalars (or ints, Fractions,
 literals); ``__getitem__``, ``row``, ``col`` and ``entries`` return Scalars,
@@ -279,15 +279,14 @@ class Matrix:
     def _rref(self) -> tuple["Matrix", list]:
         """Reduced row echelon form, as a Matrix, and the pivot column list.
 
-        Gauss-Jordan with first-nonzero pivoting on the integer numerator
-        rows: a row is cleared as p*row - f*pivot_row and divided by the gcd
-        of its parts, and each pivot row is divided by its pivot at the end.
-        Deterministic and canonical (pivots normalized to 1).
+        Gauss-Jordan (`_eliminate`) with first-nonzero pivoting on the
+        integer numerator rows; each pivot row is divided by its pivot at the
+        end.  Deterministic and canonical (pivots normalized to 1).
         """
         c = self.cols
         rr = [list(self.re[i * c:(i + 1) * c]) for i in range(self.rows)]
         ri = None if self._real else [list(self.im[i * c:(i + 1) * c]) for i in range(self.rows)]
-        pivots = _gauss_jordan(rr, ri, c)
+        pivots = _eliminate(rr, ri, c)[0]
         # divide each pivot row by its pivot, then put all rows over one denominator
         rows = []
         for r, pc in enumerate(pivots):
@@ -313,35 +312,16 @@ class Matrix:
         return len(self._rref()[1])
 
     def det(self) -> Scalar:
-        """Bareiss fraction-free elimination on the Gaussian-integer
-        numerators; each division by the previous pivot q is exact in Z[i]."""
+        """Bareiss elimination (`_eliminate`, forward) on the Gaussian-integer
+        numerators."""
         if self.rows != self.cols:
             raise DimensionError(f"det of {self.rows}x{self.cols} matrix")
         n = self.rows
         mr = [list(self.re[i * n:(i + 1) * n]) for i in range(n)]
         mi = [list(self.im[i * n:(i + 1) * n]) for i in range(n)]
-        sign, qr, qi = 1, 1, 0
-        for k in range(n):
-            p = next((i for i in range(k, n) if mr[i][k] or mi[i][k]), None)
-            if p is None:
-                return ZERO
-            if p != k:
-                mr[k], mr[p] = mr[p], mr[k]
-                mi[k], mi[p] = mi[p], mi[k]
-                sign = -sign
-            kr, ki = mr[k], mi[k]
-            pr, pi = kr[k], ki[k]
-            norm = qr * qr + qi * qi
-            for i in range(k + 1, n):
-                ar, ai = mr[i], mi[i]
-                fr, fi = ar[k], ai[k]
-                for j in range(k + 1, n):
-                    # (p * a - f * b) / q
-                    xr = pr * ar[j] - pi * ai[j] - fr * kr[j] + fi * ki[j]
-                    xi = pr * ai[j] + pi * ar[j] - fr * ki[j] - fi * kr[j]
-                    ar[j] = (xr * qr + xi * qi) // norm
-                    ai[j] = (xi * qr - xr * qi) // norm
-            qr, qi = pr, pi
+        pivots, sign, (qr, qi) = _eliminate(mr, mi, n, forward=True)
+        if len(pivots) < n:
+            return ZERO
         d = self.den ** n
         return Scalar(Fraction(sign * qr, d), Fraction(sign * qi, d))
 
@@ -367,50 +347,68 @@ def unit_columns(n: int) -> list[Matrix]:
             for t in range(n)]
 
 
-def _gauss_jordan(rr: list, ri: list | None, cols: int) -> list:
-    """Fraction-free Gauss-Jordan elimination, in place, on the Gaussian-integer
-    rows rr + i*ri (ri is None for real rows).  Returns the pivot columns;
-    afterwards row r is a nonzero multiple of the r-th row of the RREF."""
-    pivots = []
-    r = 0
-    nrows = len(rr)
+def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> tuple:
+    """Fraction-free elimination, in place, on the Gaussian-integer rows
+    rr + i*ri (ri is None for real rows).  Returns the pivot columns, the sign
+    of the row swaps and the last pivot as a pair (re, im).
+
+    A real row with f != 0 in the pivot column becomes p*row - f*pivot_row,
+    divided by its gcd.  With ri given, every other row becomes
+    (p*row - f*pivot_row) / q, q the previous pivot (Bareiss), even when
+    f = 0: only with every row at the same step is the division exact in
+    Z[i], and then each entry is a minor of the input.  Without `forward`,
+    row r ends as a nonzero multiple of the r-th row of the RREF.
+
+    `forward` (Gaussian elimination) updates only the rows below each pivot,
+    with ri given only right of its column, and stops at the first column
+    without a pivot.  With ri given and a pivot in every column of a square
+    matrix, the sign times the last pivot is then its determinant.
+    """
+    pivots, sign = [], 1
+    qr, qi = 1, 0
+    nrows, r = len(rr), 0
     for c in range(cols):
-        pr = next((i for i in range(r, nrows) if rr[i][c] or (ri and ri[i][c])), None)
-        if pr is None:
+        p = next((i for i in range(r, nrows) if rr[i][c] or (ri and ri[i][c])), None)
+        if p is None:
+            if forward:
+                break
             continue
-        rr[r], rr[pr] = rr[pr], rr[r]
-        if ri is not None:
-            ri[r], ri[pr] = ri[pr], ri[r]
+        if p != r:
+            rr[r], rr[p] = rr[p], rr[r]
+            if ri is not None:
+                ri[r], ri[p] = ri[p], ri[r]
+            sign = -sign
+        start = r + 1 if forward else 0
         br = rr[r]
-        p_r = br[c]
+        pr = br[c]
         if ri is None:
-            for i in range(nrows):
+            pi = 0
+            for i in range(start, nrows):
                 f = rr[i][c]
-                if i == r or not f:
-                    continue
-                row = [p_r * a - f * b for a, b in zip(rr[i], br)]
-                g = gcd(*row)
-                rr[i] = [v // g for v in row] if g > 1 else row
+                if f and i != r:
+                    row = [pr * a - f * b for a, b in zip(rr[i], br)]
+                    g = gcd(*row)
+                    rr[i] = [v // g for v in row] if g > 1 else row
         else:
             bi = ri[r]
-            p_i = bi[c]
-            for i in range(nrows):
-                fr, fi = rr[i][c], ri[i][c]
-                if i == r or not (fr or fi):
+            pi = bi[c]
+            norm = qr * qr + qi * qi
+            for i in range(start, nrows):
+                if i == r:
                     continue
                 ar, ai = rr[i], ri[i]
-                row_r = [p_r * a - p_i * b - fr * x + fi * y for a, b, x, y in zip(ar, ai, br, bi)]
-                row_i = [p_r * b + p_i * a - fr * y - fi * x for a, b, x, y in zip(ar, ai, br, bi)]
-                g = gcd(*row_r, *row_i)
-                if g > 1:
-                    row_r = [v // g for v in row_r]
-                    row_i = [v // g for v in row_i]
-                rr[i], ri[i] = row_r, row_i
+                fr, fi = ar[c], ai[c]
+                for j in range(c + 1 if forward else 0, cols):
+                    xr = pr * ar[j] - pi * ai[j] - fr * br[j] + fi * bi[j]
+                    xi = pr * ai[j] + pi * ar[j] - fr * bi[j] - fi * br[j]
+                    ar[j] = (xr * qr + xi * qi) // norm
+                    ai[j] = (xi * qr - xr * qi) // norm
+        qr, qi = pr, pi
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, sign, (qr, qi)
 
 
 def _hstack(*blocks: Matrix) -> Matrix:

@@ -39,7 +39,6 @@ from .linalg import (
     det_witness,
     generic_determinant,
     pencil,
-    solve_affine,
 )
 
 SYMPLECTIC = "symplectic"
@@ -79,13 +78,14 @@ class FormSpaceResult:
         return len(self.basis)
 
     def contains(self, f: BilForm) -> bool:
-        """Does f's full matrix lie in the span of the basis?"""
+        """Does f's full matrix lie in the span of the basis?  Exactly when the
+        last column of [vec basis_1 | ... | vec f] is not a pivot."""
         n = self.algebra.dim
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        cols = [Matrix._make(n * n, 1, b.re, b.im, b.den, reduce=False) for b in self.basis]
-        a = _hstack(*cols) if cols else Matrix.zero(n * n, 0)
-        return solve_affine(a, f.matrix.entries()) is not None
+        cols = [Matrix._make(n * n, 1, b.re, b.im, b.den, reduce=False)
+                for b in (*self.basis, f.matrix)]
+        return self.dim not in _hstack(*cols)._rref()[1]
 
 
 def _system(g, identity: FormIdentity, coords) -> Matrix:

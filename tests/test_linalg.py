@@ -1,18 +1,20 @@
 """Exact linear algebra: elimination, inverses, kernels, affine solving, and
 the sparse-polynomial generic determinant."""
 
+import functools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperops.linalg import (
     DimensionError,
     Matrix,
     Poly,
     SingularMatrixError,
+    _eliminate,
     det_witness,
     generic_determinant,
     pencil,
@@ -215,14 +217,19 @@ def _c_sum(values):
 
 
 def ref_det(a):
-    if not a:
-        return C1
-    out = C0
-    for j, v in enumerate(a[0]):
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = c_mul(v, ref_det(minor))
-        out = c_add(out, term if j % 2 == 0 else c_neg(term))
-    return out
+    """Cofactor expansion along the first row, each minor expanded once: a
+    minor is fixed by its first row i and the columns it keeps."""
+    @functools.cache
+    def minor(i, cols):
+        if i == len(a):
+            return C1
+        out = C0
+        for t, j in enumerate(cols):
+            term = c_mul(a[i][j], minor(i + 1, cols[:t] + cols[t + 1:]))
+            out = c_add(out, term if t % 2 == 0 else c_neg(term))
+        return out
+
+    return minor(0, tuple(range(len(a))))
 
 
 def ref_rref(a):
@@ -278,6 +285,45 @@ def matrices(draw, rows=None, cols=None, singular=None):
     return Matrix.from_rows(vals)
 
 
+gaussian_integer = st.builds(Scalar, st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def products(draw, rows=None, cols=None, singular=None):
+    """A non-real Gaussian-integer matrix, at least 2 x 2 and at most 8 x 8,
+    as the product of a rows x k and a k x cols factor; singular draws have
+    k < min(rows, cols), so their rank is below both."""
+    r = rows if rows is not None else draw(st.integers(2, 8))
+    c = cols if cols is not None else draw(st.integers(2, 8))
+    deficient = draw(st.booleans()) if singular is None else singular
+    k = draw(st.integers(1, min(r, c) - 1 if deficient else min(r, c)))
+    x = Matrix(r, k, [draw(gaussian_integer) for _ in range(r * k)])
+    y = Matrix(k, c, [draw(gaussian_integer) for _ in range(k * c)])
+    m = x * y
+    assume(not m.is_real())
+    return m
+
+
+def within_hadamard_bound(m):
+    """Eliminate the numerator rows of m with both parts and check every entry
+    left against Hadamard's bound: each should be a minor of the input, so
+    |x|^2 <= the product over input rows of max(1, |row|^2)."""
+    c = m.cols
+    rr = [list(m.re[i * c:(i + 1) * c]) for i in range(m.rows)]
+    ri = [list(m.im[i * c:(i + 1) * c]) for i in range(m.rows)]
+    bound = 1
+    for xs, ys in zip(rr, ri):
+        bound *= max(1, sum(x * x + y * y for x, y in zip(xs, ys)))
+    _eliminate(rr, ri, c)
+    return all(x * x + y * y <= bound for xs, ys in zip(rr, ri) for x, y in zip(xs, ys))
+
+
+@given(products(singular=True))
+@settings(max_examples=100, deadline=None)
+def test_elimination_of_gaussian_rows_stays_within_hadamard_bound(a):
+    assert within_hadamard_bound(a)
+
+
 def assert_canonical(m):
     assert m.den > 0
     assert gcd(m.den, *m.re, *m.im) == 1
@@ -308,8 +354,8 @@ def test_ring_operations_match_reference(data):
     assert a.is_real() == all(x[1] == 0 for p in ra for x in p)
 
 
-@given(matrices())
-@settings(max_examples=80, deadline=None)
+@given(matrices() | products())
+@settings(max_examples=120, deadline=None)
 def test_rank_and_kernel_match_reference(a):
     rref, pivots = ref_rref(ref_of(a))
     assert a.rank() == len(pivots)
@@ -319,8 +365,9 @@ def test_rank_and_kernel_match_reference(a):
     assert_canonical(k)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: matrices(rows=n, cols=n)))
-@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(rows=n, cols=n))
+       | st.integers(2, 8).flatmap(lambda n: products(rows=n, cols=n)))
+@settings(max_examples=120, deadline=None)
 def test_det_and_inverse_match_reference(a):
     ra = ref_of(a)
     d = a.det()

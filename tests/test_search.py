@@ -19,6 +19,7 @@ from hyperops.search import (
     instantiate,
     solve_forms,
 )
+from test_linalg import within_hadamard_bound
 
 
 def _prelie(name):
@@ -283,6 +284,28 @@ def test_solve_forms_matches_independent_system(g, target):
         for r in range(want.rows))
     if g.dim == 5 and target == HESSIAN:
         assert res.dim == 1 and res.exists_nondegenerate
+
+
+def test_transported_sum_of_l4sym_keeps_its_symplectic_forms():
+    # 56 x 28 non-real integer rows of rank 17: the elimination's entries stay
+    # minors of the system instead of growing with every pivot
+    from hyperops.algebra import LieAlgebra
+    from hyperops.geometry import COCYCLE
+    from hyperops.search import _system
+
+    g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
+    n = g.dim
+    sums = [[[ZERO] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            for k, v in enumerate(g.basis_bracket(i, j).entries()):
+                sums[i][j][k] = sums[n + i][n + j][n + k] = v
+    plain = solve_forms(LieAlgebra(2 * n, sums), SYMPLECTIC)
+    assert (plain.dim, plain.exists_nondegenerate) == (11, True)
+    moved = _transport(LieAlgebra(2 * n, sums), LieAlgebra, "bracket")
+    res = solve_forms(moved, SYMPLECTIC)
+    assert (res.dim, res.exists_nondegenerate) == (11, True)
+    assert within_hadamard_bound(_system(moved, COCYCLE, COCYCLE.coords(2 * n)))
 
 
 # -- witness-first existence ---------------------------------------------------
