@@ -53,10 +53,11 @@ def _sparse(dim: int, mats: tuple) -> tuple:
     den = lcm(*(m.den for m in mats))
     cols = []
     for m in mats:
-        f = den // m.den
-        for j in range(dim):
-            cols.append(tuple((k, m.re[b] * f, m.im[b] * f)
-                              for k, b in enumerate(range(j, dim * dim, dim)) if m.re[b] or m.im[b]))
+        f, col = den // m.den, [[] for _ in range(dim)]
+        for b, x, y in zip(range(dim * dim), m.re, m.im):  # row-major, so k ascends
+            if x or y:
+                col[b % dim].append((b // dim, x * f, y * f))
+        cols.extend(map(tuple, col))
     rows = tuple(tuple((j, cols[i * dim + j]) for j in range(dim) if cols[i * dim + j])
                  for i in range(dim))
     return den, all(m.is_real() for m in mats), rows, tuple(cols)

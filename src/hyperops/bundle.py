@@ -1,7 +1,7 @@
 """JSON bundle format: one document carrying named algebras, representations,
 maps, forms, and triples, with every scalar written in the exact text grammar.
 
-Schema (all scalar values are strings in the grammar of scalars.parse_scalar):
+Schema (all scalar values are strings in the grammar of scalars.parse_gaussian):
 
     {
       "field": "gaussian_rational",
@@ -25,6 +25,9 @@ pair is filled by antisymmetry unless it is given explicitly; pre-Lie entries
 list every nonzero product.  The indices i, j, k are JSON integers (not
 floats, booleans or strings).  Indices are 1-based throughout.
 
+Literals are parsed to Gaussian-integer numerators and summed over a common
+denominator straight into integer matrices: no Scalar is built.
+
 Every section and record must have the shape above, or parsing raises
 BundleError.  Algebra ``dim`` and module ``module_dim`` are capped at
 MAX_DIM, checked before any tensor is allocated: an algebra holds dim^3
@@ -36,6 +39,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from math import lcm
 
 from .algebra import (
     LieAlgebra,
@@ -50,7 +54,7 @@ from .geometry import SKEW, SYMMETRIC, BilForm, classify_hyper_hessian, classify
 from .hyper import classify_hyper
 from .linalg import Matrix
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext
-from .scalars import ZERO, ScalarParseError, parse_scalar
+from .scalars import ScalarParseError, parse_gaussian
 
 
 class BundleError(ValueError):
@@ -114,20 +118,31 @@ def _lookup(table: dict, name: str, what: str):
     return table[name]
 
 
-def _scalar(text, where: str):
+def _literal(text, where: str) -> tuple[int, int, int]:
     try:
-        return parse_scalar(str(text))
+        return parse_gaussian(str(text))
     except ScalarParseError as exc:
         raise BundleError(f"{where}: {exc}") from exc
+
+
+def _accumulate(size: int, terms: list) -> tuple[list, list, int]:
+    """Numerator arrays (re, im) of length `size` over one denominator, where
+    each of terms (position, sign, (re, im, den)) adds sign times its value."""
+    den = lcm(*(d for _, _, (_, _, d) in terms))
+    re, im = [0] * size, [0] * size
+    for at, sign, (a, b, d) in terms:
+        f = sign * (den // d)
+        re[at] += a * f
+        im[at] += b * f
+    return re, im, den
 
 
 def _matrix(rows, where: str) -> Matrix:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)):
         raise BundleError(f"{where}: matrix must be a list of equal-length nonempty rows")
-    return Matrix.from_rows(
-        [[_scalar(v, where) for v in row] for row in rows]
-    )
+    terms = [(at, 1, _literal(v, where)) for at, v in enumerate(v for row in rows for v in row)]
+    return Matrix._make(len(rows), len(rows[0]), *_accumulate(len(terms), terms))
 
 
 def _dim(value, where: str) -> int:
@@ -148,25 +163,28 @@ def _parse_algebra(name: str, rec: dict):
         raise BundleError(f"algebra {name!r}: need kind lie|prelie")
     dim = _dim(rec.get("dim"), f"algebra {name!r}")
     constants = _list(rec.get("constants", []), f"algebra {name!r}: constants")
-    tensor = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    explicit = set()
+    # e_i e_j = sum_k c e_k is entry (k, j) of the left multiplication L_i
+    size = dim * dim
+    terms, explicit = [], set()
     for rec_ijk in constants:
         if not isinstance(rec_ijk, dict) or any(type(rec_ijk.get(t)) is not int for t in "ijk"):
             raise BundleError(f"algebra {name!r}: bad constant record {rec_ijk!r}")
         i, j, k = rec_ijk["i"], rec_ijk["j"], rec_ijk["k"]
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise BundleError(f"algebra {name!r}: index out of range in {rec_ijk!r}")
-        co = _scalar(rec_ijk.get("coeff", "1"), f"algebra {name!r}")
-        tensor[i - 1][j - 1][k - 1] = tensor[i - 1][j - 1][k - 1] + co
+        co = _literal(rec_ijk.get("coeff", "1"), f"algebra {name!r}")
+        terms.append(((i - 1) * size + (k - 1) * dim + j - 1, 1, co))
         explicit.add((i - 1, j - 1))
-    if kind == "prelie":
-        return PreLieAlgebra(dim, tensor)
-    # fill mirrored Lie entries by antisymmetry where not given explicitly
-    for (i, j) in list(explicit):
-        if (j, i) not in explicit:
-            for k in range(dim):
-                tensor[j][i][k] = -tensor[i][j][k]
-    return LieAlgebra(dim, tensor)
+    re, im, den = _accumulate(dim * size, terms)
+    if kind == "lie":
+        # fill mirrored entries by antisymmetry where not given explicitly
+        for i, j in explicit - {(j, i) for i, j in explicit}:
+            for k in range(0, size, dim):
+                re[j * size + k + i] = -re[i * size + k + j]
+                im[j * size + k + i] = -im[i * size + k + j]
+    mats = [Matrix._make(dim, dim, re[b:b + size], im[b:b + size], den)
+            for b in range(0, dim * size, size)]
+    return (LieAlgebra if kind == "lie" else PreLieAlgebra)(dim, mats)
 
 
 def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
@@ -207,7 +225,7 @@ def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
     symmetry = rec.get("symmetry")
     if symmetry not in (SKEW, SYMMETRIC):
         raise BundleError(f"form {name!r}: symmetry must be 'skew' or 'symmetric'")
-    terms = []
+    n, terms = g.dim, []
     for t in _list(rec.get("terms", []), f"form {name!r}: terms"):
         if not isinstance(t, dict):
             raise BundleError(f"form {name!r}: term records must be objects, got {t!r}")
@@ -216,12 +234,15 @@ def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
         if m is None:
             raise BundleError(f"form {name!r}: malformed term {t.get('term')!r}")
         i, op, j = int(m.group(1)), m.group(2), int(m.group(3))
-        if not (1 <= i <= g.dim and 1 <= j <= g.dim):
+        if not (1 <= i <= n and 1 <= j <= n):
             raise BundleError(f"form {name!r}: index out of range in {t.get('term')!r}")
-        kind = "wedge" if op == "∧" else "tensor"
-        terms.append((kind, i, j, _scalar(t.get("coeff", "1"), f"form {name!r}")))
+        co = _literal(t.get("coeff", "1"), f"form {name!r}")
+        # a tensor term adds c at (i, j); a wedge term also -c at (j, i)
+        terms.append(((i - 1) * n + j - 1, 1, co))
+        if op == "∧":
+            terms.append(((j - 1) * n + i - 1, -1, co))
     try:
-        return BilForm.from_terms(g.dim, terms, symmetry), alg_name
+        return BilForm(Matrix._make(n, n, *_accumulate(n * n, terms)), symmetry), alg_name
     except ValueError as exc:
         raise BundleError(f"form {name!r}: {exc}") from exc
 
@@ -285,10 +306,12 @@ def _records(doc: dict, section: str) -> list:
 def load_bundle(path: str) -> Bundle:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise BundleError(f"cannot read bundle {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past the interpreter's limit
         raise BundleError(f"bundle {path!r} is not valid JSON: {exc}") from exc
     return parse_bundle(doc)
 

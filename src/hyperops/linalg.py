@@ -13,12 +13,12 @@ equality and hashing compare it structurally.  Product, sum, negation,
 scaling and transpose are integer loops that skip the imaginary parts of real
 operands.  ``det`` and the reduced row echelon form behind ``rank``, ``inv``,
 ``kernel`` and ``solve_affine`` run one fraction-free elimination,
-``_eliminate``, with two row updates: real rows are divided by their gcd, and
-non-real rows exactly, in Z[i], by the previous pivot (E. Bareiss, Math. Comp.
-22, 1968; the Gauss-Jordan form is in Nakos, Turner and Williams, SIGSAM
-Bull. 31, 1997), so each entry stays a minor of the input.  RREF, determinant
-and inverse are unique, so every pivot, kernel basis and inverse is the one
-field arithmetic gives.
+``_eliminate``, with two row updates: the RREF divides real rows by their
+gcd; otherwise rows are divided exactly, in Z or Z[i], by the previous pivot
+(E. Bareiss, Math. Comp. 22, 1968; the Gauss-Jordan form is in Nakos, Turner
+and Williams, SIGSAM Bull. 31, 1997), so each entry stays a minor of the
+input.  RREF, determinant and inverse are unique, so every pivot, kernel
+basis and inverse is the one field arithmetic gives.
 
 Scalar is the boundary type.  Constructors take Scalars (or ints, Fractions,
 literals); ``__getitem__``, ``row``, ``col`` and ``entries`` return Scalars,
@@ -318,7 +318,7 @@ class Matrix:
             raise DimensionError(f"det of {self.rows}x{self.cols} matrix")
         n = self.rows
         mr = [list(self.re[i * n:(i + 1) * n]) for i in range(n)]
-        mi = [list(self.im[i * n:(i + 1) * n]) for i in range(n)]
+        mi = None if self._real else [list(self.im[i * n:(i + 1) * n]) for i in range(n)]
         pivots, sign, (qr, qi) = _eliminate(mr, mi, n, forward=True)
         if len(pivots) < n:
             return ZERO
@@ -352,17 +352,18 @@ def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> t
     rr + i*ri (ri is None for real rows).  Returns the pivot columns, the sign
     of the row swaps and the last pivot as a pair (re, im).
 
-    A real row with f != 0 in the pivot column becomes p*row - f*pivot_row,
-    divided by its gcd.  With ri given, every other row becomes
-    (p*row - f*pivot_row) / q, q the previous pivot (Bareiss), even when
-    f = 0: only with every row at the same step is the division exact in
-    Z[i], and then each entry is a minor of the input.  Without `forward`,
-    row r ends as a nonzero multiple of the r-th row of the RREF.
+    Row updates take p, the pivot, and f, the row's entry in the pivot column.
+    Without `forward`, a real row with f != 0 becomes p*row - f*pivot_row,
+    divided by its gcd.  Otherwise (Bareiss) every row to update becomes
+    (p*row - f*pivot_row) / q, q the previous pivot, even when f = 0: only
+    with every row at the same step is the division exact (in Z, or Z[i] with
+    ri given), and then each entry is a minor of the input.  Without
+    `forward`, row r ends as a nonzero multiple of the r-th row of the RREF.
 
     `forward` (Gaussian elimination) updates only the rows below each pivot,
     with ri given only right of its column, and stops at the first column
-    without a pivot.  With ri given and a pivot in every column of a square
-    matrix, the sign times the last pivot is then its determinant.
+    without a pivot.  With a pivot in every column of a square matrix, the
+    sign times the last pivot is then its determinant.
     """
     pivots, sign = [], 1
     qr, qi = 1, 0
@@ -385,7 +386,9 @@ def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> t
             pi = 0
             for i in range(start, nrows):
                 f = rr[i][c]
-                if f and i != r:
+                if forward:
+                    rr[i] = [(pr * a - f * b) // qr for a, b in zip(rr[i], br)]
+                elif f and i != r:
                     row = [pr * a - f * b for a, b in zip(rr[i], br)]
                     g = gcd(*row)
                     rr[i] = [v // g for v in row] if g > 1 else row

@@ -2,11 +2,15 @@
 
 A Scalar is a + b*i with a, b arbitrary-precision rationals.  All arithmetic
 is exact; equality is structural equality of canonical (reduced) forms.
+
+Literals have one grammar: `parse_gaussian` reads one into Gaussian-integer
+numerators over one denominator, and `parse_scalar` wraps that in a Scalar.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,32 +147,38 @@ def scalar(re_part=0, im_part=0) -> Scalar:
     return Scalar(Fraction(re_part), Fraction(im_part))
 
 
-def _parse_frac(text: str, token: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ScalarParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _parse_frac(text: str, raw: str) -> tuple[int, int]:
+    """A matched term INT[/INT] as (numerator, positive denominator)."""
+    num, _, den = text.partition("/")
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:  # only past the interpreter's limit on integer strings
+        raise ScalarParseError(
+            f"integer of more than {sys.get_int_max_str_digits()} digits") from None
+    if d == 0:
+        raise ScalarParseError(f"zero denominator in {raw!r}")
+    return n, d
+
+
+def parse_gaussian(text: str) -> tuple[int, int, int]:
+    """Parse a scalar literal such as '2', '-1/2', 'i', '1/2-3i', '3+i' to
+    Gaussian-integer numerators over one positive denominator: (re, im, den)
+    for (re + im i) / den, not necessarily in lowest terms."""
+    m = _SCALAR_RE.match(text.replace(" ", ""))
+    if m is None:
+        raise ScalarParseError(f"malformed scalar {text!r}")
+    sign = -1 if m.group("s1") == "-" else 1
+    if m.group("i1"):  # pure imaginary: [-][INT[/INT]]i
+        b, d = _parse_frac(m.group("b1") or "1", text)
+        return 0, sign * b, d
+    a, da = _parse_frac(m.group("a"), text)
+    if not m.group("i2"):
+        return sign * a, 0, da
+    b, db = _parse_frac(m.group("b") or "1", text)
+    return sign * a * db, (-b if m.group("s2") == "-" else b) * da, da * db
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse a scalar literal such as '2', '-1/2', 'i', '1/2-3i', '3+i'."""
-    raw = text
-    text = text.replace(" ", "")
-    m = _SCALAR_RE.match(text)
-    if m is None:
-        raise ScalarParseError(f"malformed scalar {raw!r}")
-    sign = -1 if m.group("s1") == "-" else 1
-    if m.group("i1"):
-        # pure imaginary: [-][INT[/INT]]i
-        mag = _parse_frac(m.group("b1"), raw) if m.group("b1") else Fraction(1)
-        return Scalar(Fraction(0), sign * mag)
-    re_part = sign * _parse_frac(m.group("a"), raw)
-    if m.group("i2"):
-        isign = -1 if m.group("s2") == "-" else 1
-        mag = _parse_frac(m.group("b"), raw) if m.group("b") else Fraction(1)
-        return Scalar(re_part, isign * mag)
-    if m.group("s2"):
-        raise ScalarParseError(f"trailing sign without imaginary part in {raw!r}")
-    return Scalar(re_part)
+    """parse_gaussian's value as a Scalar."""
+    re_num, im_num, den = parse_gaussian(text)
+    return Scalar(Fraction(re_num, den), Fraction(im_num, den))

@@ -21,7 +21,7 @@ from hyperops.algebra import (
     trivial_rep,
 )
 from hyperops.cli import _SUITES, InputError
-from hyperops.corpus import export_bundle
+from hyperops.corpus import broken_variant, broken_variants, export_bundle, list_examples
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.linalg import Matrix
 from hyperops.operators import (
@@ -245,14 +245,20 @@ _TRIPLES = (("lie.L4sym", "omega"), ("prelie.rot4", "B"), ("abelian.quat", "quat
 
 
 def test_no_scalar_arithmetic_past_parse(monkeypatch):
-    """Once parse_bundle has built a corpus triple's bundle, classifying the
-    triple and running every identity suite on it stays in integers."""
-    bundles = {eid: parse_bundle(export_bundle(eid)) for eid, _ in _TRIPLES}
-    calls = []
+    """parse_bundle builds no Scalar and makes no Scalar arithmetic on any
+    corpus bundle or broken variant; classifying a corpus triple and running
+    every identity suite on it then stays in integers too."""
+    docs = {eid: export_bundle(eid) for eid, _, _ in list_examples()}
+    docs.update((name, broken_variant(name)) for name in broken_variants())
+    calls, built = [], []
     for name in _ARITHMETIC:
         method = getattr(Scalar, name)
         monkeypatch.setattr(Scalar, name,
                             lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args))
+    post_init = Scalar.__post_init__
+    monkeypatch.setattr(Scalar, "__post_init__", lambda s: built.append(s) or post_init(s))
+    bundles = {key: parse_bundle(doc) for key, doc in docs.items()}
+    assert (calls, built) == ([], [])
     for eid, triple in _TRIPLES:
         classify_triple(bundles[eid], triple)
         for suite in _SUITES.values():

@@ -122,6 +122,26 @@ def test_malformed_bundles_exit_two(tmp_path, name):
     assert message in payload["error"]
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no limit on integer strings")
+@pytest.mark.parametrize("quote, message", [
+    ('"', "algebra 'g': integer of more than {limit} digits"),
+    ("", "is not valid JSON: "),
+])
+def test_overlong_integer_exits_two_naming_where(tmp_path, quote, message):
+    """A coefficient string or a JSON number with more digits than the
+    interpreter converts is an input error that names its place."""
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    p = tmp_path / "bundle.json"
+    p.write_text('{"algebras": {"g": {"kind": "lie", "dim": 2, "constants": '
+                 f'[{{"i": 1, "j": 2, "k": 1, "coeff": {quote}{digits}{quote}}}]}}}}}}')
+    code, payload = cli.run(["check", str(p), "--what", "lie", "--args", "g"])
+    assert code == cli.EXIT_PARSE, payload
+    assert payload["status"] == "input-error"
+    assert message.format(limit=sys.get_int_max_str_digits()) in payload["error"]
+    assert (str(p) in payload["error"]) == (quote == "")
+
+
 def test_precondition_failures_exit_three(bundles):
     # product-one suite on a signature-product -1 triple
     code, payload = cli.run(

@@ -1,9 +1,21 @@
 """Built-in example registry: loading, running, exporting, broken variants."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hyperops.algebra import (
+    LieAlgebra,
+    PreLieAlgebra,
+    Representation,
+    adjoint_rep,
+    coadjoint_rep,
+    coregular_rep,
+    regular_rep,
+)
 from hyperops.bundle import MAX_DIM, BundleError, parse_bundle
 from hyperops.corpus import (
     broken_variant,
@@ -13,6 +25,10 @@ from hyperops.corpus import (
     load_example,
     run_example,
 )
+from hyperops.geometry import BilForm
+from hyperops.linalg import Matrix
+from hyperops.operators import LinMap
+from hyperops.scalars import ZERO, Scalar, parse_scalar
 
 
 def test_registry_is_deterministic_and_complete():
@@ -117,3 +133,133 @@ def test_parse_rejects_malformed_documents():
 def test_parse_rejects_malformed_shapes(doc):
     with pytest.raises(BundleError):
         parse_bundle(doc)
+
+
+# -- the integer bundle parser against the Scalar constructors ---------
+#
+# ref_sections builds a valid bundle's algebras, representations, maps and
+# forms from Scalars, through the public constructors: the nested tensor
+# form of LieAlgebra/PreLieAlgebra, Matrix.from_rows and BilForm.from_terms.
+
+_REF_CONSTRUCTORS = {"adjoint": adjoint_rep, "coadjoint": coadjoint_rep,
+                     "regular": regular_rep, "coregular": coregular_rep}
+_REF_TERM = re.compile(r"^e(\d+)\^?\*([∧⊗])e(\d+)\^?\*$")
+
+
+def _ref_rows(rows):
+    return Matrix.from_rows([[parse_scalar(str(v)) for v in row] for row in rows])
+
+
+def ref_sections(doc):
+    algebras, reps, maps, forms = {}, {}, {}, {}
+    for name, rec in doc.get("algebras", {}).items():
+        n = rec["dim"]
+        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        given_pairs = set()
+        for c in rec.get("constants", []):
+            i, j, k = c["i"] - 1, c["j"] - 1, c["k"] - 1
+            t[i][j][k] = t[i][j][k] + parse_scalar(str(c.get("coeff", "1")))
+            given_pairs.add((i, j))
+        if rec["kind"] == "lie":
+            for i, j in given_pairs:
+                if (j, i) not in given_pairs:
+                    t[j][i] = [-v for v in t[i][j]]
+        algebras[name] = (LieAlgebra if rec["kind"] == "lie" else PreLieAlgebra)(n, t)
+    for name, rec in doc.get("reps", {}).items():
+        g = algebras[rec["algebra"]]
+        if "constructor" in rec:
+            reps[name] = _REF_CONSTRUCTORS[rec["constructor"]](g)
+        else:
+            reps[name] = Representation(g, rec["module_dim"],
+                                        tuple(_ref_rows(m) for m in rec["matrices"]))
+    for name, rec in doc.get("maps", {}).items():
+        maps[name] = LinMap(_ref_rows(rec["matrix"]), rec["domain"], rec["codomain"])
+    for name, rec in doc.get("forms", {}).items():
+        terms = []
+        for t in rec.get("terms", []):
+            i, op, j = _REF_TERM.match(t["term"].replace(" ", "")).groups()
+            terms.append(("wedge" if op == "∧" else "tensor", int(i), int(j),
+                          parse_scalar(str(t.get("coeff", "1")))))
+        dim = algebras[rec["algebra"]].dim
+        try:
+            forms[name] = BilForm.from_terms(dim, terms, rec["symmetry"])
+        except ValueError as exc:
+            forms[name] = f"form {name!r}: {exc}"
+    return algebras, reps, maps, forms
+
+
+def assert_parses_like_reference(doc):
+    algebras, reps, maps, forms = ref_sections(doc)
+    errors = [v for v in forms.values() if isinstance(v, str)]
+    if errors:
+        with pytest.raises(BundleError) as exc:
+            parse_bundle(doc)
+        assert str(exc.value) == errors[0]
+        return
+    b = parse_bundle(doc)
+    assert (b.algebras, b.reps, b.maps, b.forms) == (algebras, reps, maps, forms)
+
+
+@pytest.mark.parametrize("doc", [export_bundle(eid) for eid, _, _ in list_examples()]
+                         + [broken_variant(name) for name in broken_variants()])
+def test_corpus_bundles_parse_like_scalar_reference(doc):
+    assert_parses_like_reference(doc)
+
+
+def _coeff(a, da, b, db, style):
+    """One value written three ways: numerators over mixed denominators
+    (not reduced), the canonical rendering, or a JSON integer."""
+    if style == 2 and b == 0 and da == 1:
+        return a
+    if style == 1:
+        return Scalar(Fraction(a, da), Fraction(b, db)).render()
+    return f"{a}/{da}{b:+d}/{db}i"
+
+
+@st.composite
+def coefficients(draw):
+    """A coefficient's written value and that of its negative."""
+    a, b = draw(st.integers(-6, 6)), draw(st.sampled_from([0, 0, 1, -2, 3]))
+    da, db = draw(st.sampled_from([1, 1, 2, 3, 4, 6])), draw(st.sampled_from([1, 2, 5]))
+    style = draw(st.integers(0, 2))
+    return _coeff(a, da, b, db, style), _coeff(-a, da, -b, db, style)
+
+
+@st.composite
+def bundles(draw):
+    kind = draw(st.sampled_from(["lie", "prelie"]))
+    n = draw(st.integers(1, 4))
+    index = st.integers(1, n)
+    # few distinct (i, j) pairs, so records repeat and Lie pairs come mirrored
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=3))
+    constants = [{"i": i, "j": j, "k": draw(index), "coeff": draw(coefficients())[0]}
+                 for i, j in draw(st.lists(st.sampled_from(pairs), max_size=8))]
+    skew, symmetric = [], []
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=5)):
+        skew.append({"term": f"e{i}^*∧e{j}^*", "coeff": draw(coefficients())[0]})
+        if i != j:  # a tensor pair on the same entries
+            c, neg_c = draw(coefficients())
+            skew += [{"term": f"e{i}^*⊗e{j}^*", "coeff": c},
+                     {"term": f"e{j}^* ⊗ e{i}^*", "coeff": neg_c}]
+        c = draw(coefficients())[0]
+        symmetric += [{"term": f"e{i}*⊗e{j}*", "coeff": c}, {"term": f"e{j}*⊗e{i}*", "coeff": c}]
+    if draw(st.booleans()):  # most likely breaks the symmetry
+        i, j = draw(index), draw(index)
+        skew.append({"term": f"e{i}^*⊗e{j}^*", "coeff": draw(coefficients())[0]})
+    doc = {"algebras": {"g": {"kind": kind, "dim": n, "constants": constants}},
+           "maps": {"m": {"domain": "algebra", "codomain": "algebra",
+                          "matrix": [[draw(coefficients())[0] for _ in range(n)]
+                                     for _ in range(n)]}},
+           "forms": {"w": {"algebra": "g", "symmetry": "skew", "terms": skew},
+                     "s": {"algebra": "g", "symmetry": "symmetric", "terms": symmetric}}}
+    if kind == "lie":
+        m = draw(st.integers(1, 3))
+        doc["reps"] = {"r": {"algebra": "g", "module_dim": m, "matrices": [
+            [[draw(coefficients())[0] for _ in range(m)] for _ in range(m)] for _ in range(n)]}}
+    return doc
+
+
+@given(bundles())
+@settings(max_examples=150, deadline=None)
+def test_generated_bundles_parse_like_scalar_reference(doc):
+    assert_parses_like_reference(doc)

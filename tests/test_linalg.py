@@ -365,6 +365,25 @@ def test_rank_and_kernel_match_reference(a):
     assert_canonical(k)
 
 
+@st.composite
+def real_squares(draw):
+    """A real n x n matrix, 2 <= n <= 8, the product of integer factors of
+    inner dimension k <= n (singular when k < n) over a denominator."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    entries = st.integers(-4, 4)
+    x = Matrix(n, k, [draw(entries) for _ in range(n * k)])
+    y = Matrix(k, n, [draw(entries) for _ in range(k * n)])
+    return (x * y).scale(Fraction(1, draw(st.sampled_from([1, 2, 6]))))
+
+
+@given(real_squares())
+@settings(max_examples=120, deadline=None)
+def test_real_det_matches_reference(a):
+    d = a.det()
+    assert (d.re, d.im) == ref_det(ref_of(a))
+
+
 @given(st.integers(1, 4).flatmap(lambda n: matrices(rows=n, cols=n))
        | st.integers(2, 8).flatmap(lambda n: products(rows=n, cols=n)))
 @settings(max_examples=120, deadline=None)

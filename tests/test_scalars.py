@@ -1,9 +1,11 @@
 """Exact scalar arithmetic: parsing, rendering, and the field axioms."""
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperops.scalars import (
     I,
@@ -12,6 +14,7 @@ from hyperops.scalars import (
     Scalar,
     ScalarArithmeticError,
     ScalarParseError,
+    parse_gaussian,
     parse_scalar,
     scalar,
 )
@@ -45,9 +48,94 @@ fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 scalars = st.builds(Scalar, fractions, fractions)
 
 
+def value(parts):
+    re_num, im_num, den = parts
+    assert den > 0
+    return Fraction(re_num, den), Fraction(im_num, den)
+
+
 @given(scalars)
 def test_render_parse_round_trip(a):
     assert parse_scalar(a.render()) == a
+    assert value(parse_gaussian(a.render())) == (a.re, a.im)
+
+
+# -- the integer parser against a frozen Fraction parser ---------------
+#
+# ref_parse is the Fraction-building parser the integer one replaced, kept
+# here as it was; both read the same grammar and must agree on every string.
+
+_REF_TERM = r"(\d+(?:/\d+)?)"
+_REF_RE = re.compile(
+    rf"^(?P<s1>[+-]?)(?:(?P<a>{_REF_TERM})(?:(?P<s2>[+-])(?P<b>{_REF_TERM})?(?P<i2>i))?"
+    rf"|(?P<b1>{_REF_TERM})?(?P<i1>i))$"
+)
+
+
+def _ref_frac(text, token):
+    if "/" in text:
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise ScalarParseError(f"zero denominator in {token!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
+
+
+def ref_parse(text):
+    raw = text
+    text = text.replace(" ", "")
+    m = _REF_RE.match(text)
+    if m is None:
+        raise ScalarParseError(f"malformed scalar {raw!r}")
+    sign = -1 if m.group("s1") == "-" else 1
+    if m.group("i1"):
+        mag = _ref_frac(m.group("b1"), raw) if m.group("b1") else Fraction(1)
+        return Fraction(0), sign * mag
+    re_part = sign * _ref_frac(m.group("a"), raw)
+    if m.group("i2"):
+        isign = -1 if m.group("s2") == "-" else 1
+        mag = _ref_frac(m.group("b"), raw) if m.group("b") else Fraction(1)
+        return re_part, isign * mag
+    if m.group("s2"):
+        raise ScalarParseError(f"trailing sign without imaginary part in {raw!r}")
+    return re_part, Fraction(0)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ScalarParseError as exc:
+        return ScalarParseError, str(exc)
+
+
+# '\d' accepts the Arabic-Indic digit and rejects the superscript two, and
+# int() alone would accept the underscore: a digit test of its own would
+# disagree with the grammar on these
+_ALPHABET = "0123456789/+-i _\u0663\u00b2"
+literal_texts = (st.text(alphabet=_ALPHABET, max_size=12)
+                 | st.from_regex(_REF_RE)
+                 | st.lists(st.sampled_from(["1", "2", "0", "\u0663", "/", "+", "-", "i", " ",
+                                             "_", "\u00b2", "12", "/3", "+4i", "-i"]),
+                            max_size=6).map("".join))
+
+
+@given(literal_texts)
+@settings(max_examples=400)
+def test_integer_parser_matches_fraction_parser(text):
+    want = outcome(ref_parse, text)
+    assert outcome(lambda t: value(parse_gaussian(t)), text) == want
+    got = outcome(parse_scalar, text)
+    assert got == (want if want[0] is ScalarParseError else Scalar(*want))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no limit on integer strings")
+@pytest.mark.parametrize("text", ["{d}", "1/{d}", "2-{d}i", "{d}i"])
+def test_overlong_integer_is_a_parse_error(text):
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ScalarParseError, match=f"^integer of more than {limit} digits$"):
+        parse_gaussian(text.format(d=digits))
 
 
 @given(scalars, scalars, scalars)
