@@ -8,8 +8,8 @@ Conventions (all 0-indexed internally, 1-indexed in reports and I/O):
 An algebra stores its structure constants once, as the integer matrices of
 left multiplication by the basis vectors: column j of c[i] (p[i]) is
 [e_i, e_j] (e_i . e_j), so c[i] is ad(e_i) and p[i] is L(e_i).  The
-constructor also takes a nested tensor t[i][j][k], the k-th coordinate of
-e_i e_j, and converts it once.  From the matrices each algebra derives a
+constructor takes these matrices; `from_constants` sums sparse records
+(i, j, k, coeff) into them.  From the matrices each algebra derives a
 sparse view (Gaussian-integer numerators over one denominator) that
 bracket/product contract with the integer arrays of the argument vectors.
 Representations likewise hold their matrices' numerators over one
@@ -22,27 +22,26 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .linalg import DimensionError, Matrix, _hstack, _to_scalar, gaussian_parts, unit_columns
+from .linalg import DimensionError, Matrix, _hstack, accumulate, unit_columns
 from .reporting import Report
-from .scalars import ZERO
 
 
-def _left_multiplications(dim: int, data) -> tuple:
-    """The structure constants as dim x dim matrices L_i, column j of L_i
-    holding e_i e_j.  data holds such matrices, or is a nested tensor
-    data[i][j][k] (the k-th coordinate of e_i e_j), converted here."""
-    if not all(isinstance(m, Matrix) for m in data):
-        for i, j in itertools.product(range(dim), repeat=2):
-            if len(data[i][j]) != dim:
-                raise DimensionError(f"tensor slice ({i},{j}) has wrong length")
-        r, size = range(dim), dim * dim
-        re, im, den = gaussian_parts([_to_scalar(data[i][j][k]) for i in r for k in r for j in r])
-        data = [Matrix._make(dim, dim, re[b:b + size], im[b:b + size], den)
-                for b in range(0, dim * size, size)]
-    mats = tuple(data)
+def _left_multiplications(dim: int, mats) -> tuple:
+    """The dim matrices L_i as a tuple, each checked to be dim x dim."""
+    mats = tuple(mats)
     if len(mats) != dim or any(m.rows != dim or m.cols != dim for m in mats):
         raise DimensionError(f"a {dim}-dimensional algebra needs {dim} {dim}x{dim} matrices")
     return mats
+
+
+def _from_constants(cls, dim: int, terms: list):
+    """cls(dim, L) from 1-indexed terms (i, j, k, sign, coeff), each adding
+    sign * coeff at e_k in e_i e_j: entry (k, j) of L_i."""
+    size = dim * dim
+    re, im, den = accumulate(dim * size, [
+        ((i - 1) * size + (k - 1) * dim + j - 1, sign, co) for i, j, k, sign, co in terms])
+    return cls(dim, [Matrix._make(dim, dim, re[b:b + size], im[b:b + size], den)
+                     for b in range(0, dim * size, size)])
 
 
 def _sparse(dim: int, mats: tuple) -> tuple:
@@ -106,15 +105,13 @@ class LieAlgebra:
         object.__setattr__(self, "_sp", _sparse(self.dim, self.c))
 
     @classmethod
-    def from_brackets(cls, dim: int, brackets: dict) -> "LieAlgebra":
-        """brackets maps 1-indexed (i, j) with i < j to {k: coeff}; antisymmetry filled in."""
-        c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comps in brackets.items():
-            for k, v in comps.items():
-                v = _to_scalar(v)
-                c[i - 1][j - 1][k - 1] = v
-                c[j - 1][i - 1][k - 1] = -v
-        return cls(dim, c)
+    def from_constants(cls, dim: int, constants: list) -> "LieAlgebra":
+        """From 1-indexed records (i, j, k, coeff), each adding coeff at e_k in
+        [e_i, e_j].  A pair (i, j) is mirrored, negated, to (j, i) unless
+        (j, i) is given explicitly, so a pair (i, i) is never negated."""
+        given = {(i, j) for i, j, _, _ in constants}
+        return _from_constants(cls, dim, [(i, j, k, 1, co) for i, j, k, co in constants] + [
+            (j, i, k, -1, co) for i, j, k, co in constants if (j, i) not in given])
 
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         """Bracket of coordinate column vectors."""
@@ -139,13 +136,10 @@ class PreLieAlgebra:
         object.__setattr__(self, "_sp", _sparse(self.dim, self.p))
 
     @classmethod
-    def from_products(cls, dim: int, products: dict) -> "PreLieAlgebra":
-        """products maps 1-indexed (i, j) to {k: coeff}."""
-        p = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comps in products.items():
-            for k, v in comps.items():
-                p[i - 1][j - 1][k - 1] = _to_scalar(v)
-        return cls(dim, p)
+    def from_constants(cls, dim: int, constants: list) -> "PreLieAlgebra":
+        """From 1-indexed records (i, j, k, coeff), each adding coeff at e_k in
+        e_i . e_j."""
+        return _from_constants(cls, dim, [(i, j, k, 1, co) for i, j, k, co in constants])
 
     def product(self, x: Matrix, y: Matrix) -> Matrix:
         return _contract(self._sp, self.dim, x, y)

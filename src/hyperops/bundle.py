@@ -25,12 +25,13 @@ pair is filled by antisymmetry unless it is given explicitly; pre-Lie entries
 list every nonzero product.  The indices i, j, k are JSON integers (not
 floats, booleans or strings).  Indices are 1-based throughout.
 
-Literals are parsed to Gaussian-integer numerators and summed over a common
-denominator straight into integer matrices: no Scalar is built.
+Each record is validated here and built by a public constructor, which sums
+its literals straight into integer matrices without building a Scalar; the
+constructor's ValueError becomes a BundleError naming the record.
 
 Every section and record must have the shape above, or parsing raises
 BundleError.  Algebra ``dim`` and module ``module_dim`` are capped at
-MAX_DIM, checked before any tensor is allocated: an algebra holds dim^3
+MAX_DIM, checked before any matrix is allocated: an algebra holds dim^3
 structure constants, and the operator checks loop over basis tuples.
 """
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from math import lcm
 
 from .algebra import (
     LieAlgebra,
@@ -54,7 +54,6 @@ from .geometry import SKEW, SYMMETRIC, BilForm, classify_hyper_hessian, classify
 from .hyper import classify_hyper
 from .linalg import Matrix
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext
-from .scalars import ScalarParseError, parse_gaussian
 
 
 class BundleError(ValueError):
@@ -64,7 +63,7 @@ class BundleError(ValueError):
 MAX_DIM = 64
 
 
-_TERM_RE = re.compile(r"^e(\d+)\^?\*([∧⊗])e(\d+)\^?\*$")
+_TERM_RE = re.compile(r"e(\d+)\^?\*([∧⊗])e(\d+)\^?\*")
 
 _CONSTRUCTORS = {
     "adjoint": (LieAlgebra, adjoint_rep),
@@ -118,31 +117,19 @@ def _lookup(table: dict, name: str, what: str):
     return table[name]
 
 
-def _literal(text, where: str) -> tuple[int, int, int]:
+def _build(where: str, make, *args):
+    """make(*args), with a ValueError raised as a BundleError naming where."""
     try:
-        return parse_gaussian(str(text))
-    except ScalarParseError as exc:
+        return make(*args)
+    except ValueError as exc:
         raise BundleError(f"{where}: {exc}") from exc
-
-
-def _accumulate(size: int, terms: list) -> tuple[list, list, int]:
-    """Numerator arrays (re, im) of length `size` over one denominator, where
-    each of terms (position, sign, (re, im, den)) adds sign times its value."""
-    den = lcm(*(d for _, _, (_, _, d) in terms))
-    re, im = [0] * size, [0] * size
-    for at, sign, (a, b, d) in terms:
-        f = sign * (den // d)
-        re[at] += a * f
-        im[at] += b * f
-    return re, im, den
 
 
 def _matrix(rows, where: str) -> Matrix:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)):
         raise BundleError(f"{where}: matrix must be a list of equal-length nonempty rows")
-    terms = [(at, 1, _literal(v, where)) for at, v in enumerate(v for row in rows for v in row)]
-    return Matrix._make(len(rows), len(rows[0]), *_accumulate(len(terms), terms))
+    return _build(where, Matrix.from_rows, [[str(v) for v in row] for row in rows])
 
 
 def _dim(value, where: str) -> int:
@@ -163,28 +150,16 @@ def _parse_algebra(name: str, rec: dict):
         raise BundleError(f"algebra {name!r}: need kind lie|prelie")
     dim = _dim(rec.get("dim"), f"algebra {name!r}")
     constants = _list(rec.get("constants", []), f"algebra {name!r}: constants")
-    # e_i e_j = sum_k c e_k is entry (k, j) of the left multiplication L_i
-    size = dim * dim
-    terms, explicit = [], set()
+    records = []
     for rec_ijk in constants:
         if not isinstance(rec_ijk, dict) or any(type(rec_ijk.get(t)) is not int for t in "ijk"):
             raise BundleError(f"algebra {name!r}: bad constant record {rec_ijk!r}")
         i, j, k = rec_ijk["i"], rec_ijk["j"], rec_ijk["k"]
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise BundleError(f"algebra {name!r}: index out of range in {rec_ijk!r}")
-        co = _literal(rec_ijk.get("coeff", "1"), f"algebra {name!r}")
-        terms.append(((i - 1) * size + (k - 1) * dim + j - 1, 1, co))
-        explicit.add((i - 1, j - 1))
-    re, im, den = _accumulate(dim * size, terms)
-    if kind == "lie":
-        # fill mirrored entries by antisymmetry where not given explicitly
-        for i, j in explicit - {(j, i) for i, j in explicit}:
-            for k in range(0, size, dim):
-                re[j * size + k + i] = -re[i * size + k + j]
-                im[j * size + k + i] = -im[i * size + k + j]
-    mats = [Matrix._make(dim, dim, re[b:b + size], im[b:b + size], den)
-            for b in range(0, dim * size, size)]
-    return (LieAlgebra if kind == "lie" else PreLieAlgebra)(dim, mats)
+        records.append((i, j, k, str(rec_ijk.get("coeff", "1"))))
+    cls = LieAlgebra if kind == "lie" else PreLieAlgebra
+    return _build(f"algebra {name!r}", cls.from_constants, dim, records)
 
 
 def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
@@ -209,7 +184,8 @@ def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
     mdim = _dim(rec["module_dim"], f"rep {name!r}")
     if len(mats) != g.dim:
         raise BundleError(f"rep {name!r}: {len(mats)} matrices for algebra of dim {g.dim}")
-    return Representation(g, mdim, tuple(_matrix(m, f"rep {name!r}") for m in mats))
+    mats = tuple(_matrix(m, f"rep {name!r}") for m in mats)
+    return _build(f"rep {name!r}", Representation, g, mdim, mats)
 
 
 def _parse_map(name: str, rec: dict) -> LinMap:
@@ -229,22 +205,14 @@ def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
     for t in _list(rec.get("terms", []), f"form {name!r}: terms"):
         if not isinstance(t, dict):
             raise BundleError(f"form {name!r}: term records must be objects, got {t!r}")
-        text = str(t.get("term", "")).replace(" ", "")
-        m = _TERM_RE.match(text)
+        m = _TERM_RE.fullmatch(str(t.get("term", "")).replace(" ", ""))
         if m is None:
             raise BundleError(f"form {name!r}: malformed term {t.get('term')!r}")
         i, op, j = int(m.group(1)), m.group(2), int(m.group(3))
         if not (1 <= i <= n and 1 <= j <= n):
             raise BundleError(f"form {name!r}: index out of range in {t.get('term')!r}")
-        co = _literal(t.get("coeff", "1"), f"form {name!r}")
-        # a tensor term adds c at (i, j); a wedge term also -c at (j, i)
-        terms.append(((i - 1) * n + j - 1, 1, co))
-        if op == "∧":
-            terms.append(((j - 1) * n + i - 1, -1, co))
-    try:
-        return BilForm(Matrix._make(n, n, *_accumulate(n * n, terms)), symmetry), alg_name
-    except ValueError as exc:
-        raise BundleError(f"form {name!r}: {exc}") from exc
+        terms.append(("wedge" if op == "∧" else "tensor", i, j, str(t.get("coeff", "1"))))
+    return _build(f"form {name!r}", BilForm.from_terms, n, terms, symmetry), alg_name
 
 
 def _parse_triple(name: str, rec: dict, bundle: Bundle) -> TripleRef:
@@ -305,9 +273,9 @@ def _records(doc: dict, section: str) -> list:
 
 def load_bundle(path: str) -> Bundle:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"cannot read bundle {path!r}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -29,7 +29,7 @@ from .hyper import (
     decompose_hyper,
     reconstruct_hyper,
 )
-from .linalg import DimensionError, Matrix, SingularMatrixError, _to_scalar, unit_columns
+from .linalg import DimensionError, Matrix, SingularMatrixError, accumulate, unit_columns
 from .operators import (
     ALGEBRA,
     MODULE,
@@ -40,7 +40,7 @@ from .operators import (
     nijenhuis_square_sign,
 )
 from .reporting import PreconditionError, Report
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
@@ -73,18 +73,16 @@ class BilForm:
 
     @classmethod
     def from_terms(cls, dim: int, terms, symmetry: str) -> "BilForm":
-        """terms: iterable of (kind, i, j, coeff), kind 'wedge' or 'tensor', 1-indexed."""
-        m = [[ZERO] * dim for _ in range(dim)]
+        """terms: iterable of (kind, i, j, coeff), 1-indexed; a 'tensor' term
+        adds coeff at (i, j), a 'wedge' term also -coeff at (j, i)."""
+        flat = []
         for kind, i, j, co in terms:
-            co = _to_scalar(co)
-            if kind == "wedge":
-                m[i - 1][j - 1] = m[i - 1][j - 1] + co
-                m[j - 1][i - 1] = m[j - 1][i - 1] - co
-            elif kind == "tensor":
-                m[i - 1][j - 1] = m[i - 1][j - 1] + co
-            else:
+            if kind not in ("wedge", "tensor"):
                 raise ValueError(f"unknown term kind {kind!r}")
-        return cls(Matrix.from_rows(m), symmetry)
+            flat.append(((i - 1) * dim + j - 1, 1, co))
+            if kind == "wedge":
+                flat.append(((j - 1) * dim + i - 1, -1, co))
+        return cls(Matrix._make(dim, dim, *accumulate(dim * dim, flat)), symmetry)
 
 
 @functools.cache

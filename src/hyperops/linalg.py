@@ -20,9 +20,11 @@ and Williams, SIGSAM Bull. 31, 1997), so each entry stays a minor of the
 input.  RREF, determinant and inverse are unique, so every pivot, kernel
 basis and inverse is the one field arithmetic gives.
 
-Scalar is the boundary type.  Constructors take Scalars (or ints, Fractions,
-literals); ``__getitem__``, ``row``, ``col`` and ``entries`` return Scalars,
-built on first access and cached, and so do ``det`` and ``solve_affine``.
+Scalar is the boundary type.  Constructors of matrices, forms and algebras
+read ints, Fractions, literals and Scalars with ``scalars.as_gaussian`` and
+sum them with ``accumulate``.  ``__getitem__``, ``row``, ``col`` and
+``entries`` return Scalars, built on first access and cached, and so do
+``det`` and ``solve_affine``.
 ``kernel`` returns its basis as the rows of one Matrix, and a pencil is a
 sequence of Matrices.  Poly keeps Scalar coefficients.
 """
@@ -35,7 +37,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, as_gaussian
 
 
 class DimensionError(ValueError):
@@ -48,24 +50,17 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular matrix: rank {rank} < {n}")
 
 
-def _to_scalar(v) -> Scalar:
-    if isinstance(v, Scalar):
-        return v
-    if isinstance(v, str):
-        return scalar(v)
-    if isinstance(v, (int, Fraction)):
-        return Scalar(Fraction(v))
-    raise TypeError(f"bad matrix entry {v!r}")
-
-
-def gaussian_parts(values: Sequence[Scalar]) -> tuple[list, list, int]:
-    """Scalars as (re numerators, im numerators, common denominator).
-
-    The denominator is the lcm of the entries' reduced denominators, so the
-    result is already in lowest terms."""
-    den = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
-    re = [v.re.numerator * (den // v.re.denominator) for v in values]
-    im = [v.im.numerator * (den // v.im.denominator) for v in values]
+def accumulate(size: int, terms) -> tuple[list, list, int]:
+    """Numerator lists (re, im) of length `size` over one denominator, where
+    each of terms (position, sign, value) adds sign times its value, any value
+    `as_gaussian` takes.  Every constructor sums its input through here."""
+    terms = [(at, sign, as_gaussian(v)) for at, sign, v in terms]
+    den = lcm(*(d for _, _, (_, _, d) in terms))
+    re, im = [0] * size, [0] * size
+    for at, sign, (a, b, d) in terms:
+        f = sign * (den // d)
+        re[at] += a * f
+        im[at] += b * f
     return re, im, den
 
 
@@ -79,18 +74,23 @@ class Matrix:
     __slots__ = ("rows", "cols", "re", "im", "den", "_real", "_s")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        s = [_to_scalar(v) for v in entries]
-        if len(s) != rows * cols:
-            raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(s)}")
-        re, im, den = gaussian_parts(s)
-        self._set(rows, cols, tuple(re), tuple(im), den)
-        self._s = s
+        terms = [(k, 1, v) for k, v in enumerate(entries)]
+        if len(terms) != rows * cols:
+            raise DimensionError(
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(terms)}")
+        self._set(rows, cols, *accumulate(len(terms), terms))
 
-    def _set(self, rows, cols, re, im, den):
+    def _set(self, rows, cols, re, im, den, reduce=True):
+        if reduce and den != 1:
+            g = gcd(den, *re, *im)
+            if g != 1:
+                re = [v // g for v in re]
+                im = [v // g for v in im]
+                den //= g
         self.rows = rows
         self.cols = cols
-        self.re = re
-        self.im = im
+        self.re = tuple(re)
+        self.im = tuple(im)
         self.den = den
         self._real = not any(im)
         self._s = None
@@ -99,27 +99,17 @@ class Matrix:
     def _make(cls, rows: int, cols: int, re, im, den: int, reduce: bool = True) -> "Matrix":
         """From integer numerators over a positive denominator; `reduce` divides
         out their common factor (skip it only for numerators already reduced)."""
-        if reduce and den != 1:
-            g = gcd(den, *re, *im)
-            if g != 1:
-                re = [v // g for v in re]
-                im = [v // g for v in im]
-                den //= g
         m = cls.__new__(cls)
-        m._set(rows, cols, tuple(re), tuple(im), den)
+        m._set(rows, cols, re, im, den, reduce)
         return m
 
     # -- constructors --------------------------------------------------
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise DimensionError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise DimensionError("ragged rows")
+        return cls(len(rows), c, [v for row in rows for v in row])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -138,10 +128,8 @@ class Matrix:
     @classmethod
     def diag(cls, entries: Sequence) -> "Matrix":
         n = len(entries)
-        m = [ZERO] * (n * n)
-        for i, v in enumerate(entries):
-            m[i * n + i] = v
-        return cls(n, n, m)
+        terms = [(i * (n + 1), 1, v) for i, v in enumerate(entries)]
+        return cls._make(n, n, *accumulate(n * n, terms))
 
     # -- access --------------------------------------------------------
     def _scalar(self, k: int) -> Scalar:
@@ -222,10 +210,7 @@ class Matrix:
                             reduce=False)
 
     def scale(self, k) -> "Matrix":
-        if type(k) is int:
-            kr, ki, kd = k, 0, 1
-        else:
-            (kr,), (ki,), kd = gaussian_parts([_to_scalar(k)])
+        kr, ki, kd = as_gaussian(k)
         if ki == 0:
             re = [kr * a for a in self.re]
             im = self.im if self._real else [kr * b for b in self.im]
@@ -458,7 +443,6 @@ class AffineSolutionSpace:
 
 def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSpace | None:
     """Full solution set of A x = b, or None when infeasible."""
-    b = [_to_scalar(v) for v in b]
     if len(b) != a.rows:
         raise DimensionError(f"rhs length {len(b)} != {a.rows} rows")
     m, pivots = _hstack(a, Matrix.column(b))._rref()
@@ -484,7 +468,6 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "Poly":
-        c = _to_scalar(c)
         if c.is_zero():
             return cls(nvars, ())
         return cls(nvars, (((0,) * nvars, c),))
@@ -560,7 +543,7 @@ class Poly:
             t = c
             for v, k in zip(values, e):
                 for _ in range(k):
-                    t = t * _to_scalar(v)
+                    t = t * v
             out = out + t
         return out
 

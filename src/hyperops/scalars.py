@@ -5,6 +5,8 @@ is exact; equality is structural equality of canonical (reduced) forms.
 
 Literals have one grammar: `parse_gaussian` reads one into Gaussian-integer
 numerators over one denominator, and `parse_scalar` wraps that in a Scalar.
+`as_gaussian` takes any value a constructor accepts (int, Fraction, literal
+or Scalar) to the same numerators.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class ScalarParseError(ValueError):
@@ -135,8 +138,8 @@ I = Scalar(Fraction(0), Fraction(1))
 
 _TERM = r"(\d+(?:/\d+)?)"
 _SCALAR_RE = re.compile(
-    rf"^(?P<s1>[+-]?)(?:(?P<a>{_TERM})(?:(?P<s2>[+-])(?P<b>{_TERM})?(?P<i2>i))?"
-    rf"|(?P<b1>{_TERM})?(?P<i1>i))$"
+    rf"(?P<s1>[+-]?)(?:(?P<a>{_TERM})(?:(?P<s2>[+-])(?P<b>{_TERM})?(?P<i2>i))?"
+    rf"|(?P<b1>{_TERM})?(?P<i1>i))"
 )
 
 
@@ -164,7 +167,7 @@ def parse_gaussian(text: str) -> tuple[int, int, int]:
     """Parse a scalar literal such as '2', '-1/2', 'i', '1/2-3i', '3+i' to
     Gaussian-integer numerators over one positive denominator: (re, im, den)
     for (re + im i) / den, not necessarily in lowest terms."""
-    m = _SCALAR_RE.match(text.replace(" ", ""))
+    m = _SCALAR_RE.fullmatch(text.replace(" ", ""))
     if m is None:
         raise ScalarParseError(f"malformed scalar {text!r}")
     sign = -1 if m.group("s1") == "-" else 1
@@ -182,3 +185,17 @@ def parse_scalar(text: str) -> Scalar:
     """parse_gaussian's value as a Scalar."""
     re_num, im_num, den = parse_gaussian(text)
     return Scalar(Fraction(re_num, den), Fraction(im_num, den))
+
+
+def as_gaussian(value) -> tuple[int, int, int]:
+    """An int, Fraction, literal (through parse_gaussian) or Scalar as
+    Gaussian-integer numerators over one positive denominator, (re, im, den)."""
+    if isinstance(value, str):
+        return parse_gaussian(value)
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, Scalar):
+        a, b = value.re, value.im
+        den = lcm(a.denominator, b.denominator)
+        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+    raise TypeError(f"bad scalar value {value!r}")

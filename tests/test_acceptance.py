@@ -139,8 +139,7 @@ def test_metric_correspondences_both_directions():
     ds = [LinMap(b.map(n).matrix, ALGEBRA, ALGEBRA) for n in ("mi", "mj", "mk")]
     assert endo_triple_correspondence(g, b.form("B"), *ds, LIE_B).passed
     from hyperops.algebra import PreLieAlgebra
-    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g2 = PreLieAlgebra(2, zero)
+    g2 = PreLieAlgebra.from_constants(2, [])
     from hyperops.geometry import SKEW
     w = BilForm(Matrix.from_rows([[0, 1], [-1, 0]]), SKEW)
     p = LinMap(Matrix.diag([1, -1]), ALGEBRA, ALGEBRA)

@@ -38,15 +38,26 @@ from hyperops.scalars import ZERO, Scalar
 
 def sl2():
     # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    return LieAlgebra.from_brackets(3, {
-        (1, 2): {2: 2},
-        (1, 3): {3: -2},
-        (2, 3): {1: 1},
-    })
+    return LieAlgebra.from_constants(3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)])
 
 
 def heis():
-    return LieAlgebra.from_brackets(3, {(1, 2): {3: 1}})
+    return LieAlgebra.from_constants(3, [(1, 2, 3, 1)])
+
+
+def test_from_constants_mirrors_only_pairs_not_given():
+    """Repeated records sum; a Lie pair (i, j) fills (j, i) with its negation
+    only when no record gives (j, i), so an (i, i) entry is kept as given; a
+    pre-Lie algebra mirrors nothing."""
+    g = LieAlgebra.from_constants(3, [(1, 2, 3, 1), (1, 2, 3, "1/2"), (1, 3, 1, 2),
+                                      (3, 1, 2, 5), (2, 2, 1, "i")])
+    assert g.c == (Matrix.from_rows([[0, 0, 2], [0, 0, 0], [0, Fraction(3, 2), 0]]),
+                   Matrix.from_rows([[0, "i", 0], [0, 0, 0], [Fraction(-3, 2), 0, 0]]),
+                   Matrix.from_rows([[0, 0, 0], [5, 0, 0], [0, 0, 0]]))
+    p = PreLieAlgebra.from_constants(3, [(1, 2, 3, 1), (1, 2, 3, "1/2"), (2, 2, 1, "i")])
+    assert p.p == (Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, Fraction(3, 2), 0]]),
+                   Matrix.from_rows([[0, "i", 0], [0, 0, 0], [0, 0, 0]]),
+                   Matrix.zero(3, 3))
 
 
 def test_lie_axioms_pass_on_known_algebras():
@@ -56,7 +67,7 @@ def test_lie_axioms_pass_on_known_algebras():
 
 
 def test_lie_axioms_fail_with_indexed_counterexample():
-    bad = LieAlgebra.from_brackets(3, {(1, 2): {3: 1}, (1, 3): {1: 1}, (2, 3): {2: 1}})
+    bad = LieAlgebra.from_constants(3, [(1, 2, 3, 1), (1, 3, 1, 1), (2, 3, 2, 1)])
     rep = check_lie(bad)
     assert not rep.passed
     assert rep.violations[0].claim == "jacobi"
@@ -67,7 +78,7 @@ def test_prelie_axioms():
     b = parse_bundle(export_bundle("prelie.I4"))
     assert check_prelie(b.algebra("g")).passed
     # breaking one product violates left-symmetry
-    bad = PreLieAlgebra.from_products(2, {(1, 1): {2: 1}, (2, 1): {1: 1}})
+    bad = PreLieAlgebra.from_constants(2, [(1, 1, 2, 1), (2, 1, 1, 1)])
     rep = check_prelie(bad)
     assert not rep.passed
     assert rep.violations[0].counterexample is not None
@@ -110,7 +121,7 @@ def test_subadjacent_is_lie():
 
 def test_subadjacent_of_commutative_prelie_is_abelian():
     # symmetric products commute, so the commutator bracket vanishes
-    g = PreLieAlgebra.from_products(2, {(1, 1): {1: 1}})
+    g = PreLieAlgebra.from_constants(2, [(1, 1, 1, 1)])
     assert all(m.is_zero() for m in subadjacent(g).c)
 
 
@@ -152,6 +163,13 @@ def tensor_and_vectors(draw):
     return n, t, x, y
 
 
+def left_mults(t):
+    """The left multiplications of a tensor t[i][j][k], the k-th coordinate of
+    e_i e_j, as explicit matrices: entry (k, j) of L_i is t[i][j][k]."""
+    r = range(len(t))
+    return tuple(Matrix(len(t), len(t), [t[i][j][k] for k in r for j in r]) for i in r)
+
+
 def direct_sum(t, x, y):
     """sum_{i,j} x_i y_j t[i][j][k], computed entrywise with Scalars."""
     n = len(x)
@@ -171,8 +189,11 @@ def test_bracket_and_product_match_structure_constant_sum(data):
     n, t, x, y = data
     expect = Matrix.column(direct_sum(t, x, y))
     xs, ys = Matrix.column(x), Matrix.column(y)
-    # bracket does not assume antisymmetry, so any tensor serves both
-    g, p = LieAlgebra(n, t), PreLieAlgebra(n, t)
+    # bracket does not assume antisymmetry, so any tensor serves both; every
+    # pair (i, j) is given, so the Lie constructor mirrors none
+    records = [(i + 1, j + 1, k + 1, t[i][j][k])
+               for i in range(n) for j in range(n) for k in range(n)]
+    g, p = LieAlgebra.from_constants(n, records), PreLieAlgebra.from_constants(n, records)
     assert g.bracket(xs, ys) == expect
     assert p.product(xs, ys) == expect
     for i in range(n):
@@ -205,10 +226,11 @@ def test_derived_structures_match_scalar_tensor_formulas(data):
     n = data.draw(st.integers(1, 3))
     r = range(n)
     t = [[[data.draw(gauss) for _ in r] for _ in r] for _ in r]
-    g, p = LieAlgebra(n, t), PreLieAlgebra(n, t)
-    left = tuple(Matrix(n, n, [t[i][j][k] for k in r for j in r]) for i in r)
+    left = left_mults(t)
+    g, p = LieAlgebra(n, left), PreLieAlgebra(n, left)
     assert adjoint_rep(g).mats == regular_rep(p).mats == left
-    sub = LieAlgebra(n, [[[t[i][j][k] - t[j][i][k] for k in r] for j in r] for i in r])
+    sub = LieAlgebra(n, left_mults([[[t[i][j][k] - t[j][i][k] for k in r] for j in r]
+                                    for i in r]))
     assert subadjacent(p) == regular_rep(p).algebra == sub
 
     # [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] for any N (the Nijenhuis
@@ -216,7 +238,7 @@ def test_derived_structures_match_scalar_tensor_formulas(data):
     nm = Matrix(n, n, [data.draw(gauss) for _ in range(n * n)])
     deformed = [[[sum((nm[a, i] * t[a][j][k] + nm[a, j] * t[i][a][k] - nm[k, a] * t[i][j][a]
                        for a in r), ZERO) for k in r] for j in r] for i in r]
-    assert _deformed_bracket(g, nm) == LieAlgebra(n, deformed)
+    assert _deformed_bracket(g, nm) == LieAlgebra(n, left_mults(deformed))
 
     # rho(e_i) = s_i A on an abelian algebra, with A = e_m a^T, is a
     # representation; T e_m = 0 gives T A = 0, which makes T an O-operator
@@ -231,9 +253,9 @@ def test_derived_structures_match_scalar_tensor_formulas(data):
     # e_b ._T e_j = rho(T e_b) e_j has k-th coordinate sum_i T[i, b] rho_i[k, j]
     q = [[[sum((tm[i, b] * rho[i][k, j] for i in r), ZERO) for k in range(m)]
           for j in range(m)] for b in range(m)]
-    assert prelie == PreLieAlgebra(m, q)
-    assert lie == LieAlgebra(m, [[[q[b][j][k] - q[j][b][k] for k in range(m)]
-                                  for j in range(m)] for b in range(m)])
+    assert prelie == PreLieAlgebra(m, left_mults(q))
+    assert lie == LieAlgebra(m, left_mults([[[q[b][j][k] - q[j][b][k] for k in range(m)]
+                                             for j in range(m)] for b in range(m)]))
 
 
 # -- the parse boundary -----------------------------------------------

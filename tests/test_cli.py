@@ -108,6 +108,15 @@ MALFORMED_BUNDLES = {
                            "constants must be a list"),
     "dim-too-large": ({"algebras": {"g": {"kind": "lie", "dim": 1000000, "constants": []}}},
                       "dimension from 1 to"),
+    "coeff-trailing-newline": (
+        {"algebras": {"g": {"kind": "lie", "dim": 2,
+                            "constants": [{"i": 1, "j": 2, "k": 1, "coeff": "3i\n"}]}}},
+        "algebra 'g': malformed scalar '3i\\n'"),
+    "rep-matrix-wrong-size": (
+        {"algebras": {"g": {"kind": "lie", "dim": 1, "constants": []}},
+         "reps": {"r": {"algebra": "g", "module_dim": 2,
+                        "matrices": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}}},
+        "rep 'r': representation matrix 3x3 on module of dim 2"),
 }
 
 
@@ -120,6 +129,17 @@ def test_malformed_bundles_exit_two(tmp_path, name):
     assert code == cli.EXIT_PARSE, payload
     assert payload["status"] == "input-error"
     assert message in payload["error"]
+
+
+def test_non_utf8_bundle_exits_two_naming_the_file(tmp_path):
+    """A file that is not UTF-8 is an input error that names the file, read
+    the same under every locale."""
+    p = tmp_path / "bundle.json"
+    p.write_bytes(b"\xff\xfe{}")
+    code, payload = cli.run(["check", str(p), "--what", "lie", "--args", "g"])
+    assert code == cli.EXIT_PARSE, payload
+    assert payload["status"] == "input-error"
+    assert payload["error"].startswith(f"cannot read bundle {str(p)!r}: 'utf-8' codec")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

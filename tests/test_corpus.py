@@ -129,6 +129,8 @@ def test_parse_rejects_malformed_documents():
      "forms": {"f": {"algebra": "g", "symmetry": "skew", "terms": 3}}},
     {"algebras": {"g": {"kind": "lie", "dim": 2}},
      "forms": {"f": {"algebra": "g", "symmetry": "skew", "terms": ["e1^*∧e2^*"]}}},
+    {"algebras": {"g": {"kind": "lie", "dim": 2}},
+     "forms": {"f": {"algebra": "g", "symmetry": "skew", "terms": [{"term": "e1^*∧e2^*\n"}]}}},
 ])
 def test_parse_rejects_malformed_shapes(doc):
     with pytest.raises(BundleError):
@@ -138,8 +140,9 @@ def test_parse_rejects_malformed_shapes(doc):
 # -- the integer bundle parser against the Scalar constructors ---------
 #
 # ref_sections builds a valid bundle's algebras, representations, maps and
-# forms from Scalars, through the public constructors: the nested tensor
-# form of LieAlgebra/PreLieAlgebra, Matrix.from_rows and BilForm.from_terms.
+# forms by summing parse_scalar values with Scalar arithmetic, entry by entry,
+# and then passing the finished entries to Matrix.from_rows.  It does not call
+# from_constants or BilForm.from_terms, whose sums are under test here.
 
 _REF_CONSTRUCTORS = {"adjoint": adjoint_rep, "coadjoint": coadjoint_rep,
                      "regular": regular_rep, "coregular": coregular_rep}
@@ -164,7 +167,9 @@ def ref_sections(doc):
             for i, j in given_pairs:
                 if (j, i) not in given_pairs:
                     t[j][i] = [-v for v in t[i][j]]
-        algebras[name] = (LieAlgebra if rec["kind"] == "lie" else PreLieAlgebra)(n, t)
+        left = [Matrix.from_rows([[t[i][j][k] for j in range(n)] for k in range(n)])
+                for i in range(n)]
+        algebras[name] = (LieAlgebra if rec["kind"] == "lie" else PreLieAlgebra)(n, left)
     for name, rec in doc.get("reps", {}).items():
         g = algebras[rec["algebra"]]
         if "constructor" in rec:
@@ -175,14 +180,16 @@ def ref_sections(doc):
     for name, rec in doc.get("maps", {}).items():
         maps[name] = LinMap(_ref_rows(rec["matrix"]), rec["domain"], rec["codomain"])
     for name, rec in doc.get("forms", {}).items():
-        terms = []
+        dim = algebras[rec["algebra"]].dim
+        m = [[ZERO] * dim for _ in range(dim)]
         for t in rec.get("terms", []):
             i, op, j = _REF_TERM.match(t["term"].replace(" ", "")).groups()
-            terms.append(("wedge" if op == "∧" else "tensor", int(i), int(j),
-                          parse_scalar(str(t.get("coeff", "1")))))
-        dim = algebras[rec["algebra"]].dim
+            i, j, co = int(i) - 1, int(j) - 1, parse_scalar(str(t.get("coeff", "1")))
+            m[i][j] = m[i][j] + co
+            if op == "∧":
+                m[j][i] = m[j][i] - co
         try:
-            forms[name] = BilForm.from_terms(dim, terms, rec["symmetry"])
+            forms[name] = BilForm(Matrix.from_rows(m), rec["symmetry"])
         except ValueError as exc:
             forms[name] = f"form {name!r}: {exc}"
     return algebras, reps, maps, forms

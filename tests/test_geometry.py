@@ -1,6 +1,7 @@
 """Forms, flat maps, Hermitian variants, Kahler-type quadruples, invariant
 forms, and the endomorphism-triple correspondence."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -210,7 +211,7 @@ def test_kahler_suite_normalizes_relabelled_triples():
 def test_kahler_suite_anti_variant_on_prelie():
     # the symmetric forms induced from a skew invariant form by a para-hyper
     # endomorphism triple on the 2-dim abelian pre-Lie algebra
-    g = PreLieAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
+    g = PreLieAlgebra.from_constants(2, [])
     w = BilForm(Matrix.from_rows([[0, 1], [-1, 0]]), SKEW)
     ds = [LinMap(m, ALGEBRA, ALGEBRA) for m in (
         Matrix.diag([1, -1]), Matrix.from_rows([[0, 1], [1, 0]]),
@@ -223,7 +224,7 @@ def test_kahler_suite_anti_variant_on_prelie():
 
 def test_invariant_forms():
     # ad-invariant form on sl2 (the trace form, rescaled)
-    sl2 = LieAlgebra.from_brackets(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+    sl2 = LieAlgebra.from_constants(3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)])
     f = BilForm(Matrix.from_rows([[2, 0, 0], [0, 0, 1], [0, 1, 0]]), SYMMETRIC)
     rep = is_invariant_form(sl2, f)
     assert rep.passed
@@ -235,8 +236,7 @@ def test_invariant_forms():
 
 
 def test_prelie_invariant_form():
-    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g = PreLieAlgebra(2, zero)
+    g = PreLieAlgebra.from_constants(2, [])
     w = BilForm(Matrix.from_rows([[0, 1], [-1, 0]]), SKEW)
     assert is_invariant_form(g, w).passed
 
@@ -270,8 +270,7 @@ def test_correspondence_lie_setting_single_complex_structure():
 
 
 def test_correspondence_prelie_setting():
-    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g = PreLieAlgebra(2, zero)
+    g = PreLieAlgebra.from_constants(2, [])
     w = BilForm(Matrix.from_rows([[0, 1], [-1, 0]]), SKEW)
     p = LinMap(Matrix.diag([1, -1]), ALGEBRA, ALGEBRA)
     q = LinMap(Matrix.from_rows([[0, 1], [1, 0]]), ALGEBRA, ALGEBRA)
@@ -353,8 +352,9 @@ def _algebra_and_form(draw, identity):
     symmetry: random entries, a combination of the solution basis, or such a
     combination with one entry pair changed."""
     n = draw(st.integers(2, 4))
-    const = [[[draw(_sparse) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    g = identity.algebra(n, const)
+    # every pair (i, j) gets a record, so the Lie constructor mirrors none
+    g = identity.algebra.from_constants(n, [(i, j, k, draw(_sparse)) for i, j, k in
+                                            itertools.product(range(1, n + 1), repeat=3)])
     skew = identity.symmetry == SKEW
     mode = draw(st.sampled_from(["random", "solution", "perturbed"]))
     if mode == "random":
@@ -439,8 +439,8 @@ def test_form_identity_rows_are_positive_multiples_of_the_p_readout(identity, da
     # tensor, and skew or symmetric slices would hide a swapped (p, q)
     n = data.draw(st.integers(2, 5))
     const = data.draw(st.lists(_sparse, min_size=n ** 3, max_size=n ** 3))
-    g = identity.algebra(n, [[const[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-                             for i in range(n)])
+    g = identity.algebra.from_constants(n, [
+        (i, j, k, v) for (i, j, k), v in zip(itertools.product(range(1, n + 1), repeat=3), const)])
     for t in identity.tuples(n):
         rr, ri = identity.row(g, t)
         got = [Scalar(a, b) for a, b in zip(rr, ri)]

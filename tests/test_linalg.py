@@ -354,6 +354,34 @@ def test_ring_operations_match_reference(data):
     assert a.is_real() == all(x[1] == 0 for p in ra for x in p)
 
 
+@st.composite
+def mixed_entries(draw):
+    """One value written as an int, a Fraction, a literal (numerators over
+    unreduced, mixed denominators) or a Scalar, with its (re, im) Fractions."""
+    a, da = draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 4, 6]))
+    b, db = draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 5]))
+    kind = draw(st.sampled_from(["int", "fraction", "literal", "scalar"]))
+    if kind == "int":
+        return a, (Fraction(a), Fraction(0))
+    if kind == "fraction":
+        return Fraction(a, da), (Fraction(a, da), Fraction(0))
+    pair = (Fraction(a, da), Fraction(b, db))
+    return (f"{a}/{da}{b:+d}/{db}i" if kind == "literal" else Scalar(*pair)), pair
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_mixed_entries_match_fraction_pairs(data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    drawn = [data.draw(mixed_entries()) for _ in range(rows * cols)]
+    m = Matrix(rows, cols, [v for v, _ in drawn])
+    assert ref_of(m) == [[p for _, p in drawn[i * cols:(i + 1) * cols]] for i in range(rows)]
+    assert_canonical(m)
+    k, kk = data.draw(mixed_entries())
+    assert ref_of(m.scale(k)) == [[c_mul(kk, x) for x in row] for row in ref_of(m)]
+    assert_canonical(m.scale(k))
+
+
 @given(matrices() | products())
 @settings(max_examples=120, deadline=None)
 def test_rank_and_kernel_match_reference(a):

@@ -80,7 +80,7 @@ def test_interleaved_bracket_claims_on_failure():
 def test_failures_then_summary():
     broken = parse_bundle(broken_variant("non-jacobi")).algebra("broken")
     assert _claims(check_lie(broken)) == [("jacobi", (1, 2, 3), False, (1, 2, 3))]
-    sl2 = LieAlgebra.from_brackets(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+    sl2 = LieAlgebra.from_constants(3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)])
     assert _claims(check_lie(sl2)) == [("lie-axioms", (), True, None)]
     bad = BilForm(Matrix.from_rows([[2, 0, 0], [0, 1, 1], [0, 1, 0]]), SYMMETRIC)
     assert _claims(is_invariant_form(sl2, bad)) == [

@@ -33,7 +33,9 @@ def test_parse_basic_literals():
     assert parse_scalar("-1/2+2/3i") == Scalar(Fraction(-1, 2), Fraction(2, 3))
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1+", "i2", "1//2", "2+2", "1/0", "--1", "1.5"])
+# the grammar matches the whole string, so a trailing newline is malformed too
+@pytest.mark.parametrize("bad", ["", "x", "1+", "i2", "1//2", "2+2", "1/0", "--1", "1.5",
+                                 "1\n", "3i\n"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)
@@ -63,7 +65,9 @@ def test_render_parse_round_trip(a):
 # -- the integer parser against a frozen Fraction parser ---------------
 #
 # ref_parse is the Fraction-building parser the integer one replaced, kept
-# here as it was; both read the same grammar and must agree on every string.
+# here as it was except for one declared grammar change: it matches the whole
+# string, so a trailing newline, which `$` let through, is malformed.  Both
+# read the same grammar and must agree on every string.
 
 _REF_TERM = r"(\d+(?:/\d+)?)"
 _REF_RE = re.compile(
@@ -84,7 +88,7 @@ def _ref_frac(text, token):
 def ref_parse(text):
     raw = text
     text = text.replace(" ", "")
-    m = _REF_RE.match(text)
+    m = _REF_RE.fullmatch(text)
     if m is None:
         raise ScalarParseError(f"malformed scalar {raw!r}")
     sign = -1 if m.group("s1") == "-" else 1

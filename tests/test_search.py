@@ -92,15 +92,14 @@ def test_generic_det_matches_concrete_det():
 
 def test_invariant_targets():
     from hyperops.algebra import LieAlgebra, PreLieAlgebra
-    sl2 = LieAlgebra.from_brackets(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+    sl2 = LieAlgebra.from_constants(3, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)])
     res = solve_forms(sl2, AD_INVARIANT)
     assert res.exists_nondegenerate
     assert res.dim == 1  # the invariant form on a simple algebra is unique up to scale
     f = instantiate(res, [Scalar(1)])
     assert is_invariant_form(sl2, f).passed or f.matrix.det().is_zero()
 
-    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    g = PreLieAlgebra(2, zero)
+    g = PreLieAlgebra.from_constants(2, [])
     res = solve_forms(g, PRELIE_INVARIANT)
     assert res.exists_nondegenerate
     f = instantiate(res, [Scalar(3)])
@@ -153,7 +152,7 @@ def test_contains_rejects_a_form_of_another_dimension():
 def test_contains_decides_on_the_full_matrix():
     from hyperops.algebra import LieAlgebra
 
-    res = solve_forms(LieAlgebra(4, _zero_constants(4)), SYMPLECTIC)
+    res = solve_forms(LieAlgebra.from_constants(4, []), SYMPLECTIC)
     assert res.dim == 6
     # above the diagonal the identity has the entries of the zero skew form
     assert not res.contains(BilForm(Matrix.identity(4), "symmetric"))
@@ -164,7 +163,7 @@ def test_contains_decides_on_the_full_matrix():
 def test_zero_dimensional_space():
     from hyperops.algebra import LieAlgebra
 
-    res = solve_forms(LieAlgebra(1, _zero_constants(1)), SYMPLECTIC)
+    res = solve_forms(LieAlgebra.from_constants(1, []), SYMPLECTIC)
     assert res.dim == 0 and res.basis == ()
     assert res.witness is None and not res.exists_nondegenerate
     assert res.generic_det.is_zero()
@@ -226,11 +225,9 @@ def _family_i(n, perm):
     """I_n (e1·e1 = 2e1, e1·ei = ei, ei·ei = e1) with its basis relabelled by perm."""
     from hyperops.algebra import PreLieAlgebra
 
-    products = {(perm[0], perm[0]): {perm[0]: 2}}
-    for i in perm[1:]:
-        products[(perm[0], i)] = {i: 1}
-        products[(i, i)] = {perm[0]: 1}
-    return PreLieAlgebra.from_products(n, products)
+    one = perm[0]
+    return PreLieAlgebra.from_constants(n, [(one, one, one, 2)] + [
+        r for i in perm[1:] for r in ((one, i, i, 1), (i, i, one, 1))])
 
 
 def _search_cases():
@@ -265,7 +262,10 @@ def _transport(g, kind, op):
     pinv = p.inv()
     cols = [p * Matrix.column([1 if i == t else 0 for i in range(n)]) for t in range(n)]
     mul = getattr(g, op)
-    return kind(n, [[(pinv * mul(cols[i], cols[j])).col(0) for j in range(n)] for i in range(n)])
+    # every pair (i, j) is given, so a Lie algebra mirrors none
+    return kind.from_constants(n, [
+        (i + 1, j + 1, k + 1, v) for i in range(n) for j in range(n)
+        for k, v in enumerate((pinv * mul(cols[i], cols[j])).col(0))])
 
 
 @pytest.mark.parametrize("g,target", _search_cases())
@@ -295,14 +295,13 @@ def test_transported_sum_of_l4sym_keeps_its_symplectic_forms():
 
     g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
     n = g.dim
-    sums = [[[ZERO] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            for k, v in enumerate(g.basis_bracket(i, j).entries()):
-                sums[i][j][k] = sums[n + i][n + j][n + k] = v
-    plain = solve_forms(LieAlgebra(2 * n, sums), SYMPLECTIC)
+    # g + g: every pair within a summand is given, so none is mirrored
+    total = LieAlgebra.from_constants(2 * n, [
+        (s + i + 1, s + j + 1, s + k + 1, v) for s in (0, n) for i in range(n)
+        for j in range(n) for k, v in enumerate(g.basis_bracket(i, j).entries())])
+    plain = solve_forms(total, SYMPLECTIC)
     assert (plain.dim, plain.exists_nondegenerate) == (11, True)
-    moved = _transport(LieAlgebra(2 * n, sums), LieAlgebra, "bracket")
+    moved = _transport(total, LieAlgebra, "bracket")
     res = solve_forms(moved, SYMPLECTIC)
     assert (res.dim, res.exists_nondegenerate) == (11, True)
     assert within_hadamard_bound(_system(moved, COCYCLE, COCYCLE.coords(2 * n)))
@@ -312,10 +311,6 @@ def test_transported_sum_of_l4sym_keeps_its_symplectic_forms():
 
 _CHECK = {SYMPLECTIC: is_symplectic, HESSIAN: is_hessian,
           AD_INVARIANT: is_invariant_form, PRELIE_INVARIANT: is_invariant_form}
-
-
-def _zero_constants(n):
-    return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
 def _witness_cases():
@@ -330,10 +325,10 @@ def _witness_cases():
                 cases.append(pytest.param(g, target, id=f"{eid}:{name}-{target}"))
     for n in range(3, 9):
         cases.append(pytest.param(_family_i(n, list(range(1, n + 1))), HESSIAN, id=f"I{n}"))
-        cases.append(pytest.param(PreLieAlgebra(n, _zero_constants(n)), HESSIAN,
+        cases.append(pytest.param(PreLieAlgebra.from_constants(n, []), HESSIAN,
                                   id=f"abelian-prelie{n}"))
     for n in (4, 6, 8):
-        cases.append(pytest.param(LieAlgebra(n, _zero_constants(n)), SYMPLECTIC,
+        cases.append(pytest.param(LieAlgebra.from_constants(n, []), SYMPLECTIC,
                                   id=f"abelian-lie{n}"))
     return cases
 
@@ -364,8 +359,8 @@ def _heisenberg(m):
     """h_{2m+1}: [x_i, y_i] = z on the basis x_1..x_m, y_1..y_m, z."""
     from hyperops.algebra import LieAlgebra
 
-    return LieAlgebra.from_brackets(2 * m + 1, {(i, m + i): {2 * m + 1: 1}
-                                                for i in range(1, m + 1)})
+    return LieAlgebra.from_constants(2 * m + 1, [(i, m + i, 2 * m + 1, 1)
+                                                 for i in range(1, m + 1)])
 
 
 def _odd_skew_cases():
@@ -373,11 +368,11 @@ def _odd_skew_cases():
 
     # every skew form of an abelian algebra solves the identity; the
     # symplectic forms of h_{2m+1}, m >= 2, are the 2-forms on x, y
-    cases = [pytest.param(LieAlgebra(n, _zero_constants(n)), SYMPLECTIC, n * (n - 1) // 2,
+    cases = [pytest.param(LieAlgebra.from_constants(n, []), SYMPLECTIC, n * (n - 1) // 2,
                           id=f"abelian-lie{n}") for n in (3, 5, 7, 9, 11)]
     cases += [pytest.param(_heisenberg(m), SYMPLECTIC, dim, id=f"h{2 * m + 1}")
               for m, dim in ((1, 3), (2, 6), (3, 15))]
-    cases += [pytest.param(PreLieAlgebra(n, _zero_constants(n)), PRELIE_INVARIANT,
+    cases += [pytest.param(PreLieAlgebra.from_constants(n, []), PRELIE_INVARIANT,
                            n * (n - 1) // 2, id=f"abelian-prelie{n}") for n in (3, 5, 7)]
     return cases
 
