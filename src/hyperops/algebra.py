@@ -37,6 +37,9 @@ def _left_multiplications(dim: int, mats) -> tuple:
 def _from_constants(cls, dim: int, terms: list):
     """cls(dim, L) from 1-indexed terms (i, j, k, sign, coeff), each adding
     sign * coeff at e_k in e_i e_j: entry (k, j) of L_i."""
+    for i, j, k, _, co in terms:
+        if not all(1 <= t <= dim for t in (i, j, k)):
+            raise ValueError(f"index out of range 1..{dim} in record {(i, j, k, co)!r}")
     size = dim * dim
     re, im, den = accumulate(dim * size, [
         ((i - 1) * size + (k - 1) * dim + j - 1, sign, co) for i, j, k, sign, co in terms])

@@ -38,7 +38,7 @@ from .hyper import (
     verify_composition_table,
     verify_hflat_identities,
 )
-from .operators import is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo
+from .operators import is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo, memo_scope
 from .reporting import PreconditionError, Report
 from .search import solve_forms
 
@@ -155,10 +155,8 @@ def _cmd_decompose(ns) -> tuple[int, dict]:
 
 
 def _cmd_reconstruct(ns) -> tuple[int, dict]:
-    bundle = load_bundle(ns.bundle)
-    ctx = bundle.context(ns.rep)
-    triple = reconstruct_hyper(ctx, bundle.map(ns.hflat),
-                               bundle.map(ns.i1), bundle.map(ns.i2))
+    b = load_bundle(ns.bundle)
+    triple = reconstruct_hyper(b.context(ns.rep), b.map(ns.hflat), b.map(ns.i1), b.map(ns.i2))
     d1, d2, d3 = triple.d
     return EXIT_PASS, {"eps": list(triple.eps), **_maps_json(d1=d1, d2=d2, d3=d3)}
 
@@ -185,14 +183,12 @@ def _cmd_corpus(ns) -> tuple[int, dict]:
         ]}
     ids = [ns.id] if ns.id else [i for (i, _, _) in list_examples()]
     reports = {}
-    ok = True
     for example_id in ids:
         try:
-            rep = run_example(example_id)
+            reports[example_id] = run_example(example_id).to_json()
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-        reports[example_id] = rep.to_json()
-        ok = ok and rep.passed
+    ok = all(r["pass"] for r in reports.values())
     return (EXIT_PASS if ok else EXIT_FAIL), {"runs": reports}
 
 
@@ -333,20 +329,15 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
                             "error": str(exc), "format": _format_of(argv)}
     payload: dict = {"command": ns.command}
     try:
-        code, extra = ns.fn(ns)
+        with memo_scope():  # each operator fact is proved once per request
+            code, extra = ns.fn(ns)
         payload.update(extra)
     except ValueError as exc:
-        if isinstance(exc, PreconditionError):
-            code = EXIT_PRECONDITION
-            payload["error"] = str(exc)
-            if exc.report is not None:
-                payload["report"] = exc.report.to_json()
-        elif isinstance(exc, ClassificationError):
-            code = EXIT_FAIL
-            payload["error"] = str(exc)
-        else:
-            code = EXIT_PARSE
-            payload["error"] = str(exc)
+        code = (EXIT_PRECONDITION if isinstance(exc, PreconditionError)
+                else EXIT_FAIL if isinstance(exc, ClassificationError) else EXIT_PARSE)
+        payload["error"] = str(exc)
+        if code == EXIT_PRECONDITION and exc.report is not None:
+            payload["report"] = exc.report.to_json()
     payload["status"] = _STATUS[code]
     payload["exit"] = code
     payload["format"] = getattr(ns, "format", "text")

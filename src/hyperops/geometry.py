@@ -79,6 +79,8 @@ class BilForm:
         for kind, i, j, co in terms:
             if kind not in ("wedge", "tensor"):
                 raise ValueError(f"unknown term kind {kind!r}")
+            if not (1 <= i <= dim and 1 <= j <= dim):
+                raise ValueError(f"index out of range 1..{dim} in term {(kind, i, j, co)!r}")
             flat.append(((i - 1) * dim + j - 1, 1, co))
             if kind == "wedge":
                 flat.append(((j - 1) * dim + i - 1, -1, co))
@@ -191,9 +193,12 @@ def form_to_map(f: BilForm) -> LinMap:
 
 def _flat_context(g) -> OperatorContext:
     """The coadjoint action of a Lie algebra, or the coregular action of a
-    pre-Lie algebra's sub-adjacent algebra: the flat maps' target."""
-    rep = coadjoint_rep(g) if isinstance(g, LieAlgebra) else coregular_rep(g)
-    return OperatorContext(rep.algebra, rep)
+    pre-Lie algebra's sub-adjacent algebra: the flat maps' target, kept on g."""
+    ctx = g.__dict__.get("_flat")
+    if ctx is None:
+        rep = coadjoint_rep(g) if isinstance(g, LieAlgebra) else coregular_rep(g)
+        ctx = g.__dict__["_flat"] = OperatorContext(rep.algebra, rep)
+    return ctx
 
 
 def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm) -> Report:

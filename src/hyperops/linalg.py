@@ -71,7 +71,7 @@ def _products(rows, cols) -> list:
 class Matrix:
     """Immutable dense matrix over Q(i): numerator tuples re, im over den."""
 
-    __slots__ = ("rows", "cols", "re", "im", "den", "_real", "_s")
+    __slots__ = ("rows", "cols", "re", "im", "den", "_real", "_s", "_h")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         terms = [(k, 1, v) for k, v in enumerate(entries)]
@@ -93,7 +93,7 @@ class Matrix:
         self.im = tuple(im)
         self.den = den
         self._real = not any(im)
-        self._s = None
+        self._s = self._h = None
 
     @classmethod
     def _make(cls, rows: int, cols: int, re, im, den: int, reduce: bool = True) -> "Matrix":
@@ -165,8 +165,10 @@ class Matrix:
             and self.im == other.im
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.den, self.re, self.im))
+    def __hash__(self):  # cached: predicate memo keys hash the same matrices often
+        if self._h is None:
+            self._h = hash((self.rows, self.cols, self.den, self.re, self.im))
+        return self._h
 
     def __repr__(self):
         body = "; ".join(" ".join(v.render() for v in self.row(i)) for i in range(self.rows))

@@ -9,11 +9,19 @@ Public functions prove their preconditions once, at entry, each stated with
 `Report.require`, then call private builders (`_deformed_bracket`,
 `_deformed_representation`, `_coincidence`) that take inputs already proved;
 `is_kn` calls the builders on the pair its own preconditions proved.
+
+Within `memo_scope()`, which the CLI opens around each request, the
+`@_memoized` predicates prove each fact once, keyed by name and argument
+values: every call returns a fresh copy of the first report, so a caller's
+mutation cannot reach a later answer.  Exceptions are not cached, and outside
+a scope every call runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, PreLieAlgebra, Representation, adjoint_rep, subadjacent
@@ -22,6 +30,34 @@ from .reporting import PreconditionError, Report
 
 ALGEBRA = "algebra"
 MODULE = "module"
+
+_memo: dict | None = None  # (predicate name, arguments) -> Report, in a scope
+
+
+@contextmanager
+def memo_scope():
+    """Cache the memoized predicates' reports until the block exits."""
+    global _memo
+    outer, _memo = _memo, {} if _memo is None else _memo
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _memoized(fn):
+    name = fn.__name__  # the key names the predicate, never holds it
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        if _memo is None or kwargs:
+            return fn(*args, **kwargs)
+        rep = _memo.get((name, args))
+        if rep is None:
+            rep = _memo[name, args] = fn(*args)
+        return Report(rep.title, list(rep.results), list(rep.notes))
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -103,6 +139,7 @@ class LinMap:
 # -- single-operator predicates ---------------------------------------
 
 
+@_memoized
 def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
     """d[x,y] = rho(x)d(y) - rho(y)d(x) on all basis pairs."""
     d.check_shape(ctx)
@@ -120,6 +157,7 @@ def inner_rdo(ctx: OperatorContext, u: Matrix) -> LinMap:
     return LinMap(_hstack(*(m * u for m in ctx.rep.mats)), ALGEBRA, MODULE)
 
 
+@_memoized
 def is_o_operator(ctx: OperatorContext, t: LinMap) -> Report:
     """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on all module basis pairs."""
     t.check_shape(ctx)
@@ -136,6 +174,7 @@ def is_o_operator(ctx: OperatorContext, t: LinMap) -> Report:
     return rep
 
 
+@_memoized
 def is_nijenhuis(g: LieAlgebra, n_map: LinMap) -> Report:
     """Vanishing Nijenhuis torsion; classification flags for N^2 = +/-Id."""
     if n_map.matrix.rows != g.dim or n_map.matrix.cols != g.dim:
@@ -160,13 +199,8 @@ def is_nijenhuis(g: LieAlgebra, n_map: LinMap) -> Report:
 
 def nijenhuis_square_sign(g: LieAlgebra, n_map: LinMap) -> int | None:
     """+1 if N^2 = Id, -1 if N^2 = -Id, else None."""
-    sq = n_map.matrix * n_map.matrix
-    ident = Matrix.identity(g.dim)
-    if sq == ident:
-        return 1
-    if sq == -ident:
-        return -1
-    return None
+    sq, ident = n_map.matrix * n_map.matrix, Matrix.identity(g.dim)
+    return 1 if sq == ident else -1 if sq == -ident else None
 
 
 def deformed_bracket(g: LieAlgebra, n_map: LinMap) -> LieAlgebra:
@@ -186,6 +220,7 @@ def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
                               for e, a in zip(unit_columns(g.dim), g.c)])
 
 
+@_memoized
 def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -> Report:
     """rho(Nx)(Sv) = S(rho(Nx)v) + rho(x)(S^2 v) - S(rho(x)(Sv)) for basis x, v."""
     is_nijenhuis(ctx.g, n_map).require("N is not a Nijenhuis operator")
@@ -266,6 +301,7 @@ def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
 # -- paired structures ------------------------------------------------
 
 
+@_memoized
 def is_dn(ctx: OperatorContext, d: LinMap, n_map: LinMap) -> Report:
     """DN-structure: d and d∘N are both relative differential operators, N Nijenhuis."""
     pre = Report("DN preconditions")
@@ -288,6 +324,7 @@ def dn_powers(ctx: OperatorContext, d: LinMap, n_map: LinMap, kmax: int) -> Repo
     return rep
 
 
+@_memoized
 def is_kd(ctx: OperatorContext, t: LinMap, d: LinMap) -> Report:
     """KD-structure: with N = T∘d, the composite d∘N is again an RDO."""
     pre = Report("KD preconditions")
@@ -300,6 +337,7 @@ def is_kd(ctx: OperatorContext, t: LinMap, d: LinMap) -> Report:
     return rep
 
 
+@_memoized
 def is_kn(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap) -> Report:
     """KN-structure: N∘T = T∘S, brackets coincide, plus the two O-operator consequences."""
     pre = Report("KN preconditions")
@@ -321,6 +359,7 @@ def is_kn(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap) -> Repo
     return rep
 
 
+@_memoized
 def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
     """Mixed bilinear identity on basis pairs.
 

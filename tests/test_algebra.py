@@ -1,5 +1,6 @@
 """Structure constants, axiom checks, and the standard representations."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,20 @@ def test_from_constants_mirrors_only_pairs_not_given():
     assert p.p == (Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, Fraction(3, 2), 0]]),
                    Matrix.from_rows([[0, "i", 0], [0, 0, 0], [0, 0, 0]]),
                    Matrix.zero(3, 3))
+
+
+def test_lie_from_constants_names_a_record_out_of_range():
+    # [e1, e2] = e3 in a 2-dimensional algebra, and an index 0
+    for record in ((1, 2, 3, 1), (0, 1, 2, 1)):
+        with pytest.raises(ValueError, match=re.escape(repr(record))):
+            LieAlgebra.from_constants(2, [(1, 2, 1, 1), record])
+
+
+def test_prelie_from_constants_names_a_record_out_of_range():
+    # j = 3 would wrap into the next column block, e1 . e1
+    for record in ((1, 3, 1, 1), (2, 1, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(repr(record))):
+            PreLieAlgebra.from_constants(2, [(1, 1, 1, 1), record])
 
 
 def test_lie_axioms_pass_on_known_algebras():

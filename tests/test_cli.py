@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import hyperops
-from hyperops import cli
+from hyperops import cli, operators
+from hyperops.bundle import load_bundle
 from hyperops.corpus import broken_variant, export_bundle, list_examples
 from hyperops.geometry import _VARIANTS
 
@@ -520,3 +521,52 @@ def test_form_of_another_dimension_exits_two(mixed_dims, capsys, what, algebra, 
     assert code == cli.EXIT_PARSE
     assert payload["status"] == "input-error"
     assert payload["error"] == f"form dim {form[-1]} != algebra dim {algebra[-1]}"
+
+
+def test_memo_scope_closes_after_every_exit(bundles, monkeypatch):
+    sizes = []
+    scope = cli.memo_scope
+
+    @contextlib.contextmanager
+    def watched():
+        with scope():
+            try:
+                yield
+            finally:
+                sizes.append(len(operators._memo))
+
+    monkeypatch.setattr(cli, "memo_scope", watched)
+    quat = bundles["abelian.quat"]
+    for argv, want in (
+        (["check", quat, "--what", "rdo", "--args", "triv", "mi"], cli.EXIT_PASS),
+        # proves d an RDO and N Nijenhuis, then cannot compose d∘N
+        (["check", quat, "--what", "dn", "--args", "triv", "mi", "mk"], cli.EXIT_PARSE),
+        # classifies the triple, then finds its signature product -1
+        (["suite", quat, "--triple", "quat", "--which", "product-one"], cli.EXIT_PRECONDITION),
+    ):
+        code, _ = cli.run(argv)
+        assert code == want, argv
+        assert sizes.pop() > 0, argv  # facts were proved inside the scope
+        assert operators._memo is None, argv
+
+
+def test_suites_through_the_cli_match_uncached_library_calls(tmp_path):
+    """For every corpus triple, each suite's report (or error) from cli.run
+    equals the same library call made outside any memo scope."""
+    for example_id, _, _ in list_examples():
+        bundle = export_bundle(example_id)
+        path = tmp_path / f"{example_id}.json"
+        path.write_text(json.dumps(bundle))
+        for name in bundle.get("triples", {}):
+            for which, suite in cli._SUITES.items():
+                _, payload = cli.run(["suite", str(path), "--triple", name, "--which", which])
+                assert operators._memo is None
+                try:
+                    want = {"report": suite(load_bundle(str(path)), name).to_json()}
+                except ValueError as exc:
+                    want = {"error": str(exc)}
+                    if getattr(exc, "report", None) is not None:
+                        want["report"] = exc.report.to_json()
+                got = {k: payload[k] for k in ("report", "error") if k in payload}
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), (
+                    example_id, which)

@@ -2,12 +2,13 @@
 forms, and the endomorphism-triple correspondence."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperops.algebra import LieAlgebra, PreLieAlgebra, abelian
+from hyperops.algebra import LieAlgebra, PreLieAlgebra, abelian, coadjoint_rep, coregular_rep
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.corpus import broken_variant, export_bundle
 from hyperops.geometry import (
@@ -25,6 +26,7 @@ from hyperops.geometry import (
     SYMMETRIC,
     BilForm,
     KahlerQuad,
+    _flat_context,
     check_hermitian_variant,
     check_kahler_quad,
     classify_hyper_hessian,
@@ -40,7 +42,7 @@ from hyperops.geometry import (
 )
 from hyperops.hyper import decompose_hyper, reconstruct_hyper
 from hyperops.linalg import Matrix
-from hyperops.operators import ALGEBRA, LinMap
+from hyperops.operators import ALGEBRA, LinMap, OperatorContext
 from hyperops.reporting import ClaimResult, PreconditionError, Report
 from hyperops.scalars import ZERO, Scalar
 from hyperops.search import instantiate, solve_forms
@@ -52,6 +54,25 @@ def test_symplectic_forms_on_corpus():
     for name in ("w1", "w2", "w3"):
         rep = is_symplectic(g, b.form(name))
         assert rep.passed
+
+
+def test_from_terms_names_a_term_out_of_range():
+    # an index 0 would write entry (2, 1) of a 2-dimensional form
+    for term, symmetry in ((("tensor", 0, 1, 1), SYMMETRIC), (("wedge", 1, 3, 1), SKEW)):
+        with pytest.raises(ValueError, match=re.escape(repr(term))):
+            BilForm.from_terms(2, [("tensor", 1, 1, 1), term], symmetry)
+
+
+def test_flat_context_is_built_once_per_algebra():
+    for name, fresh in (("lie.L4sym", coadjoint_rep), ("prelie.rot4", coregular_rep)):
+        g = parse_bundle(export_bundle(name)).algebra("g")
+        ctx = _flat_context(g)
+        assert _flat_context(g) is ctx
+        rep = fresh(g)
+        assert ctx == OperatorContext(rep.algebra, rep)
+        # what is kept on the algebra takes no part in its equality or hash
+        again = parse_bundle(export_bundle(name)).algebra("g")
+        assert g == again and hash(g) == hash(again)
 
 
 def test_symplectic_routes_agree_on_failure_too():

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from hyperops import operators
 from hyperops.algebra import (
+    abelian,
     check_lie,
     coadjoint_rep,
     coregular_rep,
     subadjacent,
+    trivial_rep,
 )
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.corpus import export_bundle
@@ -307,3 +309,66 @@ def test_power_and_compose_shapes():
     with pytest.raises(Exception):
         t.d[0].power(2)  # algebra -> module is not an endomorphism
     assert t.n[0].power(0).matrix == Matrix.identity(4)
+
+
+def test_linmap_rejects_one_bad_tag():
+    for domain, codomain in ((ALGEBRA, "dual"), ("dual", MODULE)):
+        with pytest.raises(ValueError, match="bad tags"):
+            LinMap(Matrix.identity(2), domain, codomain)
+
+
+def test_nijenhuis_notes_name_the_square_sign():
+    # on an abelian algebra every endomorphism is Nijenhuis
+    g = abelian(2)
+
+    def notes(rows):
+        return is_nijenhuis(g, LinMap(Matrix.from_rows(rows), ALGEBRA, ALGEBRA)).notes
+
+    assert notes([[1, 0], [0, 1]]) == ["para-complex structure (N^2 = Id)"]
+    assert notes([[0, -1], [1, 0]]) == ["complex structure (N^2 = -Id)"]
+    assert notes([[1, 0], [0, 2]]) == []
+
+
+def test_brackets_coincide_names_the_first_mismatching_vector():
+    # N∘T = Id and T∘S = diag(1, 2) first differ on the second basis vector
+    g = abelian(2)
+    ident = Matrix.identity(2)
+    with pytest.raises(PreconditionError, match="at module basis vector 2$"):
+        brackets_coincide(OperatorContext(g, trivial_rep(g, 2)), LinMap(ident, MODULE, ALGEBRA),
+                          LinMap(Matrix.diag([1, 2]), MODULE, MODULE),
+                          LinMap(ident, ALGEBRA, ALGEBRA))
+
+
+def test_memo_returns_copies_a_caller_cannot_spoil():
+    b = parse_bundle(export_bundle("abelian.quat"))
+    d = b.map("mi")
+    want = is_rdo(b.context("triv"), d).to_json()  # outside any scope: uncached
+    assert operators._memo is None
+    with operators.memo_scope():
+        first = is_rdo(b.context("triv"), d)
+        first.record("spoiled", (), False)
+        first.note("spoiled")
+        second = is_rdo(b.context("triv"), d)
+        # an equal context, rebuilt, hits the one entry
+        assert len(operators._memo) == 1
+        assert second.to_json() == want
+        second.results.clear()
+        assert is_rdo(b.context("triv"), d).to_json() == want
+    assert operators._memo is None
+
+
+def test_memo_raises_a_failing_precondition_again():
+    t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
+    s2 = t.s[1].scale(Scalar(2))
+
+    def failure():
+        with pytest.raises(PreconditionError) as exc:
+            is_kn(t.ctx, t.t[0], s2, t.n[1])
+        return str(exc.value), exc.value.report.to_json()
+
+    want = failure()  # outside any scope: uncached
+    assert want[0] == "KN preconditions failed"
+    with operators.memo_scope():
+        assert failure() == want
+        assert failure() == want
+        assert ("is_kn", (t.ctx, t.t[0], s2, t.n[1])) not in operators._memo
