@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable
 
 from .algebra import (
@@ -52,6 +52,8 @@ class BilForm:
     symmetry: str  # symmetric | skew | none
 
     def __post_init__(self):
+        if self.symmetry not in (SYMMETRIC, SKEW, "none"):
+            raise ValueError(f"unknown symmetry {self.symmetry!r}")
         mt = self.matrix.transpose()
         if self.symmetry == SYMMETRIC and mt != self.matrix:
             raise ValueError("matrix is not symmetric")
@@ -100,16 +102,23 @@ def _coordinates(n: int, skew: bool) -> tuple:
 @dataclass(frozen=True)
 class FormIdentity:
     """A linear identity on the bilinear forms f of one symmetry class over
-    one kind of algebra, with an instance per basis tuple t: terms(*t) lists
+    one kind of algebra, with an instance per basis triple t: terms(*t) lists
     (sign, a, b) and the instance reads sum(sign * f(a, b)) = 0, where one of
     a, b is an index u for e_u and the other a pair (p, q) for e_p e_q.  The
-    form checks below and `search.solve_forms` both evaluate it through `row`."""
+    triples are those whose first `ordered` indices strictly increase.  The
+    form checks below and `search.solve_forms` both evaluate it through
+    `instances`."""
 
     claim: str
     algebra: type
     symmetry: str
-    tuples: Callable  # n -> 0-indexed basis tuples, in report order
+    ordered: int
     terms: Callable
+
+    def tuples(self, n: int):
+        """The 0-indexed basis triples, in report order (lexicographic)."""
+        return (c + r for c in itertools.combinations(range(n), self.ordered)
+                for r in itertools.product(range(n), repeat=3 - self.ordered))
 
     def coords(self, n: int) -> list[tuple[int, int]]:
         """The form's coordinates: the entries above the diagonal (skew) or on
@@ -122,63 +131,71 @@ class FormIdentity:
             kind = "Lie" if self.algebra is LieAlgebra else "pre-Lie"
             raise TypeError(f"{what} needs a {kind} algebra")
 
-    def row(self, g, t) -> tuple[list, list]:
-        """The instance at basis tuple t times the denominator of g's structure
-        constants, as Gaussian-integer coefficients (real parts, imaginary
-        parts) on coords(n): each component c_k of e_p e_q in a term
-        sign * f(e_p e_q, e_u) adds sign * c_k at f(e_k, e_u)'s `_coordinates` place."""
-        n = g.dim
-        coords, place = _coordinates(n, self.symmetry == SKEW)
-        rr, ri = [0] * len(coords), [0] * len(coords)
-        for sign, a, b in self.terms(*t):
+    def instances(self, g) -> dict:
+        """{t: {m: (re, im)}}: the nonzero instances times the denominator of
+        g's constants, as nonzero Gaussian-integer coefficients on coords(n).
+        Each component c_k of a nonzero column e_p e_q of g adds sign * c_k at
+        f(e_k, e_u)'s `_coordinates` place for each term sign * f(e_p e_q, e_u)
+        of each triple that puts (p, q) at that term's pair."""
+        n, o = g.dim, self.ordered
+        place = _coordinates(n, self.symmetry == SKEW)[1]
+        cols = [(p, q, col) for p in range(n) for q in range(n)
+                if (col := g.column_numerators(p, q))]
+        sums = defaultdict(dict)
+        for sign, a, b in self.terms(0, 1, 2):  # a and b hold positions in t
             left = isinstance(a, tuple)
-            (p, q), u = (a, b) if left else (b, a)
-            for k, vr, vi in g.column_numerators(p, q):
-                m, s = place[k * n + u if left else u * n + k]
-                if s:
-                    rr[m] += sign * s * vr
-                    ri[m] += sign * s * vi
-        return rr, ri
+            (x, y), z = (a, b) if left else (b, a)
+            t = [0, 0, 0]
+            for p, q, col in cols:
+                t[x], t[y] = p, q
+                # members: the ordered indices besides u's increase, u between its neighbours
+                if any(t[i] >= t[i + 1] for i in range(o - 1) if z != i != z - 1):
+                    continue
+                for u in range(t[z - 1] + 1 if 0 < z < o else 0, t[z + 1] if z + 1 < o else n):
+                    t[z] = u
+                    row = sums[tuple(t)]
+                    for k, vr, vi in col:
+                        m, s = place[k * n + u if left else u * n + k]
+                        if s:
+                            re, im = row.get(m, (0, 0))
+                            row[m] = re + sign * s * vr, im + sign * s * vi
+        return {t: r for t, row in sums.items() if (r := {m: v for m, v in row.items() if any(v)})}
 
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
         """Record the identity for f, a form of this identity's symmetry, at
-        every basis tuple of g: each instance is its row evaluated on f's
-        coordinate numerators.  Raises TypeError if g is not this identity's
-        kind of algebra, DimensionError if f is not on g's dimension."""
+        every basis tuple of g, evaluating each instance on f's coordinate
+        numerators; a zero instance holds.  Raises TypeError if g is not this
+        identity's kind of algebra, DimensionError if f is not on g's dimension."""
         self.check_algebra(g, self.claim)
         n, m = g.dim, f.matrix
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
         fr, fi = ([v[i * n + j] for i, j in self.coords(n)] for v in (m.re, m.im))
+        rows = self.instances(g)
 
         def holds(*t):
-            rr, ri = self.row(g, t)
-            return (sum(map(mul, rr, fr)) == sum(map(mul, ri, fi))
-                    and sum(map(mul, rr, fi)) + sum(map(mul, ri, fr)) == 0)
+            row = rows.get(t, {}).items()
+            return (sum(a * fr[k] - b * fi[k] for k, (a, b) in row) == 0
+                    and sum(a * fi[k] + b * fr[k] for k, (a, b) in row) == 0)
 
         return rep.record_tuples(self.claim, self.tuples(n), holds, failures_only)
 
 
-def _all_triples(n: int):
-    return itertools.product(range(n), repeat=3)
-
-
 # w([x,y],z) + w([z,x],y) + w([y,z],x) = 0 for i < j < k
 COCYCLE = FormIdentity(
-    "cocycle", LieAlgebra, SKEW, lambda n: itertools.combinations(range(n), 3),
+    "cocycle", LieAlgebra, SKEW, 3,
     lambda i, j, k: ((1, (i, j), k), (1, (k, i), j), (1, (j, k), i)))
 # B(xy,z) - B(x,yz) - B(yx,z) + B(y,xz) = 0 for i < j, all k
 HESSIAN_IDENTITY = FormIdentity(
-    "hessian-identity", PreLieAlgebra, SYMMETRIC,
-    lambda n: ((i, j, k) for i, j in itertools.combinations(range(n), 2) for k in range(n)),
+    "hessian-identity", PreLieAlgebra, SYMMETRIC, 2,
     lambda i, j, k: ((1, (i, j), k), (-1, i, (j, k)), (-1, (j, i), k), (1, j, (i, k))))
 # B([x,y],z) - B(x,[y,z]) = 0
 AD_INVARIANCE = FormIdentity(
-    "ad-invariance", LieAlgebra, SYMMETRIC, _all_triples,
+    "ad-invariance", LieAlgebra, SYMMETRIC, 0,
     lambda i, j, k: ((1, (i, j), k), (-1, i, (j, k))))
 # w(xy,z) + w(y,[x,z]) = 0, with the sub-adjacent bracket [x,z] = xz - zx
 PRELIE_INVARIANCE = FormIdentity(
-    "prelie-invariance", PreLieAlgebra, SKEW, _all_triples,
+    "prelie-invariance", PreLieAlgebra, SKEW, 0,
     lambda i, j, k: ((1, (i, j), k), (1, j, (i, k)), (-1, j, (k, i))))
 
 

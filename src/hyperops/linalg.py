@@ -292,8 +292,9 @@ class Matrix:
             f = den // d
             re.extend(v * f for v in row_re)
             im.extend(v * f for v in row_im)
-        pad = [0] * ((self.rows - len(pivots)) * c)
-        return Matrix._make(self.rows, c, re + pad, im + pad, den), pivots
+        re += [0] * ((self.rows - len(pivots)) * c)  # in place: the rows may be many
+        im += [0] * (len(re) - len(im))
+        return Matrix._make(self.rows, c, re, im, den), pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -576,10 +577,20 @@ def _poly_det(entries: list[list[Poly]], nvars: int) -> Poly:
 
 
 def pencil(mats: Sequence[Matrix], t: Sequence, n: int) -> Matrix:
-    """The n x n matrix sum t_k mats[k]; the zero matrix when mats is empty."""
+    """The n x n matrix sum t_k mats[k], summed on numerators over one
+    denominator; the zero matrix when mats is empty."""
     if len(t) != len(mats):
         raise DimensionError(f"need {len(mats)} parameters, got {len(t)}")
-    return sum((m.scale(v) for v, m in zip(t, mats)), Matrix.zero(n, n))
+    if any(m.rows != n or m.cols != n for m in mats):
+        raise DimensionError(f"a pencil of {n}x{n} matrices needs every matrix {n}x{n}")
+    terms = [(as_gaussian(v), m) for v, m in zip(t, mats)]
+    den = lcm(*(d * m.den for (_, _, d), m in terms))
+    re, im = [0] * (n * n), [0] * (n * n)
+    for (a, b, d), m in terms:
+        f = den // (d * m.den)
+        re = [x + f * (a * r - b * i) for x, r, i in zip(re, m.re, m.im)]
+        im = [x + f * (a * i + b * r) for x, r, i in zip(im, m.re, m.im)]
+    return Matrix._make(n, n, re, im, den)
 
 
 def generic_determinant(mats: Sequence[Matrix], n: int) -> Poly:

@@ -2,11 +2,14 @@
 decide whether a nondegenerate solution exists.
 
 The identity is linear in the form, so its solutions are the kernel of an
-integer system over the identity's coordinates (`FormIdentity.coords`), one
-row per basis tuple: the `FormIdentity.row` that the form checks evaluate
-too, which scatters the algebra's integer structure constants onto the
-coordinates named by the identity's index terms.  The kernel comes from one
-exact elimination, and each of its rows is embedded once, in integers, as an
+integer system over the identity's coordinates (`FormIdentity.coords`).  Its
+rows are the instances that the form checks evaluate too
+(`FormIdentity.instances`), read off the algebra's nonzero structure
+columns, so a basis tuple whose instance vanishes costs nothing.  Divided by
+their content and deduplicated, they go in chunks of at most len(coords)
+rows under the RREF so far through the one exact elimination, which so holds
+about 2 len(coords) dense rows at most; the RREF is canonical, so its kernel
+is the full system's.  Each kernel row is embedded once, in integers, as an
 n x n form matrix.  The forms are the pencil sum t_k basis_k of these
 matrices.  A skew target on an odd dimension has no nondegenerate form, as
 det A = det(-A^T) = -det A.  Otherwise existence is decided witness first
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from math import gcd
 
 from .geometry import (
     AD_INVARIANCE,
@@ -36,6 +41,7 @@ from .linalg import (
     Matrix,
     Poly,
     _hstack,
+    _kernel,
     det_witness,
     generic_determinant,
     pencil,
@@ -88,15 +94,41 @@ class FormSpaceResult:
         return self.dim not in _hstack(*cols)._rref()[1]
 
 
-def _system(g, identity: FormIdentity, coords) -> Matrix:
-    """The identity's rows at every basis tuple, stacked in one integer
-    matrix over coords.  Each row is an instance scaled by a positive
-    integer, which keeps the kernel."""
-    rows = [identity.row(g, t) for t in identity.tuples(g.dim)]
-    if not rows:
-        return Matrix.zero(1, len(coords))
-    return Matrix._make(len(rows), len(coords), [v for re, _ in rows for v in re],
-                        [v for _, im in rows for v in im], 1)
+def _distinct_rows(g, identity: FormIdentity):
+    """The identity's nonzero instances as sparse rows ((m, re, im), ...), each
+    divided by the gcd of its numerators, signed so that its first entry has
+    re > 0 or re = 0 < im, with repeats dropped."""
+    rows = {}
+    for inst in identity.instances(g).values():
+        entries = sorted(inst.items())
+        d = gcd(*(v for _, ab in entries for v in ab))
+        d = -d if entries[0][1] < (0, 0) else d
+        rows[tuple((m, re // d, im // d) for m, (re, im) in entries)] = None
+    return list(rows)
+
+
+def _reduced(rows: list, c: int) -> tuple[Matrix, list]:
+    """The RREF of the span of sparse rows over c coordinates and its pivots:
+    each chunk of at most c rows goes under the RREF's nonzero rows so far,
+    divided by their content, into one `Matrix._rref`, until the rank is c."""
+    m, pivots, rows = Matrix.zero(0, c), [], iter(rows)
+    while len(pivots) < c and (chunk := list(islice(rows, c))):
+        re, im = [], []
+        for r in range(len(pivots)):
+            row_re, row_im = m.re[r * c:(r + 1) * c], m.im[r * c:(r + 1) * c]
+            d = gcd(*row_re, *row_im)
+            re += [v // d for v in row_re]
+            im += [v // d for v in row_im]
+        for row in chunk:
+            vr, vi = [0] * c, [0] * c
+            for k, a, b in row:
+                vr[k], vi[k] = a, b
+            re += vr
+            im += vi
+        m = Matrix._make(len(re) // c, c, re, im, 1)
+        del re, im  # the earlier RREF and these lists go before the elimination
+        m, pivots = m._rref()
+    return m, pivots
 
 
 def solve_forms(g, target: str) -> FormSpaceResult:
@@ -108,7 +140,7 @@ def solve_forms(g, target: str) -> FormSpaceResult:
     identity.check_algebra(g, f"target {target}")
     n = g.dim
     coords = identity.coords(n)
-    k = _system(g, identity, coords).kernel()
+    k = _kernel(*_reduced(_distinct_rows(g, identity), len(coords)), len(coords))
     sign = -1 if identity.symmetry == SKEW else 1
     basis = []
     for r in range(k.rows):

@@ -63,6 +63,13 @@ def test_from_terms_names_a_term_out_of_range():
             BilForm.from_terms(2, [("tensor", 1, 1, 1), term], symmetry)
 
 
+def test_bilform_rejects_an_unknown_symmetry():
+    with pytest.raises(ValueError, match="unknown symmetry 'bogus'"):
+        BilForm.from_terms(2, [("tensor", 1, 2, 1)], "bogus")
+    # "none" declares no symmetry, so any matrix is accepted
+    assert BilForm.from_terms(2, [("tensor", 1, 2, 1)], "none").matrix[0, 1] == Scalar(1)
+
+
 def test_flat_context_is_built_once_per_algebra():
     for name, fresh in (("lie.L4sym", coadjoint_rep), ("prelie.rot4", coregular_rep)):
         g = parse_bundle(export_bundle(name)).algebra("g")
@@ -462,14 +469,36 @@ def test_form_identity_rows_are_positive_multiples_of_the_p_readout(identity, da
     const = data.draw(st.lists(_sparse, min_size=n ** 3, max_size=n ** 3))
     g = identity.algebra.from_constants(n, [
         (i, j, k, v) for (i, j, k), v in zip(itertools.product(range(1, n + 1), repeat=3), const)])
-    for t in identity.tuples(n):
-        rr, ri = identity.row(g, t)
-        got = [Scalar(a, b) for a, b in zip(rr, ri)]
+    _assert_instances_match_the_p_readout(identity, g)
+
+
+def _assert_instances_match_the_p_readout(identity, g):
+    """Each instance is a positive multiple of the P readout at its tuple, and
+    exactly the tuples whose readout is zero have none."""
+    rows = identity.instances(g)
+    nonzero = set()
+    for t in identity.tuples(g.dim):
         want = _p_readout(identity, g, t)
         lead = next((m for m, w in enumerate(want) if not w.is_zero()), None)
         if lead is None:
-            assert not any(got), t
             continue
+        nonzero.add(t)
+        got = [Scalar(*rows[t].get(m, (0, 0))) for m in range(len(want))]
         factor = got[lead] / want[lead]
         assert factor.is_real() and factor.re > 0, (t, factor)
         assert got == [w * factor for w in want], t
+    assert set(rows) == nonzero
+    assert all(any(v) for row in rows.values() for v in row.values())
+
+
+@pytest.mark.parametrize("identity", list(_TARGET), ids=lambda i: i.claim)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_form_identity_instances_come_from_the_nonzero_columns(identity, data):
+    # a few records at random places: most instances vanish, and the walk
+    # over the nonzero columns must find exactly the others
+    n = data.draw(st.integers(1, 5))
+    index = st.integers(1, n)
+    records = data.draw(st.lists(st.tuples(index, index, index, _gauss), max_size=2 * n))
+    g = identity.algebra.from_constants(n, records)
+    _assert_instances_match_the_p_readout(identity, g)

@@ -304,16 +304,20 @@ def products(draw, rows=None, cols=None, singular=None):
     return m
 
 
-def within_hadamard_bound(m):
+def within_hadamard_bound(m, system=None):
     """Eliminate the numerator rows of m with both parts and check every entry
     left against Hadamard's bound: each should be a minor of the input, so
-    |x|^2 <= the product over input rows of max(1, |row|^2)."""
+    |x|^2 <= the product over input rows of max(1, |row|^2).  With `system`,
+    the bound is taken over its rows instead: m's rows then come from a
+    reduction of system's."""
     c = m.cols
     rr = [list(m.re[i * c:(i + 1) * c]) for i in range(m.rows)]
     ri = [list(m.im[i * c:(i + 1) * c]) for i in range(m.rows)]
+    s = m if system is None else system
     bound = 1
-    for xs, ys in zip(rr, ri):
-        bound *= max(1, sum(x * x + y * y for x, y in zip(xs, ys)))
+    for i in range(s.rows):
+        bound *= max(1, sum(x * x + y * y for x, y in zip(s.re[i * c:(i + 1) * c],
+                                                          s.im[i * c:(i + 1) * c])))
     _eliminate(rr, ri, c)
     return all(x * x + y * y <= bound for xs, ys in zip(rr, ri) for x, y in zip(xs, ys))
 

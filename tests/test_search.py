@@ -1,6 +1,9 @@
 """Linear form searches: solution spaces, membership, and nondegeneracy."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,9 @@ from hyperops.search import (
     HESSIAN,
     PRELIE_INVARIANT,
     SYMPLECTIC,
+    _TARGETS,
+    _distinct_rows,
+    _reduced,
     instantiate,
     solve_forms,
 )
@@ -268,6 +274,32 @@ def _transport(g, kind, op):
         for k, v in enumerate((pinv * mul(cols[i], cols[j])).col(0))])
 
 
+def _stacked_system(identity, g):
+    """Every instance the identity's rows hold, one dense integer row each:
+    the system before content division, deduplication and chunking."""
+    c = len(identity.coords(g.dim))
+    re, im = [], []
+    for row in identity.instances(g).values():
+        vr, vi = [0] * c, [0] * c
+        for m, (a, b) in row.items():
+            vr[m], vi[m] = a, b
+        re += vr
+        im += vi
+    return Matrix._make(len(re) // c, c, re, im, 1)
+
+
+def _rref_inputs(monkeypatch):
+    """The matrices `Matrix._rref` is called on from now on, in call order."""
+    seen, rref = [], Matrix._rref
+
+    def spy(self):
+        seen.append(self)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "_rref", spy)
+    return seen
+
+
 @pytest.mark.parametrize("g,target", _search_cases())
 def test_solve_forms_matches_independent_system(g, target):
     n = g.dim
@@ -286,12 +318,100 @@ def test_solve_forms_matches_independent_system(g, target):
         assert res.dim == 1 and res.exists_nondegenerate
 
 
-def test_transported_sum_of_l4sym_keeps_its_symplectic_forms():
-    # 56 x 28 non-real integer rows of rank 17: the elimination's entries stay
-    # minors of the system instead of growing with every pivot
+def _random_algebra(kind, n, seed):
+    """Random integer constants in -2..2, not an algebra's: the systems are
+    defined for any tensor."""
+    rng = random.Random(seed)
+    return kind.from_constants(n, [(i, j, k, rng.randint(-2, 2)) for i, j, k in
+                                   itertools.product(range(1, n + 1), repeat=3)])
+
+
+def _chunk_cases():
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra
+
+    i5c = _transport(_family_i(5, [3, 5, 1, 4, 2]), PreLieAlgebra, "product")
+    l4c = _transport(parse_bundle(export_bundle("lie.L4sym")).algebra("g"), LieAlgebra, "bracket")
+    lie4 = _random_algebra(LieAlgebra, 4, 1)
+    # (algebra, target, chunks run, whether the rank reached len(coords) with
+    # rows left unread)
+    return [
+        pytest.param(PreLieAlgebra.from_constants(4, [
+            (3, 2, 4, -1), (3, 4, 3, 2), (4, 2, 1, 2), (2, 4, 3, -1), (3, 2, 1, 2), (2, 1, 3, 2)]),
+            HESSIAN, 2, False, id="sparse-real-hessian"),
+        pytest.param(i5c, HESSIAN, 4, False, id="I5-complex-basis-hessian"),
+        pytest.param(l4c, AD_INVARIANT, 3, False, id="L4sym-complex-basis-ad-invariant"),
+        pytest.param(lie4, AD_INVARIANT, 1, True, id="random-lie4-ad-invariant"),
+        pytest.param(_transport(lie4, LieAlgebra, "bracket"), AD_INVARIANT, 1, True,
+                     id="random-lie4-complex-basis-ad-invariant"),
+        pytest.param(i5c, PRELIE_INVARIANT, 7, True, id="I5-complex-basis-prelie-invariant"),
+    ]
+
+
+@pytest.mark.parametrize("g,target,chunks,early", _chunk_cases())
+def test_streamed_elimination_matches_independent_system(g, target, chunks, early, monkeypatch):
+    want = _independent_system(g, target).kernel()
+    eliminated = _rref_inputs(monkeypatch)
+    res = solve_forms(g, target)
+    monkeypatch.undo()
+    c = len(res.coords)
+    rows = list(_distinct_rows(g, _TARGETS[target]))
+    assert len(eliminated) == chunks
+    # each chunk adds at most len(coords) rows to at most len(coords) carried
+    # ones, and every row eliminated, carried or new, is divided by its content
+    assert all(m.cols == c and m.rows <= 2 * c for m in eliminated)
+    assert all(gcd(*m.re[r * c:(r + 1) * c], *m.im[r * c:(r + 1) * c]) == 1
+               for m in eliminated for r in range(m.rows))
+    assert early == (len(rows) > chunks * c)
+    if early:
+        assert res.dim == 0
+    assert Matrix(res.dim, c, [b[i, j] for b in res.basis for (i, j) in res.coords]) == want
+
+
+def test_distinct_rows_are_primitive_signed_and_unrepeated():
+    from hyperops.algebra import PreLieAlgebra
+
+    g = _transport(_family_i(5, [3, 5, 1, 4, 2]), PreLieAlgebra, "product")
+    for target, identity in _TARGETS.items():
+        if not isinstance(g, identity.algebra):
+            continue
+        rows = list(_distinct_rows(g, identity))
+        assert len(set(rows)) == len(rows) > 0
+        for row in rows:
+            assert gcd(*(v for _, a, b in row for v in (a, b))) == 1
+            assert row[0][1:] > (0, 0)
+            assert [m for m, _, _ in row] == sorted({m for m, _, _ in row})
+        # the span is the full system's: the same kernel
+        assert _reduced(rows, len(identity.coords(g.dim)))[1] == \
+            _stacked_system(identity, g)._rref()[1]
+
+
+def test_hessian_search_on_large_i_n_is_bounded_by_its_coordinates():
+    # 15 872 basis triples at n = 32 and 31 200 at n = 40 over 528 and 820
+    # coordinates; a dense system of either would take hundreds of MB
+    import tracemalloc
+
+    g32, g40 = _family_i(32, list(range(1, 33))), _family_i(40, list(range(1, 41)))
+    tracemalloc.start()
+    try:
+        res = solve_forms(g32, HESSIAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.dim == 1 and res.exists_nondegenerate
+    assert peak < 32 * 2 ** 20, peak
+    res = solve_forms(g40, HESSIAN)
+    assert res.dim == 1 and res.exists_nondegenerate
+    assert not instantiate(res, res.witness).matrix.det().is_zero()
+
+
+def test_transported_sum_of_l4sym_keeps_its_symplectic_forms(monkeypatch):
+    # 56 basis triples over 28 coordinates, 55 of them non-real integer rows
+    # of rank 17 (a zero row adds nothing to the bound): the entries of the last
+    # elimination, on the rows carried from earlier chunks and the last chunk,
+    # stay within the Hadamard bound of the full system instead of growing
+    # with every pivot or chunk
     from hyperops.algebra import LieAlgebra
     from hyperops.geometry import COCYCLE
-    from hyperops.search import _system
 
     g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
     n = g.dim
@@ -302,9 +422,14 @@ def test_transported_sum_of_l4sym_keeps_its_symplectic_forms():
     plain = solve_forms(total, SYMPLECTIC)
     assert (plain.dim, plain.exists_nondegenerate) == (11, True)
     moved = _transport(total, LieAlgebra, "bracket")
+    eliminated = _rref_inputs(monkeypatch)
     res = solve_forms(moved, SYMPLECTIC)
+    monkeypatch.undo()
     assert (res.dim, res.exists_nondegenerate) == (11, True)
-    assert within_hadamard_bound(_system(moved, COCYCLE, COCYCLE.coords(2 * n)))
+    system = _stacked_system(COCYCLE, moved)
+    assert system.rows == 55 and not system.is_real()
+    assert len(eliminated) >= 2
+    assert within_hadamard_bound(eliminated[-1], system)
 
 
 # -- witness-first existence ---------------------------------------------------
