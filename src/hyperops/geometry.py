@@ -142,7 +142,7 @@ class FormIdentity:
         cols = [(p, q, col) for p in range(n) for q in range(n)
                 if (col := g.column_numerators(p, q))]
         sums = defaultdict(dict)
-        for sign, a, b in self.terms(0, 1, 2):  # a and b hold positions in t
+        for sign, a, b in self.terms(0, 1, 2):  # where in t the term's u, p and q sit
             left = isinstance(a, tuple)
             (x, y), z = (a, b) if left else (b, a)
             t = [0, 0, 0]

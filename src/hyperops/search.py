@@ -7,13 +7,13 @@ rows are the instances that the form checks evaluate too
 (`FormIdentity.instances`), read off the algebra's nonzero structure
 columns, so a basis tuple whose instance vanishes costs nothing.  Divided by
 their content and deduplicated, they go in chunks of at most len(coords)
-rows under the RREF so far through the one exact elimination, which so holds
-about 2 len(coords) dense rows at most; the RREF is canonical, so its kernel
-is the full system's.  Each kernel row is embedded once, in integers, as an
-n x n form matrix.  The forms are the pencil sum t_k basis_k of these
-matrices.  A skew target on an odd dimension has no nondegenerate form, as
-det A = det(-A^T) = -det A.  Otherwise existence is decided witness first
-(`linalg.det_witness`): a nonzero determinant of the pencil at a small
+rows under the RREF so far through the one exact elimination, so at most
+about 2 len(coords) dense rows are held at once; the RREF is canonical, so
+its kernel is the full system's.  Each kernel row is embedded once, in
+integers, as an n x n form matrix.  The forms are the pencil sum t_k basis_k
+of these matrices.  A skew target on an odd dimension has no nondegenerate
+form, as det A = det(-A^T) = -det A.  Otherwise existence is decided witness
+first (`linalg.det_witness`): a nonzero determinant of the pencil at a small
 integer point t proves that a nondegenerate form exists and is kept as
 `FormSpaceResult.witness`.  Only when every tried point gives 0 is the
 determinant expanded as a polynomial in t, which proves nonexistence when it
