@@ -9,20 +9,22 @@ An algebra stores its structure constants once, as the integer matrices of
 left multiplication by the basis vectors: column j of c[i] (p[i]) is
 [e_i, e_j] (e_i . e_j), so c[i] is ad(e_i) and p[i] is L(e_i).  The
 constructor takes these matrices; `from_constants` sums sparse records
-(i, j, k, coeff) into them.  From the matrices each algebra derives a
-sparse view (Gaussian-integer numerators over one denominator) that
-bracket/product contract with the integer arrays of the argument vectors.
-Representations likewise hold their matrices' numerators over one
-denominator for `act`.
+(i, j, k, coeff) into them.  An algebra and a representation each keep,
+on first use, three unfoldings of their n matrices (`linalg.unfold`):
+[M_1; ...; M_n], [M_1 | ... | M_n] and [M_1^T; ...; M_n^T].  bracket,
+product and act are products with them, and each axiom check below is one
+`linalg.identity_test`: signed products of the structure constants with
+themselves, read at strides, in slices over the first basis index.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from functools import cached_property
 
-from .linalg import DimensionError, Matrix, _hstack, accumulate, unit_columns
+from .linalg import (
+    DimensionError, Matrix, _hstack, accumulate, combine, cut, identity_test, unfold)
 from .reporting import Report
 
 
@@ -47,55 +49,16 @@ def _from_constants(cls, dim: int, terms: list):
                      for b in range(0, dim * size, size)])
 
 
-def _sparse(dim: int, mats: tuple) -> tuple:
-    """Integer view of left-multiplication matrices, over their common
-    denominator den: (den, real, rows, cols).  cols[i * dim + j] lists the
-    nonzero (k, re, im) of column j of mats[i], rows[i] the nonzero
-    (j, cols[i * dim + j])."""
-    den = lcm(*(m.den for m in mats))
-    cols = []
-    for m in mats:
-        f, col = den // m.den, [[] for _ in range(dim)]
-        for b, x, y in zip(range(dim * dim), m.re, m.im):  # row-major, so k ascends
-            if x or y:
-                col[b % dim].append((b // dim, x * f, y * f))
-        cols.extend(map(tuple, col))
-    rows = tuple(tuple((j, cols[i * dim + j]) for j in range(dim) if cols[i * dim + j])
-                 for i in range(dim))
-    return den, all(m.is_real() for m in mats), rows, tuple(cols)
+def _column(x: Matrix, dim: int, what: str) -> None:
+    if x.rows != dim or x.cols != 1:
+        raise DimensionError(f"{what}: argument is {x.rows}x{x.cols}, not a {dim}x1 column")
 
 
-def _contract(sp: tuple, dim: int, x: Matrix, y: Matrix) -> Matrix:
-    """sum_{i,j} x_i y_j e_i e_j for column vectors x, y."""
-    den, real, rows, _ = sp
-    xr, xi, yr, yi = x.re, x.im, y.re, y.im
-    out_r = [0] * dim
-    if real and x.is_real() and y.is_real():
-        for i, row in enumerate(rows):
-            a = xr[i]
-            if not a:
-                continue
-            for j, terms in row:
-                b = yr[j]
-                if b:
-                    ab = a * b
-                    for k, cr, _ in terms:
-                        out_r[k] += ab * cr
-        return Matrix._make(dim, 1, out_r, (0,) * dim, x.den * y.den * den)
-    out_i = [0] * dim
-    for i, row in enumerate(rows):
-        ar, ai = xr[i], xi[i]
-        if not (ar or ai):
-            continue
-        for j, terms in row:
-            br, bi = yr[j], yi[j]
-            if not (br or bi):
-                continue
-            pr, pi = ar * br - ai * bi, ar * bi + ai * br
-            for k, cr, ci in terms:
-                out_r[k] += pr * cr - pi * ci
-                out_i[k] += pr * ci + pi * cr
-    return Matrix._make(dim, 1, out_r, out_i, x.den * y.den * den)
+def _multiply(g, x: Matrix, y: Matrix, what: str) -> Matrix:
+    """sum_{i,j} x_i y_j e_i e_j = L(x) y for column vectors x, y."""
+    _column(x, g.dim, what)
+    _column(y, g.dim, what)
+    return combine(g.unfolded[0], x) * y
 
 
 @dataclass(frozen=True)
@@ -105,7 +68,6 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "c", _left_multiplications(self.dim, self.c))
-        object.__setattr__(self, "_sp", _sparse(self.dim, self.c))
 
     @classmethod
     def from_constants(cls, dim: int, constants: list) -> "LieAlgebra":
@@ -116,17 +78,17 @@ class LieAlgebra:
         return _from_constants(cls, dim, [(i, j, k, 1, co) for i, j, k, co in constants] + [
             (j, i, k, -1, co) for i, j, k, co in constants if (j, i) not in given])
 
+    @cached_property
+    def unfolded(self) -> tuple:
+        """`linalg.unfold` of ad(e_1), ..., ad(e_n)."""
+        return unfold(self.c, self.dim)
+
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         """Bracket of coordinate column vectors."""
-        return _contract(self._sp, self.dim, x, y)
+        return _multiply(self, x, y, "bracket")
 
     def basis_bracket(self, i: int, j: int) -> Matrix:
         return self.c[i]._block(0, self.dim, j, j + 1)
-
-    def column_numerators(self, i: int, j: int) -> tuple:
-        """The nonzero (k, re, im) of [e_i, e_j] (e_i . e_j in a pre-Lie
-        algebra), as numerators over the structure constants' denominator."""
-        return self._sp[3][i * self.dim + j]
 
 
 @dataclass(frozen=True)
@@ -136,7 +98,6 @@ class PreLieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _left_multiplications(self.dim, self.p))
-        object.__setattr__(self, "_sp", _sparse(self.dim, self.p))
 
     @classmethod
     def from_constants(cls, dim: int, constants: list) -> "PreLieAlgebra":
@@ -144,13 +105,16 @@ class PreLieAlgebra:
         e_i . e_j."""
         return _from_constants(cls, dim, [(i, j, k, 1, co) for i, j, k, co in constants])
 
+    @cached_property
+    def unfolded(self) -> tuple:
+        """`linalg.unfold` of L(e_1), ..., L(e_n)."""
+        return unfold(self.p, self.dim)
+
     def product(self, x: Matrix, y: Matrix) -> Matrix:
-        return _contract(self._sp, self.dim, x, y)
+        return _multiply(self, x, y, "product")
 
     def basis_product(self, i: int, j: int) -> Matrix:
         return self.p[i]._block(0, self.dim, j, j + 1)
-
-    column_numerators = LieAlgebra.column_numerators
 
 
 @dataclass(frozen=True)
@@ -170,67 +134,63 @@ class Representation:
             raise DimensionError(
                 f"{len(self.mats)} matrices for algebra of dim {self.algebra.dim}"
             )
-        # all matrices over one denominator, for act
-        den = lcm(*(m.den for m in self.mats))
-        nums = tuple((tuple(v * (den // m.den) for v in m.re),
-                      tuple(v * (den // m.den) for v in m.im)) for m in self.mats)
-        object.__setattr__(self, "_nums", (den, all(m.is_real() for m in self.mats), nums))
+
+    @cached_property
+    def unfolded(self) -> tuple:
+        """`linalg.unfold` of rho(e_1), ..., rho(e_n)."""
+        return unfold(self.mats, self.module_dim)
 
     def act(self, x: Matrix) -> Matrix:
         """Matrix of rho(x) for a coordinate column vector x."""
-        den, real, nums = self._nums
-        m = self.module_dim
-        out_r = [0] * (m * m)
-        out_i = [0] * (m * m)
-        for (mr, mi), ar, ai in zip(nums, x.re, x.im):
-            if not (ar or ai):
-                continue
-            if real and not ai:
-                out_r = [o + ar * a for o, a in zip(out_r, mr)]
-            else:
-                out_r = [o + ar * a - ai * b for o, a, b in zip(out_r, mr, mi)]
-                out_i = [o + ar * b + ai * a for o, a, b in zip(out_i, mr, mi)]
-        return Matrix._make(m, m, out_r, out_i, den * x.den)
+        _column(x, self.algebra.dim, "act")
+        return combine(self.unfolded[0], x)
 
     def check(self) -> Report:
-        """Homomorphism law rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on basis pairs."""
+        """Homomorphism law rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on basis pairs,
+        a slice of products per e_i."""
         rep = Report("representation homomorphism law")
-        g, mats = self.algebra, self.mats
-        rep.record_tuples("rep-hom", itertools.combinations(range(g.dim), 2), lambda i, j: (
-            self.act(g.basis_bracket(i, j)) == mats[i] * mats[j] - mats[j] * mats[i]))
+        n, m, mats = self.algebra.dim, self.module_dim, self.mats
+        st, row, _ = self.unfolded
+        ad_t = cut(self.algebra.unfolded[2], n, n)  # ad(e_i)^T
+        rep.record_tuples("rep-hom", itertools.combinations(range(n), 2), identity_test(
+            {"j": n, "r": m, "s": m},
+            [(1, (ad_t, st.reshape(n, m * m)), "jrs"), (-1, (mats, row), "rjs"),
+             (1, (st, mats), "jrs")]))
         return rep
 
 
 def check_lie(g: LieAlgebra) -> Report:
-    """Antisymmetry and Jacobi on all basis tuples."""
+    """Antisymmetry and Jacobi on all basis tuples, Jacobi a slice of
+    products per first index."""
     rep = Report("Lie algebra axioms")
-    n, c, br = g.dim, g.c, g.bracket
-    eb, neg = unit_columns(n), [-m for m in c]
+    n = g.dim
+    st, row, ts = g.unfolded
+    sizes = {"i": n, "j": n, "k": n, "r": n}
     antisymmetric = rep.record_tuples(
         "antisymmetry", itertools.product(range(n), repeat=3),
-        lambda i, j, k: c[i][k, j] == neg[j][k, i], failures_only=True)
-
-    def jacobi(i, j, k):
-        x, y, z = eb[i], eb[j], eb[k]
-        return (br(br(x, y), z) + br(br(z, x), y) + br(br(y, z), x)).is_zero()
-
-    if rep.record_tuples("jacobi", itertools.combinations(range(n), 3), jacobi,
-                         failures_only=True) and antisymmetric:
+        identity_test(sizes, [(1, row, "kij"), (1, row, "kji")]), failures_only=True)
+    # [[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i], with ad(e_i)^T and the
+    # right multiplication by e_i cut from the unfoldings
+    ad_t, right, st_r = cut(ts, n, n), cut(st, n, n, n), st.reshape(n, n * n)
+    if rep.record_tuples("jacobi", itertools.combinations(range(n), 3), identity_test(
+            sizes, [(1, (ad_t, st_r), "jrk"), (1, (right, st_r), "krj"), (1, (ts, right), "jkr")]),
+            failures_only=True) and antisymmetric:
         rep.record("lie-axioms", (), True)
     return rep
 
 
 def check_prelie(g: PreLieAlgebra) -> Report:
-    """Left-symmetry of the associator on all basis triples."""
+    """Left-symmetry of the associator on all basis triples, a slice of
+    products per first index."""
     rep = Report("pre-Lie identity")
-    eb, pr = unit_columns(g.dim), g.product
-
-    def left_symmetric(i, j, k):
-        x, y, z = eb[i], eb[j], eb[k]
-        return pr(pr(x, y), z) - pr(x, pr(y, z)) == pr(pr(y, x), z) - pr(y, pr(x, z))
-
-    if rep.record_tuples("left-symmetry", itertools.product(range(g.dim), repeat=3),
-                         left_symmetric, failures_only=True):
+    n = g.dim
+    st, _, ts = g.unfolded
+    # (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k + e_j(e_i e_k)
+    l_t, right, st_r = cut(ts, n, n), cut(st, n, n, n), st.reshape(n, n * n)
+    if rep.record_tuples("left-symmetry", itertools.product(range(n), repeat=3), identity_test(
+            {"j": n, "k": n, "r": n},
+            [(1, (l_t, st_r), "jrk"), (-1, (ts, l_t), "jkr"), (-1, (right, st_r), "jrk"),
+             (1, (st, g.p), "jrk")]), failures_only=True):
         rep.record("prelie-identity", (), True)
     return rep
 

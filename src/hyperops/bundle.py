@@ -228,6 +228,10 @@ def _parse_triple(name: str, rec: dict, bundle: Bundle) -> TripleRef:
         if rep_name is None:
             raise BundleError(f"triple {name!r}: map triples need a rep")
         bundle.rep(rep_name)
+        r_alg = bundle.raw["reps"][rep_name]["algebra"]
+        if r_alg != alg_name:
+            raise BundleError(f"triple {name!r}: rep {rep_name!r} is over {r_alg!r}, "
+                              f"not {alg_name!r}")
         for m in members:
             bundle.map(m)
     else:

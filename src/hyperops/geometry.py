@@ -12,6 +12,7 @@ import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable
 
 from .algebra import (
@@ -29,7 +30,7 @@ from .hyper import (
     decompose_hyper,
     reconstruct_hyper,
 )
-from .linalg import DimensionError, Matrix, SingularMatrixError, accumulate, unit_columns
+from .linalg import DimensionError, Matrix, SingularMatrixError, accumulate, combine, identity_test
 from .operators import (
     ALGEBRA,
     MODULE,
@@ -139,8 +140,11 @@ class FormIdentity:
         of each triple that puts (p, q) at that term's pair."""
         n, o = g.dim, self.ordered
         place = _coordinates(n, self.symmetry == SKEW)[1]
-        cols = [(p, q, col) for p in range(n) for q in range(n)
-                if (col := g.column_numerators(p, q))]
+        mats = g.c if isinstance(g, LieAlgebra) else g.p  # column q of mats[p]: e_p e_q
+        den = lcm(*(m.den for m in mats))
+        cols = [(p, q, col) for p, m in enumerate(mats) for q in range(n) if (col := [
+            (k, m.re[b] * (den // m.den), m.im[b] * (den // m.den))
+            for k, b in enumerate(range(q, n * n, n)) if m.re[b] or m.im[b]])]
         sums = defaultdict(dict)
         for sign, a, b in self.terms(0, 1, 2):  # where in t the term's u, p and q sit
             left = isinstance(a, tuple)
@@ -443,14 +447,13 @@ def _is_derivation(g, d: LinMap) -> Report:
     """d[x, y] = [dx, y] + [x, dy] for i < j on a Lie algebra, or
     d(xy) = (dx)y + x(dy) for all i, j on a pre-Lie algebra."""
     rep = Report("derivation")
-    eb = unit_columns(g.dim)
-    dm = d.matrix
-    if isinstance(g, LieAlgebra):
-        pairs, basis_op, op = itertools.combinations(range(g.dim), 2), g.basis_bracket, g.bracket
-    else:
-        pairs, basis_op, op = itertools.product(range(g.dim), repeat=2), g.basis_product, g.product
-    rep.record_tuples("derivation", pairs, lambda i, j: (
-        dm * basis_op(i, j) == op(dm * eb[i], eb[j]) + op(eb[i], dm * eb[j])))
+    n, dm = g.dim, d.matrix
+    st, row, _ = g.unfolded
+    pairs = (itertools.combinations(range(n), 2) if isinstance(g, LieAlgebra)
+             else itertools.product(range(n), repeat=2))
+    # d(e_i e_j) - (d e_i)e_j - e_i(d e_j)
+    rep.record_tuples("derivation", pairs, identity_test({"i": n, "j": n, "r": n}, [
+        (1, dm * row, "rij"), (-1, combine(st, dm), "irj"), (-1, st * dm, "irj")]))
     return rep
 
 

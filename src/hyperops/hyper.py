@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Matrix, SingularMatrixError, unit_columns
+from .linalg import Matrix, SingularMatrixError, combine, identity_test
 from .operators import (
     ALGEBRA,
     MODULE,
@@ -172,23 +172,18 @@ def product_one_suite(t: HyperTriple) -> Report:
             f"suite requires eps product +1, got eps={t.eps}")
     rep = Report("eps-product +1 suite")
     ctx = t.ctx
-    vb = unit_columns(ctx.m)
     hb = t.hflat
     hb_inv = hb.inv()
     for i in range(3):
         im = _cyc(i - 1)
         rep.record("(d_i,N_i) DN-structure", (i + 1,), is_dn(ctx, t.d[i], t.n[i]).passed)
         # key identity: S rho(Tu)v - S rho(Tv)u - rho(Tu)(Sv) + rho(Tv)(Su) = 0
-        sm = t.s[i].matrix
-
-        def holds(a, b):
-            u, v = vb[a], vb[b]
-            rho_u, rho_v = ctx.rep.act(t.t[i](u)), ctx.rep.act(t.t[i](v))
-            return (sm * (rho_u * v) - sm * (rho_v * u)
-                    - rho_u * (sm * v) + rho_v * (sm * u)).is_zero()
-
-        rep.record_tuples("key identity", itertools.combinations(range(ctx.m), 2), holds,
-                          at=(i + 1,))
+        sm, tm, (st, _, ts) = t.s[i].matrix, t.t[i].matrix, ctx.rep.unfolded
+        s_after, act_s = combine(ts, tm) * sm.transpose(), combine(st, tm) * sm
+        rep.record_tuples("key identity", itertools.combinations(range(ctx.m), 2), identity_test(
+            {"i": ctx.m, "j": ctx.m, "r": ctx.m},
+            [(1, s_after, "ijr"), (-1, s_after, "jir"), (-1, act_s, "irj"), (1, act_s, "jri")]),
+            at=(i + 1,))
         rep.record("(K_i,d_i) KD-structure", (i + 1,), is_kd(ctx, t.k(i), t.d[i]).passed)
         ni_from_h = t.t[i].compose(hb)
         rep.record("T_i∘hflat=eps[i-1]·N_i", (i + 1,),

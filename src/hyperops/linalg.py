@@ -11,7 +11,8 @@ tuples ``re`` and ``im`` (row-major) and a positive integer ``den``, so entry
 reduced (den and all numerators have gcd 1), which makes it unique, so
 equality and hashing compare it structurally.  Product, sum, negation,
 scaling and transpose are integer loops that skip the imaginary parts of real
-operands.  ``det`` and the reduced row echelon form behind ``rank``, ``inv``,
+operands; a product sums the right operand's rows over the left's nonzero
+entries, skipping zero rows on both sides.  ``det`` and the reduced row echelon form behind ``rank``, ``inv``,
 ``kernel`` and ``solve_affine`` run one fraction-free elimination,
 ``_eliminate``, with two row updates: the RREF divides real rows by their
 gcd; otherwise rows are divided exactly, in Z or Z[i], by the previous pivot
@@ -27,14 +28,19 @@ sum them with ``accumulate``.  ``__getitem__``, ``row``, ``col`` and
 ``det`` and ``solve_affine``.
 ``kernel`` returns its basis as the rows of one Matrix, and a pencil is a
 sequence of Matrices.  Poly keeps Scalar coefficients.
+
+Every basis-tuple identity of the library is evaluated by ``identity_test``:
+signed products of the inputs with the ``unfold``-ed structure constants,
+each read at strides at every tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_gaussian
@@ -64,8 +70,20 @@ def accumulate(size: int, terms) -> tuple[list, list, int]:
     return re, im, den
 
 
-def _products(rows, cols) -> list:
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
+def _products(a_rows, b_rows, live, m: int) -> list:
+    """The row-major product of a_rows and b_rows (rows of width m): row i
+    sums a_rows[i][j] * b_rows[j] over the nonzero a_rows[i][j], and is zero
+    outside the rows in live."""
+    out = [0] * (len(a_rows) * m)
+    for i in live:
+        acc = None
+        for a, b in zip(a_rows[i], b_rows):
+            if a:
+                b = b if a == 1 else list(map(mul, repeat(a, m), b))
+                acc = b if acc is None else list(map(add, acc, b))
+        if acc is not None:
+            out[i * m:(i + 1) * m] = acc
+    return out
 
 
 class Matrix:
@@ -80,27 +98,29 @@ class Matrix:
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(terms)}")
         self._set(rows, cols, *accumulate(len(terms), terms))
 
-    def _set(self, rows, cols, re, im, den, reduce=True):
+    def _set(self, rows, cols, re, im, den, reduce=True, real=False):
         if reduce and den != 1:
-            g = gcd(den, *re, *im)
+            g = gcd(den, *re) if real else gcd(den, *re, *im)
             if g != 1:
                 re = [v // g for v in re]
-                im = [v // g for v in im]
+                im = im if real else [v // g for v in im]
                 den //= g
         self.rows = rows
         self.cols = cols
         self.re = tuple(re)
         self.im = tuple(im)
         self.den = den
-        self._real = not any(im)
+        self._real = real or not any(im)
         self._s = self._h = None
 
     @classmethod
-    def _make(cls, rows: int, cols: int, re, im, den: int, reduce: bool = True) -> "Matrix":
+    def _make(cls, rows: int, cols: int, re, im, den: int, reduce: bool = True,
+              real: bool = False) -> "Matrix":
         """From integer numerators over a positive denominator; `reduce` divides
-        out their common factor (skip it only for numerators already reduced)."""
+        out their common factor (skip it only for numerators already reduced),
+        and `real` says that im is all zero, which then goes unread."""
         m = cls.__new__(cls)
-        m._set(rows, cols, re, im, den, reduce)
+        m._set(rows, cols, re, im, den, reduce, real)
         return m
 
     # -- constructors --------------------------------------------------
@@ -119,7 +139,7 @@ class Matrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         z = (0,) * (rows * cols)
-        return cls._make(rows, cols, z, z, 1, reduce=False)
+        return cls._make(rows, cols, z, z, 1, reduce=False, real=True)
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -174,6 +194,12 @@ class Matrix:
         body = "; ".join(" ".join(v.render() for v in self.row(i)) for i in range(self.rows))
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same row-major entries as a rows x cols matrix."""
+        if rows * cols != len(self.re):
+            raise DimensionError(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        return Matrix._make(rows, cols, self.re, self.im, self.den, False, self._real)
+
     def is_zero(self) -> bool:
         return not any(self.re) and self._real
 
@@ -209,7 +235,7 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         im = self.im if self._real else [-v for v in self.im]
         return Matrix._make(self.rows, self.cols, [-v for v in self.re], im, self.den,
-                            reduce=False)
+                            False, self._real)
 
     def scale(self, k) -> "Matrix":
         kr, ki, kd = as_gaussian(k)
@@ -219,7 +245,8 @@ class Matrix:
         else:
             re = [kr * a - ki * b for a, b in zip(self.re, self.im)]
             im = [ki * a + kr * b for a, b in zip(self.re, self.im)]
-        return Matrix._make(self.rows, self.cols, re, im, self.den * kd)
+        return Matrix._make(self.rows, self.cols, re, im, self.den * kd,
+                            real=self._real and not ki)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -229,22 +256,21 @@ class Matrix:
                 f"mul: shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} incompatible"
             )
         n, k, m = self.rows, self.cols, other.cols
-        a_re = [self.re[i * k:(i + 1) * k] for i in range(n)]
-        b_re = [other.re[j::m] for j in range(m)]
-        re = _products(a_re, b_re)
+        inner = [j for j in range(k) if any(other.re[j * m:j * m + m])
+                 or not other._real and any(other.im[j * m:j * m + m])]
+        a_cols = [self.re[j::k] for j in inner], [self.im[j::k] for j in inner]
+        live = sorted({i for cols in a_cols for c in cols for i in compress(range(n), c)})
+        if not live:
+            return Matrix.zero(n, m)
+        a_re, a_im = (list(zip(*cols)) for cols in a_cols)
+        b_re = [other.re[j * m:j * m + m] for j in inner]
+        re, den = _products(a_re, b_re, live, m), self.den * other.den
         if self._real and other._real:
-            im = (0,) * (n * m)
-        else:
-            a_im = [self.im[i * k:(i + 1) * k] for i in range(n)]
-            b_im = [other.im[j::m] for j in range(m)]
-            if self._real:
-                im = _products(a_re, b_im)
-            elif other._real:
-                im = _products(a_im, b_re)
-            else:
-                re = [x - y for x, y in zip(re, _products(a_im, b_im))]
-                im = [x + y for x, y in zip(_products(a_re, b_im), _products(a_im, b_re))]
-        return Matrix._make(n, m, re, im, self.den * other.den)
+            return Matrix._make(n, m, re, (0,) * (n * m), den, real=True)
+        b_im = [other.im[j * m:j * m + m] for j in inner]
+        re = list(map(sub, re, _products(a_im, b_im, live, m)))
+        im = list(map(add, _products(a_re, b_im, live, m), _products(a_im, b_re, live, m)))
+        return Matrix._make(n, m, re, im, den)
 
     def __rmul__(self, k) -> "Matrix":
         return self.scale(k)
@@ -253,7 +279,7 @@ class Matrix:
         c = self.cols
         re = [v for j in range(c) for v in self.re[j::c]]
         im = self.im if self._real else [v for j in range(c) for v in self.im[j::c]]
-        return Matrix._make(c, self.rows, re, im, self.den, reduce=False)
+        return Matrix._make(c, self.rows, re, im, self.den, False, self._real)
 
     def _block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0..r1-1 and columns c0..c1-1."""
@@ -329,10 +355,107 @@ class Matrix:
         return _kernel(*self._rref(), self.cols)
 
 
-def unit_columns(n: int) -> list[Matrix]:
-    """The standard basis e_1, ..., e_n as column vectors."""
-    return [Matrix._make(n, 1, [int(i == t) for i in range(n)], (0,) * n, 1, reduce=False)
-            for t in range(n)]
+def unfold(mats: Sequence[Matrix], d: int) -> tuple:
+    """The unfoldings [M_1; ...; M_n], [M_1 | ... | M_n] and [M_1^T; ...; M_n^T]
+    of n d x d matrices, over one denominator (Kolda and Bader, SIAM Review
+    51(3), 2009)."""
+    if not mats:
+        return Matrix.zero(0, d), Matrix.zero(d, 0), Matrix.zero(0, d)
+    row = _hstack(*mats)
+    return _hstack(*(m.transpose() for m in mats)).transpose(), row, row.transpose()
+
+
+def combine(stacked: Matrix, x: Matrix) -> Matrix:
+    """[X_1; ...; X_c] for X_a = sum_p x[p, a] M_p, from [M_1; ...; M_n] of
+    d x d matrices and an n x c matrix x."""
+    d = stacked.cols
+    return (x.transpose() * stacked.reshape(x.rows, d * d)).reshape(x.cols * d, d)
+
+
+def cut(m: Matrix, rows: int, cols: int, step: int = 1) -> list:
+    """m's row-major entries as rows x cols matrices: consecutive runs, or
+    with step > 1, the step interleaved ones (t, t + step, ...)."""
+    size = rows * cols
+    starts = range(0, len(m.re), size) if step == 1 else range(step)
+    return [Matrix._make(rows, cols, m.re[a:a + step * size:step], m.im[a:a + step * size:step],
+                         m.den, real=m.is_real()) for a in starts]
+
+
+def _plan(sign: int, product, axes: str, sizes: dict, last: str) -> tuple:
+    """A term as (sign, product, strides of t[0], t[1], t[2], offsets of the
+    output indices but the last or None, span and step of the last one),
+    reading the tuple letter `last` as an output index."""
+    strides, s = {}, 1
+    for a in reversed(axes):
+        strides[a] = s
+        s *= sizes[a]
+    *outer, out = sorted(a for a in axes if a not in "ijk" or a == last)
+    offsets = [0]
+    for a in outer:
+        offsets = [o + v * strides[a] for o in offsets for v in range(sizes[a])]
+    return (sign, product, tuple(0 if a == last else strides.get(a, 0) for a in "ijk"),
+            None if outer == [] else offsets, strides[out] * (sizes[out] - 1) + 1, strides[out])
+
+
+def _residual(parts, t) -> list:
+    """The sum of f times each part's numerators read at t."""
+    acc = None
+    for f, nums, strides, offsets, span, step in parts:
+        b = sum(map(mul, strides, t))
+        chunk = (nums[b:b + span:step] if offsets is None
+                 else [v for o in offsets for v in nums[b + o:b + o + span:step]])
+        if f != 1:
+            chunk = map(mul, repeat(f), chunk)
+        acc = list(chunk) if acc is None else list(map(add, acc, chunk))
+    return acc
+
+
+def identity_test(sizes: dict, *claims):
+    """holds(*t) for `Report.record_tuples`: whether each claim, a sequence
+    of terms (sign, product, axes), sums to zero at the basis tuple t (one
+    flag, or a tuple of flags for several claims).
+
+    `axes` names the axes of the product's row-major layout: i, j, k are
+    t[0], t[1], t[2], any other letter an output index; sizes gives each
+    letter's range.  A term reads its product at strides, so swapping two
+    letters copies nothing.  A product given as a pair, left or right a
+    sequence, is sliced over t[0] (left[t[0]] * right or left * right[t[0]],
+    one product per value) and its axes leave out i.  Without output
+    indices, t's last index is read as one, once per value of the others."""
+    letters = {a for claim in claims for _, _, axes in claim for a in axes}
+    last = max(letters) if letters <= set("ijk") else ""
+    plans = [[_plan(*term, sizes, last) for term in claim] for claim in claims]
+
+    def parts(at) -> list:  # per claim, real and imaginary parts over one denominator
+        out = []
+        for claim in plans:
+            mats = [p if isinstance(p, Matrix) else
+                    p[0][at] * p[1] if isinstance(p[1], Matrix) else p[0] * p[1][at]
+                    for _, p, *_ in claim]
+            den = lcm(*(m.den for m in mats))
+            re = [(sign * (den // m.den), m.re, *read) for (sign, _, *read), m in zip(claim, mats)]
+            out.append((re, [(f, m.im, *read) for (f, _, *read), m in zip(re, mats)
+                             if not m.is_real()]))
+        return out
+
+    state = [None, None, None, None]  # t[0], its parts, t[:-1] and its zero flags when last
+
+    def holds(*t):
+        if state[0] != t[0]:
+            state[:] = t[0], None, None, None  # the last slice's products go first
+            state[1] = parts(t[0])
+        if not last:
+            flags = [not any(_residual(re, t)) and (not im or not any(_residual(im, t)))
+                     for re, im in state[1]]
+        else:
+            if state[2] != t[:-1]:
+                state[2:] = t[:-1], [[not (a or b) for a, b in zip(
+                    _residual(re, t), _residual(im, t) if im else repeat(0))]
+                    for re, im in state[1]]
+            flags = [z[t[-1]] for z in state[3]]
+        return flags[0] if len(flags) == 1 else tuple(flags)
+
+    return holds
 
 
 def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> tuple:

@@ -3,7 +3,9 @@ operators, dual-Nijenhuis pairs, deformed brackets/representations, and the
 DN / KD / KN structure and compatibility checks.
 
 All identities are multilinear, so quantifying over basis tuples is exhaustive;
-reports cite 1-indexed basis indices.
+reports cite 1-indexed basis indices.  Each is one `linalg.identity_test`:
+its terms are products of the maps with the unfoldings of ad and rho (the
+maps once or twice), read at strides per basis pair.
 
 Public functions prove their preconditions once, at entry, each stated with
 `Report.require`, then call private builders (`_deformed_bracket`,
@@ -24,8 +26,8 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, PreLieAlgebra, Representation, adjoint_rep, subadjacent
-from .linalg import DimensionError, Matrix, _hstack, unit_columns
+from .algebra import LieAlgebra, PreLieAlgebra, Representation, subadjacent
+from .linalg import DimensionError, Matrix, _hstack, combine, cut, identity_test
 from .reporting import PreconditionError, Report
 
 ALGEBRA = "algebra"
@@ -101,9 +103,6 @@ class LinMap:
         if want != got:
             raise DimensionError(f"map {self.domain}->{self.codomain}: matrix {got} != {want}")
 
-    def __call__(self, v: Matrix) -> Matrix:
-        return self.matrix * v
-
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
         if other.codomain != self.domain:
@@ -146,9 +145,10 @@ def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
     if (d.domain, d.codomain) != (ALGEBRA, MODULE):
         raise DimensionError("relative differential operator must map algebra -> module")
     rep = Report("relative differential operator")
-    eb = unit_columns(ctx.n)
-    rep.record_tuples("rdo", itertools.combinations(range(ctx.n), 2), lambda i, j: (
-        d(ctx.g.basis_bracket(i, j)) == ctx.rep.mats[i] * d(eb[j]) - ctx.rep.mats[j] * d(eb[i])))
+    n, rd = ctx.n, ctx.rep.unfolded[0] * d.matrix  # rows (i, r): rho(e_i) d
+    rep.record_tuples("rdo", itertools.combinations(range(n), 2), identity_test(
+        {"i": n, "j": n, "r": ctx.m},
+        [(1, d.matrix * ctx.g.unfolded[1], "rij"), (-1, rd, "irj"), (1, rd, "jri")]))
     return rep
 
 
@@ -164,14 +164,16 @@ def is_o_operator(ctx: OperatorContext, t: LinMap) -> Report:
     if (t.domain, t.codomain) != (MODULE, ALGEBRA):
         raise DimensionError("O-operator must map module -> algebra")
     rep = Report("O-operator")
-    vb = unit_columns(ctx.m)
-
-    def holds(i, j):
-        tu, tv = t(vb[i]), t(vb[j])
-        return ctx.g.bracket(tu, tv) == t(ctx.rep.act(tu) * vb[j] - ctx.rep.act(tv) * vb[i])
-
-    rep.record_tuples("o-operator", itertools.combinations(range(ctx.m), 2), holds)
+    rep.record_tuples("o-operator", itertools.combinations(range(ctx.m), 2), identity_test(
+        {"i": ctx.m, "j": ctx.m, "r": ctx.n}, _defect(ctx, t.matrix, t.matrix)))
     return rep
+
+
+def _defect(ctx: OperatorContext, a: Matrix, b: Matrix) -> list:
+    """The terms of [au, bv] - a rho(bu)v + a rho(bv)u at basis pairs (u, v),
+    read off [au, b.] (rows (u, k)) and a rho(bu) (rows (u, v))."""
+    after = combine(ctx.rep.unfolded[2], b) * a.transpose()
+    return [(1, combine(ctx.g.unfolded[0], a) * b, "irj"), (-1, after, "ijr"), (1, after, "jir")]
 
 
 @_memoized
@@ -180,15 +182,14 @@ def is_nijenhuis(g: LieAlgebra, n_map: LinMap) -> Report:
     if n_map.matrix.rows != g.dim or n_map.matrix.cols != g.dim:
         raise DimensionError(f"Nijenhuis candidate must be {g.dim}x{g.dim}")
     rep = Report("Nijenhuis operator")
-    eb = unit_columns(g.dim)
-    nm = n_map.matrix
-
-    def holds(i, j):
-        nx, ny = nm * eb[i], nm * eb[j]
-        inner = g.bracket(nx, eb[j]) + g.bracket(eb[i], ny) - nm * g.basis_bracket(i, j)
-        return g.bracket(nx, ny) == nm * inner
-
-    rep.record_tuples("nijenhuis", itertools.combinations(range(g.dim), 2), holds)
+    n, nm = g.dim, n_map.matrix
+    st, row, ts = g.unfolded
+    n_row = nm * row  # rows k: N[e_i, e_j]
+    # [Ne_i, Ne_j] - N[Ne_i, e_j] - N[e_i, Ne_j] + N^2[e_i, e_j]
+    rep.record_tuples("nijenhuis", itertools.combinations(range(n), 2), identity_test(
+        {"i": n, "j": n, "r": n},
+        [(1, combine(st, nm) * nm, "irj"), (-1, combine(ts, nm) * nm.transpose(), "ijr"),
+         (-1, n_row.reshape(n * n, n) * nm, "rij"), (1, nm * n_row, "rij")]))
     sign = nijenhuis_square_sign(g, n_map)
     if sign == -1:
         rep.note("complex structure (N^2 = -Id)")
@@ -215,9 +216,10 @@ def deformed_bracket(g: LieAlgebra, n_map: LinMap) -> LieAlgebra:
 def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
     """[.,.]_N for the matrix nm of a Nijenhuis operator:
     ad_N(e_i) = ad(N e_i) + ad(e_i) N - N ad(e_i)."""
-    ad = adjoint_rep(g)
-    return LieAlgebra(g.dim, [ad.act(nm * e) + a * nm - nm * a
-                              for e, a in zip(unit_columns(g.dim), g.c)])
+    n = g.dim
+    st, _, ts = g.unfolded
+    return LieAlgebra(n, [a + b - c.transpose() for a, b, c in zip(
+        cut(combine(st, nm), n, n), cut(st * nm, n, n), cut(ts * nm.transpose(), n, n))])
 
 
 @_memoized
@@ -226,16 +228,13 @@ def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -
     is_nijenhuis(ctx.g, n_map).require("N is not a Nijenhuis operator")
     s_map.check_shape(ctx)
     rep = Report("dual-Nijenhuis pair")
-    eb, vb = unit_columns(ctx.n), unit_columns(ctx.m)
-    nm, sm = n_map.matrix, s_map.matrix
-    rho_n = [ctx.rep.act(nm * x) for x in eb]
-
-    def holds(i, a):
-        rho_nx, rho_x, v = rho_n[i], ctx.rep.mats[i], vb[a]
-        return (rho_nx * (sm * v) == sm * (rho_nx * v) + rho_x * (sm * (sm * v))
-                - sm * (rho_x * (sm * v)))
-
-    rep.record_tuples("dual-nijenhuis", itertools.product(range(ctx.n), range(ctx.m)), holds)
+    n, m, nm, sm = ctx.n, ctx.m, n_map.matrix, s_map.matrix
+    st, row, ts = ctx.rep.unfolded
+    # rho(Ne_i)S e_a - S rho(Ne_i) e_a - rho(e_i)S^2 e_a + S rho(e_i)S e_a
+    rep.record_tuples("dual-nijenhuis", itertools.product(range(n), range(m)), identity_test(
+        {"i": n, "j": m, "r": m},
+        [(1, combine(st, nm) * sm, "irj"), (-1, combine(ts, nm) * sm.transpose(), "ijr"),
+         (-1, st * (sm * sm), "irj"), (1, (sm * row).reshape(m * n, m) * sm, "rij")]))
     return rep
 
 
@@ -247,9 +246,10 @@ def deformed_representation(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) 
 
 def _deformed_representation(ctx: OperatorContext, nm: Matrix, sm: Matrix) -> Representation:
     """varrho for the matrices nm, sm of a dual-Nijenhuis pair."""
-    eb = unit_columns(ctx.n)
-    return Representation(_deformed_bracket(ctx.g, nm), ctx.m, [
-        ctx.rep.act(nm * x) - (rho_x * sm - sm * rho_x) for x, rho_x in zip(eb, ctx.rep.mats)])
+    m, (st, _, ts) = ctx.m, ctx.rep.unfolded
+    return Representation(_deformed_bracket(ctx.g, nm), m, [
+        a - b + c.transpose() for a, b, c in zip(
+            cut(combine(st, nm), m, m), cut(st * sm, m, m), cut(ts * sm.transpose(), m, m))])
 
 
 # -- brackets induced by an O-operator --------------------------------
@@ -258,13 +258,9 @@ def _deformed_representation(ctx: OperatorContext, nm: Matrix, sm: Matrix) -> Re
 def bracket_T(ctx: OperatorContext, t: LinMap) -> tuple[PreLieAlgebra, LieAlgebra]:
     """Pre-Lie product u *T v = rho(Tu)v on V and its sub-adjacent bracket."""
     is_o_operator(ctx, t).require("T is not an O-operator")
-    acts = [ctx.rep.act(t(u)) for u in unit_columns(ctx.m)]
-    prelie = PreLieAlgebra(ctx.m, acts)
+    m = ctx.m
+    prelie = PreLieAlgebra(m, cut(combine(ctx.rep.unfolded[0], t.matrix), m, m))
     return prelie, subadjacent(prelie)
-
-
-def _bracket_matrixwise(ctx: OperatorContext, t: LinMap, u: Matrix, v: Matrix) -> Matrix:
-    return ctx.rep.act(t(u)) * v - ctx.rep.act(t(v)) * u
 
 
 def brackets_coincide(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap) -> Report:
@@ -282,19 +278,19 @@ def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
     """The coincidence claims, given nt = N∘T = T∘S for the matrix sm of S and
     the representation varrho of a dual-Nijenhuis pair (N, S)."""
     rep = Report("bracket coincidence")
-    vb = unit_columns(ctx.m)
-
-    def holds(a, b):
-        u, v = vb[a], vb[b]
-        b_nt = _bracket_matrixwise(ctx, nt, u, v)
-        b_ts = (_bracket_matrixwise(ctx, t, sm * u, v)
-                + _bracket_matrixwise(ctx, t, u, sm * v)
-                - sm * _bracket_matrixwise(ctx, t, u, v))
-        b_vr = varrho.act(t(u)) * v - varrho.act(t(v)) * u
-        return b_nt == b_ts, b_nt == b_vr
-
+    tm, m = t.matrix, ctx.m
+    st, _, ts = ctx.rep.unfolded  # rows (u, r) of combine(st, x): rho(xu)
+    act_nt, act_ts, act_t_s = combine(st, nt.matrix), combine(st, tm * sm), combine(st, tm) * sm
+    act_vr, s_after = combine(varrho.unfolded[0], tm), combine(ts, tm) * sm.transpose()
+    # [u, v]^{NoT} against [Su, v]^T + [u, Sv]^T - S[u, v]^T, with
+    # [u, v]^T = rho(Tu)v - rho(Tv)u, and against varrho(Tu)v - varrho(Tv)u
+    b_nt = [(1, act_nt, "irj"), (-1, act_nt, "jri")]
     rep.record_tuples(("bracket-NoT-vs-S-deformed", "bracket-NoT-vs-varrho"),
-                      itertools.combinations(range(ctx.m), 2), holds)
+                      itertools.combinations(range(m), 2), identity_test(
+        {"i": m, "j": m, "r": m},
+        b_nt + [(-1, act_ts, "irj"), (1, act_t_s, "jri"), (-1, act_t_s, "irj"),
+                (1, act_ts, "jri"), (1, s_after, "ijr"), (-1, s_after, "jir")],
+        b_nt + [(-1, act_vr, "irj"), (1, act_vr, "jri")]))
     return rep
 
 
@@ -372,15 +368,10 @@ def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
     pre.merge(is_o_operator(ctx, t2), "T2:")
     pre.require("compatibility preconditions failed")
     rep = Report("compatible O-operators")
-    vb = unit_columns(ctx.m)
-
-    def holds(a, b):
-        u, v = vb[a], vb[b]
-        lhs = ctx.g.bracket(t1(u), t2(v)) + ctx.g.bracket(t2(u), t1(v))
-        return lhs == (t1(ctx.rep.act(t2(u)) * v - ctx.rep.act(t2(v)) * u)
-                       + t2(ctx.rep.act(t1(u)) * v - ctx.rep.act(t1(v)) * u))
-
-    rep.record_tuples("mixed-identity", itertools.combinations(range(ctx.m), 2), holds)
+    # [T1u, T2v] + [T2u, T1v] - T1(rho(T2u)v - rho(T2v)u) - T2(rho(T1u)v - rho(T1v)u)
+    rep.record_tuples("mixed-identity", itertools.combinations(range(ctx.m), 2), identity_test(
+        {"i": ctx.m, "j": ctx.m, "r": ctx.n},
+        _defect(ctx, t1.matrix, t2.matrix) + _defect(ctx, t2.matrix, t1.matrix)))
     return rep
 
 

@@ -1,4 +1,6 @@
-"""Check reports: ordered, basis-indexed, JSON-serializable."""
+"""Check reports: ordered, basis-indexed, JSON-serializable.  A basis-tuple
+identity is recorded by `Report.record_tuples` from its per-tuple test,
+`linalg.identity_test` (or `geometry.FormIdentity` for a form identity)."""
 
 from __future__ import annotations
 
@@ -52,18 +54,20 @@ class Report:
         failures_only, only failing tuples are recorded.  With `at`, the one
         claim is recorded once, at those indices, with the first failing
         tuple as counterexample.  Returns whether every evaluation held."""
-        names = (claims,) if isinstance(claims, str) else claims
+        single = isinstance(claims, str)
+        names = (claims,) if single else claims
         held = True
         for t in tuples:
             flags = holds(*t)
-            idx = tuple(i + 1 for i in t)
-            for name, ok in zip(names, (flags,) if isinstance(claims, str) else flags):
+            for name, ok in zip(names, (flags,) if single else flags):
+                if ok and (failures_only or at is not None):
+                    continue
                 held = held and ok
-                if at is not None and not ok:
+                idx = tuple(map((1).__add__, t))
+                if at is not None:
                     self.record(name, at, False, idx)
                     return False
-                if at is None and not (ok and failures_only):
-                    self.record(name, idx, ok, None if ok else idx)
+                self.record(name, idx, ok, None if ok else idx)
         if at is not None:
             self.record(claims, at, True)
         return held

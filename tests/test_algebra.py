@@ -24,7 +24,7 @@ from hyperops.algebra import (
 from hyperops.cli import _SUITES, InputError
 from hyperops.corpus import broken_variant, broken_variants, export_bundle, list_examples
 from hyperops.bundle import classify_triple, parse_bundle
-from hyperops.linalg import Matrix
+from hyperops.linalg import DimensionError, Matrix
 from hyperops.operators import (
     ALGEBRA,
     MODULE,
@@ -150,6 +150,32 @@ def test_representation_shape_validation():
     g = abelian(2)
     with pytest.raises(Exception):
         Representation(g, 2, (Matrix.identity(3), Matrix.identity(3)))
+
+
+def _affine2():
+    """[e1, e2] = e2."""
+    return LieAlgebra.from_constants(2, [(1, 2, 2, 1)])
+
+
+def test_act_rejects_a_longer_vector():
+    with pytest.raises(DimensionError, match=r"act: argument is 3x1, not a 2x1 column"):
+        adjoint_rep(_affine2()).act(Matrix.column([1, 0, 5]))
+
+
+def test_act_rejects_a_matrix():
+    with pytest.raises(DimensionError, match=r"act: argument is 2x2, not a 2x1 column"):
+        adjoint_rep(_affine2()).act(Matrix.identity(2))
+
+
+def test_bracket_rejects_a_shorter_vector():
+    with pytest.raises(DimensionError, match=r"bracket: argument is 1x1, not a 2x1 column"):
+        _affine2().bracket(Matrix.column([1]), Matrix.column([0, 1]))
+
+
+def test_product_rejects_a_row_vector():
+    g = PreLieAlgebra.from_constants(2, [(1, 1, 1, 1)])
+    with pytest.raises(DimensionError, match=r"product: argument is 1x2, not a 2x1 column"):
+        g.product(Matrix.column([1, 0]), Matrix.from_rows([[1, 0]]))
 
 
 def test_rep_homomorphism_failure_detected():

@@ -570,3 +570,25 @@ def test_suites_through_the_cli_match_uncached_library_calls(tmp_path):
                 got = {k: payload[k] for k in ("report", "error") if k in payload}
                 assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), (
                     example_id, which)
+
+
+def test_map_triple_with_a_rep_over_another_algebra_exits_two(tmp_path, capsys):
+    # g: [e1, e2] = e2; the rep is the adjoint action of the abelian h
+    doc = {"field": "gaussian_rational",
+           "algebras": {"g": {"kind": "lie", "dim": 2,
+                              "constants": [{"i": 1, "j": 2, "k": 2, "coeff": "1"}]},
+                        "h": {"kind": "lie", "dim": 2, "constants": []}},
+           "reps": {"r": {"algebra": "h", "constructor": "adjoint"}},
+           "maps": {m: {"domain": "algebra", "codomain": "module",
+                        "matrix": [["1", "0"], ["0", "1"]]} for m in ("d1", "d2", "d3")},
+           "triples": {"t": {"kind": "maps", "algebra": "g", "rep": "r",
+                             "members": ["d1", "d2", "d3"]}}}
+    path = tmp_path / "rep-over-h.json"
+    path.write_text(json.dumps(doc))
+    code, payload = _run_json(capsys, ["classify-hyper", str(path), "--triple", "t"])
+    assert code == cli.EXIT_PARSE
+    assert payload["status"] == "input-error"
+    assert payload["error"] == "triple 't': rep 'r' is over 'h', not 'g'"
+    doc["triples"]["t"]["algebra"] = "h"  # the same maps over the rep's own algebra
+    path.write_text(json.dumps(doc))
+    assert _run_json(capsys, ["classify-hyper", str(path), "--triple", "t"])[0] == cli.EXIT_PASS

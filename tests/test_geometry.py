@@ -120,7 +120,7 @@ def test_form_to_map_convention():
         for j in range(4):
             ei = Matrix.column([Scalar(1) if t == i else Scalar(0) for t in range(4)])
             ej = Matrix.column([Scalar(1) if t == j else Scalar(0) for t in range(4)])
-            assert w(ei, ej) == (nat(ei).transpose() * ej)[0, 0]
+            assert w(ei, ej) == ((nat.matrix * ei).transpose() * ej)[0, 0]
 
 
 def test_classify_hyper_symplectic_and_hessian():
