@@ -26,8 +26,8 @@ list every nonzero product.  The indices i, j, k are JSON integers (not
 floats, booleans or strings).  Indices are 1-based throughout.
 
 Each record is validated here and built by a public constructor, which sums
-its literals straight into integer matrices without building a Scalar; the
-constructor's ValueError becomes a BundleError naming the record.
+its literals, each distinct one parsed once per bundle, into integer matrices
+without building a Scalar; a ValueError becomes a BundleError naming where.
 
 Every section and record must have the shape above, or parsing raises
 BundleError.  Algebra ``dim`` and module ``module_dim`` are capped at
@@ -54,6 +54,7 @@ from .geometry import SKEW, SYMMETRIC, BilForm, classify_hyper_hessian, classify
 from .hyper import classify_hyper
 from .linalg import Matrix
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext
+from .scalars import parse_gaussian
 
 
 class BundleError(ValueError):
@@ -125,11 +126,18 @@ def _build(where: str, make, *args):
         raise BundleError(f"{where}: {exc}") from exc
 
 
-def _matrix(rows, where: str) -> Matrix:
+def _literal(parsed: dict, value, where: str) -> tuple:
+    """parse_gaussian(str(value)) once per bundle, kept in `parsed`; errors name where."""
+    if (text := str(value)) not in parsed:
+        parsed[text] = _build(where, parse_gaussian, text)
+    return parsed[text]
+
+
+def _matrix(rows, where: str, parsed: dict) -> Matrix:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)):
         raise BundleError(f"{where}: matrix must be a list of equal-length nonempty rows")
-    return _build(where, Matrix.from_rows, [[str(v) for v in row] for row in rows])
+    return _build(where, Matrix.from_rows, [[_literal(parsed, v, where) for v in r] for r in rows])
 
 
 def _dim(value, where: str) -> int:
@@ -144,7 +152,7 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _parse_algebra(name: str, rec: dict):
+def _parse_algebra(name: str, rec: dict, parsed: dict):
     kind = rec.get("kind")
     if kind not in ("lie", "prelie"):
         raise BundleError(f"algebra {name!r}: need kind lie|prelie")
@@ -157,12 +165,13 @@ def _parse_algebra(name: str, rec: dict):
         i, j, k = rec_ijk["i"], rec_ijk["j"], rec_ijk["k"]
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise BundleError(f"algebra {name!r}: index out of range in {rec_ijk!r}")
-        records.append((i, j, k, str(rec_ijk.get("coeff", "1"))))
+        records.append((i, j, k, rec_ijk.get("coeff", "1")))
+    records = [(i, j, k, _literal(parsed, co, f"algebra {name!r}")) for i, j, k, co in records]
     cls = LieAlgebra if kind == "lie" else PreLieAlgebra
     return _build(f"algebra {name!r}", cls.from_constants, dim, records)
 
 
-def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
+def _parse_rep(name: str, rec: dict, algebras: dict, parsed: dict) -> Representation:
     alg_name = rec.get("algebra")
     g = _lookup(algebras, alg_name, "algebra")
     ctor = rec.get("constructor")
@@ -184,18 +193,18 @@ def _parse_rep(name: str, rec: dict, algebras: dict) -> Representation:
     mdim = _dim(rec["module_dim"], f"rep {name!r}")
     if len(mats) != g.dim:
         raise BundleError(f"rep {name!r}: {len(mats)} matrices for algebra of dim {g.dim}")
-    mats = tuple(_matrix(m, f"rep {name!r}") for m in mats)
+    mats = tuple(_matrix(m, f"rep {name!r}", parsed) for m in mats)
     return _build(f"rep {name!r}", Representation, g, mdim, mats)
 
 
-def _parse_map(name: str, rec: dict) -> LinMap:
+def _parse_map(name: str, rec: dict, parsed: dict) -> LinMap:
     dom, cod = rec.get("domain"), rec.get("codomain")
     if dom not in (ALGEBRA, MODULE) or cod not in (ALGEBRA, MODULE):
         raise BundleError(f"map {name!r}: domain/codomain must be 'algebra' or 'module'")
-    return LinMap(_matrix(rec.get("matrix", []), f"map {name!r}"), dom, cod)
+    return LinMap(_matrix(rec.get("matrix", []), f"map {name!r}", parsed), dom, cod)
 
 
-def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
+def _parse_form(name: str, rec: dict, algebras: dict, parsed: dict) -> tuple[BilForm, str]:
     alg_name = rec.get("algebra")
     g = _lookup(algebras, alg_name, "algebra")
     symmetry = rec.get("symmetry")
@@ -211,7 +220,8 @@ def _parse_form(name: str, rec: dict, algebras: dict) -> tuple[BilForm, str]:
         i, op, j = int(m.group(1)), m.group(2), int(m.group(3))
         if not (1 <= i <= n and 1 <= j <= n):
             raise BundleError(f"form {name!r}: index out of range in {t.get('term')!r}")
-        terms.append(("wedge" if op == "∧" else "tensor", i, j, str(t.get("coeff", "1"))))
+        terms.append(("wedge" if op == "∧" else "tensor", i, j, t.get("coeff", "1")))
+    terms = [(*t, _literal(parsed, co, f"form {name!r}")) for *t, co in terms]
     return _build(f"form {name!r}", BilForm.from_terms, n, terms, symmetry), alg_name
 
 
@@ -250,15 +260,15 @@ def parse_bundle(doc: dict) -> Bundle:
         raise BundleError("bundle document must be a JSON object")
     if doc.get("field", "gaussian_rational") != "gaussian_rational":
         raise BundleError(f"unsupported field {doc.get('field')!r}")
-    b = Bundle(raw=doc)
+    b, parsed = Bundle(raw=doc), {}
     for name, rec in _records(doc, "algebras"):
-        b.algebras[name] = _parse_algebra(name, rec)
+        b.algebras[name] = _parse_algebra(name, rec, parsed)
     for name, rec in _records(doc, "reps"):
-        b.reps[name] = _parse_rep(name, rec, b.algebras)
+        b.reps[name] = _parse_rep(name, rec, b.algebras, parsed)
     for name, rec in _records(doc, "maps"):
-        b.maps[name] = _parse_map(name, rec)
+        b.maps[name] = _parse_map(name, rec, parsed)
     for name, rec in _records(doc, "forms"):
-        b.forms[name], b.form_algebra[name] = _parse_form(name, rec, b.algebras)
+        b.forms[name], b.form_algebra[name] = _parse_form(name, rec, b.algebras, parsed)
     for name, rec in _records(doc, "triples"):
         b.triples[name] = _parse_triple(name, rec, b)
     return b

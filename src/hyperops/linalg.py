@@ -10,16 +10,17 @@ tuples ``re`` and ``im`` (row-major) and a positive integer ``den``, so entry
 (i, j) is (re[k] + im[k] i) / den with k = i * cols + j.  The triple is
 reduced (den and all numerators have gcd 1), which makes it unique, so
 equality and hashing compare it structurally.  Product, sum, negation,
-scaling and transpose are integer loops that skip the imaginary parts of real
-operands; a product sums the right operand's rows over the left's nonzero
-entries, skipping zero rows on both sides.  ``det`` and the reduced row echelon form behind ``rank``, ``inv``,
-``kernel`` and ``solve_affine`` run one fraction-free elimination,
-``_eliminate``, with two row updates: the RREF divides real rows by their
-gcd; otherwise rows are divided exactly, in Z or Z[i], by the previous pivot
-(E. Bareiss, Math. Comp. 22, 1968; the Gauss-Jordan form is in Nakos, Turner
-and Williams, SIGSAM Bull. 31, 1997), so each entry stays a minor of the
-input.  RREF, determinant and inverse are unique, so every pivot, kernel
-basis and inverse is the one field arithmetic gives.
+scaling, transpose and stacking are integer loops that skip the imaginary
+parts of real operands; a product sums the right operand's rows over the
+left's nonzero entries, skipping zero rows on both sides.  ``det`` and the
+reduced row echelon form behind ``rank``, ``inv``, ``kernel`` and
+``solve_affine`` run one fraction-free elimination, ``_eliminate``, with two
+row updates: the RREF divides real rows by their gcd; otherwise rows are
+divided exactly, in Z or Z[i], by the previous pivot (E. Bareiss, Math. Comp.
+22, 1968; the Gauss-Jordan form is in Nakos, Turner and Williams, SIGSAM
+Bull. 31, 1997), so each entry stays a minor of the input.  RREF, determinant
+and inverse are unique, so every pivot, kernel basis and inverse is the one
+field arithmetic gives.
 
 Scalar is the boundary type.  Constructors of matrices, forms and algebras
 read ints, Fractions, literals and Scalars with ``scalars.as_gaussian`` and
@@ -249,6 +250,8 @@ class Matrix:
                             real=self._real and not ki)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product (`scale` for a non-Matrix): the right operand's rows summed over
+        the left's nonzero entries, reading no zero row and no real operand's im."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
@@ -258,19 +261,21 @@ class Matrix:
         n, k, m = self.rows, self.cols, other.cols
         inner = [j for j in range(k) if any(other.re[j * m:j * m + m])
                  or not other._real and any(other.im[j * m:j * m + m])]
-        a_cols = [self.re[j::k] for j in inner], [self.im[j::k] for j in inner]
-        live = sorted({i for cols in a_cols for c in cols for i in compress(range(n), c)})
+        a_re = [self.re[j::k] for j in inner]
+        a_im = None if self._real else [self.im[j::k] for j in inner]
+        live = sorted({i for c in a_re + (a_im or []) for i in compress(range(n), c)})
         if not live:
             return Matrix.zero(n, m)
-        a_re, a_im = (list(zip(*cols)) for cols in a_cols)
+        a_re, a_im = list(zip(*a_re)), a_im and list(zip(*a_im))
         b_re = [other.re[j * m:j * m + m] for j in inner]
+        b_im = None if other._real else [other.im[j * m:j * m + m] for j in inner]
         re, den = _products(a_re, b_re, live, m), self.den * other.den
-        if self._real and other._real:
+        if not (a_im or b_im):
             return Matrix._make(n, m, re, (0,) * (n * m), den, real=True)
-        b_im = [other.im[j * m:j * m + m] for j in inner]
-        re = list(map(sub, re, _products(a_im, b_im, live, m)))
-        im = list(map(add, _products(a_re, b_im, live, m), _products(a_im, b_re, live, m)))
-        return Matrix._make(n, m, re, im, den)
+        im = [_products(a, b, live, m) for a, b in ((a_re, b_im), (a_im, b_re)) if a and b]
+        if a_im and b_im:
+            re = list(map(sub, re, _products(a_im, b_im, live, m)))
+        return Matrix._make(n, m, re, im[0] if len(im) == 1 else list(map(add, *im)), den)
 
     def __rmul__(self, k) -> "Matrix":
         return self.scale(k)
@@ -356,13 +361,14 @@ class Matrix:
 
 
 def unfold(mats: Sequence[Matrix], d: int) -> tuple:
-    """The unfoldings [M_1; ...; M_n], [M_1 | ... | M_n] and [M_1^T; ...; M_n^T]
-    of n d x d matrices, over one denominator (Kolda and Bader, SIAM Review
-    51(3), 2009)."""
+    """The unfoldings [M_1; ...; M_n] (the row-major numerators end to end),
+    [M_1 | ... | M_n] and [M_1^T; ...; M_n^T] (its transpose) of n d x d
+    matrices, over one denominator (Kolda and Bader, SIAM Rev. 51(3), 2009)."""
     if not mats:
         return Matrix.zero(0, d), Matrix.zero(d, 0), Matrix.zero(0, d)
     row = _hstack(*mats)
-    return _hstack(*(m.transpose() for m in mats)).transpose(), row, row.transpose()
+    stacked = _hstack(*(m.reshape(1, d * d) for m in mats)).reshape(len(mats) * d, d)
+    return stacked, row, row.transpose()
 
 
 def combine(stacked: Matrix, x: Matrix) -> Matrix:
@@ -527,15 +533,17 @@ def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> t
 
 def _hstack(*blocks: Matrix) -> Matrix:
     """[b_1 | b_2 | ...] for one or more matrices with the same number of rows."""
-    rows = blocks[0].rows
+    rows, real = blocks[0].rows, all(b.is_real() for b in blocks)
     den = lcm(*(b.den for b in blocks))
     scaled = [(b.cols, den // b.den, b) for b in blocks]
     re, im = [], []
     for i in range(rows):
         for c, f, b in scaled:
-            re.extend(v * f for v in b.re[i * c:(i + 1) * c])
-            im.extend(v * f for v in b.im[i * c:(i + 1) * c])
-    return Matrix._make(rows, sum(b.cols for b in blocks), re, im, den)
+            at = slice(i * c, (i + 1) * c)
+            re += b.re[at] if f == 1 else map(mul, repeat(f), b.re[at])
+            if not real:
+                im += b.im[at] if f == 1 else map(mul, repeat(f), b.im[at])
+    return Matrix._make(rows, sum(b.cols for b in blocks), re, im or (0,) * len(re), den, real=real)
 
 
 def _kernel(m: Matrix, pivots: list, ncols: int) -> Matrix:

@@ -5,8 +5,8 @@ is exact; equality is structural equality of canonical (reduced) forms.
 
 Literals have one grammar: `parse_gaussian` reads one into Gaussian-integer
 numerators over one denominator, and `parse_scalar` wraps that in a Scalar.
-`as_gaussian` takes any value a constructor accepts (int, Fraction, literal
-or Scalar) to the same numerators.
+`as_gaussian` takes any value a constructor accepts (int, Fraction, literal,
+Scalar, or a literal's numerators already parsed) to the same numerators.
 """
 
 from __future__ import annotations
@@ -188,8 +188,10 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def as_gaussian(value) -> tuple[int, int, int]:
-    """An int, Fraction, literal (through parse_gaussian) or Scalar as
+    """An int, Fraction, Scalar or literal (or parse_gaussian's tuple for one) as
     Gaussian-integer numerators over one positive denominator, (re, im, den)."""
+    if isinstance(value, tuple):
+        return value
     if isinstance(value, str):
         return parse_gaussian(value)
     if isinstance(value, (int, Fraction)):

@@ -592,3 +592,18 @@ def test_map_triple_with_a_rep_over_another_algebra_exits_two(tmp_path, capsys):
     doc["triples"]["t"]["algebra"] = "h"  # the same maps over the rep's own algebra
     path.write_text(json.dumps(doc))
     assert _run_json(capsys, ["classify-hyper", str(path), "--triple", "t"])[0] == cli.EXIT_PASS
+
+
+def test_malformed_literal_in_two_maps_names_the_first(tmp_path, capsys):
+    """A malformed literal is reported where it first appears, although each
+    literal of a bundle is parsed only once."""
+    doc = export_bundle("abelian.quat")
+    first, second = list(doc["maps"])[:2]
+    for name in (first, second):
+        doc["maps"][name]["matrix"][0][0] = "1/0"
+    path = tmp_path / "bad-literal.json"
+    path.write_text(json.dumps(doc))
+    code, payload = _run_json(capsys, ["classify-hyper", str(path), "--triple", "quat"])
+    assert code == cli.EXIT_PARSE
+    assert payload["status"] == "input-error"
+    assert payload["error"] == f"map {first!r}: zero denominator in '1/0'"

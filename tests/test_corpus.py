@@ -16,6 +16,7 @@ from hyperops.algebra import (
     coregular_rep,
     regular_rep,
 )
+import hyperops.bundle
 from hyperops.bundle import MAX_DIM, BundleError, parse_bundle
 from hyperops.corpus import (
     broken_variant,
@@ -270,3 +271,49 @@ def bundles(draw):
 @settings(max_examples=150, deadline=None)
 def test_generated_bundles_parse_like_scalar_reference(doc):
     assert_parses_like_reference(doc)
+
+
+# -- each literal parsed once per bundle -------------------------------
+
+REPEATED = ["1/2+i", "0", "-3", "1/2+i", "2/4", "0", "7i", "-3"]
+
+
+def repeated_literals_bundle():
+    """A bundle whose constants, representation matrices, maps and form
+    terms all draw on the few literals of REPEATED."""
+    lit = iter(REPEATED * 8).__next__
+    return {"algebras": {"g": {"kind": "lie", "dim": 2, "constants": [
+                {"i": 1, "j": 2, "k": k, "coeff": lit()} for k in (1, 2)]}},
+            "reps": {"r": {"algebra": "g", "module_dim": 2, "matrices": [
+                [[lit(), lit()], [lit(), lit()]] for _ in range(2)]}},
+            "maps": {m: {"domain": "algebra", "codomain": "module",
+                         "matrix": [[lit(), lit()], [lit(), lit()]]} for m in ("a", "b")},
+            "forms": {"w": {"algebra": "g", "symmetry": "skew", "terms": [
+                {"term": "e1^*∧e2^*", "coeff": lit()}, {"term": "e2^*∧e1^*", "coeff": lit()}]}}}
+
+
+def test_repeated_literals_parse_like_one_literal_at_a_time(monkeypatch):
+    """Every use of a repeated literal gets its value, the value the public
+    constructors give when each reads its literals one by one with
+    as_gaussian; each parse of the bundle parses each distinct text once,
+    the second as much as the first, so no parse inherits another's."""
+    doc = repeated_literals_bundle()
+    rec = doc["algebras"]["g"]
+    g = LieAlgebra.from_constants(2, [(c["i"], c["j"], c["k"], c["coeff"])
+                                      for c in rec["constants"]])
+    rows = Matrix.from_rows
+    want = {"r": Representation(g, 2, tuple(rows(m) for m in doc["reps"]["r"]["matrices"])),
+            "a": LinMap(rows(doc["maps"]["a"]["matrix"]), "algebra", "module"),
+            "b": LinMap(rows(doc["maps"]["b"]["matrix"]), "algebra", "module"),
+            "w": BilForm.from_terms(2, [("wedge", int(t["term"][1]), int(t["term"][6]), t["coeff"])
+                                        for t in doc["forms"]["w"]["terms"]], "skew")}
+    parsed = []
+    parse = hyperops.bundle.parse_gaussian
+    monkeypatch.setattr(hyperops.bundle, "parse_gaussian",
+                        lambda text: parsed.append(text) or parse(text))
+    for _ in range(2):
+        parsed.clear()
+        b = parse_bundle(doc)
+        assert sorted(parsed) == sorted(set(REPEATED))
+        assert b.algebra("g") == g
+        assert (b.rep("r"), b.map("a"), b.map("b"), b.form("w")) == tuple(want.values())

@@ -19,6 +19,7 @@ from hyperops.linalg import (
     generic_determinant,
     pencil,
     solve_affine,
+    unfold,
 )
 from hyperops.scalars import ZERO, Scalar
 
@@ -204,9 +205,11 @@ def ref_of(m):
     return [[(m[i, j].re, m[i, j].im) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def ref_mul(a, b):
+def ref_mul(a, b, cols=None):
+    """a times b; cols is b's column count, needed only when b has no rows."""
+    cols = len(b[0]) if cols is None else cols
     return [[_c_sum(c_mul(a[i][k], b[k][j]) for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+             for j in range(cols)] for i in range(len(a))]
 
 
 def _c_sum(values):
@@ -473,4 +476,78 @@ def test_canonical_form_is_route_independent(a, k, z):
     for m in routes:
         assert m == a and hash(m) == hash(a)
         assert (m.den, m.re, m.im) == (a.den, a.re, a.im)
+        assert_canonical(m)
+
+
+# -- the product and the unfoldings against their definitions ----------
+
+def entries(real):
+    """Nonzero entries over mixed denominators, real or with nonzero imaginary part."""
+    im = st.just(0) if real else st.integers(-4, 4).filter(bool)
+    return st.builds(lambda a, da, b, db: Scalar(Fraction(a, da), Fraction(b, db)),
+                     st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4, 6]),
+                     im, st.sampled_from([1, 2, 5]))
+
+
+@st.composite
+def factors(draw, rows, cols, sparse=False):
+    """A rows x cols matrix, drawn real or not, with any of its rows and
+    columns zero; a sparse one has at most three nonzero entries."""
+    entry = entries(draw(st.booleans()))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    if sparse:
+        keep = set(draw(st.lists(st.sampled_from(cells), max_size=3)))
+    else:
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)) if rows else ()
+        zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1)) if cols else ()
+        keep = {(i, j) for i, j in cells if i not in zero_rows and j not in zero_cols}
+    return Matrix(rows, cols, [draw(entry) if c in keep else ZERO for c in cells])
+
+
+@st.composite
+def product_operands(draw):
+    """Operands of every shape the kernel treats apart: any with a side of
+    length 0, a 3 x 3 times a 3 x 0 kernel basis, and tall sparse left ones."""
+    shape = draw(st.sampled_from(["dense"] * 4 + ["empty", "kernel", "tall"]))
+    if shape == "kernel":
+        return draw(factors(3, 3)), Matrix(3, 0, [])
+    if shape == "tall":
+        return draw(factors(16, 4, sparse=True)), draw(factors(4, draw(st.integers(0, 4))))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    if shape == "empty":
+        n, k, m = draw(st.sampled_from([(0, k, m), (n, 0, m), (n, k, 0)]))
+    return draw(factors(n, k)), draw(factors(k, m))
+
+
+@given(product_operands())
+@settings(max_examples=300, deadline=None)
+def test_product_matches_reference(operands):
+    a, b = operands
+    got = a * b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert ref_of(got) == ref_mul(ref_of(a), ref_of(b), b.cols)
+    assert got.is_real() == (not any(got.im))
+    assert_canonical(got)
+
+
+@st.composite
+def unfold_inputs(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    return d, [draw(factors(d, d)) for _ in range(n)]
+
+
+@given(unfold_inputs())
+@settings(max_examples=150, deadline=None)
+def test_unfoldings_match_their_definition(inputs):
+    d, mats = inputs
+    n = len(mats)
+    stacked, row, stacked_t = unfold(mats, d)
+    assert stacked == Matrix(n * d, d, [mats[p][r, c] for p in range(n)
+                                        for r in range(d) for c in range(d)])
+    assert row == Matrix(d, n * d, [mats[p][r, c] for r in range(d)
+                                    for p in range(n) for c in range(d)])
+    assert stacked_t == Matrix(n * d, d, [mats[p][c, r] for p in range(n)
+                                          for r in range(d) for c in range(d)])
+    for m in (stacked, row, stacked_t):
+        assert m.is_real() == all(x.is_real() for x in mats)
         assert_canonical(m)
