@@ -27,7 +27,8 @@ read ints, Fractions, literals and Scalars with ``scalars.as_gaussian`` and
 sum them with ``accumulate``.  ``__getitem__``, ``row``, ``col`` and
 ``entries`` return Scalars, built on first access and cached, and so do
 ``det`` and ``solve_affine``.
-``kernel`` returns its basis as the rows of one Matrix, and a pencil is a
+``kernel`` returns its basis as the rows of one Matrix; a pencil is those
+rows and a linear map from them to square matrices (`det_witness`), or a
 sequence of Matrices.  Poly keeps Scalar coefficients.
 
 Every basis-tuple identity of the library is evaluated by ``identity_test``:
@@ -42,7 +43,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_gaussian
 
@@ -135,7 +136,7 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         ones = [1 if i == j else 0 for i in range(n) for j in range(n)]
-        return cls._make(n, n, ones, (0,) * (n * n), 1, reduce=False)
+        return cls._make(n, n, ones, (0,) * (n * n), 1, reduce=False, real=True)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -290,8 +291,9 @@ class Matrix:
         """Rows r0..r1-1 and columns c0..c1-1."""
         c = self.cols
         re = [v for i in range(r0, r1) for v in self.re[i * c + c0:i * c + c1]]
-        im = [v for i in range(r0, r1) for v in self.im[i * c + c0:i * c + c1]]
-        return Matrix._make(r1 - r0, c1 - c0, re, im, self.den)
+        im = () if self._real else [v for i in range(r0, r1)
+                                    for v in self.im[i * c + c0:i * c + c1]]
+        return Matrix._make(r1 - r0, c1 - c0, re, im or (0,) * len(re), self.den, real=self._real)
 
     # -- elimination ---------------------------------------------------
     def _rref(self) -> tuple["Matrix", list]:
@@ -299,17 +301,18 @@ class Matrix:
 
         Gauss-Jordan (`_eliminate`) with first-nonzero pivoting on the
         integer numerator rows; each pivot row is divided by its pivot at the
-        end.  Deterministic and canonical (pivots normalized to 1).
+        end.  Deterministic and canonical (pivots normalized to 1).  Real
+        rows stay real: no imaginary list is built, scaled or scanned.
         """
-        c = self.cols
+        c, real = self.cols, self._real
         rr = [list(self.re[i * c:(i + 1) * c]) for i in range(self.rows)]
-        ri = None if self._real else [list(self.im[i * c:(i + 1) * c]) for i in range(self.rows)]
+        ri = None if real else [list(self.im[i * c:(i + 1) * c]) for i in range(self.rows)]
         pivots = _eliminate(rr, ri, c)[0]
         # divide each pivot row by its pivot, then put all rows over one denominator
         rows = []
         for r, pc in enumerate(pivots):
-            if ri is None:
-                re, im, d = rr[r], [0] * c, rr[r][pc]
+            if real:
+                re, im, d = rr[r], (), rr[r][pc]
             else:
                 pr, pi = rr[r][pc], ri[r][pc]
                 d = pr * pr + pi * pi
@@ -321,11 +324,11 @@ class Matrix:
         re, im = [], []
         for row_re, row_im, d in rows:
             f = den // d
-            re.extend(v * f for v in row_re)
-            im.extend(v * f for v in row_im)
+            re += row_re if f == 1 else map(mul, row_re, repeat(f))
+            im += row_im if f == 1 else map(mul, row_im, repeat(f))
         re += [0] * ((self.rows - len(pivots)) * c)  # in place: the rows may be many
-        im += [0] * (len(re) - len(im))
-        return Matrix._make(self.rows, c, re, im, den), pivots
+        im += () if real else [0] * (len(re) - len(im))
+        return Matrix._make(self.rows, c, re, im or (0,) * len(re), den, real=real), pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
@@ -549,18 +552,19 @@ def _hstack(*blocks: Matrix) -> Matrix:
 def _kernel(m: Matrix, pivots: list, ncols: int) -> Matrix:
     """Kernel basis read off an RREF, as the rows of one matrix: one row per
     free column among the first ncols, with 1 at the free column and minus
-    that column's RREF entries at the pivot columns."""
-    c = m.cols
-    free = [fc for fc in range(ncols) if fc not in pivots]
+    that column's RREF entries at the pivot columns.  A real RREF gives a
+    real kernel, built with no imaginary list."""
+    c, real, pivot_set = m.cols, m.is_real(), set(pivots)
+    free = [fc for fc in range(ncols) if fc not in pivot_set]
     re, im = [], []
     for fc in free:
-        vr, vi = [0] * ncols, [0] * ncols
-        vr[fc] = m.den
-        for r, pc in enumerate(pivots):
-            vr[pc], vi[pc] = -m.re[r * c + fc], -m.im[r * c + fc]
-        re += vr
-        im += vi
-    return Matrix._make(len(free), ncols, re, im, m.den)
+        for nums, out, one in ((m.re, re, m.den), (m.im, im, 0))[:1 if real else 2]:
+            v = [0] * ncols
+            v[fc] = one
+            for pc, x in zip(pivots, nums[fc::c]):
+                v[pc] = -x
+            out += v
+    return Matrix._make(len(free), ncols, re, im or (0,) * len(re), m.den, real=real)
 
 
 @dataclass(frozen=True)
@@ -707,23 +711,6 @@ def _poly_det(entries: list[list[Poly]], nvars: int) -> Poly:
     return out
 
 
-def pencil(mats: Sequence[Matrix], t: Sequence, n: int) -> Matrix:
-    """The n x n matrix sum t_k mats[k], summed on numerators over one
-    denominator; the zero matrix when mats is empty."""
-    if len(t) != len(mats):
-        raise DimensionError(f"need {len(mats)} parameters, got {len(t)}")
-    if any(m.rows != n or m.cols != n for m in mats):
-        raise DimensionError(f"a pencil of {n}x{n} matrices needs every matrix {n}x{n}")
-    terms = [(as_gaussian(v), m) for v, m in zip(t, mats)]
-    den = lcm(*(d * m.den for (_, _, d), m in terms))
-    re, im = [0] * (n * n), [0] * (n * n)
-    for (a, b, d), m in terms:
-        f = den // (d * m.den)
-        re = [x + f * (a * r - b * i) for x, r, i in zip(re, m.re, m.im)]
-        im = [x + f * (a * i + b * r) for x, r, i in zip(im, m.re, m.im)]
-    return Matrix._make(n, n, re, im, den)
-
-
 def generic_determinant(mats: Sequence[Matrix], n: int) -> Poly:
     """det(sum t_k mats[k]) of n x n matrices, as a Poly in t."""
     if any(m.rows != n or m.cols != n for m in mats):
@@ -735,36 +722,41 @@ def generic_determinant(mats: Sequence[Matrix], n: int) -> Poly:
     return _poly_det(entries, nvars)
 
 
-def witness_points(nvars: int) -> list[tuple]:
-    """The parameter points `det_witness` tries, in order: t = (1, 2, ..., nvars),
-    then three points whose coordinates are successive terms of
-    x -> (75 x + 74) mod 65537 from x = 1, each reduced to x mod 33 - 16."""
-    points = [tuple(range(1, nvars + 1))]
+def witness_points(nvars: int) -> Iterator[tuple]:
+    """The parameter points `det_witness` tries, in order and each made when
+    reached: t = (1, 2, ..., nvars), then three points whose coordinates are
+    successive terms of x -> (75 x + 74) mod 65537 from x = 1, each reduced
+    to x mod 33 - 16."""
+    yield tuple(range(1, nvars + 1))
     x = 1
     for _ in range(3):
         point = []
         for _ in range(nvars):
             x = (75 * x + 74) % 65537
             point.append(x % 33 - 16)
-        points.append(tuple(point))
-    return points
+        yield tuple(point)
 
 
-def det_witness(mats: Sequence[Matrix], n: int) -> tuple | None:
-    """Integer parameters t with det(sum t_k mats[k]) != 0 for the pencil of
-    n x n matrices (n >= 1), or None when that determinant is the zero
-    polynomial.  An empty pencil is the zero matrix, so it gives None.
+def det_witness(kernel: Matrix, embed: Callable[[Matrix], Matrix]) -> tuple | None:
+    """Integer parameters t with det(sum t_k M_k) != 0, or None when that
+    determinant is the zero polynomial, where the n x n matrices M_k (n >= 1)
+    are the rows of the d x c `kernel` under the linear map `embed` from 1 x c
+    rows; with no rows it is the zero matrix, so None.  Given the M_k, the
+    kernel is their row-major entries, one a row, and embed reshapes to n x n.
 
     A nonzero determinant at any point proves the polynomial nonzero, so the
-    points of `witness_points` are tried first, each by one Bareiss `det`.
-    Only when all of them give 0 is the polynomial expanded by
-    `generic_determinant`: zero means no such t exists, and otherwise a
-    point is read off it.  Its degree in each t_k is at most n, since every
-    entry is linear in t."""
-    if not mats:
+    points of `witness_points` are tried first, each by one Bareiss `det` of
+    embed(t kernel).  Only when all give 0 are the M_k built and the
+    polynomial expanded by `generic_determinant`: zero means no such t
+    exists, and otherwise a point is read off it.  Its degree in each t_k is
+    at most n, since every entry is linear in t."""
+    d = kernel.rows
+    if not d:
         return None
-    for point in witness_points(len(mats)):
-        if not pencil(mats, point, n).det().is_zero():
+    for point in witness_points(d):
+        t = Matrix._make(1, d, point, (0,) * d, 1, reduce=False, real=True)
+        if not embed(t * kernel).det().is_zero():
             return point
-    det = generic_determinant(mats, n)
-    return None if det.is_zero() else det.nonzero_point(n)
+    mats = [embed(kernel._block(r, r + 1, 0, kernel.cols)) for r in range(d)]
+    det = generic_determinant(mats, mats[0].rows)
+    return None if det.is_zero() else det.nonzero_point(mats[0].rows)

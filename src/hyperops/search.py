@@ -9,12 +9,13 @@ columns, so a basis tuple whose instance vanishes costs nothing.  Divided by
 their content and deduplicated, they go in chunks of at most len(coords)
 rows under the RREF so far through the one exact elimination, so at most
 about 2 len(coords) dense rows are held at once; the RREF is canonical, so
-its kernel is the full system's.  Each kernel row is embedded once, in
-integers, as an n x n form matrix.  The forms are the pencil sum t_k basis_k
-of these matrices.  A skew target on an odd dimension has no nondegenerate
-form, as det A = det(-A^T) = -det A.  Otherwise existence is decided witness
-first (`linalg.det_witness`): a nonzero determinant of the pencil at a small
-integer point t proves that a nondegenerate form exists and is kept as
+its kernel is the full system's.  The space is that kernel, one solution a
+row over the coordinates: the form with parameters t is the n x n matrix
+`_embed` writes from the row t kernel, and the n x n basis is built only
+when asked for.  A skew target on an odd dimension has no nondegenerate
+form, as det A = det(-A^T) = -det A.  Otherwise existence is decided witness first
+(`linalg.det_witness`): a nonzero determinant of the form at a small integer
+point t proves that a nondegenerate form exists and is kept as
 `FormSpaceResult.witness`.  Only when every tried point gives 0 is the
 determinant expanded as a polynomial in t, which proves nonexistence when it
 is zero and yields a witness otherwise.
@@ -23,9 +24,10 @@ is zero and yields a witness otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import compress, islice
 from math import gcd
+from operator import or_
 
 from .geometry import (
     AD_INVARIANCE,
@@ -44,7 +46,6 @@ from .linalg import (
     _kernel,
     det_witness,
     generic_determinant,
-    pencil,
 )
 
 SYMPLECTIC = "symplectic"
@@ -66,12 +67,22 @@ class FormSpaceResult:
     target: str
     symmetry: str
     coords: tuple  # coordinate index pairs (0-indexed)
-    basis: tuple  # n x n form matrices; the solutions are their combinations
+    kernel: Matrix  # dim x len(coords); the solutions are combinations of its rows
     witness: tuple | None  # parameters of a nondegenerate form; None when none exists
 
     @property
     def exists_nondegenerate(self) -> bool:
         return self.witness is not None
+
+    def embed(self, row: Matrix) -> Matrix:
+        """The n x n form of a 1 x len(coords) coordinate row."""
+        return _embed(self.coords, self.algebra.dim, self.symmetry == SKEW, row)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The n x n form of each kernel row, built on first access."""
+        k = self.kernel
+        return tuple(self.embed(k._block(r, r + 1, 0, k.cols)) for r in range(k.rows))
 
     @cached_property
     def generic_det(self) -> Poly:
@@ -81,7 +92,7 @@ class FormSpaceResult:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.kernel.rows
 
     def contains(self, f: BilForm) -> bool:
         """Does f's full matrix lie in the span of the basis?  Exactly when the
@@ -89,9 +100,23 @@ class FormSpaceResult:
         n = self.algebra.dim
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        cols = [Matrix._make(n * n, 1, b.re, b.im, b.den, reduce=False)
-                for b in (*self.basis, f.matrix)]
+        cols = [b.reshape(n * n, 1) for b in (*self.basis, f.matrix)]
         return self.dim not in _hstack(*cols)._rref()[1]
+
+
+def _embed(coords, n: int, skew: bool, row: Matrix) -> Matrix:
+    """The n x n form whose coordinates (i, j) are the entries of the
+    1 x len(coords) row: each nonzero one at (i, j), and mirrored at (j, i),
+    negated when skew.  The row's numerators are reduced, and so are these."""
+    sign, real = -1 if skew else 1, row.is_real()
+    re, im = [0] * (n * n), None if real else [0] * (n * n)
+    for k in compress(range(len(coords)), row.re if real else map(or_, row.re, row.im)):
+        (i, j), a = coords[k], row.re[k]
+        re[i * n + j], re[j * n + i] = a, sign * a
+        if not real:
+            b = row.im[k]
+            im[i * n + j], im[j * n + i] = b, sign * b
+    return Matrix._make(n, n, re, im or (0,) * (n * n), row.den, reduce=False, real=real)
 
 
 def _distinct_rows(g, identity: FormIdentity):
@@ -139,22 +164,13 @@ def solve_forms(g, target: str) -> FormSpaceResult:
         raise ValueError(f"unknown target {target!r}")
     identity.check_algebra(g, f"target {target}")
     n = g.dim
-    coords = identity.coords(n)
+    coords, skew = tuple(identity.coords(n)), identity.symmetry == SKEW
     k = _kernel(*_reduced(_distinct_rows(g, identity), len(coords)), len(coords))
-    sign = -1 if identity.symmetry == SKEW else 1
-    basis = []
-    for r in range(k.rows):
-        re, im = [0] * (n * n), [0] * (n * n)
-        row = slice(r * k.cols, (r + 1) * k.cols)
-        for (i, j), a, b in zip(coords, k.re[row], k.im[row]):
-            re[i * n + j], im[i * n + j] = a, b
-            re[j * n + i], im[j * n + i] = sign * a, sign * b
-        basis.append(Matrix._make(n, n, re, im, k.den))
     # no odd skew matrix is invertible, so there is no witness to search for
-    witness = None if sign < 0 and n % 2 else det_witness(basis, n)
-    return FormSpaceResult(g, target, identity.symmetry, tuple(coords), tuple(basis), witness)
+    witness = None if skew and n % 2 else det_witness(k, partial(_embed, coords, n, skew))
+    return FormSpaceResult(g, target, identity.symmetry, coords, k, witness)
 
 
 def instantiate(result: FormSpaceResult, params) -> BilForm:
-    """The form sum params_k basis_k with its symmetry tag."""
-    return BilForm(pencil(result.basis, params, result.algebra.dim), result.symmetry)
+    """The form sum params_k basis_k, embedded from params x kernel, with its symmetry tag."""
+    return BilForm(result.embed(Matrix(1, result.dim, params) * result.kernel), result.symmetry)

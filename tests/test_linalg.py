@@ -3,7 +3,7 @@ the sparse-polynomial generic determinant."""
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -15,13 +15,14 @@ from hyperops.linalg import (
     Poly,
     SingularMatrixError,
     _eliminate,
+    _hstack,
     det_witness,
     generic_determinant,
-    pencil,
     solve_affine,
     unfold,
+    witness_points,
 )
-from hyperops.scalars import ZERO, Scalar
+from hyperops.scalars import ZERO, Scalar, as_gaussian
 
 
 def mat(rows):
@@ -156,22 +157,60 @@ def test_generic_determinant_zero_polynomial():
     assert generic_determinant(mats, 2).is_zero()
 
 
+def pencil_sum(mats, t, n):
+    """Reference: the n x n matrix sum t_k mats[k], summed matrix by matrix on
+    numerators over one denominator; the zero matrix when mats is empty."""
+    if len(t) != len(mats):
+        raise DimensionError(f"need {len(mats)} parameters, got {len(t)}")
+    if any(m.rows != n or m.cols != n for m in mats):
+        raise DimensionError(f"a pencil of {n}x{n} matrices needs every matrix {n}x{n}")
+    terms = [(as_gaussian(v), m) for v, m in zip(t, mats)]
+    den = lcm(*(d * m.den for (_, _, d), m in terms))
+    re, im = [0] * (n * n), [0] * (n * n)
+    for (a, b, d), m in terms:
+        f = den // (d * m.den)
+        re = [x + f * (a * r - b * i) for x, r, i in zip(re, m.re, m.im)]
+        im = [x + f * (a * i + b * r) for x, r, i in zip(im, m.re, m.im)]
+    return Matrix._make(n, n, re, im, den)
+
+
+def pencil_kernel(mats, n):
+    """`det_witness`'s arguments for the pencil sum t_k mats[k] of n x n
+    matrices: their row-major entries, one matrix a row, and the reshape."""
+    kernel = (_hstack(*(m.reshape(1, m.rows * m.cols) for m in mats)).reshape(len(mats), n * n)
+              if mats else Matrix.zero(0, n * n))
+    return kernel, lambda row: row.reshape(n, n)
+
+
+def ref_det_witness(mats, n):
+    """Reference: the first of `witness_points` where the summed pencil has a
+    nonzero determinant, else a point read off the cofactor expansion."""
+    if not mats:
+        return None
+    for point in witness_points(len(mats)):
+        if not pencil_sum(mats, point, n).det().is_zero():
+            return point
+    det = generic_determinant(mats, n)
+    return None if det.is_zero() else det.nonzero_point(n)
+
+
 def test_empty_pencil_is_the_zero_matrix():
-    assert pencil((), (), 3) == Matrix.zero(3, 3)
+    assert pencil_sum((), (), 3) == Matrix.zero(3, 3)
     assert generic_determinant((), 3).is_zero()
-    assert det_witness((), 3) is None
+    assert det_witness(*pencil_kernel((), 3)) is None
 
 
 def test_pencil_shapes_are_checked():
     mats = (mat([[1, 0], [0, 1]]),)
     with pytest.raises(DimensionError):
-        pencil(mats, (1, 2), 2)
+        pencil_sum(mats, (1, 2), 2)
     with pytest.raises(DimensionError):
-        pencil(mats, (1,), 3)
+        pencil_sum(mats, (1,), 3)
     with pytest.raises(DimensionError):
         generic_determinant(mats, 3)
+    # the witness embeds t kernel, here a 1 x 4 row, as a 3 x 3 matrix
     with pytest.raises(DimensionError):
-        det_witness(mats, 3)
+        det_witness(*pencil_kernel(mats, 3))
 
 
 # -- the integer kernel against a Fraction-pair reference -------------
@@ -398,6 +437,22 @@ def test_rank_and_kernel_match_reference(a):
     assert k.cols == a.cols
     assert [pairs(k.row(r)) for r in range(k.rows)] == ref_kernel(rref, pivots, a.cols)
     assert_canonical(k)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=120, deadline=None)
+def test_real_rref_is_real_and_canonical(rows, cols, data):
+    # rows over mixed denominators, so that the pivot rows of the RREF come
+    # over different denominators and are scaled to a common one
+    entries = [Fraction(data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, 2, 3, 6])))
+               for _ in range(rows * cols)]
+    a = Matrix(rows, cols, entries)
+    m, pivots = a._rref()
+    rref, want_pivots = ref_rref(ref_of(a))
+    want = Matrix(rows, cols, [Scalar(*v) for row in rref for v in row])
+    assert m.is_real() and pivots == want_pivots
+    assert m == want and hash(m) == hash(want)
+    assert_canonical(m)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperops.bundle import parse_bundle
 from hyperops.corpus import export_bundle
-from hyperops.geometry import BilForm, is_hessian, is_invariant_form, is_symplectic
+from hyperops.geometry import SKEW, BilForm, is_hessian, is_invariant_form, is_symplectic
 from hyperops.linalg import DimensionError, Matrix, det_witness, generic_determinant, witness_points
 from hyperops.scalars import ZERO, Scalar
 from hyperops.search import (
@@ -25,7 +25,7 @@ from hyperops.search import (
     instantiate,
     solve_forms,
 )
-from test_linalg import within_hadamard_bound
+from test_linalg import pencil_kernel, pencil_sum, ref_det_witness, within_hadamard_bound
 
 
 def _prelie(name):
@@ -530,7 +530,8 @@ def _pencil(n, nvars, entries):
 
 
 def _check_witness_against_oracle(mats, n):
-    w = det_witness(mats, n)
+    w = det_witness(*pencil_kernel(mats, n))
+    assert w == ref_det_witness(mats, n)
     det = generic_determinant(mats, n)
     assert (w is None) == det.is_zero()
     if w is not None:
@@ -593,3 +594,87 @@ def test_witness_first_matches_cofactor_oracle(family):
         assert all(det.evaluate(p).is_zero() for p in witness_points(len(mats)))
         if w is not None:  # read off the polynomial: every value in {0, ..., n}
             assert all(0 <= v <= n for v in w)
+
+
+# -- the kernel as the form space ----------------------------------------------
+
+
+def _basis_from_kernel(res):
+    """Each kernel row written entry by entry into an n x n matrix: the
+    coordinate (i, j) at (i, j), and at (j, i), negated for a skew form."""
+    n, skew = res.algebra.dim, res.symmetry == SKEW
+    basis = []
+    for r in range(res.dim):
+        rows = [[ZERO] * n for _ in range(n)]
+        for c, (i, j) in enumerate(res.coords):
+            v = res.kernel[r, c]
+            rows[i][j], rows[j][i] = v, -v if skew else v
+        basis.append(Matrix.from_rows(rows))
+    return tuple(basis)
+
+
+def _targets(g):
+    from hyperops.algebra import LieAlgebra
+
+    return (SYMPLECTIC, AD_INVARIANT) if isinstance(g, LieAlgebra) else (HESSIAN, PRELIE_INVARIANT)
+
+
+@st.composite
+def _small_algebras(draw):
+    """I_n with its basis relabelled, or an abelian Lie or pre-Lie algebra,
+    n <= 6, optionally transported to a complex basis."""
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra
+
+    n = draw(st.integers(1, 6))
+    family = draw(st.sampled_from(("I", "abelian-prelie", "abelian-lie")))
+    kind, op = (LieAlgebra, "bracket") if family == "abelian-lie" else (PreLieAlgebra, "product")
+    g = (_family_i(n, draw(st.permutations(range(1, n + 1)))) if family == "I"
+         else kind.from_constants(n, []))
+    return _transport(g, kind, op) if draw(st.booleans()) else g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_algebras())
+def test_witness_matches_the_reference_pencil_on_the_embedded_basis(g):
+    for target in _targets(g):
+        res = solve_forms(g, target)
+        assert res.witness == ref_det_witness(_basis_from_kernel(res), g.dim), target
+
+
+def _space_cases():
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra
+
+    l4 = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
+    return [
+        pytest.param(_prelie("prelie.I4"), HESSIAN, id="I4-hessian"),
+        pytest.param(_prelie("prelie.B4"), HESSIAN, id="B4-hessian-none"),
+        pytest.param(l4, SYMPLECTIC, id="L4sym-symplectic"),
+        pytest.param(_transport(l4, LieAlgebra, "bracket"), SYMPLECTIC,
+                     id="L4sym-complex-basis-symplectic"),
+        pytest.param(_transport(_family_i(4, [2, 4, 1, 3]), PreLieAlgebra, "product"),
+                     HESSIAN, id="I4-complex-basis-hessian"),
+        pytest.param(LieAlgebra.from_constants(4, []), AD_INVARIANT, id="abelian-lie4-ad-invariant"),
+        pytest.param(LieAlgebra.from_constants(1, []), SYMPLECTIC, id="dim-0"),
+    ]
+
+
+@pytest.mark.parametrize("g,target", _space_cases())
+def test_space_is_its_kernel_with_a_lazy_basis(g, target):
+    n = g.dim
+    res = solve_forms(g, target)
+    if res.witness is not None:
+        assert "basis" not in res.__dict__
+    ref = _basis_from_kernel(res)
+    params = [Scalar(k - 1, k % 3) for k in range(res.dim)]
+    f = instantiate(res, params)
+    assert (f.matrix, f.symmetry) == (pencil_sum(ref, params, n), res.symmetry)
+    with pytest.raises(DimensionError, match=rf"^1x{res.dim} matrix needs {res.dim} entries"):
+        instantiate(res, params + [Scalar(1)])
+    assert res.generic_det == generic_determinant(ref, n)
+    assert res.basis == ref
+    # membership: exactly when the form's entries add no rank to the reference basis's
+    def rank(mats):
+        return Matrix.from_rows([m.entries() for m in mats]).rank() if mats else 0
+
+    for m in (f.matrix, f.matrix + Matrix.identity(n), Matrix.identity(n)):
+        assert res.contains(BilForm(m, "none")) == (rank((*ref, m)) == rank(ref))
