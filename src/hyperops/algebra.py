@@ -42,11 +42,9 @@ def _from_constants(cls, dim: int, terms: list):
     for i, j, k, _, co in terms:
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise ValueError(f"index out of range 1..{dim} in record {(i, j, k, co)!r}")
-    size = dim * dim
-    re, im, den = accumulate(dim * size, [
-        ((i - 1) * size + (k - 1) * dim + j - 1, sign, co) for i, j, k, sign, co in terms])
-    return cls(dim, [Matrix._make(dim, dim, re[b:b + size], im[b:b + size], den)
-                     for b in range(0, dim * size, size)])
+    stacked = Matrix._make(dim * dim, dim, *accumulate([
+        (((i - 1) * dim + k - 1, j - 1), sign, co) for i, j, k, sign, co in terms]), reduce=False)
+    return cls(dim, cut(stacked, dim, dim))
 
 
 def _column(x: Matrix, dim: int, what: str) -> None:

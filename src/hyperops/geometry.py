@@ -84,10 +84,10 @@ class BilForm:
                 raise ValueError(f"unknown term kind {kind!r}")
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ValueError(f"index out of range 1..{dim} in term {(kind, i, j, co)!r}")
-            flat.append(((i - 1) * dim + j - 1, 1, co))
+            flat.append(((i - 1, j - 1), 1, co))
             if kind == "wedge":
-                flat.append(((j - 1) * dim + i - 1, -1, co))
-        return cls(Matrix._make(dim, dim, *accumulate(dim * dim, flat)), symmetry)
+                flat.append(((j - 1, i - 1), -1, co))
+        return cls(Matrix._make(dim, dim, *accumulate(flat)), symmetry)
 
 
 @functools.cache
@@ -142,15 +142,16 @@ class FormIdentity:
         place = _coordinates(n, self.symmetry == SKEW)[1]
         mats = g.c if isinstance(g, LieAlgebra) else g.p  # column q of mats[p]: e_p e_q
         den = lcm(*(m.den for m in mats))
-        cols = [(p, q, col) for p, m in enumerate(mats) for q in range(n) if (col := [
-            (k, m.re[b] * (den // m.den), m.im[b] * (den // m.den))
-            for k, b in enumerate(range(q, n * n, n)) if m.re[b] or m.im[b]])]
+        cols = defaultdict(list)
+        for p, m in enumerate(mats):
+            for k, q, vr, vi in m.nonzeros():
+                cols[p, q].append((k, vr * (den // m.den), vi * (den // m.den)))
         sums = defaultdict(dict)
         for sign, a, b in self.terms(0, 1, 2):  # where in t the term's u, p and q sit
             left = isinstance(a, tuple)
             (x, y), z = (a, b) if left else (b, a)
             t = [0, 0, 0]
-            for p, q, col in cols:
+            for (p, q), col in sorted(cols.items()):
                 t[x], t[y] = p, q
                 # members: the ordered indices besides u's increase, u between its neighbours
                 if any(t[i] >= t[i + 1] for i in range(o - 1) if z != i != z - 1):
@@ -171,16 +172,20 @@ class FormIdentity:
         numerators; a zero instance holds.  Raises TypeError if g is not this
         identity's kind of algebra, DimensionError if f is not on g's dimension."""
         self.check_algebra(g, self.claim)
-        n, m = g.dim, f.matrix
+        n, skew = g.dim, self.symmetry == SKEW
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        fr, fi = ([v[i * n + j] for i, j in self.coords(n)] for v in (m.re, m.im))
+        place = _coordinates(n, skew)[1]
+        coords = {place[i * n + j][0]: (a, b) for i, j, a, b in f.matrix.nonzeros()
+                  if i < j or i == j and not skew}
         rows = self.instances(g)
 
         def holds(*t):
-            row = rows.get(t, {}).items()
-            return (sum(a * fr[k] - b * fi[k] for k, (a, b) in row) == 0
-                    and sum(a * fi[k] + b * fr[k] for k, (a, b) in row) == 0)
+            re = im = 0
+            for k, (a, b) in rows.get(t, {}).items():
+                fr, fi = coords.get(k, (0, 0))
+                re, im = re + a * fr - b * fi, im + a * fi + b * fr
+            return re == im == 0
 
         return rep.record_tuples(self.claim, self.tuples(n), holds, failures_only)
 

@@ -1,48 +1,46 @@
-"""Dense exact matrices over Q(i) and the linear-system kernel.
+"""Sparse exact matrices over Q(i) and the linear-system kernel.
 
 Everything downstream (operator identities, cocycle systems, form searches)
 reduces to the handful of primitives here: product, inverse, rank, kernel,
 affine solving, and the determinant of a pencil sum t_k M_k of square
 matrices, at integer points t or as a sparse polynomial in t.
 
-A Matrix holds Gaussian-integer numerators over one denominator: integer
-tuples ``re`` and ``im`` (row-major) and a positive integer ``den``, so entry
-(i, j) is (re[k] + im[k] i) / den with k = i * cols + j.  The triple is
-reduced (den and all numerators have gcd 1), which makes it unique, so
-equality and hashing compare it structurally.  Product, sum, negation,
-scaling, transpose and stacking are integer loops that skip the imaginary
-parts of real operands; a product sums the right operand's rows over the
-left's nonzero entries, skipping zero rows on both sides.  ``det`` and the
-reduced row echelon form behind ``rank``, ``inv``, ``kernel`` and
-``solve_affine`` run one fraction-free elimination, ``_eliminate``, with two
-row updates: the RREF divides real rows by their gcd; otherwise rows are
+A Matrix stores only its nonzero entries: numerator rows ``re`` and ``im``,
+each a dict {row: {column: nonzero integer}} with no empty row, over one
+positive denominator ``den``, so entry (i, j) is (re[i][j] + im[i][j] i) /
+den, a missing numerator being 0; a real matrix has no imaginary one.  The
+form is reduced (den and the numerators have gcd 1), so it is unique and
+equality and hashing compare it structurally.  Every operation reads and
+builds nonzero entries only; a product sums the right operand's rows over
+the left's nonzero entries, row by row (`_times`).  ``det`` and the RREF
+behind ``rank``, ``inv``, ``kernel`` and ``solve_affine`` run one
+fraction-free elimination, ``_eliminate``, on dense working rows made for
+the call: the RREF divides real rows by their gcd; otherwise rows are
 divided exactly, in Z or Z[i], by the previous pivot (E. Bareiss, Math. Comp.
 22, 1968; the Gauss-Jordan form is in Nakos, Turner and Williams, SIGSAM
 Bull. 31, 1997), so each entry stays a minor of the input.  RREF, determinant
 and inverse are unique, so every pivot, kernel basis and inverse is the one
 field arithmetic gives.
 
-Scalar is the boundary type.  Constructors of matrices, forms and algebras
-read ints, Fractions, literals and Scalars with ``scalars.as_gaussian`` and
-sum them with ``accumulate``.  ``__getitem__``, ``row``, ``col`` and
-``entries`` return Scalars, built on first access and cached, and so do
-``det`` and ``solve_affine``.
-``kernel`` returns its basis as the rows of one Matrix; a pencil is those
-rows and a linear map from them to square matrices (`det_witness`), or a
-sequence of Matrices.  Poly keeps Scalar coefficients.
+Scalar is the boundary type.  Constructors read ints, Fractions, literals
+and Scalars with ``scalars.as_gaussian`` and sum them with ``accumulate``.
+``__getitem__``, ``row``, ``col``, ``entries``, ``det`` and ``solve_affine``
+return Scalars; ``nonzeros`` yields numerators.  ``kernel`` returns its basis as the rows of one Matrix; a
+pencil is those rows and a linear map from them to square matrices
+(`det_witness`), or a sequence of Matrices.  Poly keeps Scalar coefficients.
 
-Every basis-tuple identity of the library is evaluated by ``identity_test``:
-signed products of the inputs with the ``unfold``-ed structure constants,
-each read at strides at every tuple.
+Every basis-tuple identity of the library is evaluated by ``identity_test``,
+from the nonzero entries of signed products of the inputs with the
+``unfold``-ed structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
-from math import gcd, lcm
-from operator import add, mul, sub
+from itertools import compress
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_gaussian
@@ -58,71 +56,112 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular matrix: rank {rank} < {n}")
 
 
-def accumulate(size: int, terms) -> tuple[list, list, int]:
-    """Numerator lists (re, im) of length `size` over one denominator, where
-    each of terms (position, sign, value) adds sign times its value, any value
+def accumulate(terms) -> tuple[dict, dict, int]:
+    """Numerator rows re, im over one denominator, holding no zero, where each
+    of terms ((row, column), sign, value) adds sign times its value, any value
     `as_gaussian` takes.  Every constructor sums its input through here."""
     terms = [(at, sign, as_gaussian(v)) for at, sign, v in terms]
     den = lcm(*(d for _, _, (_, _, d) in terms))
-    re, im = [0] * size, [0] * size
-    for at, sign, (a, b, d) in terms:
+    re, im = {}, {}
+    for (i, j), sign, (a, b, d) in terms:
         f = sign * (den // d)
-        re[at] += a * f
-        im[at] += b * f
-    return re, im, den
+        for part, v in ((re, a), (im, b)):
+            if v:
+                row = part.setdefault(i, {})
+                row[j] = row.get(j, 0) + v * f
+    return _nonzero(re), _nonzero(im), den
 
 
-def _products(a_rows, b_rows, live, m: int) -> list:
-    """The row-major product of a_rows and b_rows (rows of width m): row i
-    sums a_rows[i][j] * b_rows[j] over the nonzero a_rows[i][j], and is zero
-    outside the rows in live."""
-    out = [0] * (len(a_rows) * m)
-    for i in live:
-        acc = None
-        for a, b in zip(a_rows[i], b_rows):
-            if a:
-                b = b if a == 1 else list(map(mul, repeat(a, m), b))
-                acc = b if acc is None else list(map(add, acc, b))
-        if acc is not None:
-            out[i * m:(i + 1) * m] = acc
+def _nonzero(x: dict) -> dict:
+    """Numerator rows x without their zero numerators and empty rows."""
+    return {i: r for i, row in x.items() if (r := {j: v for j, v in row.items() if v})}
+
+
+def _lin(x: dict, fx: int, y: dict, fy: int) -> dict:
+    """The numerator rows fx x + fy y: x itself when that is all they are."""
+    if fx == 1 and not (fy and y):
+        return x
+    out = {i: {j: fx * v for j, v in r.items()} for i, r in x.items()} if fx else {}
+    for i, r in y.items() if fy else ():
+        row = out.setdefault(i, {})
+        for j, v in r.items():
+            row[j] = row.get(j, 0) + fy * v
+    return _nonzero(out) if fy else out
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of numerator rows a and b, row by row (F. Gustavson, ACM
+    TOMS 4(3), 1978): row i sums x times row k of b over the entries (k, x) of
+    row i of a, so only nonzero entries are read."""
+    out = {}
+    for i, ra in a.items() if b else ():
+        acc, summed = None, False
+        for k, x in ra.items():
+            rb = b.get(k)
+            if rb is None:
+                continue
+            if acc is None:
+                acc = {j: x * y for j, y in rb.items()}
+                continue
+            summed = True
+            for j, y in rb.items():
+                acc[j] = acc.get(j, 0) + x * y
+        if summed:
+            acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _moved(x: dict, to) -> dict:
+    """Numerator rows with each entry (i, j) moved to to(i, j)."""
+    out = {}
+    for i, r in x.items():
+        for j, v in r.items():
+            p, q = to(i, j)
+            out.setdefault(p, {})[q] = v
+    return out
+
+
+def _dense(x: dict, rows: int, cols: int) -> list:
+    """Numerator rows as `rows` lists of `cols` integers, for elimination."""
+    out = [[0] * cols for _ in range(rows)]
+    for i, r in x.items():
+        for j, v in r.items():
+            out[i][j] = v
     return out
 
 
 class Matrix:
-    """Immutable dense matrix over Q(i): numerator tuples re, im over den."""
+    """Immutable sparse matrix over Q(i): numerator rows re, im over den."""
 
-    __slots__ = ("rows", "cols", "re", "im", "den", "_real", "_s", "_h")
+    __slots__ = ("rows", "cols", "re", "im", "den", "_h")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        terms = [(k, 1, v) for k, v in enumerate(entries)]
-        if len(terms) != rows * cols:
+        values = list(entries)
+        if len(values) != rows * cols:
             raise DimensionError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(terms)}")
-        self._set(rows, cols, *accumulate(len(terms), terms))
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}")
+        self._set(rows, cols, *accumulate([(divmod(k, cols), 1, v) for k, v in enumerate(values)]))
 
-    def _set(self, rows, cols, re, im, den, reduce=True, real=False):
+    def _set(self, rows, cols, re, im, den, reduce=True):
         if reduce and den != 1:
-            g = gcd(den, *re) if real else gcd(den, *re, *im)
+            g = gcd(den, *(v for part in (re, im) for r in part.values() for v in r.values()))
             if g != 1:
-                re = [v // g for v in re]
-                im = im if real else [v // g for v in im]
+                re, im = ({i: {j: v // g for j, v in r.items()} for i, r in part.items()}
+                          for part in (re, im))
                 den //= g
-        self.rows = rows
-        self.cols = cols
-        self.re = tuple(re)
-        self.im = tuple(im)
-        self.den = den
-        self._real = real or not any(im)
-        self._s = self._h = None
+        self.rows, self.cols, self.re, self.im, self.den = rows, cols, re, im, den
+        self._h = None
 
     @classmethod
-    def _make(cls, rows: int, cols: int, re, im, den: int, reduce: bool = True,
-              real: bool = False) -> "Matrix":
-        """From integer numerators over a positive denominator; `reduce` divides
-        out their common factor (skip it only for numerators already reduced),
-        and `real` says that im is all zero, which then goes unread."""
+    def _make(cls, rows: int, cols: int, re: dict, im: dict, den: int,
+              reduce: bool = True) -> "Matrix":
+        """From numerator rows holding no zero over a positive denominator;
+        `reduce` divides out their common factor (skip it only for numerators
+        already reduced).  The rows are kept, never written."""
         m = cls.__new__(cls)
-        m._set(rows, cols, re, im, den, reduce, real)
+        m._set(rows, cols, re, im, den, reduce)
         return m
 
     # -- constructors --------------------------------------------------
@@ -135,13 +174,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        ones = [1 if i == j else 0 for i in range(n) for j in range(n)]
-        return cls._make(n, n, ones, (0,) * (n * n), 1, reduce=False, real=True)
+        return cls._make(n, n, {i: {i: 1} for i in range(n)}, {}, 1, reduce=False)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = (0,) * (rows * cols)
-        return cls._make(rows, cols, z, z, 1, reduce=False, real=True)
+        return cls._make(rows, cols, {}, {}, 1, reduce=False)
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -149,47 +186,42 @@ class Matrix:
 
     @classmethod
     def diag(cls, entries: Sequence) -> "Matrix":
-        n = len(entries)
-        terms = [(i * (n + 1), 1, v) for i, v in enumerate(entries)]
-        return cls._make(n, n, *accumulate(n * n, terms))
+        return cls._make(len(entries), len(entries),
+                         *accumulate([((i, i), 1, v) for i, v in enumerate(entries)]))
 
     # -- access --------------------------------------------------------
-    def _scalar(self, k: int) -> Scalar:
-        s = self._s
-        if s is None:
-            s = self._s = [None] * len(self.re)
-        v = s[k]
-        if v is None:
-            a, b = self.re[k], self.im[k]
-            v = s[k] = Scalar(Fraction(a, self.den), Fraction(b, self.den)) if a or b else ZERO
-        return v
-
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self._scalar(i * self.cols + j)
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"no entry ({i}, {j}) in a {self.rows}x{self.cols} matrix")
+        a, b = self.re.get(i, {}).get(j, 0), self.im.get(i, {}).get(j, 0)
+        return Scalar(Fraction(a, self.den), Fraction(b, self.den)) if a or b else ZERO
 
     def row(self, i: int) -> tuple:
-        return tuple(self._scalar(k) for k in range(i * self.cols, (i + 1) * self.cols))
+        return tuple(self[i, j] for j in range(self.cols))
 
     def col(self, j: int) -> tuple:
-        return tuple(self._scalar(i * self.cols + j) for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
     def entries(self) -> tuple:
-        return tuple(self._scalar(k) for k in range(len(self.re)))
+        return tuple(self[i, j] for i in range(self.rows) for j in range(self.cols))
+
+    def nonzeros(self) -> Iterator[tuple]:
+        """(i, j, re, im) for each nonzero entry, numerators over den, in
+        row-major order."""
+        for i in sorted(self.re.keys() | self.im.keys()):
+            a, b = self.re.get(i, {}), self.im.get(i, {})
+            for j in sorted(a.keys() | b.keys()):
+                yield i, j, a.get(j, 0), b.get(j, 0)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.den == other.den
-            and self.re == other.re
-            and self.im == other.im
-        )
+        return isinstance(other, Matrix) and (self.rows, self.cols, self.den, self.re, self.im) == (
+            other.rows, other.cols, other.den, other.re, other.im)
 
     def __hash__(self):  # cached: predicate memo keys hash the same matrices often
         if self._h is None:
-            self._h = hash((self.rows, self.cols, self.den, self.re, self.im))
+            self._h = hash((self.rows, self.cols, self.den, *(frozenset(
+                (i, frozenset(r.items())) for i, r in x.items()) for x in (self.re, self.im))))
         return self._h
 
     def __repr__(self):
@@ -198,120 +230,93 @@ class Matrix:
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same row-major entries as a rows x cols matrix."""
-        if rows * cols != len(self.re):
+        if rows * cols != self.rows * self.cols:
             raise DimensionError(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        return Matrix._make(rows, cols, self.re, self.im, self.den, False, self._real)
+        if (rows, cols) == (self.rows, self.cols):
+            return self
+        re, im = (_moved(x, lambda i, j: divmod(i * self.cols + j, cols))
+                  for x in (self.re, self.im))
+        return Matrix._make(rows, cols, re, im, self.den, reduce=False)
 
     def is_zero(self) -> bool:
-        return not any(self.re) and self._real
+        return not (self.re or self.im)
 
     def is_real(self) -> bool:
-        return self._real
+        return not self.im
 
     # -- arithmetic ----------------------------------------------------
-    def _same_shape(self, other: "Matrix", op: str):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError(
-                f"{op}: shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} differ"
-            )
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int, op: str) -> "Matrix":
         """self + sign * other over the lcm of the two denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError(
+                f"{op}: shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} differ")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        re = [a * fa + b * fb for a, b in zip(self.re, other.re)]
-        if self._real and other._real:
-            im = self.im
-        else:
-            im = [a * fa + b * fb for a, b in zip(self.im, other.im)]
-        return Matrix._make(self.rows, self.cols, re, im, den)
+        return Matrix._make(self.rows, self.cols, _lin(self.re, fa, other.re, fb),
+                            _lin(self.im, fa, other.im, fb), den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other, "add")
-        return self._combine(other, 1)
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other, "sub")
-        return self._combine(other, -1)
+        return self._combine(other, -1, "sub")
 
     def __neg__(self) -> "Matrix":
-        im = self.im if self._real else [-v for v in self.im]
-        return Matrix._make(self.rows, self.cols, [-v for v in self.re], im, self.den,
-                            False, self._real)
+        return Matrix._make(self.rows, self.cols, _lin(self.re, -1, {}, 0),
+                            _lin(self.im, -1, {}, 0), self.den, reduce=False)
 
     def scale(self, k) -> "Matrix":
         kr, ki, kd = as_gaussian(k)
-        if ki == 0:
-            re = [kr * a for a in self.re]
-            im = self.im if self._real else [kr * b for b in self.im]
-        else:
-            re = [kr * a - ki * b for a, b in zip(self.re, self.im)]
-            im = [ki * a + kr * b for a, b in zip(self.re, self.im)]
-        return Matrix._make(self.rows, self.cols, re, im, self.den * kd,
-                            real=self._real and not ki)
+        return Matrix._make(self.rows, self.cols, _lin(self.re, kr, self.im, -ki),
+                            _lin(self.im, kr, self.re, ki), self.den * kd)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product (`scale` for a non-Matrix): the right operand's rows summed over
-        the left's nonzero entries, reading no zero row and no real operand's im."""
+        """The product (`scale` for a non-Matrix), row by row over the left
+        operand's nonzero entries (`_times`), with no imaginary product for
+        real operands."""
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.cols != other.rows:
             raise DimensionError(
                 f"mul: shapes {self.rows}x{self.cols} and {other.rows}x{other.cols} incompatible"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        inner = [j for j in range(k) if any(other.re[j * m:j * m + m])
-                 or not other._real and any(other.im[j * m:j * m + m])]
-        a_re = [self.re[j::k] for j in inner]
-        a_im = None if self._real else [self.im[j::k] for j in inner]
-        live = sorted({i for c in a_re + (a_im or []) for i in compress(range(n), c)})
-        if not live:
-            return Matrix.zero(n, m)
-        a_re, a_im = list(zip(*a_re)), a_im and list(zip(*a_im))
-        b_re = [other.re[j * m:j * m + m] for j in inner]
-        b_im = None if other._real else [other.im[j * m:j * m + m] for j in inner]
-        re, den = _products(a_re, b_re, live, m), self.den * other.den
-        if not (a_im or b_im):
-            return Matrix._make(n, m, re, (0,) * (n * m), den, real=True)
-        im = [_products(a, b, live, m) for a, b in ((a_re, b_im), (a_im, b_re)) if a and b]
-        if a_im and b_im:
-            re = list(map(sub, re, _products(a_im, b_im, live, m)))
-        return Matrix._make(n, m, re, im[0] if len(im) == 1 else list(map(add, *im)), den)
+        re, im = _times(self.re, other.re), {}
+        if self.im or other.im:
+            re = _lin(re, 1, _times(self.im, other.im), -1)
+            im = _lin(_times(self.re, other.im), 1, _times(self.im, other.re), 1)
+        return Matrix._make(self.rows, other.cols, re, im, self.den * other.den)
 
     def __rmul__(self, k) -> "Matrix":
         return self.scale(k)
 
     def transpose(self) -> "Matrix":
-        c = self.cols
-        re = [v for j in range(c) for v in self.re[j::c]]
-        im = self.im if self._real else [v for j in range(c) for v in self.im[j::c]]
-        return Matrix._make(c, self.rows, re, im, self.den, False, self._real)
+        re, im = (_moved(x, lambda i, j: (j, i)) for x in (self.re, self.im))
+        return Matrix._make(self.cols, self.rows, re, im, self.den, reduce=False)
 
     def _block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0..r1-1 and columns c0..c1-1."""
-        c = self.cols
-        re = [v for i in range(r0, r1) for v in self.re[i * c + c0:i * c + c1]]
-        im = () if self._real else [v for i in range(r0, r1)
-                                    for v in self.im[i * c + c0:i * c + c1]]
-        return Matrix._make(r1 - r0, c1 - c0, re, im or (0,) * len(re), self.den, real=self._real)
+        re, im = ({i - r0: s for i, r in part.items() if r0 <= i < r1
+                   and (s := {j - c0: v for j, v in r.items() if c0 <= j < c1})}
+                  for part in (self.re, self.im))
+        return Matrix._make(r1 - r0, c1 - c0, re, im, self.den)
 
     # -- elimination ---------------------------------------------------
     def _rref(self) -> tuple["Matrix", list]:
         """Reduced row echelon form, as a Matrix, and the pivot column list.
 
-        Gauss-Jordan (`_eliminate`) with first-nonzero pivoting on the
-        integer numerator rows; each pivot row is divided by its pivot at the
-        end.  Deterministic and canonical (pivots normalized to 1).  Real
-        rows stay real: no imaginary list is built, scaled or scanned.
+        Gauss-Jordan (`_eliminate`) with first-nonzero pivoting on dense
+        working rows of the integer numerators (no imaginary rows for a real
+        matrix); each pivot row is divided by its pivot at the end.
+        Deterministic and canonical (pivots normalized to 1).
         """
-        c, real = self.cols, self._real
-        rr = [list(self.re[i * c:(i + 1) * c]) for i in range(self.rows)]
-        ri = None if real else [list(self.im[i * c:(i + 1) * c]) for i in range(self.rows)]
+        c = self.cols
+        rr = _dense(self.re, self.rows, c)
+        ri = _dense(self.im, self.rows, c) if self.im else None
         pivots = _eliminate(rr, ri, c)[0]
         # divide each pivot row by its pivot, then put all rows over one denominator
         rows = []
         for r, pc in enumerate(pivots):
-            if real:
+            if ri is None:
                 re, im, d = rr[r], (), rr[r][pc]
             else:
                 pr, pi = rr[r][pc], ri[r][pc]
@@ -319,29 +324,28 @@ class Matrix:
                 re = [a * pr + b * pi for a, b in zip(rr[r], ri[r])]
                 im = [b * pr - a * pi for a, b in zip(rr[r], ri[r])]
             g = gcd(d, *re, *im)
-            rows.append(([v // g for v in re], [v // g for v in im], d // g))
-        den = lcm(*(d for _, _, d in rows))  # positive; f below carries the sign
-        re, im = [], []
-        for row_re, row_im, d in rows:
+            rows.append((re, im, g, d // g))
+        den = lcm(*(d for *_, d in rows))  # positive; f below carries the sign
+        out = ({}, {})
+        for r, (re, im, g, d) in enumerate(rows):
             f = den // d
-            re += row_re if f == 1 else map(mul, row_re, repeat(f))
-            im += row_im if f == 1 else map(mul, row_im, repeat(f))
-        re += [0] * ((self.rows - len(pivots)) * c)  # in place: the rows may be many
-        im += () if real else [0] * (len(re) - len(im))
-        return Matrix._make(self.rows, c, re, im or (0,) * len(re), den, real=real), pivots
+            for part, nums in zip(out, (re, im)):
+                if row := dict(compress(enumerate(nums), nums)):
+                    part[r] = row if g == f == 1 else {j: v // g * f for j, v in row.items()}
+        # each row is reduced over its own denominator, so all are over their lcm
+        return Matrix._make(self.rows, c, *out, den, reduce=False), pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def det(self) -> Scalar:
-        """Bareiss elimination (`_eliminate`, forward) on the Gaussian-integer
-        numerators."""
+        """Bareiss elimination (`_eliminate`, forward) on dense working rows
+        of the Gaussian-integer numerators."""
         if self.rows != self.cols:
             raise DimensionError(f"det of {self.rows}x{self.cols} matrix")
         n = self.rows
-        mr = [list(self.re[i * n:(i + 1) * n]) for i in range(n)]
-        mi = None if self._real else [list(self.im[i * n:(i + 1) * n]) for i in range(n)]
-        pivots, sign, (qr, qi) = _eliminate(mr, mi, n, forward=True)
+        pivots, sign, (qr, qi) = _eliminate(
+            _dense(self.re, n, n), _dense(self.im, n, n) if self.im else None, n, forward=True)
         if len(pivots) < n:
             return ZERO
         d = self.den ** n
@@ -364,14 +368,13 @@ class Matrix:
 
 
 def unfold(mats: Sequence[Matrix], d: int) -> tuple:
-    """The unfoldings [M_1; ...; M_n] (the row-major numerators end to end),
-    [M_1 | ... | M_n] and [M_1^T; ...; M_n^T] (its transpose) of n d x d
-    matrices, over one denominator (Kolda and Bader, SIAM Rev. 51(3), 2009)."""
+    """The unfoldings [M_1; ...; M_n], [M_1 | ... | M_n] and
+    [M_1^T; ...; M_n^T] (the transpose of the second) of n d x d matrices,
+    over one denominator (Kolda and Bader, SIAM Rev. 51(3), 2009)."""
     if not mats:
         return Matrix.zero(0, d), Matrix.zero(d, 0), Matrix.zero(0, d)
     row = _hstack(*mats)
-    stacked = _hstack(*(m.reshape(1, d * d) for m in mats)).reshape(len(mats) * d, d)
-    return stacked, row, row.transpose()
+    return _hstack(*(m.transpose() for m in mats)).transpose(), row, row.transpose()
 
 
 def combine(stacked: Matrix, x: Matrix) -> Matrix:
@@ -384,39 +387,44 @@ def combine(stacked: Matrix, x: Matrix) -> Matrix:
 def cut(m: Matrix, rows: int, cols: int, step: int = 1) -> list:
     """m's row-major entries as rows x cols matrices: consecutive runs, or
     with step > 1, the step interleaved ones (t, t + step, ...)."""
-    size = rows * cols
-    starts = range(0, len(m.re), size) if step == 1 else range(step)
-    return [Matrix._make(rows, cols, m.re[a:a + step * size:step], m.im[a:a + step * size:step],
-                         m.den, real=m.is_real()) for a in starts]
+    if step > 1:  # entry t + u * step is entry u of run t
+        m = m.reshape(rows * cols, step).transpose()
+    m = m.reshape(m.rows * m.cols // cols, cols)
+    parts = [({}, {}) for _ in range(m.rows // rows)]
+    for side, x in enumerate((m.re, m.im)):  # `rows` rows a run
+        for p, r in x.items():
+            parts[p // rows][side][p % rows] = r
+    return [Matrix._make(rows, cols, re, im, m.den) for re, im in parts]
 
 
-def _plan(sign: int, product, axes: str, sizes: dict, last: str) -> tuple:
-    """A term as (sign, product, strides of t[0], t[1], t[2], offsets of the
-    output indices but the last or None, span and step of the last one),
-    reading the tuple letter `last` as an output index."""
-    strides, s = {}, 1
-    for a in reversed(axes):
-        strides[a] = s
+def _plan(sign: int, product, axes: str, order: list, sizes: dict) -> tuple:
+    """A term as (sign, product, width, weight, digits): read as rows `width`
+    wide, the size of its last axis letter, the product's entry (i, j) has the
+    key base(i) + j * weight, where keys number the letters in `order`
+    row-major and base(i) sums each other letter's digit (i // stride) % size
+    of i times its weight."""
+    weight, s = {}, 1
+    for a in reversed(order):
+        weight[a], s = s, s * sizes[a]
+    *lead, last = axes
+    digits, s = [], 1
+    for a in reversed(lead):
+        digits.append((s, sizes[a], weight[a]))
         s *= sizes[a]
-    *outer, out = sorted(a for a in axes if a not in "ijk" or a == last)
-    offsets = [0]
-    for a in outer:
-        offsets = [o + v * strides[a] for o in offsets for v in range(sizes[a])]
-    return (sign, product, tuple(0 if a == last else strides.get(a, 0) for a in "ijk"),
-            None if outer == [] else offsets, strides[out] * (sizes[out] - 1) + 1, strides[out])
+    return sign, product, sizes[last], weight[last], digits
 
 
-def _residual(parts, t) -> list:
-    """The sum of f times each part's numerators read at t."""
-    acc = None
-    for f, nums, strides, offsets, span, step in parts:
-        b = sum(map(mul, strides, t))
-        chunk = (nums[b:b + span:step] if offsets is None
-                 else [v for o in offsets for v in nums[b + o:b + o + span:step]])
-        if f != 1:
-            chunk = map(mul, repeat(f), chunk)
-        acc = list(chunk) if acc is None else list(map(add, acc, chunk))
-    return acc
+def _read(acc: tuple, f: int, m: Matrix, width: int, weight: int, digits: list) -> None:
+    """Add f times the numerators of m's nonzero entries to acc, dicts (re,
+    im) keyed as `_plan` says."""
+    if m.cols != width and width:
+        m = m.reshape(m.rows * m.cols // width, width)
+    for part, x in zip(acc, (m.re, m.im)):
+        for i, r in x.items():
+            base = sum(i // s % z * w for s, z, w in digits)
+            for j, v in r.items():
+                k = base + j * weight
+                part[k] = part.get(k, 0) + f * v
 
 
 def identity_test(sizes: dict, *claims):
@@ -426,43 +434,39 @@ def identity_test(sizes: dict, *claims):
 
     `axes` names the axes of the product's row-major layout: i, j, k are
     t[0], t[1], t[2], any other letter an output index; sizes gives each
-    letter's range.  A term reads its product at strides, so swapping two
-    letters copies nothing.  A product given as a pair, left or right a
-    sequence, is sliced over t[0] (left[t[0]] * right or left * right[t[0]],
-    one product per value) and its axes leave out i.  Without output
-    indices, t's last index is read as one, once per value of the others."""
-    letters = {a for claim in claims for _, _, axes in claim for a in axes}
-    last = max(letters) if letters <= set("ijk") else ""
-    plans = [[_plan(*term, sizes, last) for term in claim] for claim in claims]
+    letter's range, and every term names the same letters.  Every product
+    is a Matrix, or every one is a pair sliced over t[0], left[t[0]] * right
+    or left * right[t[0]], whose axes leave out i.  The residual, summed
+    from the products' nonzero entries decoded by `_plan`, keeps the tuples
+    where it is nonzero: holds looks t up there, the residual made at the
+    first call or, sliced, at each new t[0]."""
+    letters = sorted({a for claim in claims for _, _, axes in claim for a in axes})
+    order = [a for a in letters if a in "ijk"] + [a for a in letters if a not in "ijk"]
+    plans = [[_plan(*term, order, sizes) for term in claim] for claim in claims]
+    sliced = not isinstance(claims[0][0][1], Matrix)
+    out = prod(sizes[a] for a in order if a not in "ijk")
+    weights, w = [0, 0, 0], 1  # a tuple's key is the sum of weights times t
+    for a in reversed([a for a in order if a in "ijk"]):
+        weights["ijk".index(a)] = w
+        w *= sizes[a]
 
-    def parts(at) -> list:  # per claim, real and imaginary parts over one denominator
-        out = []
-        for claim in plans:
-            mats = [p if isinstance(p, Matrix) else
-                    p[0][at] * p[1] if isinstance(p[1], Matrix) else p[0] * p[1][at]
-                    for _, p, *_ in claim]
-            den = lcm(*(m.den for m in mats))
-            re = [(sign * (den // m.den), m.re, *read) for (sign, _, *read), m in zip(claim, mats)]
-            out.append((re, [(f, m.im, *read) for (f, _, *read), m in zip(re, mats)
-                             if not m.is_real()]))
-        return out
-
-    state = [None, None, None, None]  # t[0], its parts, t[:-1] and its zero flags when last
+    read, fails = None, None  # the slice read (t[0]) and its failing keys per claim
 
     def holds(*t):
-        if state[0] != t[0]:
-            state[:] = t[0], None, None, None  # the last slice's products go first
-            state[1] = parts(t[0])
-        if not last:
-            flags = [not any(_residual(re, t)) and (not im or not any(_residual(im, t)))
-                     for re, im in state[1]]
-        else:
-            if state[2] != t[:-1]:
-                state[2:] = t[:-1], [[not (a or b) for a, b in zip(
-                    _residual(re, t), _residual(im, t) if im else repeat(0))]
-                    for re, im in state[1]]
-            flags = [z[t[-1]] for z in state[3]]
-        return flags[0] if len(flags) == 1 else tuple(flags)
+        nonlocal read, fails
+        if fails is None or sliced and read != t[0]:
+            read, fails = t[0], []  # the last slice's keys go first
+            for claim in plans:
+                mats = [p if not sliced else p[0][read] * p[1] if isinstance(p[1], Matrix)
+                        else p[0] * p[1][read] for _, p, *_ in claim]
+                den, acc = lcm(*(m.den for m in mats)), ({}, {})
+                for (sign, _, *layout), m in zip(claim, mats):
+                    _read(acc, sign * (den // m.den), m, *layout)
+                fails.append({k // out for part in acc for k, v in part.items() if v})
+        key = sum(map(mul, weights, t))
+        if len(fails) == 1:
+            return key not in fails[0]
+        return tuple(key not in f for f in fails)
 
     return holds
 
@@ -535,36 +539,33 @@ def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> t
 
 
 def _hstack(*blocks: Matrix) -> Matrix:
-    """[b_1 | b_2 | ...] for one or more matrices with the same number of rows."""
-    rows, real = blocks[0].rows, all(b.is_real() for b in blocks)
-    den = lcm(*(b.den for b in blocks))
-    scaled = [(b.cols, den // b.den, b) for b in blocks]
-    re, im = [], []
-    for i in range(rows):
-        for c, f, b in scaled:
-            at = slice(i * c, (i + 1) * c)
-            re += b.re[at] if f == 1 else map(mul, repeat(f), b.re[at])
-            if not real:
-                im += b.im[at] if f == 1 else map(mul, repeat(f), b.im[at])
-    return Matrix._make(rows, sum(b.cols for b in blocks), re, im or (0,) * len(re), den, real=real)
+    """[b_1 | b_2 | ...] for one or more matrices with the same number of rows,
+    over the lcm of their denominators: reduced, as each block is."""
+    den, at = lcm(*(b.den for b in blocks)), 0
+    out = ({}, {})
+    for b in blocks:
+        f = den // b.den
+        for part, x in zip(out, (b.re, b.im)):
+            for i, r in x.items():
+                part.setdefault(i, {}).update({at + j: f * v for j, v in r.items()})
+        at += b.cols
+    return Matrix._make(blocks[0].rows, at, *out, den, reduce=False)
 
 
 def _kernel(m: Matrix, pivots: list, ncols: int) -> Matrix:
     """Kernel basis read off an RREF, as the rows of one matrix: one row per
     free column among the first ncols, with 1 at the free column and minus
-    that column's RREF entries at the pivot columns.  A real RREF gives a
-    real kernel, built with no imaginary list."""
-    c, real, pivot_set = m.cols, m.is_real(), set(pivots)
-    free = [fc for fc in range(ncols) if fc not in pivot_set]
-    re, im = [], []
-    for fc in free:
-        for nums, out, one in ((m.re, re, m.den), (m.im, im, 0))[:1 if real else 2]:
-            v = [0] * ncols
-            v[fc] = one
-            for pc, x in zip(pivots, nums[fc::c]):
-                v[pc] = -x
-            out += v
-    return Matrix._make(len(free), ncols, re, im or (0,) * len(re), m.den, real=real)
+    that column's RREF entries at the pivot columns, so 1 is its last
+    nonzero entry and every other row is 0 there."""
+    pivot_set = set(pivots)
+    free = {fc: r for r, fc in enumerate(fc for fc in range(ncols) if fc not in pivot_set)}
+    out = ({r: {fc: m.den} for fc, r in free.items()}, {})
+    for part, x in zip(out, (m.re, m.im)):
+        for r, row in x.items():
+            for fc, v in row.items():
+                if fc in free:
+                    part.setdefault(free[fc], {})[pivots[r]] = -v
+    return Matrix._make(len(free), ncols, *out, m.den)
 
 
 @dataclass(frozen=True)
@@ -754,8 +755,7 @@ def det_witness(kernel: Matrix, embed: Callable[[Matrix], Matrix]) -> tuple | No
     if not d:
         return None
     for point in witness_points(d):
-        t = Matrix._make(1, d, point, (0,) * d, 1, reduce=False, real=True)
-        if not embed(t * kernel).det().is_zero():
+        if not embed(Matrix(1, d, point) * kernel).det().is_zero():
             return point
     mats = [embed(kernel._block(r, r + 1, 0, kernel.cols)) for r in range(d)]
     det = generic_determinant(mats, mats[0].rows)

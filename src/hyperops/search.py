@@ -7,8 +7,8 @@ rows are the instances that the form checks evaluate too
 (`FormIdentity.instances`), read off the algebra's nonzero structure
 columns, so a basis tuple whose instance vanishes costs nothing.  Divided by
 their content and deduplicated, they go in chunks of at most len(coords)
-rows under the RREF so far through the one exact elimination, so at most
-about 2 len(coords) dense rows are held at once; the RREF is canonical, so
+rows under the RREF so far through the one exact elimination, so its dense
+working rows number at most about 2 len(coords); the RREF is canonical, so
 its kernel is the full system's.  The space is that kernel, one solution a
 row over the coordinates: the form with parameters t is the n x n matrix
 `_embed` writes from the row t kernel, and the n x n basis is built only
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import compress, islice
+from itertools import islice
 from math import gcd
-from operator import or_
 
 from .geometry import (
     AD_INVARIANCE,
@@ -42,7 +41,6 @@ from .linalg import (
     DimensionError,
     Matrix,
     Poly,
-    _hstack,
     _kernel,
     det_witness,
     generic_determinant,
@@ -95,28 +93,28 @@ class FormSpaceResult:
         return self.kernel.rows
 
     def contains(self, f: BilForm) -> bool:
-        """Does f's full matrix lie in the span of the basis?  Exactly when the
-        last column of [vec basis_1 | ... | vec f] is not a pivot."""
-        n = self.algebra.dim
+        """Does f's full matrix lie in the space?  Each kernel row is 1 at its
+        last nonzero coordinate, where every other row is 0 (`linalg._kernel`),
+        so exactly when f is the form of t kernel, t its entries there."""
+        n, k = self.algebra.dim, self.kernel
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        cols = [b.reshape(n * n, 1) for b in (*self.basis, f.matrix)]
-        return self.dim not in _hstack(*cols)._rref()[1]
+        t = Matrix(1, k.rows, [f.matrix[self.coords[max(k.re[r])]] for r in range(k.rows)])
+        return self.embed(t * k) == f.matrix
 
 
 def _embed(coords, n: int, skew: bool, row: Matrix) -> Matrix:
     """The n x n form whose coordinates (i, j) are the entries of the
     1 x len(coords) row: each nonzero one at (i, j), and mirrored at (j, i),
     negated when skew.  The row's numerators are reduced, and so are these."""
-    sign, real = -1 if skew else 1, row.is_real()
-    re, im = [0] * (n * n), None if real else [0] * (n * n)
-    for k in compress(range(len(coords)), row.re if real else map(or_, row.re, row.im)):
-        (i, j), a = coords[k], row.re[k]
-        re[i * n + j], re[j * n + i] = a, sign * a
-        if not real:
-            b = row.im[k]
-            im[i * n + j], im[j * n + i] = b, sign * b
-    return Matrix._make(n, n, re, im or (0,) * (n * n), row.den, reduce=False, real=real)
+    sign, out = -1 if skew else 1, ({}, {})
+    for _, k, a, b in row.nonzeros():
+        i, j = coords[k]
+        for part, v in zip(out, (a, b)):
+            if v:
+                part.setdefault(i, {})[j] = v
+                part.setdefault(j, {})[i] = sign * v
+    return Matrix._make(n, n, *out, row.den, reduce=False)
 
 
 def _distinct_rows(g, identity: FormIdentity):
@@ -138,20 +136,19 @@ def _reduced(rows: list, c: int) -> tuple[Matrix, list]:
     divided by their content, into one `Matrix._rref`, until the rank is c."""
     m, pivots, rows = Matrix.zero(0, c), [], iter(rows)
     while len(pivots) < c and (chunk := list(islice(rows, c))):
-        re, im = [], []
+        re, im = {}, {}
         for r in range(len(pivots)):
-            row_re, row_im = m.re[r * c:(r + 1) * c], m.im[r * c:(r + 1) * c]
-            d = gcd(*row_re, *row_im)
-            re += [v // d for v in row_re]
-            im += [v // d for v in row_im]
-        for row in chunk:
-            vr, vi = [0] * c, [0] * c
-            for k, a, b in row:
-                vr[k], vi[k] = a, b
-            re += vr
-            im += vi
-        m = Matrix._make(len(re) // c, c, re, im, 1)
-        del re, im  # the earlier RREF and these lists go before the elimination
+            d = gcd(*m.re.get(r, {}).values(), *m.im.get(r, {}).values())
+            for part, x in ((re, m.re), (im, m.im)):
+                if r in x:
+                    part[r] = {j: v // d for j, v in x[r].items()}
+        for r, row in enumerate(chunk, len(pivots)):
+            for part, nums in ((re, {k: a for k, a, _ in row if a}),
+                               (im, {k: b for k, _, b in row if b})):
+                if nums:
+                    part[r] = nums
+        m = Matrix._make(len(pivots) + len(chunk), c, re, im, 1)
+        del re, im  # the earlier RREF and these rows go before the elimination
         m, pivots = m._rref()
     return m, pivots
 

@@ -2,6 +2,7 @@
 the sparse-polynomial generic determinant."""
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,12 +17,17 @@ from hyperops.linalg import (
     SingularMatrixError,
     _eliminate,
     _hstack,
+    _kernel,
+    combine,
+    cut,
     det_witness,
     generic_determinant,
+    identity_test,
     solve_affine,
     unfold,
     witness_points,
 )
+from hyperops.reporting import Report
 from hyperops.scalars import ZERO, Scalar, as_gaussian
 
 
@@ -169,9 +175,17 @@ def pencil_sum(mats, t, n):
     re, im = [0] * (n * n), [0] * (n * n)
     for (a, b, d), m in terms:
         f = den // (d * m.den)
-        re = [x + f * (a * r - b * i) for x, r, i in zip(re, m.re, m.im)]
-        im = [x + f * (a * i + b * r) for x, r, i in zip(im, m.re, m.im)]
-    return Matrix._make(n, n, re, im, den)
+        mr, mi = numerators(m)
+        re = [x + f * (a * r - b * i) for x, r, i in zip(re, mr, mi)]
+        im = [x + f * (a * i + b * r) for x, r, i in zip(im, mr, mi)]
+    return Matrix(n, n, [Scalar(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)])
+
+
+def numerators(m):
+    """The dense reference view of m: its row-major numerator lists (re, im)
+    over m.den, read entry by entry."""
+    cells = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+    return [int(v.re * m.den) for v in cells], [int(v.im * m.den) for v in cells]
 
 
 def pencil_kernel(mats, n):
@@ -353,13 +367,15 @@ def within_hadamard_bound(m, system=None):
     the bound is taken over its rows instead: m's rows then come from a
     reduction of system's."""
     c = m.cols
-    rr = [list(m.re[i * c:(i + 1) * c]) for i in range(m.rows)]
-    ri = [list(m.im[i * c:(i + 1) * c]) for i in range(m.rows)]
+    mr, mi = numerators(m)
+    rr = [mr[i * c:(i + 1) * c] for i in range(m.rows)]
+    ri = [mi[i * c:(i + 1) * c] for i in range(m.rows)]
     s = m if system is None else system
+    sr, si = numerators(s)
     bound = 1
     for i in range(s.rows):
-        bound *= max(1, sum(x * x + y * y for x, y in zip(s.re[i * c:(i + 1) * c],
-                                                          s.im[i * c:(i + 1) * c])))
+        bound *= max(1, sum(x * x + y * y for x, y in zip(sr[i * c:(i + 1) * c],
+                                                          si[i * c:(i + 1) * c])))
     _eliminate(rr, ri, c)
     return all(x * x + y * y <= bound for xs, ys in zip(rr, ri) for x, y in zip(xs, ys))
 
@@ -371,8 +387,14 @@ def test_elimination_of_gaussian_rows_stays_within_hadamard_bound(a):
 
 
 def assert_canonical(m):
+    """m stores only nonzero numerators, in rows and columns of its shape,
+    with no empty row, reduced over a positive denominator, and equals and
+    hashes like the Matrix built from its entries."""
     assert m.den > 0
-    assert gcd(m.den, *m.re, *m.im) == 1
+    stored = [(i, j, v) for part in (m.re, m.im) for i, row in part.items() for j, v in row.items()]
+    assert all(part[i] for part in (m.re, m.im) for i in part)
+    assert all(0 <= i < m.rows and 0 <= j < m.cols and v for i, j, v in stored)
+    assert gcd(m.den, *(v for _, _, v in stored)) == 1
     assert Matrix(m.rows, m.cols, m.entries()) == m
     assert hash(Matrix(m.rows, m.cols, m.entries())) == hash(m)
 
@@ -581,7 +603,7 @@ def test_product_matches_reference(operands):
     got = a * b
     assert (got.rows, got.cols) == (a.rows, b.cols)
     assert ref_of(got) == ref_mul(ref_of(a), ref_of(b), b.cols)
-    assert got.is_real() == (not any(got.im))
+    assert got.is_real() == all(v.is_real() for v in got.entries())
     assert_canonical(got)
 
 
@@ -606,3 +628,174 @@ def test_unfoldings_match_their_definition(inputs):
     for m in (stacked, row, stacked_t):
         assert m.is_real() == all(x.is_real() for x in mats)
         assert_canonical(m)
+
+
+# -- the sparse form of every operation's result -------------------------
+
+def flat(rows):
+    return [v for row in rows for v in row]
+
+
+def assert_is_reference(got, rows, cols, pairs):
+    """got is reduced, stores no zero, and equals and hashes like the Matrix
+    built from the dense reference: row-major (re, im) Fraction pairs."""
+    want = Matrix(rows, cols, [Scalar(*p) for p in pairs])
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got == want and hash(got) == hash(want)
+    assert_canonical(got)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_operation_stores_only_nonzero_reduced_entries(data):
+    # any side may be 0; operands real or not, over mixed denominators
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b, x = data.draw(factors(r, k)), data.draw(factors(r, k)), data.draw(factors(k, c))
+    z = data.draw(gauss)
+    ra, rb, rx = ref_of(a), ref_of(b), ref_of(x)
+    zz = (z.re, z.im)
+    assert_is_reference(a * x, r, c, flat(ref_mul(ra, rx, c)))
+    assert_is_reference(a + b, r, k, [c_add(p, q) for p, q in zip(flat(ra), flat(rb))])
+    assert_is_reference(a - b, r, k, [c_add(p, c_neg(q)) for p, q in zip(flat(ra), flat(rb))])
+    assert_is_reference(-a, r, k, [c_neg(p) for p in flat(ra)])
+    assert_is_reference(a.scale(z), r, k, [c_mul(zz, p) for p in flat(ra)])
+    assert_is_reference(a.transpose(), k, r, [ra[i][j] for j in range(k) for i in range(r)])
+    for shape in ((k, r), (1, r * k), (r * k, 1)):
+        assert_is_reference(a.reshape(*shape), *shape, flat(ra))
+    r0, c0 = data.draw(st.integers(0, r)), data.draw(st.integers(0, k))
+    r1, c1 = data.draw(st.integers(r0, r)), data.draw(st.integers(c0, k))
+    assert_is_reference(a._block(r0, r1, c0, c1), r1 - r0, c1 - c0,
+                        [ra[i][j] for i in range(r0, r1) for j in range(c0, c1)])
+    if r:
+        y = data.draw(factors(r, c))
+        assert_is_reference(_hstack(a, y, b), r, 2 * k + c,
+                            flat(p + q + s for p, q, s in zip(ra, ref_of(y), rb)))
+    rref, pivots = ref_rref(ra)
+    m, got_pivots = a._rref()
+    assert got_pivots == pivots
+    assert_is_reference(m, r, k, flat(rref))
+    basis = ref_kernel(rref, pivots, k)
+    assert_is_reference(_kernel(m, pivots, k), len(basis), k, flat(basis))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cut_unfold_and_combine_store_only_nonzero_reduced_entries(data):
+    d, n, c = (data.draw(st.integers(low, 3)) for low in (1, 0, 0))
+    mats = [data.draw(factors(d, d)) for _ in range(n)]
+    refs = [ref_of(m) for m in mats]
+    stacked, row, stacked_t = unfold(mats, d)
+    for got, pairs in ((stacked, flat(flat(refs))),
+                       (row, [refs[p][i][j] for i in range(d) for p in range(n) for j in range(d)]),
+                       (stacked_t, [refs[p][j][i] for p in range(n) for i in range(d)
+                                    for j in range(d)])):
+        assert_is_reference(got, *((d, n * d) if got is row else (n * d, d)), pairs)
+    x = data.draw(factors(n, c))
+    rx = ref_of(x)
+    # X_a = sum_p x[p, a] M_p, stacked
+    assert_is_reference(combine(stacked, x), c * d, d, [
+        _c_sum(c_mul(rx[p][a], refs[p][i][j]) for p in range(n))
+        for a in range(c) for i in range(d) for j in range(d)])
+    # n pieces of a (n p) x q matrix, consecutive or interleaved, and of the
+    # same entries n rows long, so that the rows are cut
+    p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    m = data.draw(factors(n * p, q))
+    entries = flat(ref_of(m))
+    for source in (m, m.reshape(n, p * q) if n else m):
+        for t, piece in enumerate(cut(source, p, q)):
+            assert_is_reference(piece, p, q, entries[t * p * q:(t + 1) * p * q])
+        if n > 1:
+            for t, piece in enumerate(cut(source, p, q, n)):
+                assert_is_reference(piece, p, q, entries[t::n])
+
+
+# -- identity_test reads the residual off the products' nonzero entries ---
+
+def ref_holds(sizes, claim, t):
+    """Dense reference: whether the claim's terms, each read entry by entry at
+    the row-major position its axes give t (as i, j, k) and every output
+    index, sum to zero."""
+    outputs = sorted(a for a in sizes if a not in "ijk")
+    for out in itertools.product(*(range(sizes[a]) for a in outputs)):
+        at = dict(zip("ijk", t)) | dict(zip(outputs, out))
+        total = ZERO
+        for sign, m, axes in claim:
+            k = 0
+            for a in axes:
+                k = k * sizes[a] + at[a]
+            total = total + m[k // m.cols, k % m.cols] * sign
+        if not total.is_zero():
+            return False
+    return True
+
+
+@st.composite
+def claims(draw):
+    """Sizes for i, j and an output r, and a claim of up to three terms whose
+    products have any shape their entries fill, a letter possibly split
+    between rows and columns, and few nonzero entries."""
+    sizes = {a: draw(st.integers(1, 3)) for a in "ijr"}
+    total = sizes["i"] * sizes["j"] * sizes["r"]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.sampled_from([d for d in range(1, total + 1) if total % d == 0]))
+        axes = "".join(draw(st.permutations("ijr")))
+        terms.append((draw(st.sampled_from([1, -1, 2])),
+                      draw(factors(rows, total // rows, sparse=True)), axes))
+    return sizes, terms
+
+
+@given(claims())
+@settings(max_examples=200, deadline=None)
+def test_support_read_matches_the_dense_residual(case):
+    sizes, claim = case
+    holds = identity_test(sizes, claim)
+    for t in itertools.product(range(sizes["i"]), range(sizes["j"])):
+        assert holds(*t) == ref_holds(sizes, claim, t), t
+
+
+def test_residual_at_non_member_tuples_only_still_passes():
+    # x[r, i n + j] is nonzero only where j < i: under combinations every
+    # member has i < j, so the claim holds at each member and the check passes
+    n = 4
+    x = Matrix(n, n * n, [r + 1 if j < i else 0 for r in range(n) for i in range(n)
+                          for j in range(n)])
+    holds = identity_test({"i": n, "j": n, "r": n}, [(1, x, "rij")])
+    rep = Report()
+    assert rep.record_tuples("claim", itertools.combinations(range(n), 2), holds)
+    assert rep.passed and len(rep.results) == n * (n - 1) // 2
+    assert not any(holds(i, j) for i in range(n) for j in range(i))
+
+
+def test_claim_without_output_index_reads_each_tuple():
+    # [e_i, e_j] + [e_j, e_i] at e_k: zero for an antisymmetric bracket, and
+    # nonzero exactly at the tuples touching a symmetric pair (0, 1) at e_2
+    n = 3
+    good = Matrix(n, n * n, [(i - j) * (k + 1) for k in range(n) for i in range(n)
+                             for j in range(n)])
+    bad = good + Matrix(n, n * n, [1 if k == 2 and {i, j} == {0, 1} else 0 for k in range(n)
+                                   for i in range(n) for j in range(n)])
+    sizes = {"i": n, "j": n, "k": n}
+    for m in (good, bad):
+        holds = identity_test(sizes, [(1, m, "kij"), (1, m, "kji")])
+        for i, j, k in itertools.product(range(n), repeat=3):
+            assert holds(i, j, k) == ref_holds(sizes, [(1, m, "kij"), (1, m, "kji")], (i, j, k))
+            assert holds(i, j, k) == (m is good or not (k == 2 and {i, j} == {0, 1}))
+
+
+def test_sliced_products_match_the_whole_product():
+    # per value of i, left[i] * right: the claim over slices agrees with the
+    # one product [left_0 right; ...; left_n-1 right] read at the same letters
+    n, m = 3, 2
+    left = [Matrix(m, n, [(i + 2 * r - c) % 3 - 1 for r in range(m) for c in range(n)])
+            for i in range(n)]
+    right = Matrix(n, n * m, [(r * c + 1) % 4 - 2 for r in range(n) for c in range(n * m)])
+    whole = Matrix.from_rows([list((piece * right).row(r)) for piece in left for r in range(m)])
+    sliced = identity_test({"j": n, "r": m, "s": m}, [(1, (left, right), "rjs")])
+    flags = [sliced(i, j) for i, j in itertools.product(range(n), repeat=2)]
+    assert not all(flags)
+    for other in (Matrix.zero(n * m, n * m), whole):
+        full = identity_test({"i": n, "j": n, "r": m, "s": m},
+                             [(1, whole, "irjs"), (-1, other, "irjs")])
+        assert [full(i, j) for i, j in itertools.product(range(n), repeat=2)] == (
+            [True] * len(flags) if other is whole else flags)

@@ -1,0 +1,57 @@
+"""Peak memory of the checks at MAX_DIM, traced with tracemalloc in this
+process.  Each check keeps only the nonzero entries of its matrices, so the
+peaks follow the few nonzero structure constants, not n^3."""
+
+import tracemalloc
+
+from hyperops.algebra import LieAlgebra, PreLieAlgebra, check_lie, coadjoint_rep
+from hyperops.linalg import Matrix
+from hyperops.operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_nijenhuis, is_rdo
+from hyperops.search import HESSIAN, solve_forms
+
+MIB = 2 ** 20
+
+
+def _peak(call):
+    """call()'s result and the peak traced allocation while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _lie64():
+    """[e_2a-1, e_2a] = e_64 for a <= 31: 62 nonzero structure constants."""
+    return LieAlgebra.from_constants(64, [(2 * a - 1, 2 * a, 64, 1) for a in range(1, 32)])
+
+
+def test_nijenhuis_identity_at_n_64_peaks_within_1_2_mib():
+    g, n_map = _lie64(), LinMap(Matrix.identity(64), ALGEBRA, ALGEBRA)
+    rep, peak = _peak(lambda: is_nijenhuis(g, n_map))
+    assert rep.passed
+    assert peak <= 1.2 * MIB, peak / MIB
+
+
+def test_rdo_identity_on_the_coadjoint_at_n_64_peaks_within_1_0_mib():
+    g = _lie64()
+    ctx = OperatorContext(g, coadjoint_rep(g))
+    d = LinMap(Matrix.identity(64), ALGEBRA, MODULE)
+    rep, peak = _peak(lambda: is_rdo(ctx, d))
+    assert not rep.passed  # d[e_1, e_2] = e_64^*, while rho(e_1) e_2^* = rho(e_2) e_1^* = 0
+    assert peak <= 1.0 * MIB, peak / MIB
+
+
+def test_lie_check_at_n_64_peaks_within_12_4_mib():
+    g = _lie64()
+    rep, peak = _peak(lambda: check_lie(g))
+    assert rep.passed
+    assert peak <= 12.4 * MIB, peak / MIB
+
+
+def test_abelian_hessian_search_at_n_64_peaks_within_25_mib():
+    g = PreLieAlgebra.from_constants(64, [])
+    res, peak = _peak(lambda: solve_forms(g, HESSIAN))
+    assert (res.dim, res.exists_nondegenerate) == (2080, True)
+    assert peak <= 25 * MIB, peak / MIB

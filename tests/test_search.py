@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hyperops.bundle import parse_bundle
 from hyperops.corpus import export_bundle
 from hyperops.geometry import SKEW, BilForm, is_hessian, is_invariant_form, is_symplectic
-from hyperops.linalg import DimensionError, Matrix, det_witness, generic_determinant, witness_points
+from hyperops.linalg import (
+    DimensionError, Matrix, _hstack, det_witness, generic_determinant, witness_points)
 from hyperops.scalars import ZERO, Scalar
 from hyperops.search import (
     AD_INVARIANT,
@@ -278,14 +279,13 @@ def _stacked_system(identity, g):
     """Every instance the identity's rows hold, one dense integer row each:
     the system before content division, deduplication and chunking."""
     c = len(identity.coords(g.dim))
-    re, im = [], []
+    rows = []
     for row in identity.instances(g).values():
-        vr, vi = [0] * c, [0] * c
+        v = [ZERO] * c
         for m, (a, b) in row.items():
-            vr[m], vi[m] = a, b
-        re += vr
-        im += vi
-    return Matrix._make(len(re) // c, c, re, im, 1)
+            v[m] = Scalar(a, b)
+        rows.append(v)
+    return Matrix(len(rows), c, [v for row in rows for v in row])
 
 
 def _rref_inputs(monkeypatch):
@@ -359,8 +359,8 @@ def test_streamed_elimination_matches_independent_system(g, target, chunks, earl
     # each chunk adds at most len(coords) rows to at most len(coords) carried
     # ones, and every row eliminated, carried or new, is divided by its content
     assert all(m.cols == c and m.rows <= 2 * c for m in eliminated)
-    assert all(gcd(*m.re[r * c:(r + 1) * c], *m.im[r * c:(r + 1) * c]) == 1
-               for m in eliminated for r in range(m.rows))
+    assert all(gcd(*(int(v.re * m.den) for v in m.row(r)), *(int(v.im * m.den) for v in m.row(r)))
+               == 1 for m in eliminated for r in range(m.rows))
     assert early == (len(rows) > chunks * c)
     if early:
         assert res.dim == 0
@@ -678,3 +678,50 @@ def test_space_is_its_kernel_with_a_lazy_basis(g, target):
 
     for m in (f.matrix, f.matrix + Matrix.identity(n), Matrix.identity(n)):
         assert res.contains(BilForm(m, "none")) == (rank((*ref, m)) == rank(ref))
+
+
+# -- membership against the basis elimination it replaced -----------------
+
+
+def ref_contains(res, f):
+    """Reference membership: the last column of [vec basis_1 | ... | vec f]
+    is not a pivot."""
+    n = res.algebra.dim
+    cols = [b.reshape(n * n, 1) for b in (*res.basis, f.matrix)]
+    return res.dim not in _hstack(*cols)._rref()[1]
+
+
+def _membership_cases():
+    from hyperops.algebra import LieAlgebra, PreLieAlgebra
+    from hyperops.corpus import list_examples
+
+    cases = []
+    for eid, _, _ in list_examples():
+        b = parse_bundle(export_bundle(eid))
+        for name, g in b.algebras.items():
+            lie = isinstance(g, LieAlgebra)
+            forms = [f.matrix for f in b.forms.values() if f.dim == g.dim]
+            for target in ((SYMPLECTIC, AD_INVARIANT) if lie else (HESSIAN, PRELIE_INVARIANT)):
+                cases.append(pytest.param(g, target, forms, id=f"{eid}:{name}-{target}"))
+    for n in range(3, 7):
+        cases.append(pytest.param(_family_i(n, list(range(1, n + 1))), HESSIAN, [], id=f"I{n}"))
+        for kind, targets in ((PreLieAlgebra, (HESSIAN, PRELIE_INVARIANT)),
+                              (LieAlgebra, (SYMPLECTIC, AD_INVARIANT))):
+            cases += [pytest.param(kind.from_constants(n, []), t, [],
+                                   id=f"abelian-{kind.__name__}{n}-{t}") for t in targets]
+    return cases
+
+
+@pytest.mark.parametrize("g,target,forms", _membership_cases())
+def test_contains_matches_the_basis_elimination(g, target, forms):
+    res = solve_forms(g, target)
+    n = g.dim
+    member = instantiate(res, [Scalar(k + 1, k % 2) for k in range(res.dim)]).matrix
+    one = Matrix.identity(n)
+    corner = Matrix(n, n, [(r == 0 and c == n - 1) - (r == n - 1 and c == 0)
+                           for r in range(n) for c in range(n)])
+    candidates = [member, member.scale(Scalar(0, 1)), member + one, member + corner, one,
+                  corner, Matrix.zero(n, n), *forms]
+    got = [res.contains(BilForm(m, "none")) for m in candidates]
+    assert got == [ref_contains(res, BilForm(m, "none")) for m in candidates]
+    assert got[0] and got[1]
