@@ -25,13 +25,13 @@ field arithmetic gives.
 Scalar is the boundary type.  Constructors read ints, Fractions, literals
 and Scalars with ``scalars.as_gaussian`` and sum them with ``accumulate``.
 ``__getitem__``, ``row``, ``col``, ``entries``, ``det`` and ``solve_affine``
-return Scalars; ``nonzeros`` yields numerators.  ``kernel`` returns its basis as the rows of one Matrix; a
-pencil is those rows and a linear map from them to square matrices
-(`det_witness`), or a sequence of Matrices.  Poly keeps Scalar coefficients.
+return Scalars; ``nonzeros`` yields numerators.  ``kernel`` returns its
+basis as the rows of one Matrix; a pencil is those rows and a linear map
+from them to square matrices (`det_witness`), or a sequence of Matrices.
+Poly keeps Scalar coefficients.
 
-Every basis-tuple identity of the library is evaluated by ``identity_test``,
-from the nonzero entries of signed products of the inputs with the
-``unfold``-ed structure constants.
+Every basis-tuple identity is evaluated by ``identity_test``, from the
+nonzero entries of signed products of inputs and ``unfold``-ed constants.
 """
 
 from __future__ import annotations
