@@ -40,7 +40,7 @@ from .operators import (
     is_rdo,
     nijenhuis_square_sign,
 )
-from .reporting import PreconditionError, Report
+from .reporting import PreconditionError, Report, TupleTest
 from .scalars import Scalar
 
 SYMMETRIC = "symmetric"
@@ -168,9 +168,9 @@ class FormIdentity:
 
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
         """Record the identity for f, a form of this identity's symmetry, at
-        every basis tuple of g, evaluating each instance on f's coordinate
-        numerators; a zero instance holds.  Raises TypeError if g is not this
-        identity's kind of algebra, DimensionError if f is not on g's dimension."""
+        every basis tuple of g, failing where the instance on f's coordinate
+        numerators is nonzero.  Raises TypeError if g is not this identity's
+        kind of algebra, DimensionError if f is not on g's dimension."""
         self.check_algebra(g, self.claim)
         n, skew = g.dim, self.symmetry == SKEW
         if f.dim != n:
@@ -178,16 +178,16 @@ class FormIdentity:
         place = _coordinates(n, skew)[1]
         coords = {place[i * n + j][0]: (a, b) for i, j, a, b in f.matrix.nonzeros()
                   if i < j or i == j and not skew}
-        rows = self.instances(g)
-
-        def holds(*t):
+        fails = set()
+        for t, row in self.instances(g).items():
             re = im = 0
-            for k, (a, b) in rows.get(t, {}).items():
+            for k, (a, b) in row.items():
                 fr, fi = coords.get(k, (0, 0))
                 re, im = re + a * fr - b * fi, im + a * fi + b * fr
-            return re == im == 0
-
-        return rep.record_tuples(self.claim, self.tuples(n), holds, failures_only)
+            if re or im:
+                fails.add(t)
+        return rep.record_tuples(self.claim, self.tuples(n), TupleTest(lambda t0: (fails,)),
+                                 failures_only)
 
 
 # w([x,y],z) + w([z,x],y) + w([y,z],x) = 0 for i < j < k

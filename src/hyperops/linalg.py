@@ -30,8 +30,10 @@ basis as the rows of one Matrix; a pencil is those rows and a linear map
 from them to square matrices (`det_witness`), or a sequence of Matrices.
 Poly keeps Scalar coefficients.
 
-Every basis-tuple identity is evaluated by ``identity_test``, from the
-nonzero entries of signed products of inputs and ``unfold``-ed constants.
+Every basis-tuple identity is an ``identity_test``: the nonzero entries of
+signed products of inputs and ``unfold``-ed constants, read at strides with
+no moved copy, sum to its residual, whose support is each claim's set of
+failing tuples; `Report.record_tuples` records from those sets alone.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm, prod
-from operator import mul
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .reporting import TupleTest
 from .scalars import ONE, ZERO, Scalar, as_gaussian
 
 
@@ -110,16 +112,6 @@ def _times(a: dict, b: dict) -> dict:
             acc = {j: v for j, v in acc.items() if v}
         if acc:
             out[i] = acc
-    return out
-
-
-def _moved(x: dict, to) -> dict:
-    """Numerator rows with each entry (i, j) moved to to(i, j)."""
-    out = {}
-    for i, r in x.items():
-        for j, v in r.items():
-            p, q = to(i, j)
-            out.setdefault(p, {})[q] = v
     return out
 
 
@@ -234,9 +226,13 @@ class Matrix:
             raise DimensionError(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
         if (rows, cols) == (self.rows, self.cols):
             return self
-        re, im = (_moved(x, lambda i, j: divmod(i * self.cols + j, cols))
-                  for x in (self.re, self.im))
-        return Matrix._make(rows, cols, re, im, self.den, reduce=False)
+        out = ({}, {})
+        for part, x in zip(out, (self.re, self.im)):
+            for i, r in x.items():
+                for j, v in r.items():
+                    p, q = divmod(i * self.cols + j, cols)
+                    part.setdefault(p, {})[q] = v
+        return Matrix._make(rows, cols, *out, self.den, reduce=False)
 
     def is_zero(self) -> bool:
         return not (self.re or self.im)
@@ -290,8 +286,12 @@ class Matrix:
         return self.scale(k)
 
     def transpose(self) -> "Matrix":
-        re, im = (_moved(x, lambda i, j: (j, i)) for x in (self.re, self.im))
-        return Matrix._make(self.cols, self.rows, re, im, self.den, reduce=False)
+        out = ({}, {})
+        for part, x in zip(out, (self.re, self.im)):
+            for i, r in x.items():
+                for j, v in r.items():
+                    part.setdefault(j, {})[i] = v
+        return Matrix._make(self.cols, self.rows, *out, self.den, reduce=False)
 
     def _block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0..r1-1 and columns c0..c1-1."""
@@ -379,33 +379,49 @@ def unfold(mats: Sequence[Matrix], d: int) -> tuple:
 
 def combine(stacked: Matrix, x: Matrix) -> Matrix:
     """[X_1; ...; X_c] for X_a = sum_p x[p, a] M_p, from [M_1; ...; M_n] of
-    d x d matrices and an n x c matrix x."""
+    d x d matrices and an n x c matrix x: each nonzero row (p, u) of the
+    stack is summed, times each nonzero x[p, a], into row (a, u)."""
     d = stacked.cols
-    return (x.transpose() * stacked.reshape(x.rows, d * d)).reshape(x.cols * d, d)
+    if stacked.rows != x.rows * d:
+        raise DimensionError(f"combine: {stacked.rows}x{d} stack and {x.rows}x{x.cols} weights")
+    out = ({}, {})  # (re, im) += sign * (x's part) * (the stack's part)
+    for side, sign, xs, ms in ((0, 1, x.re, stacked.re), (0, -1, x.im, stacked.im),
+                               (1, 1, x.re, stacked.im), (1, 1, x.im, stacked.re)):
+        part = out[side]
+        for s, row in ms.items() if xs else ():
+            p, u = divmod(s, d)
+            for a, v in xs.get(p, {}).items():
+                v, acc = sign * v, part.setdefault(a * d + u, {})
+                for j, y in row.items():
+                    acc[j] = acc.get(j, 0) + v * y
+    return Matrix._make(x.cols * d, d, _nonzero(out[0]), _nonzero(out[1]),
+                        x.den * stacked.den)
 
 
 def cut(m: Matrix, rows: int, cols: int, step: int = 1) -> list:
     """m's row-major entries as rows x cols matrices: consecutive runs, or
-    with step > 1, the step interleaved ones (t, t + step, ...)."""
-    if step > 1:  # entry t + u * step is entry u of run t
-        m = m.reshape(rows * cols, step).transpose()
-    m = m.reshape(m.rows * m.cols // cols, cols)
-    parts = [({}, {}) for _ in range(m.rows // rows)]
-    for side, x in enumerate((m.re, m.im)):  # `rows` rows a run
-        for p, r in x.items():
-            parts[p // rows][side][p % rows] = r
+    with step > 1, the step interleaved ones (t, t + step, ...), each entry
+    placed by its flat index."""
+    size, width = rows * cols, m.cols
+    parts = [({}, {}) for _ in range(step if step > 1 else m.rows * width // size)]
+    for side, x in enumerate((m.re, m.im)):
+        for i, r in x.items():
+            if step == 1 and width == cols:  # whole rows move as they are
+                parts[i // rows][side][i % rows] = r
+                continue
+            for j, v in r.items():  # entry t + u * step is entry u of run t
+                f = i * width + j
+                t, u = divmod(f, size) if step == 1 else (f % step, f // step)
+                p, q = divmod(u, cols)
+                parts[t][side].setdefault(p, {})[q] = v
     return [Matrix._make(rows, cols, re, im, m.den) for re, im in parts]
 
 
-def _plan(sign: int, product, axes: str, order: list, sizes: dict) -> tuple:
+def _plan(sign: int, product, axes: str, weight: dict, sizes: dict) -> tuple:
     """A term as (sign, product, width, weight, digits): read as rows `width`
     wide, the size of its last axis letter, the product's entry (i, j) has the
-    key base(i) + j * weight, where keys number the letters in `order`
-    row-major and base(i) sums each other letter's digit (i // stride) % size
-    of i times its weight."""
-    weight, s = {}, 1
-    for a in reversed(order):
-        weight[a], s = s, s * sizes[a]
+    key base(i) + j * weight[last], where base(i) sums each other letter's
+    digit (i // stride) % size of i times its weight."""
     *lead, last = axes
     digits, s = [], 1
     for a in reversed(lead):
@@ -416,59 +432,62 @@ def _plan(sign: int, product, axes: str, order: list, sizes: dict) -> tuple:
 
 def _read(acc: tuple, f: int, m: Matrix, width: int, weight: int, digits: list) -> None:
     """Add f times the numerators of m's nonzero entries to acc, dicts (re,
-    im) keyed as `_plan` says."""
-    if m.cols != width and width:
-        m = m.reshape(m.rows * m.cols // width, width)
+    im) keyed as `_plan` says, entry (i, j) read at its row-major place
+    divmod(i * m.cols + j, width) in rows `width` wide, each row's key base
+    made once."""
+    cols, bases = m.cols, {}
     for part, x in zip(acc, (m.re, m.im)):
         for i, r in x.items():
-            base = sum(i // s % z * w for s, z, w in digits)
             for j, v in r.items():
-                k = base + j * weight
+                p, q = divmod(i * cols + j, width)
+                if (base := bases.get(p)) is None:
+                    base = bases[p] = sum(p // s % z * w for s, z, w in digits)
+                k = base + q * weight
                 part[k] = part.get(k, 0) + f * v
 
 
-def identity_test(sizes: dict, *claims):
-    """holds(*t) for `Report.record_tuples`: whether each claim, a sequence
-    of terms (sign, product, axes), sums to zero at the basis tuple t (one
-    flag, or a tuple of flags for several claims).
+def identity_test(sizes: dict, *claims) -> TupleTest:
+    """The `TupleTest` of claims, each a sequence of terms (sign, product,
+    axes) whose sum, the residual, vanishes at the basis tuples where the
+    claim holds, for `Report.record_tuples`.
 
     `axes` names the axes of the product's row-major layout: i, j, k are
-    t[0], t[1], t[2], any other letter an output index; sizes gives each
-    letter's range, and every term names the same letters.  Every product
-    is a Matrix, or every one is a pair sliced over t[0], left[t[0]] * right
-    or left * right[t[0]], whose axes leave out i.  The residual, summed
-    from the products' nonzero entries decoded by `_plan`, keeps the tuples
-    where it is nonzero: holds looks t up there, the residual made at the
-    first call or, sliced, at each new t[0]."""
+    t[0], t[1], t[2] (a prefix of them), any other letter an output index;
+    sizes gives each letter's range, and every term names the same letters.
+    Every product is a Matrix, or every one is a pair sliced over t[0],
+    left[t[0]] * right or left * right[t[0]], whose axes leave out i.  Each
+    product's nonzero entries, decoded by `_plan` into keys numbering the
+    tuple letters, then the output letters, row-major, are summed into the
+    residual, and its support gives each claim's failing tuples: read once,
+    or for sliced products at each new t[0], dropping the last slice's."""
     letters = sorted({a for claim in claims for _, _, axes in claim for a in axes})
-    order = [a for a in letters if a in "ijk"] + [a for a in letters if a not in "ijk"]
-    plans = [[_plan(*term, order, sizes) for term in claim] for claim in claims]
+    tuple_letters = [a for a in letters if a in "ijk"]
     sliced = not isinstance(claims[0][0][1], Matrix)
-    out = prod(sizes[a] for a in order if a not in "ijk")
-    weights, w = [0, 0, 0], 1  # a tuple's key is the sum of weights times t
-    for a in reversed([a for a in order if a in "ijk"]):
-        weights["ijk".index(a)] = w
-        w *= sizes[a]
+    if "".join(tuple_letters) != "ijk"[sliced:sliced + len(tuple_letters)]:
+        raise ValueError(f"tuple letters {tuple_letters} leave out an earlier index")
+    weight, s = {}, 1
+    for a in reversed(tuple_letters + [a for a in letters if a not in "ijk"]):
+        weight[a], s = s, s * sizes[a]
+    plans = [[_plan(*term, weight, sizes) for term in claim] for claim in claims]
+    places = [(weight[a], sizes[a]) for a in tuple_letters]
+    read, sets = None, None  # the slice read (t[0]) and each claim's failing tuples
 
-    read, fails = None, None  # the slice read (t[0]) and its failing keys per claim
-
-    def holds(*t):
-        nonlocal read, fails
-        if fails is None or sliced and read != t[0]:
-            read, fails = t[0], []  # the last slice's keys go first
+    def failing(t0) -> tuple:
+        nonlocal read, sets
+        if sets is None or sliced and read != t0:
+            read, sets, lead = t0, [], (t0,) if sliced else ()
             for claim in plans:
-                mats = [p if not sliced else p[0][read] * p[1] if isinstance(p[1], Matrix)
-                        else p[0] * p[1][read] for _, p, *_ in claim]
+                mats = [p if not sliced else p[0][t0] * p[1] if isinstance(p[1], Matrix)
+                        else p[0] * p[1][t0] for _, p, *_ in claim]
                 den, acc = lcm(*(m.den for m in mats)), ({}, {})
                 for (sign, _, *layout), m in zip(claim, mats):
                     _read(acc, sign * (den // m.den), m, *layout)
-                fails.append({k // out for part in acc for k, v in part.items() if v})
-        key = sum(map(mul, weights, t))
-        if len(fails) == 1:
-            return key not in fails[0]
-        return tuple(key not in f for f in fails)
+                sets.append({(*lead, *(k // w % z for w, z in places))
+                             for part in acc for k, v in part.items() if v})
+            sets = tuple(sets)
+        return sets
 
-    return holds
+    return TupleTest(failing, sliced)
 
 
 def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> tuple:

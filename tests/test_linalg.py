@@ -729,6 +729,27 @@ def ref_holds(sizes, claim, t):
     return True
 
 
+def ref_record(rep, claims, tuples, holds, failures_only=False, at=None):
+    """Dense reference for `Report.record_tuples`: the per-tuple recorder,
+    evaluating holds(*t) (one flag, or one per name) at every tuple t."""
+    single = isinstance(claims, str)
+    held = True
+    for t in tuples:
+        flags = holds(*t)
+        for name, ok in zip((claims,) if single else claims, (flags,) if single else flags):
+            if ok and (failures_only or at is not None):
+                continue
+            held = held and ok
+            idx = tuple(i + 1 for i in t)
+            if at is not None:
+                rep.record(name, at, False, idx)
+                return False
+            rep.record(name, idx, ok, None if ok else idx)
+    if at is not None:
+        rep.record(claims, at, True)
+    return held
+
+
 @st.composite
 def claims(draw):
     """Sizes for i, j and an output r, and a claim of up to three terms whose
@@ -752,6 +773,83 @@ def test_support_read_matches_the_dense_residual(case):
     holds = identity_test(sizes, claim)
     for t in itertools.product(range(sizes["i"]), range(sizes["j"])):
         assert holds(*t) == ref_holds(sizes, claim, t), t
+
+
+@st.composite
+def sliced_claims(draw):
+    """Sizes for i, j and an output r, and a claim of up to three sliced
+    terms, left[i] * right or left * right[i], each also given whole: the
+    slices' products stacked over i, read with i as the outermost axis."""
+    sizes = {a: draw(st.integers(1, 3)) for a in "ijr"}
+    n, total = sizes["i"], sizes["j"] * sizes["r"]
+    sliced, whole = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.sampled_from([d for d in range(1, total + 1) if total % d == 0]))
+        inner = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            pair = [draw(factors(rows, inner, sparse=True)) for _ in range(n)], draw(
+                factors(inner, total // rows, sparse=True))
+            pieces = [piece * pair[1] for piece in pair[0]]
+        else:
+            pair = draw(factors(rows, inner, sparse=True)), [
+                draw(factors(inner, total // rows, sparse=True)) for _ in range(n)]
+            pieces = [pair[0] * piece for piece in pair[1]]
+        sign, axes = draw(st.sampled_from([1, -1, 2])), "".join(draw(st.permutations("jr")))
+        sliced.append((sign, pair, axes))
+        whole.append((sign, Matrix.from_rows([list(p.row(r)) for p in pieces
+                                              for r in range(rows)]), "i" + axes))
+    return sizes, sliced, whole
+
+
+_MODES = ({}, {"failures_only": True}, {"at": (1,)})
+
+
+def assert_records_like_the_reference(names, tuples, test, ref):
+    """record_tuples reading test's failing sets from `tuples` streamed
+    records what the per-tuple reference records from ref, in every mode
+    (`at` takes one name only)."""
+    for mode in _MODES[:3 if isinstance(names, str) else 2]:
+        new, old = Report(), Report()
+        got = new.record_tuples(names, iter(tuples), test, **mode)
+        want = ref_record(old, names, tuples, ref, **mode)
+        assert (got, new.to_json()) == (want, old.to_json()), mode
+
+
+@given(st.one_of(claims(), sliced_claims()),
+       st.sampled_from(["product", "combinations", "empty"]))
+@settings(max_examples=200, deadline=None)
+def test_key_set_recording_matches_the_dense_reference(case, members):
+    if len(case) == 3:
+        sizes, claim, whole = case
+    else:
+        (sizes, claim), whole = case, case[1]
+    ni, nj = sizes["i"], sizes["j"]
+    tuples = {"product": list(itertools.product(range(ni), range(nj))),
+              "combinations": list(itertools.combinations(range(min(ni, nj)), 2)),
+              "empty": []}[members]
+    holds = functools.cache(lambda *t: ref_holds(sizes, whole, t))
+    first = functools.cache(lambda *t: ref_holds(sizes, whole[:1], t))
+    assert_records_like_the_reference("claim", tuples, identity_test(sizes, claim), holds)
+    # two claims, the second the first one's first term, recorded interleaved
+    assert_records_like_the_reference(("claim", "first"), tuples,
+                                      identity_test(sizes, claim, claim[:1]),
+                                      lambda *t: (holds(*t), first(*t)))
+
+
+def test_at_passes_when_only_non_member_tuples_fail():
+    # x[r, i n + j] is nonzero only where j < i, so under combinations (i < j)
+    # every failing tuple is a non-member: `at` still records its pass
+    n = 4
+    x = Matrix(n, n * n, [r + 1 if j < i else 0 for r in range(n) for i in range(n)
+                          for j in range(n)])
+    sizes = {"i": n, "j": n, "r": n}
+    test = identity_test(sizes, [(1, x, "rij")])
+    assert test.failing(0)[0] == {(i, j) for i in range(n) for j in range(i)}
+    assert_records_like_the_reference("claim", list(itertools.combinations(range(n), 2)), test,
+                                      lambda *t: ref_holds(sizes, [(1, x, "rij")], t))
+    rep = Report()
+    assert rep.record_tuples("claim", itertools.combinations(range(n), 2), test, at=(7,))
+    assert [r.to_json() for r in rep.results] == [{"claim": "claim", "indices": [7], "pass": True}]
 
 
 def test_residual_at_non_member_tuples_only_still_passes():

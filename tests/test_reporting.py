@@ -21,8 +21,9 @@ from hyperops.operators import (
     brackets_coincide,
     is_kn,
     is_rdo,
+    memo_scope,
 )
-from hyperops.reporting import PreconditionError, Report
+from hyperops.reporting import ClaimResult, PreconditionError, Report, TupleTest
 
 
 def _claims(rep):
@@ -127,3 +128,53 @@ def test_require_returns_the_report_or_raises_with_it():
         rep.require("pre failed")
     assert str(exc.value) == "pre failed"
     assert exc.value.report is rep
+
+
+def test_at_takes_exactly_one_claim_name():
+    # one name is recorded at `at`; several would have no one name to record
+    test = TupleTest(lambda t0: (set(), {(0, 1)}))
+    for claims in (("a", "b"), ()):
+        with pytest.raises(ValueError):
+            Report().record_tuples(claims, [(0, 1)], test, at=(1,))
+    rep = Report()
+    assert rep.record_tuples(("a",), [(0, 1)], TupleTest(lambda t0: (set(),)), at=(2,))
+    assert _claims(rep) == [("a", (2,), True, None)]
+
+
+def test_merge_keeps_every_field_and_prefixes_names():
+    sub = Report("sub", notes=["n"])
+    sub.record("a", (1, 2), False, (1, 2), "why")
+    sub.record("b", (), True)
+    for prefix in ("", "T1:"):
+        rep = Report()
+        rep.record("first", (3,), True)
+        rep.merge(sub, prefix)
+        assert rep.results[1:] == [
+            ClaimResult(prefix + "a", (1, 2), False, (1, 2), "why"),
+            ClaimResult(prefix + "b", (), True, None, "")]
+        assert rep.notes == ["n"] and not rep.passed
+    assert [r.claim for r in sub.results] == ["a", "b"]
+
+
+def test_claims_of_a_memoized_report_cannot_be_changed():
+    b = parse_bundle(export_bundle("lie.L4sym"))
+    g = b.algebra("g")
+    ctx = OperatorContext(g, coadjoint_rep(g))
+    d = LinMap(form_to_map(b.form("w1")).matrix, ALGEBRA, MODULE)
+    with memo_scope():
+        first = is_rdo(ctx, d)
+        with pytest.raises(AttributeError):
+            first.results[0].passed = False
+        first.results.clear()  # the list is the caller's own copy
+        assert is_rdo(ctx, d).passed and len(is_rdo(ctx, d).results) == 6
+
+
+def test_claim_json_is_unchanged():
+    assert ClaimResult("rdo", (1, 4), False, (1, 4), "d e_4").to_json() == {
+        "claim": "rdo", "indices": [1, 4], "pass": False, "counterexample": [1, 4],
+        "detail": "d e_4"}
+    assert ClaimResult("lie-axioms", (), True).to_json() == {
+        "claim": "lie-axioms", "indices": [], "pass": True}
+    rep = Report("t", [ClaimResult("a", (2,), True)], ["note"])
+    assert rep.to_json() == {"title": "t", "pass": True, "notes": ["note"], "claims": [
+        {"claim": "a", "indices": [2], "pass": True}]}
