@@ -836,22 +836,6 @@ def test_key_set_recording_matches_the_dense_reference(case, members):
                                       lambda *t: (holds(*t), first(*t)))
 
 
-def test_at_passes_when_only_non_member_tuples_fail():
-    # x[r, i n + j] is nonzero only where j < i, so under combinations (i < j)
-    # every failing tuple is a non-member: `at` still records its pass
-    n = 4
-    x = Matrix(n, n * n, [r + 1 if j < i else 0 for r in range(n) for i in range(n)
-                          for j in range(n)])
-    sizes = {"i": n, "j": n, "r": n}
-    test = identity_test(sizes, [(1, x, "rij")])
-    assert test.failing(0)[0] == {(i, j) for i in range(n) for j in range(i)}
-    assert_records_like_the_reference("claim", list(itertools.combinations(range(n), 2)), test,
-                                      lambda *t: ref_holds(sizes, [(1, x, "rij")], t))
-    rep = Report()
-    assert rep.record_tuples("claim", itertools.combinations(range(n), 2), test, at=(7,))
-    assert [r.to_json() for r in rep.results] == [{"claim": "claim", "indices": [7], "pass": True}]
-
-
 def test_residual_at_non_member_tuples_only_still_passes():
     # x[r, i n + j] is nonzero only where j < i: under combinations every
     # member has i < j, so the claim holds at each member and the check passes
@@ -863,6 +847,13 @@ def test_residual_at_non_member_tuples_only_still_passes():
     assert rep.record_tuples("claim", itertools.combinations(range(n), 2), holds)
     assert rep.passed and len(rep.results) == n * (n - 1) // 2
     assert not any(holds(i, j) for i in range(n) for j in range(i))
+    # so `at` still records its pass, as the per-tuple reference does
+    assert_records_like_the_reference(
+        "claim", list(itertools.combinations(range(n), 2)), holds,
+        lambda *t: ref_holds({"i": n, "j": n, "r": n}, [(1, x, "rij")], t))
+    rep = Report()
+    assert rep.record_tuples("claim", itertools.combinations(range(n), 2), holds, at=(7,))
+    assert [r.to_json() for r in rep.results] == [{"claim": "claim", "indices": [7], "pass": True}]
 
 
 def test_claim_without_output_index_reads_each_tuple():
