@@ -19,7 +19,6 @@ themselves, read at strides, in slices over the first basis index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -150,10 +149,10 @@ class Representation:
         n, m, mats = self.algebra.dim, self.module_dim, self.mats
         st, row, _ = self.unfolded
         ad_t = cut(self.algebra.unfolded[2], n, n)  # ad(e_i)^T
-        rep.record_tuples("rep-hom", itertools.combinations(range(n), 2), identity_test(
-            {"j": n, "r": m, "s": m},
+        rep.record_tuples("rep-hom", identity_test(
+            {"i": n, "j": n, "r": m, "s": m},
             [(1, (ad_t, st.reshape(n, m * m)), "jrs"), (-1, (mats, row), "rjs"),
-             (1, (st, mats), "jrs")]))
+             (1, (st, mats), "jrs")], ordered=2))
         return rep
 
 
@@ -165,14 +164,14 @@ def check_lie(g: LieAlgebra) -> Report:
     st, row, ts = g.unfolded
     sizes = {"i": n, "j": n, "k": n, "r": n}
     antisymmetric = rep.record_tuples(
-        "antisymmetry", itertools.product(range(n), repeat=3),
-        identity_test(sizes, [(1, row, "kij"), (1, row, "kji")]), failures_only=True)
+        "antisymmetry", identity_test(sizes, [(1, row, "kij"), (1, row, "kji")]),
+        failures_only=True)
     # [[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i], with ad(e_i)^T and the
     # right multiplication by e_i cut from the unfoldings
     ad_t, right, st_r = cut(ts, n, n), cut(st, n, n, n), st.reshape(n, n * n)
-    if rep.record_tuples("jacobi", itertools.combinations(range(n), 3), identity_test(
-            sizes, [(1, (ad_t, st_r), "jrk"), (1, (right, st_r), "krj"), (1, (ts, right), "jkr")]),
-            failures_only=True) and antisymmetric:
+    if rep.record_tuples("jacobi", identity_test(
+            sizes, [(1, (ad_t, st_r), "jrk"), (1, (right, st_r), "krj"), (1, (ts, right), "jkr")],
+            ordered=3), failures_only=True) and antisymmetric:
         rep.record("lie-axioms", (), True)
     return rep
 
@@ -185,8 +184,8 @@ def check_prelie(g: PreLieAlgebra) -> Report:
     st, _, ts = g.unfolded
     # (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k + e_j(e_i e_k)
     l_t, right, st_r = cut(ts, n, n), cut(st, n, n, n), st.reshape(n, n * n)
-    if rep.record_tuples("left-symmetry", itertools.product(range(n), repeat=3), identity_test(
-            {"j": n, "k": n, "r": n},
+    if rep.record_tuples("left-symmetry", identity_test(
+            {"i": n, "j": n, "k": n, "r": n},
             [(1, (l_t, st_r), "jrk"), (-1, (ts, l_t), "jkr"), (-1, (right, st_r), "jrk"),
              (1, (st, g.p), "jrk")]), failures_only=True):
         rep.record("prelie-identity", (), True)

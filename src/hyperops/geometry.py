@@ -4,12 +4,14 @@ forms, and the endomorphism-triple correspondences.
 
 Form convention: matrix[i][j] = form(e_i, e_j); wedge e_i*∧e_j* contributes +1
 at (i,j) and -1 at (j,i), tensor e_i*⊗e_j* contributes +1 at (i,j).
+
+The form identities (`FormIdentity`) are checked by `linalg.identity_test`,
+like every basis-tuple identity; their instances are the systems `search` solves.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
@@ -30,7 +32,8 @@ from .hyper import (
     decompose_hyper,
     reconstruct_hyper,
 )
-from .linalg import DimensionError, Matrix, SingularMatrixError, accumulate, combine, identity_test
+from .linalg import (
+    DimensionError, Matrix, SingularMatrixError, accumulate, combine, identity_test, members)
 from .operators import (
     ALGEBRA,
     MODULE,
@@ -40,7 +43,7 @@ from .operators import (
     is_rdo,
     nijenhuis_square_sign,
 )
-from .reporting import PreconditionError, Report, TupleTest
+from .reporting import PreconditionError, Report
 from .scalars import Scalar
 
 SYMMETRIC = "symmetric"
@@ -106,9 +109,10 @@ class FormIdentity:
     one kind of algebra, with an instance per basis triple t: terms(*t) lists
     (sign, a, b) and the instance reads sum(sign * f(a, b)) = 0, where one of
     a, b is an index u for e_u and the other a pair (p, q) for e_p e_q.  The
-    triples are those whose first `ordered` indices strictly increase.  The
-    form checks below and `search.solve_forms` both evaluate it through
-    `instances`."""
+    triples are the `linalg.members` whose first `ordered` indices strictly
+    increase.  `check` evaluates it on one form as a `linalg.identity_test`,
+    like every other basis-tuple identity; `search.solve_forms` assembles its
+    system from `instances`, the same rows on the form's coordinates."""
 
     claim: str
     algebra: type
@@ -118,8 +122,7 @@ class FormIdentity:
 
     def tuples(self, n: int):
         """The 0-indexed basis triples, in report order (lexicographic)."""
-        return (c + r for c in itertools.combinations(range(n), self.ordered)
-                for r in itertools.product(range(n), repeat=3 - self.ordered))
+        return members((n, n, n), self.ordered)
 
     def coords(self, n: int) -> list[tuple[int, int]]:
         """The form's coordinates: the entries above the diagonal (skew) or on
@@ -168,26 +171,22 @@ class FormIdentity:
 
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:
         """Record the identity for f, a form of this identity's symmetry, at
-        every basis tuple of g, failing where the instance on f's coordinate
-        numerators is nonzero.  Raises TypeError if g is not this identity's
-        kind of algebra, DimensionError if f is not on g's dimension."""
+        every basis tuple of g, failing where the instance's terms, read off
+        the products of f's matrix with g's unfoldings, sum to nonzero.
+        Raises TypeError if g is not this identity's kind of algebra,
+        DimensionError if f is not on g's dimension."""
         self.check_algebra(g, self.claim)
-        n, skew = g.dim, self.symmetry == SKEW
+        n, fm = g.dim, f.matrix
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        place = _coordinates(n, skew)[1]
-        coords = {place[i * n + j][0]: (a, b) for i, j, a, b in f.matrix.nonzeros()
-                  if i < j or i == j and not skew}
-        fails = set()
-        for t, row in self.instances(g).items():
-            re = im = 0
-            for k, (a, b) in row.items():
-                fr, fi = coords.get(k, (0, 0))
-                re, im = re + a * fr - b * fi, im + a * fi + b * fr
-            if re or im:
-                fails.add(t)
-        return rep.record_tuples(self.claim, self.tuples(n), TupleTest(lambda t0: (fails,)),
-                                 failures_only)
+        _, row, ts = g.unfolded
+        # f(e_p e_q, e_u) at ((p, q), u) of one, f(e_u, e_p e_q) at (u, (p, q)) of the other
+        left, right = ts * fm, fm * row
+        terms = [(sign, left, "ijk"[a[0]] + "ijk"[a[1]] + "ijk"[b]) if isinstance(a, tuple)
+                 else (sign, right, "ijk"[a] + "ijk"[b[0]] + "ijk"[b[1]])
+                 for sign, a, b in self.terms(0, 1, 2)]
+        return rep.record_tuples(self.claim, identity_test(
+            dict.fromkeys("ijk", n), terms, ordered=self.ordered), failures_only)
 
 
 # w([x,y],z) + w([z,x],y) + w([y,z],x) = 0 for i < j < k
@@ -454,11 +453,10 @@ def _is_derivation(g, d: LinMap) -> Report:
     rep = Report("derivation")
     n, dm = g.dim, d.matrix
     st, row, _ = g.unfolded
-    pairs = (itertools.combinations(range(n), 2) if isinstance(g, LieAlgebra)
-             else itertools.product(range(n), repeat=2))
     # d(e_i e_j) - (d e_i)e_j - e_i(d e_j)
-    rep.record_tuples("derivation", pairs, identity_test({"i": n, "j": n, "r": n}, [
-        (1, dm * row, "rij"), (-1, combine(st, dm), "irj"), (-1, st * dm, "irj")]))
+    rep.record_tuples("derivation", identity_test({"i": n, "j": n, "r": n}, [
+        (1, dm * row, "rij"), (-1, combine(st, dm), "irj"), (-1, st * dm, "irj")],
+        ordered=2 if isinstance(g, LieAlgebra) else 0))
     return rep
 
 

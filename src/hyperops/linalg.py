@@ -32,19 +32,20 @@ Poly keeps Scalar coefficients.
 
 Every basis-tuple identity is an ``identity_test``: the nonzero entries of
 signed products of inputs and ``unfold``-ed constants, read at strides with
-no moved copy, sum to its residual, whose support is each claim's set of
-failing tuples; `Report.record_tuples` records from those sets alone.
+no moved copy, sum to its residual, whose support among the identity's
+``members`` is each claim's plain set of failing tuples; `Report.record_tuples`
+records from those sets alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress, product
 from math import gcd, lcm
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .reporting import TupleTest
 from .scalars import ONE, ZERO, Scalar, as_gaussian
 
 
@@ -446,10 +447,20 @@ def _read(acc: tuple, f: int, m: Matrix, width: int, weight: int, digits: list) 
                 part[k] = part.get(k, 0) + f * v
 
 
-def identity_test(sizes: dict, *claims) -> TupleTest:
-    """The `TupleTest` of claims, each a sequence of terms (sign, product,
+def members(ranges: Sequence[int], ordered: int = 0) -> Iterator[tuple]:
+    """The tuples t with each t[a] in range(ranges[a]) whose first `ordered`
+    indices strictly increase, in lexicographic order: every basis-tuple
+    identity's member set."""
+    lead = combinations(range(max(ranges[:ordered], default=0)), ordered)
+    return (c + r for c in lead if all(map(lt, c, ranges))
+            for r in product(*map(range, ranges[ordered:])))
+
+
+def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
+    """(members, failing) for claims, each a sequence of terms (sign, product,
     axes) whose sum, the residual, vanishes at the basis tuples where the
-    claim holds, for `Report.record_tuples`.
+    claim holds: the `members` of the tuple letters' ranges and `ordered`,
+    and per claim the set of those where it fails, for `Report.record_tuples`.
 
     `axes` names the axes of the product's row-major layout: i, j, k are
     t[0], t[1], t[2] (a prefix of them), any other letter an output index;
@@ -458,8 +469,8 @@ def identity_test(sizes: dict, *claims) -> TupleTest:
     left[t[0]] * right or left * right[t[0]], whose axes leave out i.  Each
     product's nonzero entries, decoded by `_plan` into keys numbering the
     tuple letters, then the output letters, row-major, are summed into the
-    residual, and its support gives each claim's failing tuples: read once,
-    or for sliced products at each new t[0], dropping the last slice's."""
+    residual, whose member keys fail (`_failing`): read once, or for sliced
+    products once per t[0] that starts a member, one slice at a time."""
     letters = sorted({a for claim in claims for _, _, axes in claim for a in axes})
     tuple_letters = [a for a in letters if a in "ijk"]
     sliced = not isinstance(claims[0][0][1], Matrix)
@@ -470,24 +481,27 @@ def identity_test(sizes: dict, *claims) -> TupleTest:
         weight[a], s = s, s * sizes[a]
     plans = [[_plan(*term, weight, sizes) for term in claim] for claim in claims]
     places = [(weight[a], sizes[a]) for a in tuple_letters]
-    read, sets = None, None  # the slice read (t[0]) and each claim's failing tuples
+    ranges = [sizes[a] for a in "ijk"[:sliced + len(tuple_letters)]]
+    # a member starting with t0 has t0 + a <= t[a] < ranges[a] for each a < ordered
+    starts = range(min(z - a for a, z in enumerate(ranges[:max(ordered, 1)])))
+    failing = [set() for _ in claims]
+    for t0 in starts if sliced else (None,):
+        for keys, claim in zip(failing, plans):
+            keys |= _failing(claim, t0, places, ordered)
+    return members(ranges, ordered), tuple(failing)
 
-    def failing(t0) -> tuple:
-        nonlocal read, sets
-        if sets is None or sliced and read != t0:
-            read, sets, lead = t0, [], (t0,) if sliced else ()
-            for claim in plans:
-                mats = [p if not sliced else p[0][t0] * p[1] if isinstance(p[1], Matrix)
-                        else p[0] * p[1][t0] for _, p, *_ in claim]
-                den, acc = lcm(*(m.den for m in mats)), ({}, {})
-                for (sign, _, *layout), m in zip(claim, mats):
-                    _read(acc, sign * (den // m.den), m, *layout)
-                sets.append({(*lead, *(k // w % z for w, z in places))
-                             for part in acc for k, v in part.items() if v})
-            sets = tuple(sets)
-        return sets
 
-    return TupleTest(failing, sliced)
+def _failing(claim: list, t0, places: list, ordered: int) -> set:
+    """The member tuples, starting with t0 unless it is None, where a planned
+    claim's residual is nonzero; its products are dropped on return."""
+    mats = [p if t0 is None else p[0][t0] * p[1] if isinstance(p[1], Matrix)
+            else p[0] * p[1][t0] for _, p, *_ in claim]
+    den, acc = lcm(*(m.den for m in mats)), ({}, {})
+    for (sign, _, *layout), m in zip(claim, mats):
+        _read(acc, sign * (den // m.den), m, *layout)
+    lead = () if t0 is None else (t0,)
+    keys = {(*lead, *(k // w % z for w, z in places)) for part in acc for k, v in part.items() if v}
+    return {t for t in keys if all(map(lt, t[:ordered - 1], t[1:ordered]))}
 
 
 def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> tuple:

@@ -146,9 +146,9 @@ def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
         raise DimensionError("relative differential operator must map algebra -> module")
     rep = Report("relative differential operator")
     n, rd = ctx.n, ctx.rep.unfolded[0] * d.matrix  # rows (i, r): rho(e_i) d
-    rep.record_tuples("rdo", itertools.combinations(range(n), 2), identity_test(
+    rep.record_tuples("rdo", identity_test(
         {"i": n, "j": n, "r": ctx.m},
-        [(1, d.matrix * ctx.g.unfolded[1], "rij"), (-1, rd, "irj"), (1, rd, "jri")]))
+        [(1, d.matrix * ctx.g.unfolded[1], "rij"), (-1, rd, "irj"), (1, rd, "jri")], ordered=2))
     return rep
 
 
@@ -164,8 +164,8 @@ def is_o_operator(ctx: OperatorContext, t: LinMap) -> Report:
     if (t.domain, t.codomain) != (MODULE, ALGEBRA):
         raise DimensionError("O-operator must map module -> algebra")
     rep = Report("O-operator")
-    rep.record_tuples("o-operator", itertools.combinations(range(ctx.m), 2), identity_test(
-        {"i": ctx.m, "j": ctx.m, "r": ctx.n}, _defect(ctx, t.matrix, t.matrix)))
+    rep.record_tuples("o-operator", identity_test(
+        {"i": ctx.m, "j": ctx.m, "r": ctx.n}, _defect(ctx, t.matrix, t.matrix), ordered=2))
     return rep
 
 
@@ -186,10 +186,10 @@ def is_nijenhuis(g: LieAlgebra, n_map: LinMap) -> Report:
     st, row, ts = g.unfolded
     n_row = nm * row  # rows k: N[e_i, e_j]
     # [Ne_i, Ne_j] - N[Ne_i, e_j] - N[e_i, Ne_j] + N^2[e_i, e_j]
-    rep.record_tuples("nijenhuis", itertools.combinations(range(n), 2), identity_test(
+    rep.record_tuples("nijenhuis", identity_test(
         {"i": n, "j": n, "r": n},
         [(1, combine(st, nm) * nm, "irj"), (-1, combine(ts, nm) * nm.transpose(), "ijr"),
-         (-1, n_row.reshape(n * n, n) * nm, "rij"), (1, nm * n_row, "rij")]))
+         (-1, n_row.reshape(n * n, n) * nm, "rij"), (1, nm * n_row, "rij")], ordered=2))
     sign = nijenhuis_square_sign(g, n_map)
     if sign == -1:
         rep.note("complex structure (N^2 = -Id)")
@@ -231,7 +231,7 @@ def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -
     n, m, nm, sm = ctx.n, ctx.m, n_map.matrix, s_map.matrix
     st, row, ts = ctx.rep.unfolded
     # rho(Ne_i)S e_a - S rho(Ne_i) e_a - rho(e_i)S^2 e_a + S rho(e_i)S e_a
-    rep.record_tuples("dual-nijenhuis", itertools.product(range(n), range(m)), identity_test(
+    rep.record_tuples("dual-nijenhuis", identity_test(
         {"i": n, "j": m, "r": m},
         [(1, combine(st, nm) * sm, "irj"), (-1, combine(ts, nm) * sm.transpose(), "ijr"),
          (-1, st * (sm * sm), "irj"), (1, (sm * row).reshape(m * n, m) * sm, "rij")]))
@@ -285,12 +285,11 @@ def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
     # [u, v]^{NoT} against [Su, v]^T + [u, Sv]^T - S[u, v]^T, with
     # [u, v]^T = rho(Tu)v - rho(Tv)u, and against varrho(Tu)v - varrho(Tv)u
     b_nt = [(1, act_nt, "irj"), (-1, act_nt, "jri")]
-    rep.record_tuples(("bracket-NoT-vs-S-deformed", "bracket-NoT-vs-varrho"),
-                      itertools.combinations(range(m), 2), identity_test(
+    rep.record_tuples(("bracket-NoT-vs-S-deformed", "bracket-NoT-vs-varrho"), identity_test(
         {"i": m, "j": m, "r": m},
         b_nt + [(-1, act_ts, "irj"), (1, act_t_s, "jri"), (-1, act_t_s, "irj"),
                 (1, act_ts, "jri"), (1, s_after, "ijr"), (-1, s_after, "jir")],
-        b_nt + [(-1, act_vr, "irj"), (1, act_vr, "jri")]))
+        b_nt + [(-1, act_vr, "irj"), (1, act_vr, "jri")], ordered=2))
     return rep
 
 
@@ -369,9 +368,9 @@ def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
     pre.require("compatibility preconditions failed")
     rep = Report("compatible O-operators")
     # [T1u, T2v] + [T2u, T1v] - T1(rho(T2u)v - rho(T2v)u) - T2(rho(T1u)v - rho(T1v)u)
-    rep.record_tuples("mixed-identity", itertools.combinations(range(ctx.m), 2), identity_test(
+    rep.record_tuples("mixed-identity", identity_test(
         {"i": ctx.m, "j": ctx.m, "r": ctx.n},
-        _defect(ctx, t1.matrix, t2.matrix) + _defect(ctx, t2.matrix, t1.matrix)))
+        _defect(ctx, t1.matrix, t2.matrix) + _defect(ctx, t2.matrix, t1.matrix), ordered=2))
     return rep
 
 

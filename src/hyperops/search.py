@@ -3,8 +3,9 @@ decide whether a nondegenerate solution exists.
 
 The identity is linear in the form, so its solutions are the kernel of an
 integer system over the identity's coordinates (`FormIdentity.coords`).  Its
-rows are the instances that the form checks evaluate too
-(`FormIdentity.instances`), read off the algebra's nonzero structure
+rows are the instances (`FormIdentity.instances`), the identity at each basis
+tuple as a function of the coordinates (a form check evaluates it on one form
+through `linalg.identity_test`), read off the algebra's nonzero structure
 columns, so a basis tuple whose instance vanishes costs nothing.  Divided by
 their content and deduplicated, they go in chunks of at most len(coords)
 rows under the RREF so far through the one exact elimination, so its dense

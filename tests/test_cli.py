@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, and stability."""
 
 import contextlib
+import copy
+import functools
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperops
 from hyperops import cli, operators
@@ -607,3 +610,78 @@ def test_malformed_literal_in_two_maps_names_the_first(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
     assert payload["status"] == "input-error"
     assert payload["error"] == f"map {first!r}: zero denominator in '1/0'"
+
+
+# -- fuzzing: mutated corpus bundles through every command ---------------------
+
+# values a mutation puts in place of any part of a bundle
+_ODD_VALUES = (None, True, 0, -1, 2, 5, 65, 1.5, 10 ** 40, "", "x", "1/0", "0", "2+i", "9" * 400,
+               [], {}, [[]], {"kind": "lie"})
+
+
+def _fuzz_commands(doc):
+    """Requests on the names of a corpus document, each without the bundle
+    path: as far as the document has what they name, every check kind that
+    takes its first algebra's kind, every command on its first triple and
+    `reconstruct`; then both form searches for the algebra's kind."""
+    algebra = sorted(doc["algebras"])[0]
+    kind = doc["algebras"][algebra]["kind"]
+    checks = ((what, _check_args(doc, algebra, what)) for what in sorted(_SLOTS)
+              if _NEEDS.get(what, kind) == kind)
+    out = [["check", "--what", what, "--args", *args] for what, args in checks
+           if "missing" not in args]
+    for t in sorted(doc.get("triples", {}))[:1]:
+        out += [["classify-hyper", "--triple", t], ["decompose", "--triple", t]]
+        out += [["suite", "--triple", t, "--which", which] for which in cli._SUITES]
+    maps, reps = sorted(doc.get("maps", {})), sorted(doc.get("reps", {}))
+    if reps and len(maps) >= 3:
+        out.append(["reconstruct", "--rep", reps[0], "--hflat", maps[0], "--i1", maps[1],
+                    "--i2", maps[2]])
+    targets = ("symplectic", "ad-invariant") if kind == "lie" else (
+        "hessian", "prelie-invariant")
+    return out + [["search-forms", "--algebra", algebra, "--target", t] for t in targets]
+
+
+def _places(node, path=()):
+    """The path of every value inside a JSON document, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _places(value, path + (key,))
+
+
+@st.composite
+def _mutated_bundle(draw):
+    """A corpus bundle's JSON text with one mutation, a value dropped or
+    replaced by an odd one, or the text cut short or one character changed,
+    and one of the requests its unmutated document answers."""
+    doc = copy.deepcopy(_CORPUS[draw(st.sampled_from(sorted(_CORPUS)))])
+    command = draw(st.sampled_from(_fuzz_commands(doc)))
+    kind = draw(st.sampled_from(("drop", "replace", "cut", "char")))
+    if kind in ("drop", "replace"):
+        *parent, key = draw(st.sampled_from(list(_places(doc))))
+        owner = functools.reduce(lambda node, k: node[k], parent, doc)
+        if kind == "drop":
+            del owner[key]
+        else:
+            owner[key] = draw(st.sampled_from(_ODD_VALUES))
+        return json.dumps(doc), command
+    text = json.dumps(doc)
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "cut":
+        return text[:at], command
+    return text[:at] + draw(st.sampled_from('{}[]",:0-9xi ')) + text[at + 1:], command
+
+
+@given(_mutated_bundle())
+@settings(max_examples=200, deadline=None)
+def test_mutated_bundles_answer_every_command_with_one_json_document(tmp_path_factory, case):
+    text, (command, *rest) = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-bundle.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(path), *rest, "--format", "json"])
+    assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_PARSE, cli.EXIT_PRECONDITION)
+    assert json.loads(out.getvalue())["exit"] == code  # exactly one JSON document

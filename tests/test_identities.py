@@ -6,10 +6,12 @@ The reference predicates below are the per-tuple lambdas that the checks in
 residuals off products with the unfolded structure constants.  Brackets,
 products and actions are summed here from the basis matrices with `Scalar`
 coefficients, so they share no code with the unfoldings.  Each check is run
-once with `Report.record_tuples` spied on; every (claims, tuples, holds) it
-passes is then replayed in all three recording modes, next to the reference
-holds recorded tuple by tuple (`test_linalg.ref_record`), and the two reports
-must serialize identically.
+once with `Report.record_tuples` spied on; every (claims, members, failing
+sets) it passes must list the member tuples its call site used before, and
+is then replayed in both recording modes, next to the reference holds
+recorded tuple by tuple (`test_linalg.ref_record`); the two reports must
+serialize identically.  The key identity, which `product_one_suite` records as one
+claim, is compared with the reference's first failing pair.
 """
 
 import contextlib
@@ -221,37 +223,51 @@ def _patched(*changes):
 
 
 def _recorded(call) -> list:
-    """The (claims, tuples, holds) of every record_tuples call that call() makes."""
+    """The (claims, member tuples, failing sets) of every record_tuples call
+    that call() makes."""
     seen, original = [], Report.record_tuples
 
-    def spy(self, claims, tuples, holds, *args, **kwargs):
+    def spy(self, claims, test, *args, **kwargs):
+        tuples, failing = test
         tuples = list(tuples)
-        seen.append((claims, tuples, holds))
-        return original(self, claims, tuples, holds, *args, **kwargs)
+        seen.append((claims, tuples, failing))
+        return original(self, claims, (tuples, failing), *args, **kwargs)
 
     with _patched((Report, "record_tuples", spy)):
         call()
     return seen
 
 
-_MODES = ({}, {"failures_only": True}, {"at": (1,)})
+_MODES = ({}, {"failures_only": True})
 
 
 def _same_reports(call, *refs):
-    """call() makes one record_tuples call per reference holds, and each
-    records what the reference records in every mode."""
+    """call() makes one record_tuples call per (reference holds, member
+    tuples) pair, at those members, and each records what the reference
+    records in both modes."""
     seen = _recorded(call)
     assert len(seen) == len(refs)
-    for (claims, tuples, holds), ref in zip(seen, refs):
+    for (claims, tuples, failing), (ref, members) in zip(seen, refs):
+        assert tuples == list(members), claims
         for mode in _MODES:
             new, old = Report(), Report()
-            if "at" in mode and not isinstance(claims, str):  # `at` records one claim
-                with pytest.raises(ValueError):
-                    new.record_tuples(claims, tuples, holds, **mode)
-                continue
-            got = new.record_tuples(claims, tuples, holds, **mode)
+            got = new.record_tuples(claims, (tuples, failing), **mode)
             want = ref_record(old, claims, tuples, ref, **mode)
             assert (got, new.to_json()) == (want, old.to_json()), (claims, mode)
+
+
+def _pairs(n):
+    return itertools.combinations(range(n), 2)
+
+
+def _derivation_members(g):
+    n = g.dim
+    return _pairs(n) if isinstance(g, LieAlgebra) else itertools.product(range(n), repeat=2)
+
+
+def _lie_members(g):
+    n = g.dim
+    return itertools.product(range(n), repeat=3), itertools.combinations(range(n), 3)
 
 
 _PASS = Report()  # a passing precondition report
@@ -261,30 +277,38 @@ def _check_all(ctx, d, t, n_map, s_map, t2, varrho):
     """Every identity on one input: d algebra -> module, t and t2 module ->
     algebra, n_map on the algebra, s_map on the module, varrho a
     representation of some algebra of ctx's dimension on the module."""
-    g, r = ctx.g, ctx.rep
-    _same_reports(lambda: r.check(), ref_rep_hom(r))
-    _same_reports(lambda: check_lie(g), ref_antisymmetry(g), ref_jacobi(g))
-    _same_reports(lambda: is_rdo(ctx, d), ref_rdo(ctx, d))
-    _same_reports(lambda: is_o_operator(ctx, t), ref_o_operator(ctx, t))
-    _same_reports(lambda: is_nijenhuis(g, n_map), ref_nijenhuis(g, n_map))
-    _same_reports(lambda: _is_derivation(g, n_map), ref_derivation(g, n_map))
+    g, r, n, m = ctx.g, ctx.rep, ctx.n, ctx.m
+    _same_reports(lambda: r.check(), (ref_rep_hom(r), _pairs(n)))
+    _same_reports(lambda: check_lie(g), *zip((ref_antisymmetry(g), ref_jacobi(g)),
+                                             _lie_members(g)))
+    _same_reports(lambda: is_rdo(ctx, d), (ref_rdo(ctx, d), _pairs(n)))
+    _same_reports(lambda: is_o_operator(ctx, t), (ref_o_operator(ctx, t), _pairs(m)))
+    _same_reports(lambda: is_nijenhuis(g, n_map), (ref_nijenhuis(g, n_map), _pairs(n)))
+    _same_reports(lambda: _is_derivation(g, n_map),
+                  (ref_derivation(g, n_map), _derivation_members(g)))
     # the pair predicates proved their preconditions first; stub those out
     with _patched((operators, "is_nijenhuis", lambda *a: _PASS),
                   (operators, "is_o_operator", lambda *a: _PASS)):
         _same_reports(lambda: is_dual_nijenhuis_pair(ctx, n_map, s_map),
-                      ref_dual_nijenhuis(ctx, n_map, s_map))
-        _same_reports(lambda: are_compatible(ctx, t, t2), ref_mixed(ctx, t, t2))
+                      (ref_dual_nijenhuis(ctx, n_map, s_map),
+                       itertools.product(range(n), range(m))))
+        _same_reports(lambda: are_compatible(ctx, t, t2), (ref_mixed(ctx, t, t2), _pairs(m)))
     nt = n_map.compose(t)
     _same_reports(lambda: _coincidence(ctx, t, s_map.matrix, nt, varrho),
-                  ref_coincidence(ctx, t, s_map.matrix, nt, varrho))
+                  (ref_coincidence(ctx, t, s_map.matrix, nt, varrho), _pairs(m)))
     if ctx.n == ctx.m:  # product_one_suite inverts hflat, here the identity
         triple = HyperTriple(ctx, (d,) * 3, (t,) * 3, (n_map,) * 3, (s_map,) * 3, (1, 1, 1),
                              LinMap(Matrix.identity(ctx.n), ALGEBRA, MODULE))
         stubs = [(hyper, f, lambda *a: _PASS)
                  for f in ("is_dn", "is_kd", "is_kn", "are_compatible", "is_rdo")]
         with _patched(*stubs):
-            _same_reports(lambda: product_one_suite(triple),
-                          *(ref_key_identity(ctx, t, s_map) for _ in range(3)))
+            got = product_one_suite(triple)
+        # one claim per i, its first failing pair as counterexample
+        want, ref = Report(), ref_key_identity(ctx, t, s_map)
+        for i in range(3):
+            ref_record(want, "key identity", _pairs(m), ref, at=(i + 1,))
+        assert [c.to_json() for c in got.results if c.claim == "key identity"] == [
+            c.to_json() for c in want.results]
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -411,8 +435,9 @@ def test_prelie_identities_match_the_reference_on_random_inputs(n, data):
     else:
         p = PreLieAlgebra(n, [data.draw(gaussian_matrix(n, n)) for _ in range(n)])
     d = LinMap(data.draw(gaussian_matrix(n, n)), ALGEBRA, ALGEBRA)
-    _same_reports(lambda: check_prelie(p), ref_left_symmetry(p))
-    _same_reports(lambda: _is_derivation(p, d), ref_derivation(p, d))
+    _same_reports(lambda: check_prelie(p),
+                  (ref_left_symmetry(p), itertools.product(range(n), repeat=3)))
+    _same_reports(lambda: _is_derivation(p, d), (ref_derivation(p, d), _derivation_members(p)))
 
 
 _TRIPLES = [("lie.L4sym", "omega"), ("prelie.rot4", "B"), ("abelian.quat", "quat"),
@@ -433,12 +458,15 @@ def test_identities_match_the_reference_on_broken_variants(variant):
     b = parse_bundle(broken_variant(variant))
     for g in b.algebras.values():
         if isinstance(g, LieAlgebra):
-            _same_reports(lambda: check_lie(g), ref_antisymmetry(g), ref_jacobi(g))
+            _same_reports(lambda: check_lie(g), *zip((ref_antisymmetry(g), ref_jacobi(g)),
+                                                     _lie_members(g)))
         else:
-            _same_reports(lambda: check_prelie(g), ref_left_symmetry(g))
+            _same_reports(lambda: check_prelie(g), (ref_left_symmetry(g),
+                                                    itertools.product(range(g.dim), repeat=3)))
         for d in b.maps.values():
             if d.matrix.rows == d.matrix.cols == g.dim:
-                _same_reports(lambda: _is_derivation(g, d), ref_derivation(g, d))
+                _same_reports(lambda: _is_derivation(g, d),
+                              (ref_derivation(g, d), _derivation_members(g)))
 
 
 @given(transport())
@@ -458,8 +486,8 @@ def test_last_index_read_as_a_vector_in_any_tuple_order(data):
     vector per value of the others, whichever tuple comes first for them."""
     n = data.draw(st.integers(1, 4))
     x = data.draw(gaussian_matrix(n, n * n))
-    for tuples in (itertools.combinations(range(n), 3), itertools.product(range(n), repeat=3),
-                   itertools.permutations(range(n), 3)):
-        holds = identity_test({"i": n, "j": n, "k": n}, [(1, x, "kij"), (-1, x, "kji")])
-        for i, j, k in tuples:
-            assert holds(i, j, k) == (x[k, i * n + j] == x[k, j * n + i]), (i, j, k)
+    for ordered in (0, 2, 3):
+        tuples, (fails,) = identity_test({"i": n, "j": n, "k": n},
+                                         [(1, x, "kij"), (-1, x, "kji")], ordered=ordered)
+        assert fails == {(i, j, k) for i, j, k in tuples
+                         if x[k, i * n + j] != x[k, j * n + i]}, ordered

@@ -23,6 +23,7 @@ from hyperops.linalg import (
     det_witness,
     generic_determinant,
     identity_test,
+    members,
     solve_affine,
     unfold,
     witness_points,
@@ -766,13 +767,23 @@ def claims(draw):
     return sizes, terms
 
 
-@given(claims())
+@given(st.lists(st.integers(0, 4), max_size=3).flatmap(
+    lambda ranges: st.tuples(st.just(ranges), st.integers(0, len(ranges)))))
+def test_members_are_the_increasing_tuples_in_lexicographic_order(case):
+    ranges, ordered = case
+    assert list(members(ranges, ordered)) == [
+        t for t in itertools.product(*map(range, ranges))
+        if all(t[a] < t[a + 1] for a in range(ordered - 1))]
+
+
+@given(claims(), st.sampled_from([0, 2]))
 @settings(max_examples=200, deadline=None)
-def test_support_read_matches_the_dense_residual(case):
+def test_support_read_matches_the_dense_residual(case, ordered):
     sizes, claim = case
-    holds = identity_test(sizes, claim)
-    for t in itertools.product(range(sizes["i"]), range(sizes["j"])):
-        assert holds(*t) == ref_holds(sizes, claim, t), t
+    tuples, (fails,) = identity_test(sizes, claim, ordered=ordered)
+    tuples = list(tuples)
+    assert tuples == list(members((sizes["i"], sizes["j"]), ordered))
+    assert fails == {t for t in tuples if not ref_holds(sizes, claim, t)}
 
 
 @st.composite
@@ -801,59 +812,53 @@ def sliced_claims(draw):
     return sizes, sliced, whole
 
 
-_MODES = ({}, {"failures_only": True}, {"at": (1,)})
+_MODES = ({}, {"failures_only": True})
 
 
-def assert_records_like_the_reference(names, tuples, test, ref):
-    """record_tuples reading test's failing sets from `tuples` streamed
-    records what the per-tuple reference records from ref, in every mode
-    (`at` takes one name only)."""
-    for mode in _MODES[:3 if isinstance(names, str) else 2]:
+def assert_records_like_the_reference(names, test, ref):
+    """record_tuples reading test's failing sets, its members streamed,
+    records what the per-tuple reference records from ref at those members,
+    in both modes."""
+    tuples, failing = test
+    tuples = list(tuples)
+    for mode in _MODES:
         new, old = Report(), Report()
-        got = new.record_tuples(names, iter(tuples), test, **mode)
+        got = new.record_tuples(names, (iter(tuples), failing), **mode)
         want = ref_record(old, names, tuples, ref, **mode)
         assert (got, new.to_json()) == (want, old.to_json()), mode
 
 
-@given(st.one_of(claims(), sliced_claims()),
-       st.sampled_from(["product", "combinations", "empty"]))
+@given(st.one_of(claims(), sliced_claims()), st.sampled_from([0, 2]))
 @settings(max_examples=200, deadline=None)
-def test_key_set_recording_matches_the_dense_reference(case, members):
+def test_key_set_recording_matches_the_dense_reference(case, ordered):
     if len(case) == 3:
         sizes, claim, whole = case
     else:
         (sizes, claim), whole = case, case[1]
-    ni, nj = sizes["i"], sizes["j"]
-    tuples = {"product": list(itertools.product(range(ni), range(nj))),
-              "combinations": list(itertools.combinations(range(min(ni, nj)), 2)),
-              "empty": []}[members]
     holds = functools.cache(lambda *t: ref_holds(sizes, whole, t))
     first = functools.cache(lambda *t: ref_holds(sizes, whole[:1], t))
-    assert_records_like_the_reference("claim", tuples, identity_test(sizes, claim), holds)
+    assert_records_like_the_reference("claim", identity_test(sizes, claim, ordered=ordered),
+                                      holds)
     # two claims, the second the first one's first term, recorded interleaved
-    assert_records_like_the_reference(("claim", "first"), tuples,
-                                      identity_test(sizes, claim, claim[:1]),
+    assert_records_like_the_reference(("claim", "first"),
+                                      identity_test(sizes, claim, claim[:1], ordered=ordered),
                                       lambda *t: (holds(*t), first(*t)))
 
 
-def test_residual_at_non_member_tuples_only_still_passes():
-    # x[r, i n + j] is nonzero only where j < i: under combinations every
-    # member has i < j, so the claim holds at each member and the check passes
+def test_residual_at_non_member_tuples_only_is_no_failure():
+    # x[r, i n + j] is nonzero only where j < i: with i < j every member
+    # holds, so the failing set is empty and the check passes
     n = 4
+    sizes = {"i": n, "j": n, "r": n}
     x = Matrix(n, n * n, [r + 1 if j < i else 0 for r in range(n) for i in range(n)
                           for j in range(n)])
-    holds = identity_test({"i": n, "j": n, "r": n}, [(1, x, "rij")])
+    assert identity_test(sizes, [(1, x, "rij")])[1] == ({(i, j) for i in range(n)
+                                                         for j in range(i)},)
+    test = identity_test(sizes, [(1, x, "rij")], ordered=2)
+    assert test[1] == (set(),)
     rep = Report()
-    assert rep.record_tuples("claim", itertools.combinations(range(n), 2), holds)
+    assert rep.record_tuples("claim", test)
     assert rep.passed and len(rep.results) == n * (n - 1) // 2
-    assert not any(holds(i, j) for i in range(n) for j in range(i))
-    # so `at` still records its pass, as the per-tuple reference does
-    assert_records_like_the_reference(
-        "claim", list(itertools.combinations(range(n), 2)), holds,
-        lambda *t: ref_holds({"i": n, "j": n, "r": n}, [(1, x, "rij")], t))
-    rep = Report()
-    assert rep.record_tuples("claim", itertools.combinations(range(n), 2), holds, at=(7,))
-    assert [r.to_json() for r in rep.results] == [{"claim": "claim", "indices": [7], "pass": True}]
 
 
 def test_claim_without_output_index_reads_each_tuple():
@@ -866,10 +871,11 @@ def test_claim_without_output_index_reads_each_tuple():
                                    for i in range(n) for j in range(n)])
     sizes = {"i": n, "j": n, "k": n}
     for m in (good, bad):
-        holds = identity_test(sizes, [(1, m, "kij"), (1, m, "kji")])
-        for i, j, k in itertools.product(range(n), repeat=3):
-            assert holds(i, j, k) == ref_holds(sizes, [(1, m, "kij"), (1, m, "kji")], (i, j, k))
-            assert holds(i, j, k) == (m is good or not (k == 2 and {i, j} == {0, 1}))
+        claim = [(1, m, "kij"), (1, m, "kji")]
+        tuples, (fails,) = identity_test(sizes, claim)
+        tuples = list(tuples)
+        assert fails == {t for t in tuples if not ref_holds(sizes, claim, t)}
+        assert fails == (set() if m is good else {(0, 1, 2), (1, 0, 2)})
 
 
 def test_sliced_products_match_the_whole_product():
@@ -880,11 +886,22 @@ def test_sliced_products_match_the_whole_product():
             for i in range(n)]
     right = Matrix(n, n * m, [(r * c + 1) % 4 - 2 for r in range(n) for c in range(n * m)])
     whole = Matrix.from_rows([list((piece * right).row(r)) for piece in left for r in range(m)])
-    sliced = identity_test({"j": n, "r": m, "s": m}, [(1, (left, right), "rjs")])
-    flags = [sliced(i, j) for i, j in itertools.product(range(n), repeat=2)]
-    assert not all(flags)
+    sizes = {"i": n, "j": n, "r": m, "s": m}
+    _, (fails,) = identity_test(sizes, [(1, (left, right), "rjs")])
+    assert fails
     for other in (Matrix.zero(n * m, n * m), whole):
-        full = identity_test({"i": n, "j": n, "r": m, "s": m},
-                             [(1, whole, "irjs"), (-1, other, "irjs")])
-        assert [full(i, j) for i, j in itertools.product(range(n), repeat=2)] == (
-            [True] * len(flags) if other is whole else flags)
+        _, (full,) = identity_test(sizes, [(1, whole, "irjs"), (-1, other, "irjs")])
+        assert full == (set() if other is whole else fails)
+
+
+def test_sliced_products_are_made_only_for_member_starts():
+    # with i < j < k no member starts at n - 2 or n - 1, so those slices,
+    # here None, are never read; the others agree with the whole product
+    n = 4
+    right = Matrix(n, n * n, [(r + 2 * c) % 5 - 2 for r in range(n) for c in range(n * n)])
+    left = [Matrix.identity(n)] * (n - 2) + [None, None]
+    whole = Matrix.from_rows([list(right.row(r)) for _ in range(n) for r in range(n)])
+    sizes = {"i": n, "j": n, "k": n, "r": n}
+    _, (fails,) = identity_test(sizes, [(1, (left, right), "jkr")], ordered=3)
+    _, (want,) = identity_test(sizes, [(1, whole, "ijkr")], ordered=3)
+    assert fails == want and want

@@ -50,6 +50,19 @@ def test_lie_check_at_n_64_peaks_within_12_4_mib():
     assert peak <= 12.4 * MIB, peak / MIB
 
 
+def test_lie_check_failing_at_every_jacobi_triple_peaks_within_1_0_mib():
+    # (7i + 3j + k) mod 5 + 1 at every i < j and k: all 220 Jacobi triples
+    # fail, so the check keeps a failing set and a claim for each of them
+    n = 12
+    g = LieAlgebra.from_constants(n, [(i, j, k, (7 * i + 3 * j + k) % 5 + 1)
+                                      for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                                      for k in range(1, n + 1)])
+    rep, peak = _peak(lambda: check_lie(g))
+    assert [r.passed for r in rep.results] == [False] * 220
+    assert {r.claim for r in rep.results} == {"jacobi"}
+    assert peak <= 1.0 * MIB, peak / MIB
+
+
 def test_abelian_hessian_search_at_n_64_peaks_within_25_mib():
     g = PreLieAlgebra.from_constants(64, [])
     res, peak = _peak(lambda: solve_forms(g, HESSIAN))

@@ -23,7 +23,7 @@ from hyperops.operators import (
     is_rdo,
     memo_scope,
 )
-from hyperops.reporting import ClaimResult, PreconditionError, Report, TupleTest
+from hyperops.reporting import ClaimResult, PreconditionError, Report
 
 
 def _claims(rep):
@@ -130,15 +130,20 @@ def test_require_returns_the_report_or_raises_with_it():
     assert exc.value.report is rep
 
 
-def test_at_takes_exactly_one_claim_name():
-    # one name is recorded at `at`; several would have no one name to record
-    test = TupleTest(lambda t0: (set(), {(0, 1)}))
-    for claims in (("a", "b"), ()):
-        with pytest.raises(ValueError):
-            Report().record_tuples(claims, [(0, 1)], test, at=(1,))
-    rep = Report()
-    assert rep.record_tuples(("a",), [(0, 1)], TupleTest(lambda t0: (set(),)), at=(2,))
-    assert _claims(rep) == [("a", (2,), True, None)]
+def test_key_identity_records_its_first_failing_pair(monkeypatch):
+    # identity_test stubbed to hand back failing sets: an empty one is one
+    # pass at (i,), two failing pairs one failure at the first of them
+    t = classify_triple(parse_bundle(export_bundle("prelie.rot4")), "B")
+    for name in ("is_dn", "is_kd", "is_kn", "are_compatible", "is_rdo"):
+        monkeypatch.setattr(hyper, name, lambda *args: Report())
+    sets = iter([set(), {(1, 3), (0, 2)}, set()])
+    monkeypatch.setattr(hyper, "identity_test", lambda *a, **k: (iter(()), (next(sets),)))
+    rep = hyper.product_one_suite(t)
+    assert [c for c in _claims(rep) if c[0] == "key identity"] == [
+        ("key identity", (1,), True, None),
+        ("key identity", (2,), False, (1, 3)),
+        ("key identity", (3,), True, None),
+    ]
 
 
 def test_merge_keeps_every_field_and_prefixes_names():
