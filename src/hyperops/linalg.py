@@ -449,11 +449,13 @@ def _read(acc: tuple, f: int, m: Matrix, width: int, weight: int, digits: list) 
 
 def members(ranges: Sequence[int], ordered: int = 0) -> Iterator[tuple]:
     """The tuples t with each t[a] in range(ranges[a]) whose first `ordered`
-    indices strictly increase, in lexicographic order: every basis-tuple
-    identity's member set."""
-    lead = combinations(range(max(ranges[:ordered], default=0)), ordered)
-    return (c + r for c in lead if all(map(lt, c, ranges))
-            for r in product(*map(range, ranges[ordered:])))
+    indices, which share one range, strictly increase, in lexicographic
+    order: every basis-tuple identity's member set."""
+    if not ordered:
+        return product(*map(range, ranges))
+    rest = list(product(*map(range, ranges[ordered:])))
+    lead = combinations(range(ranges[0]), ordered)
+    return lead if rest == [()] else (c + r for c in lead for r in rest)
 
 
 def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
@@ -482,13 +484,11 @@ def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
     plans = [[_plan(*term, weight, sizes) for term in claim] for claim in claims]
     places = [(weight[a], sizes[a]) for a in tuple_letters]
     ranges = [sizes[a] for a in "ijk"[:sliced + len(tuple_letters)]]
-    # a member starting with t0 has t0 + a <= t[a] < ranges[a] for each a < ordered
-    starts = range(min(z - a for a, z in enumerate(ranges[:max(ordered, 1)])))
-    failing = [set() for _ in claims]
-    for t0 in starts if sliced else (None,):
-        for keys, claim in zip(failing, plans):
-            keys |= _failing(claim, t0, places, ordered)
-    return members(ranges, ordered), tuple(failing)
+    # a member's t[0] is below ranges[0] by more than the ordered - 1 indices after it
+    starts = range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,)
+    failing = tuple(set().union(*(_failing(claim, t0, places, ordered) for t0 in starts))
+                    for claim in plans)
+    return members(ranges, ordered), failing
 
 
 def _failing(claim: list, t0, places: list, ordered: int) -> set:
@@ -501,7 +501,7 @@ def _failing(claim: list, t0, places: list, ordered: int) -> set:
         _read(acc, sign * (den // m.den), m, *layout)
     lead = () if t0 is None else (t0,)
     keys = {(*lead, *(k // w % z for w, z in places)) for part in acc for k, v in part.items() if v}
-    return {t for t in keys if all(map(lt, t[:ordered - 1], t[1:ordered]))}
+    return {t for t in keys if all(map(lt, t[:ordered - 1], t[1:ordered]))} if ordered > 1 else keys
 
 
 def _eliminate(rr: list, ri: list | None, cols: int, forward: bool = False) -> tuple:
