@@ -486,7 +486,7 @@ def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
     ranges = [sizes[a] for a in "ijk"[:sliced + len(tuple_letters)]]
     # a member's t[0] is below ranges[0] by more than the ordered - 1 indices after it
     starts = range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,)
-    failing = tuple(set().union(*(_failing(claim, t0, places, ordered) for t0 in starts))
+    failing = tuple({t for t0 in starts for t in _failing(claim, t0, places, ordered)}
                     for claim in plans)
     return members(ranges, ordered), failing
 
