@@ -179,9 +179,8 @@ class FormIdentity:
         n, fm = g.dim, f.matrix
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
-        _, row, ts = g.unfolded
         # f(e_p e_q, e_u) at ((p, q), u) of one, f(e_u, e_p e_q) at (u, (p, q)) of the other
-        left, right = ts * fm, fm * row
+        left, right = g.unfolded[2] * fm, fm * g.unfolded[1]
         terms = [(sign, left, "ijk"[a[0]] + "ijk"[a[1]] + "ijk"[b]) if isinstance(a, tuple)
                  else (sign, right, "ijk"[a] + "ijk"[b[0]] + "ijk"[b[1]])
                  for sign, a, b in self.terms(0, 1, 2)]

@@ -484,10 +484,11 @@ def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
     plans = [[_plan(*term, weight, sizes) for term in claim] for claim in claims]
     places = [(weight[a], sizes[a]) for a in tuple_letters]
     ranges = [sizes[a] for a in "ijk"[:sliced + len(tuple_letters)]]
+    failing = tuple(set() for _ in plans)
     # a member's t[0] is below ranges[0] by more than the ordered - 1 indices after it
-    starts = range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,)
-    failing = tuple({t for t0 in starts for t in _failing(claim, t0, places, ordered)}
-                    for claim in plans)
+    for t0 in range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,):
+        for keys, claim in zip(failing, plans):
+            keys |= _failing(claim, t0, places, ordered)
     return members(ranges, ordered), failing
 
 
