@@ -5,15 +5,15 @@ Conventions (all 0-indexed internally, 1-indexed in reports and I/O):
   pre-Lie: e_i . e_j  = sum_k p[i][k, j] e_k
   Representation matrices act on column coordinate vectors.
 
-An algebra stores its structure constants once, as the integer matrices of
-left multiplication by the basis vectors: column j of c[i] (p[i]) is
-[e_i, e_j] (e_i . e_j), so c[i] is ad(e_i) and p[i] is L(e_i).  The
-constructor takes these matrices; `from_constants` sums sparse records
-(i, j, k, coeff) into them.  An algebra and a representation each keep,
-on first use, three unfoldings of their n matrices (`linalg.unfold`):
-[M_1; ...; M_n], [M_1 | ... | M_n] and [M_1^T; ...; M_n^T].  bracket,
-product and act are products with them, and each axiom check below is one
-`linalg.identity_test`: signed products of the structure constants with
+An algebra (a representation) stores its structure constants once, as the
+integer stack st = [M_1; ...; M_n] of the left multiplications (of the
+rho(e_i)): column j of the block c[i] (p[i]) is [e_i, e_j] (e_i . e_j).
+Equality and hashing read st.  The constructors stack the n matrices;
+`from_constants` sums sparse records (i, j, k, coeff) straight into st, as
+the builders below build into it.  c, p and mats are cut from st on first
+read, and so are `linalg.unfold`'s [M_1 | ... | M_n] and [M_1^T; ...; M_n^T].
+bracket, product and act are products with st, and each axiom check below is
+one `linalg.identity_test`: signed products of the structure constants with
 themselves, read at strides, in slices over the first basis index.
 """
 
@@ -23,27 +23,25 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import (
-    DimensionError, Matrix, _hstack, accumulate, combine, cut, identity_test, unfold)
+    DimensionError, Matrix, accumulate, combine, cut, identity_test, permute, stack, unfold)
 from .reporting import Report
 
 
-def _left_multiplications(dim: int, mats) -> tuple:
-    """The dim matrices L_i as a tuple, each checked to be dim x dim."""
-    mats = tuple(mats)
-    if len(mats) != dim or any(m.rows != dim or m.cols != dim for m in mats):
-        raise DimensionError(f"a {dim}-dimensional algebra needs {dim} {dim}x{dim} matrices")
-    return mats
+def _new(cls, **fields):
+    """A cls holding the given attributes, unchecked: its fields and cached reads."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _from_constants(cls, dim: int, terms: list):
-    """cls(dim, L) from 1-indexed terms (i, j, k, sign, coeff), each adding
+    """cls with st from 1-indexed terms (i, j, k, sign, coeff), each adding
     sign * coeff at e_k in e_i e_j: entry (k, j) of L_i."""
     for i, j, k, _, co in terms:
         if not all(1 <= t <= dim for t in (i, j, k)):
             raise ValueError(f"index out of range 1..{dim} in record {(i, j, k, co)!r}")
-    stacked = Matrix._make(dim * dim, dim, *accumulate([
-        (((i - 1) * dim + k - 1, j - 1), sign, co) for i, j, k, sign, co in terms]), reduce=False)
-    return cls(dim, cut(stacked, dim, dim))
+    return _new(cls, dim=dim, st=Matrix._make(dim * dim, dim, *accumulate([
+        (((i - 1) * dim + k - 1, j - 1), sign, co) for i, j, k, sign, co in terms])))
 
 
 def _column(x: Matrix, dim: int, what: str) -> None:
@@ -55,17 +53,36 @@ def _multiply(g, x: Matrix, y: Matrix, what: str) -> Matrix:
     """sum_{i,j} x_i y_j e_i e_j = L(x) y for column vectors x, y."""
     _column(x, g.dim, what)
     _column(y, g.dim, what)
-    return combine(g.unfolded[0], x) * y
+    return combine(g.st, x) * y
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+def _blocks(st: Matrix, n: int) -> tuple:
+    """The n square blocks of st, cut on the first read of c, p or mats."""
+    d = st.cols
+    return tuple(cut(st, d, d)) if d else (st,) * n
+
+
+class _Unfolded:
+    @cached_property
+    def unfolded(self) -> tuple:
+        """st and, made from it on first read, `linalg.unfold`'s two others."""
+        return (self.st, *unfold(self.st))
+
+
+@dataclass(frozen=True, init=False)
+class _Algebra(_Unfolded):
     dim: int
-    c: tuple  # c[i] = ad(e_i): column j is [e_i, e_j]
+    st: Matrix  # [L(e_1); ...; L(e_n)]: column j of block i is e_i e_j
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", _left_multiplications(self.dim, self.c))
+    def __init__(self, dim: int, mats):
+        """From the dim left multiplications L(e_i), each dim x dim."""
+        mats = tuple(mats)
+        if len(mats) != dim or any(m.rows != dim or m.cols != dim for m in mats):
+            raise DimensionError(f"a {dim}-dimensional algebra needs {dim} {dim}x{dim} matrices")
+        self.__dict__.update(dim=dim, st=stack(mats, dim))
 
+
+class LieAlgebra(_Algebra):
     @classmethod
     def from_constants(cls, dim: int, constants: list) -> "LieAlgebra":
         """From 1-indexed records (i, j, k, coeff), each adding coeff at e_k in
@@ -76,9 +93,9 @@ class LieAlgebra:
             (j, i, k, -1, co) for i, j, k, co in constants if (j, i) not in given])
 
     @cached_property
-    def unfolded(self) -> tuple:
-        """`linalg.unfold` of ad(e_1), ..., ad(e_n)."""
-        return unfold(self.c, self.dim)
+    def c(self) -> tuple:
+        """c[i] = ad(e_i): column j is [e_i, e_j]."""
+        return _blocks(self.st, self.dim)
 
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         """Bracket of coordinate column vectors."""
@@ -88,14 +105,7 @@ class LieAlgebra:
         return self.c[i]._block(0, self.dim, j, j + 1)
 
 
-@dataclass(frozen=True)
-class PreLieAlgebra:
-    dim: int
-    p: tuple  # p[i] = L(e_i): column j is e_i . e_j
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _left_multiplications(self.dim, self.p))
-
+class PreLieAlgebra(_Algebra):
     @classmethod
     def from_constants(cls, dim: int, constants: list) -> "PreLieAlgebra":
         """From 1-indexed records (i, j, k, coeff), each adding coeff at e_k in
@@ -103,9 +113,9 @@ class PreLieAlgebra:
         return _from_constants(cls, dim, [(i, j, k, 1, co) for i, j, k, co in constants])
 
     @cached_property
-    def unfolded(self) -> tuple:
-        """`linalg.unfold` of L(e_1), ..., L(e_n)."""
-        return unfold(self.p, self.dim)
+    def p(self) -> tuple:
+        """p[i] = L(e_i): column j is e_i . e_j."""
+        return _blocks(self.st, self.dim)
 
     def product(self, x: Matrix, y: Matrix) -> Matrix:
         return _multiply(self, x, y, "product")
@@ -114,33 +124,30 @@ class PreLieAlgebra:
         return self.p[i]._block(0, self.dim, j, j + 1)
 
 
-@dataclass(frozen=True)
-class Representation:
+@dataclass(frozen=True, init=False)
+class Representation(_Unfolded):
     algebra: LieAlgebra
     module_dim: int
-    mats: tuple  # one module_dim x module_dim Matrix per basis element
+    st: Matrix  # [rho(e_1); ...; rho(e_n)]
 
-    def __post_init__(self):
-        object.__setattr__(self, "mats", tuple(self.mats))
-        for m in self.mats:
-            if m.rows != self.module_dim or m.cols != self.module_dim:
-                raise DimensionError(
-                    f"representation matrix {m.rows}x{m.cols} on module of dim {self.module_dim}"
-                )
-        if len(self.mats) != self.algebra.dim:
-            raise DimensionError(
-                f"{len(self.mats)} matrices for algebra of dim {self.algebra.dim}"
-            )
+    def __init__(self, algebra: LieAlgebra, module_dim: int, mats):
+        """From the matrices rho(e_i), each module_dim x module_dim."""
+        mats, m = tuple(mats), module_dim
+        if b := next((x for x in mats if (x.rows, x.cols) != (m, m)), None):
+            raise DimensionError(f"representation matrix {b.rows}x{b.cols} on module of dim {m}")
+        if len(mats) != algebra.dim:
+            raise DimensionError(f"{len(mats)} matrices for algebra of dim {algebra.dim}")
+        self.__dict__.update(algebra=algebra, module_dim=m, st=stack(mats, m))
 
     @cached_property
-    def unfolded(self) -> tuple:
-        """`linalg.unfold` of rho(e_1), ..., rho(e_n)."""
-        return unfold(self.mats, self.module_dim)
+    def mats(self) -> tuple:
+        """mats[i] = rho(e_i), one module_dim x module_dim Matrix."""
+        return _blocks(self.st, self.algebra.dim)
 
     def act(self, x: Matrix) -> Matrix:
         """Matrix of rho(x) for a coordinate column vector x."""
         _column(x, self.algebra.dim, "act")
-        return combine(self.unfolded[0], x)
+        return combine(self.st, x)
 
     def check(self) -> Report:
         """Homomorphism law rho([e_i,e_j]) = [rho(e_i), rho(e_j)] on basis pairs,
@@ -194,24 +201,26 @@ def check_prelie(g: PreLieAlgebra) -> Report:
 
 def subadjacent(g: PreLieAlgebra) -> LieAlgebra:
     """Commutator Lie algebra of a pre-Lie algebra: ad(e_i) = L_i - R_i, where
-    column j of the right multiplication R_i is column i of L_j."""
-    n, p = g.dim, g.p
-    return LieAlgebra(n, [p[i] - _hstack(*(q._block(0, n, i, i + 1) for q in p))
-                          for i in range(n)])
+    column j of the right multiplication R_i is column i of L_j, so the stack
+    of the R_i moves st's entry (j n + k, i) to (i n + k, j)."""
+    n, st = g.dim, g.st
+    return _new(LieAlgebra, dim=n, st=st - permute(st, n * n, n, lambda j, k, i: (i * n + k, j)))
 
 
 def regular_rep(g: PreLieAlgebra) -> Representation:
-    """Left multiplications L(e_i) as a representation of the sub-adjacent algebra."""
-    return Representation(subadjacent(g), g.dim, g.p)
+    """Left multiplications L(e_i) as a representation of the sub-adjacent
+    algebra, sharing g's stack and unfoldings."""
+    return _new(Representation, algebra=subadjacent(g), module_dim=g.dim, st=g.st,
+                unfolded=g.unfolded)
 
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
-    return Representation(g, g.dim, g.c)
+    return _new(Representation, algebra=g, module_dim=g.dim, st=g.st, unfolded=g.unfolded)
 
 
 def dual_rep(r: Representation) -> Representation:
-    """Dual action rho*(x) = -rho(x)^T on the dual module."""
-    return Representation(r.algebra, r.module_dim, tuple(-m.transpose() for m in r.mats))
+    """Dual action rho*(x) = -rho(x)^T on the dual module: the stack -ts."""
+    return _new(Representation, algebra=r.algebra, module_dim=r.module_dim, st=-r.unfolded[2])
 
 
 def coadjoint_rep(g: LieAlgebra) -> Representation:
@@ -223,9 +232,9 @@ def coregular_rep(g: PreLieAlgebra) -> Representation:
 
 
 def trivial_rep(g: LieAlgebra, module_dim: int) -> Representation:
-    return Representation(g, module_dim, tuple(Matrix.zero(module_dim, module_dim)
-                                               for _ in range(g.dim)))
+    return _new(Representation, algebra=g, module_dim=module_dim,
+                st=Matrix.zero(g.dim * module_dim, module_dim))
 
 
 def abelian(dim: int) -> LieAlgebra:
-    return LieAlgebra(dim, [Matrix.zero(dim, dim)] * dim)
+    return _new(LieAlgebra, dim=dim, st=Matrix.zero(dim * dim, dim))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable
 
@@ -33,7 +33,8 @@ from .hyper import (
     reconstruct_hyper,
 )
 from .linalg import (
-    DimensionError, Matrix, SingularMatrixError, accumulate, combine, identity_test, members)
+    DimensionError, Matrix, SingularMatrixError, accumulate, block_transpose, combine,
+    identity_test, members)
 from .operators import (
     ALGEBRA,
     MODULE,
@@ -54,11 +55,12 @@ SKEW = "skew"
 class BilForm:
     matrix: Matrix
     symmetry: str  # symmetric | skew | none
+    transposed: Matrix = field(init=False, repr=False, compare=False)  # the flat map's matrix
 
     def __post_init__(self):
         if self.symmetry not in (SYMMETRIC, SKEW, "none"):
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
-        mt = self.matrix.transpose()
+        object.__setattr__(self, "transposed", mt := self.matrix.transpose())
         if self.symmetry == SYMMETRIC and mt != self.matrix:
             raise ValueError("matrix is not symmetric")
         if self.symmetry == SKEW and mt != -self.matrix:
@@ -210,9 +212,9 @@ def form_to_map(f: BilForm) -> LinMap:
     """The flat map x -> f(x, .) into the dual, in dual bases.
 
     With column coordinate vectors and <xi, y> = dot(xi, y), the map's matrix
-    is the transpose of the form's matrix.
+    is the transpose of the form's matrix, which the form keeps.
     """
-    return LinMap(f.matrix.transpose(), ALGEBRA, MODULE)
+    return LinMap(f.transposed, ALGEBRA, MODULE)
 
 
 def _flat_context(g) -> OperatorContext:
@@ -424,11 +426,10 @@ def is_invariant_form(g, f: BilForm) -> Report:
     if direct_ok:
         rep.record(identity.claim, (), True)
     # conjugation identity: rho(x) f#(y) = f#([x,y]) for the coadjoint (Lie) or
-    # coregular (pre-Lie, sub-adjacent bracket) action rho
+    # coregular (pre-Lie, sub-adjacent bracket) action rho, stacked over the
+    # basis: rho(e_i) f# against f# ad(e_i) = (ad(e_i)^T f)^T, as f# = f^T
     ctx = _flat_context(g)
-    flat = form_to_map(f).matrix
-    ad = adjoint_rep(ctx.g)
-    conj_ok = all(m * flat == flat * a for m, a in zip(ctx.rep.mats, ad.mats))
+    conj_ok = ctx.rep.st * f.transposed == block_transpose(ctx.g.unfolded[2] * f.matrix)
     rep.record("conjugation identity (cross-check)", (), conj_ok)
     rep.record("routes agree", (), direct_ok == conj_ok)
     return rep
@@ -531,7 +532,7 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
     if endo_ok and forms_ok and endo_eps is not None:
         fac = ds[2].matrix * ds[0].matrix.inv() * ds[1].matrix
         # factor the triple's canonical map through the invariant form's flat map
-        flat = f.matrix.transpose().inv() * form_triple.hflat.matrix
+        flat = f.transposed.inv() * form_triple.hflat.matrix
         if endo_eps == (-1, -1, -1):
             rep.record("flat factorization d3∘d1^-1∘d2", (), flat == fac)
         elif endo_eps == (1, 1, -1):

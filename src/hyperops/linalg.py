@@ -368,14 +368,41 @@ class Matrix:
         return _kernel(*self._rref(), self.cols)
 
 
-def unfold(mats: Sequence[Matrix], d: int) -> tuple:
-    """The unfoldings [M_1; ...; M_n], [M_1 | ... | M_n] and
-    [M_1^T; ...; M_n^T] (the transpose of the second) of n d x d matrices,
-    over one denominator (Kolda and Bader, SIAM Rev. 51(3), 2009)."""
-    if not mats:
-        return Matrix.zero(0, d), Matrix.zero(d, 0), Matrix.zero(0, d)
-    row = _hstack(*mats)
-    return _hstack(*(m.transpose() for m in mats)).transpose(), row, row.transpose()
+def stack(mats: Sequence[Matrix], cols: int) -> Matrix:
+    """[M_1; ...; M_n] of matrices `cols` wide, over the lcm of their
+    denominators: reduced, as each block is."""
+    den, out, at = lcm(*(m.den for m in mats)), ({}, {}), 0
+    for m in mats:
+        f = den // m.den
+        for part, x in zip(out, (m.re, m.im)):
+            part.update((at + i, {j: f * v for j, v in r.items()}) for i, r in x.items())
+        at += m.rows
+    return Matrix._make(at, cols, *out, den, reduce=False)
+
+
+def permute(m: Matrix, rows: int, cols: int, to: Callable) -> Matrix:
+    """A rows x cols matrix holding m's entries moved: entry (b d + r, c) of
+    m, read as blocks d = m.cols wide, to place to(b, r, c)."""
+    d, out = m.cols, ({}, {})
+    for part, x in zip(out, (m.re, m.im)):
+        for s, row in x.items():
+            b, r = divmod(s, d)
+            for c, v in row.items():
+                p, q = to(b, r, c)
+                part.setdefault(p, {})[q] = v
+    return Matrix._make(rows, cols, *out, m.den, reduce=False)
+
+
+def block_transpose(m: Matrix) -> Matrix:
+    """[A_1^T; ...; A_n^T] from m = [A_1; ...; A_n] of square blocks."""
+    return permute(m, m.rows, m.cols, lambda b, r, c: (b * m.cols + c, r))
+
+
+def unfold(st: Matrix) -> tuple:
+    """The side-by-side and transposed unfoldings [M_1 | ... | M_n] and
+    [M_1^T; ...; M_n^T] of st = [M_1; ...; M_n], n square matrices, each
+    one pass over st (Kolda and Bader, SIAM Rev. 51(3), 2009)."""
+    return permute(st, st.cols, st.rows, lambda b, r, c: (r, b * st.cols + c)), block_transpose(st)
 
 
 def combine(stacked: Matrix, x: Matrix) -> Matrix:

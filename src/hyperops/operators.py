@@ -10,13 +10,15 @@ maps once or twice), read at strides per basis pair.
 Public functions prove their preconditions once, at entry, each stated with
 `Report.require`, then call private builders (`_deformed_bracket`,
 `_deformed_representation`, `_coincidence`) that take inputs already proved;
-`is_kn` calls the builders on the pair its own preconditions proved.
+`is_kn` calls the builders on the pair its own preconditions proved; they
+sum products with the unfoldings straight into the stacks `algebra` keeps.
 
 Within `memo_scope()`, which the CLI opens around each request, the
 `@_memoized` predicates prove each fact once, keyed by name and argument
 values: every call returns a fresh copy of the first report, so a caller's
-mutation cannot reach a later answer.  Exceptions are not cached, and outside
-a scope every call runs.
+mutation cannot reach a later answer.  `_deformed_representation` is kept
+there too, keyed the same way; a frozen Representation is returned as is.
+Exceptions are not cached, and outside a scope every call runs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, PreLieAlgebra, Representation, subadjacent
-from .linalg import DimensionError, Matrix, _hstack, combine, cut, identity_test
+from .algebra import LieAlgebra, PreLieAlgebra, Representation, _new, subadjacent
+from .linalg import DimensionError, Matrix, block_transpose, combine, identity_test
 from .reporting import PreconditionError, Report
 
 ALGEBRA = "algebra"
@@ -57,7 +59,8 @@ def _memoized(fn):
         rep = _memo.get((name, args))
         if rep is None:
             rep = _memo[name, args] = fn(*args)
-        return Report(rep.title, list(rep.results), list(rep.notes))
+        return Report(rep.title, list(rep.results), list(rep.notes)) if isinstance(
+            rep, Report) else rep
 
     return cached
 
@@ -145,7 +148,7 @@ def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
     if (d.domain, d.codomain) != (ALGEBRA, MODULE):
         raise DimensionError("relative differential operator must map algebra -> module")
     rep = Report("relative differential operator")
-    n, rd = ctx.n, ctx.rep.unfolded[0] * d.matrix  # rows (i, r): rho(e_i) d
+    n, rd = ctx.n, ctx.rep.st * d.matrix  # rows (i, r): rho(e_i) d
     rep.record_tuples("rdo", identity_test(
         {"i": n, "j": n, "r": ctx.m},
         [(1, d.matrix * ctx.g.unfolded[1], "rij"), (-1, rd, "irj"), (1, rd, "jri")], ordered=2))
@@ -153,8 +156,8 @@ def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
 
 
 def inner_rdo(ctx: OperatorContext, u: Matrix) -> LinMap:
-    """The coboundary x -> rho(x) u; always a relative differential operator."""
-    return LinMap(_hstack(*(m * u for m in ctx.rep.mats)), ALGEBRA, MODULE)
+    """The coboundary x -> rho(x) u, read off st u; always a relative differential operator."""
+    return LinMap((ctx.rep.st * u).reshape(ctx.n, ctx.m).transpose(), ALGEBRA, MODULE)
 
 
 @_memoized
@@ -173,7 +176,7 @@ def _defect(ctx: OperatorContext, a: Matrix, b: Matrix) -> list:
     """The terms of [au, bv] - a rho(bu)v + a rho(bv)u at basis pairs (u, v),
     read off [au, b.] (rows (u, k)) and a rho(bu) (rows (u, v))."""
     after = combine(ctx.rep.unfolded[2], b) * a.transpose()
-    return [(1, combine(ctx.g.unfolded[0], a) * b, "irj"), (-1, after, "ijr"), (1, after, "jir")]
+    return [(1, combine(ctx.g.st, a) * b, "irj"), (-1, after, "ijr"), (1, after, "jir")]
 
 
 @_memoized
@@ -215,11 +218,11 @@ def deformed_bracket(g: LieAlgebra, n_map: LinMap) -> LieAlgebra:
 
 def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
     """[.,.]_N for the matrix nm of a Nijenhuis operator:
-    ad_N(e_i) = ad(N e_i) + ad(e_i) N - N ad(e_i)."""
-    n = g.dim
+    ad_N(e_i) = ad(N e_i) + ad(e_i) N - N ad(e_i), stacked, with
+    N ad(e_i) = (ad(e_i)^T N^T)^T."""
     st, _, ts = g.unfolded
-    return LieAlgebra(n, [a + b - c.transpose() for a, b, c in zip(
-        cut(combine(st, nm), n, n), cut(st * nm, n, n), cut(ts * nm.transpose(), n, n))])
+    return _new(LieAlgebra, dim=g.dim, st=combine(st, nm) + st * nm
+                - block_transpose(ts * nm.transpose()))
 
 
 @_memoized
@@ -244,12 +247,13 @@ def deformed_representation(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) 
     return _deformed_representation(ctx, n_map.matrix, s_map.matrix)
 
 
+@_memoized
 def _deformed_representation(ctx: OperatorContext, nm: Matrix, sm: Matrix) -> Representation:
-    """varrho for the matrices nm, sm of a dual-Nijenhuis pair."""
-    m, (st, _, ts) = ctx.m, ctx.rep.unfolded
-    return Representation(_deformed_bracket(ctx.g, nm), m, [
-        a - b + c.transpose() for a, b, c in zip(
-            cut(combine(st, nm), m, m), cut(st * sm, m, m), cut(ts * sm.transpose(), m, m))])
+    """varrho for the matrices nm, sm of a dual-Nijenhuis pair, stacked:
+    varrho(e_i) = rho(N e_i) - rho(e_i) S + (rho(e_i)^T S^T)^T."""
+    st, _, ts = ctx.rep.unfolded
+    return _new(Representation, algebra=_deformed_bracket(ctx.g, nm), module_dim=ctx.m,
+                st=combine(st, nm) - st * sm + block_transpose(ts * sm.transpose()))
 
 
 # -- brackets induced by an O-operator --------------------------------
@@ -258,8 +262,7 @@ def _deformed_representation(ctx: OperatorContext, nm: Matrix, sm: Matrix) -> Re
 def bracket_T(ctx: OperatorContext, t: LinMap) -> tuple[PreLieAlgebra, LieAlgebra]:
     """Pre-Lie product u *T v = rho(Tu)v on V and its sub-adjacent bracket."""
     is_o_operator(ctx, t).require("T is not an O-operator")
-    m = ctx.m
-    prelie = PreLieAlgebra(m, cut(combine(ctx.rep.unfolded[0], t.matrix), m, m))
+    prelie = _new(PreLieAlgebra, dim=ctx.m, st=combine(ctx.rep.st, t.matrix))
     return prelie, subadjacent(prelie)
 
 
@@ -281,7 +284,7 @@ def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
     tm, m = t.matrix, ctx.m
     st, _, ts = ctx.rep.unfolded  # rows (u, r) of combine(st, x): rho(xu)
     act_nt, act_ts, act_t_s = combine(st, nt.matrix), combine(st, tm * sm), combine(st, tm) * sm
-    act_vr, s_after = combine(varrho.unfolded[0], tm), combine(ts, tm) * sm.transpose()
+    act_vr, s_after = combine(varrho.st, tm), combine(ts, tm) * sm.transpose()
     # [u, v]^{NoT} against [Su, v]^T + [u, Sv]^T - S[u, v]^T, with
     # [u, v]^T = rho(Tu)v - rho(Tv)u, and against varrho(Tu)v - varrho(Tv)u
     b_nt = [(1, act_nt, "irj"), (-1, act_nt, "jri")]

@@ -18,6 +18,7 @@ from hyperops.linalg import (
     _eliminate,
     _hstack,
     _kernel,
+    block_transpose,
     combine,
     cut,
     det_witness,
@@ -25,6 +26,7 @@ from hyperops.linalg import (
     identity_test,
     members,
     solve_affine,
+    stack,
     unfold,
     witness_points,
 )
@@ -619,7 +621,9 @@ def unfold_inputs(draw):
 def test_unfoldings_match_their_definition(inputs):
     d, mats = inputs
     n = len(mats)
-    stacked, row, stacked_t = unfold(mats, d)
+    stacked = stack(mats, d)
+    row, stacked_t = unfold(stacked)
+    assert stacked_t == block_transpose(stacked)
     assert stacked == Matrix(n * d, d, [mats[p][r, c] for p in range(n)
                                         for r in range(d) for c in range(d)])
     assert row == Matrix(d, n * d, [mats[p][r, c] for r in range(d)
@@ -685,7 +689,8 @@ def test_cut_unfold_and_combine_store_only_nonzero_reduced_entries(data):
     d, n, c = (data.draw(st.integers(low, 3)) for low in (1, 0, 0))
     mats = [data.draw(factors(d, d)) for _ in range(n)]
     refs = [ref_of(m) for m in mats]
-    stacked, row, stacked_t = unfold(mats, d)
+    stacked = stack(mats, d)
+    row, stacked_t = unfold(stacked)
     for got, pairs in ((stacked, flat(flat(refs))),
                        (row, [refs[p][i][j] for i in range(d) for p in range(n) for j in range(d)]),
                        (stacked_t, [refs[p][j][i] for p in range(n) for i in range(d)
