@@ -27,7 +27,8 @@ floats, booleans or strings).  Indices are 1-based throughout.
 
 Each record is validated here and built by a public constructor, which sums
 its literals, each distinct one parsed once per bundle, into integer matrices
-without building a Scalar; a ValueError becomes a BundleError naming where.
+without building a Scalar (a map or representation matrix from its nonzero
+literals, every literal parsed); a ValueError becomes a BundleError naming where.
 
 Every section and record must have the shape above, or parsing raises
 BundleError.  Algebra ``dim`` and module ``module_dim`` are capped at
@@ -52,7 +53,7 @@ from .algebra import (
 )
 from .geometry import SKEW, SYMMETRIC, BilForm, classify_hyper_hessian, classify_hyper_symplectic
 from .hyper import classify_hyper
-from .linalg import Matrix
+from .linalg import Matrix, accumulate
 from .operators import ALGEBRA, MODULE, LinMap, OperatorContext
 from .scalars import parse_gaussian
 
@@ -137,7 +138,10 @@ def _matrix(rows, where: str, parsed: dict) -> Matrix:
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows)):
         raise BundleError(f"{where}: matrix must be a list of equal-length nonempty rows")
-    return _build(where, Matrix.from_rows, [[_literal(parsed, v, where) for v in r] for r in rows])
+    # every literal is parsed, and only the nonzero ones are summed
+    return Matrix._make(len(rows), len(rows[0]), *accumulate(
+        [((i, j), 1, v) for i, r in enumerate(rows) for j, text in enumerate(r)
+         if (v := _literal(parsed, text, where))[0] or v[1]]))
 
 
 def _dim(value, where: str) -> int:

@@ -6,17 +6,18 @@ call, `_SUITES` maps each `suite --which` name to its identity suite, and
 on its first request and reuses it for every later request in the process.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = input/parse error,
-3 = a stated precondition failed.  JSON is the canonical report format; text
-output is a rendering of it.  Set HYPEROPS_COLOR=1 to colorize text output.
+3 = a stated precondition failed.  JSON is the canonical report format, written
+by `_json` byte for byte as ``json.dumps(indent=2, sort_keys=True)`` writes it;
+text output is a rendering of it.  Set HYPEROPS_COLOR=1 to colorize text output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import LieAlgebra, PreLieAlgebra, check_lie, check_prelie
 from .bundle import classify_triple, load_bundle
@@ -53,9 +54,16 @@ class InputError(ValueError):
 
 
 def _maps_json(**maps) -> dict:
-    """Each map's matrix as rows of rendered entries."""
-    return {key: [[f.matrix[i, j].render() for j in range(f.matrix.cols)]
-                  for i in range(f.matrix.rows)] for key, f in maps.items()}
+    """Each map's matrix as rows of rendered entries, each distinct one rendered once."""
+    out = {}
+    for key, f in maps.items():
+        m, rendered = f.matrix, {}
+        rows = out[key] = [["0"] * m.cols for _ in range(m.rows)]
+        for i, j, a, b in m.nonzeros():
+            if (a, b) not in rendered:
+                rendered[a, b] = m[i, j].render()
+            rows[i][j] = rendered[a, b]
+    return out
 
 
 def _algebra(bundle, name: str, kind: type):
@@ -344,13 +352,33 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
     return code, payload
 
 
+def _json(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) for what a payload holds: dicts
+    with str keys, lists, str, int, bool and None; anything else is a TypeError."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    inner = indent + "  "
+    if type(x) is list:
+        items, ends = [_json(v, inner) for v in x], "[]"
+    elif type(x) is dict:  # encode_basestring_ascii takes only a str key
+        items = [f"{encode_basestring_ascii(k)}: {_json(x[k], inner)}" for k in sorted(x)]
+        ends = "{}"
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} {x!r} as JSON")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{indent}{ends[1]}" if items else ends
+
+
 def main(argv: list[str] | None = None) -> int:
     code, payload = run(sys.argv[1:] if argv is None else argv)
     if payload is None:
         return code
     fmt = payload.pop("format", "text")
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         print(_render_text(payload))
     return code

@@ -60,10 +60,14 @@ class BilForm:
     def __post_init__(self):
         if self.symmetry not in (SYMMETRIC, SKEW, "none"):
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
-        object.__setattr__(self, "transposed", mt := self.matrix.transpose())
-        if self.symmetry == SYMMETRIC and mt != self.matrix:
+        m = self.matrix
+        object.__setattr__(self, "transposed", mt := m.transpose())
+        if self.symmetry == SYMMETRIC and mt != m:
             raise ValueError("matrix is not symmetric")
-        if self.symmetry == SKEW and mt != -self.matrix:
+        # skew: square, and each row of mt (as many entries) negates m's own
+        if self.symmetry == SKEW and (m.rows != m.cols or any(
+                {j: -v for j, v in r.items()} != t.get(i)
+                for x, t in ((m.re, mt.re), (m.im, mt.im)) for i, r in x.items())):
             raise ValueError("matrix is not skew")
 
     @property

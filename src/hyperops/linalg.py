@@ -62,16 +62,19 @@ class SingularMatrixError(ValueError):
 def accumulate(terms) -> tuple[dict, dict, int]:
     """Numerator rows re, im over one denominator, holding no zero, where each
     of terms ((row, column), sign, value) adds sign times its value, any value
-    `as_gaussian` takes.  Every constructor sums its input through here."""
-    terms = [(at, sign, as_gaussian(v)) for at, sign, v in terms]
+    `as_gaussian` takes, a parsed (re, im, den) tuple as it is.  Every
+    constructor sums its input through here (a bundle matrix its nonzero literals)."""
+    terms = [(at, sign, v if type(v) is tuple else as_gaussian(v)) for at, sign, v in terms]
     den = lcm(*(d for _, _, (_, _, d) in terms))
     re, im = {}, {}
     for (i, j), sign, (a, b, d) in terms:
         f = sign * (den // d)
-        for part, v in ((re, a), (im, b)):
-            if v:
-                row = part.setdefault(i, {})
-                row[j] = row.get(j, 0) + v * f
+        if a:
+            row = re.setdefault(i, {})
+            row[j] = row.get(j, 0) + a * f
+        if b:
+            row = im.setdefault(i, {})
+            row[j] = row.get(j, 0) + b * f
     return _nonzero(re), _nonzero(im), den
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import gc
 import io
 import json
 import os
@@ -685,3 +686,75 @@ def test_mutated_bundles_answer_every_command_with_one_json_document(tmp_path_fa
         code = cli.main([command, str(path), *rest, "--format", "json"])
     assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_PARSE, cli.EXIT_PRECONDITION)
     assert json.loads(out.getvalue())["exit"] == code  # exactly one JSON document
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+def _reference(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+# text with what json escapes: quotes, backslashes, control characters, lone
+# surrogates and non-ASCII, claim names among them
+_TEXT = st.one_of(
+    st.text(st.characters(codec=None, categories=None), max_size=8),
+    st.text(st.sampled_from('a"\\/\x00\x1f\x7f\ud800\udbff\udc00∘é😀'), max_size=8),
+    st.sampled_from(["d∘N:rdo", "T∘S=prod(eps)·N∘T", 'say "x"', "back\\slash", "\x00\t\n\x1f\x7f",
+                     "\ud800", "a\udfffb", "e1^*∧e2^*", "", "é😀"]))
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 60, 10 ** 60) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_is_byte_identical_to_json_dumps(payload):
+    assert cli._json(payload) == _reference(payload)
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, {1: "x"}, {"a": [{(1, 2): 0}]}, (1, 2), {"a": 2.0}],
+                         ids=repr)
+def test_json_writer_rejects_what_payloads_do_not_carry(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def _corpus_requests():
+    cases = [pytest.param(None, ["corpus", a], id=f"corpus-{a}") for a in ("list", "run")]
+    for eid, doc in _CORPUS.items():
+        cases += [pytest.param(eid, command, id=f"{eid}:{' '.join(command)}")
+                  for command in _fuzz_commands(doc)]
+    return cases
+
+
+@pytest.mark.parametrize("eid,command", _corpus_requests())
+def test_every_corpus_request_prints_what_json_dumps_prints(corpus_files, capsys, eid, command):
+    argv = command if eid is None else [command[0], corpus_files[eid], *command[1:]]
+    cli.main(argv + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert out == _reference(json.loads(out)) + "\n"
+
+
+def _garbage(argv) -> int:
+    """The objects one cli.main(argv) request leaves unreachable but not freed."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("eid,command", [
+    ("prelie.rot4", ["suite", "--triple", "B", "--which", "table"]),
+    ("prelie.I4", ["search-forms", "--algebra", "g", "--target", "hessian"]),
+    ("abelian.quat", ["classify-hyper", "--triple", "quat"]),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_json_output_leaves_no_more_garbage_than_text(corpus_files, eid, command):
+    argv = [command[0], corpus_files[eid], *command[1:]]
+    for fmt in ("json", "text"):  # warm every cache first
+        _garbage(argv + ["--format", fmt])
+    assert _garbage(argv + ["--format", "json"]) == _garbage(argv + ["--format", "text"])

@@ -233,8 +233,20 @@ def coefficients(draw):
     return _coeff(a, da, b, db, style), _coeff(-a, da, -b, db, style)
 
 
+# zero written five ways, which a sparse grid mostly holds
+_ZEROS = ("0", "-0", "0/3", "0i", "0/2+0/5i")
+
+
 @st.composite
-def bundles(draw):
+def entries(draw, sparse):
+    """A map or representation matrix entry; on a sparse grid most often zero."""
+    if sparse and draw(st.integers(0, 4)):
+        return draw(st.sampled_from(_ZEROS))
+    return draw(coefficients())[0]
+
+
+@st.composite
+def bundles(draw, sparse=False):
     kind = draw(st.sampled_from(["lie", "prelie"]))
     n = draw(st.integers(1, 4))
     index = st.integers(1, n)
@@ -256,14 +268,14 @@ def bundles(draw):
         skew.append({"term": f"e{i}^*⊗e{j}^*", "coeff": draw(coefficients())[0]})
     doc = {"algebras": {"g": {"kind": kind, "dim": n, "constants": constants}},
            "maps": {"m": {"domain": "algebra", "codomain": "algebra",
-                          "matrix": [[draw(coefficients())[0] for _ in range(n)]
+                          "matrix": [[draw(entries(sparse)) for _ in range(n)]
                                      for _ in range(n)]}},
            "forms": {"w": {"algebra": "g", "symmetry": "skew", "terms": skew},
                      "s": {"algebra": "g", "symmetry": "symmetric", "terms": symmetric}}}
     if kind == "lie":
         m = draw(st.integers(1, 3))
         doc["reps"] = {"r": {"algebra": "g", "module_dim": m, "matrices": [
-            [[draw(coefficients())[0] for _ in range(m)] for _ in range(m)] for _ in range(n)]}}
+            [[draw(entries(sparse)) for _ in range(m)] for _ in range(m)] for _ in range(n)]}}
     return doc
 
 
@@ -271,6 +283,29 @@ def bundles(draw):
 @settings(max_examples=150, deadline=None)
 def test_generated_bundles_parse_like_scalar_reference(doc):
     assert_parses_like_reference(doc)
+
+
+@given(bundles(sparse=True))
+@settings(max_examples=100, deadline=None)
+def test_generated_sparse_bundles_parse_like_scalar_reference(doc):
+    assert_parses_like_reference(doc)
+
+
+@pytest.mark.parametrize("section,where", [("reps", "rep 'r'"), ("maps", "map 'm'")])
+def test_zero_denominator_in_any_matrix_slot_is_a_bundle_error(section, where):
+    """Each literal is parsed, a zero one among them, before only the nonzero
+    ones are summed."""
+    zeros = [["0", "-0", "0/3"], ["0i", "0/2+0/5i", "0"], ["0", "0", "0"]]
+    bad = [row[:] for row in zeros]
+    bad[2][1] = "0/0"
+    doc = {"algebras": {"g": {"kind": "lie", "dim": 3, "constants": []}},
+           "reps": {"r": {"algebra": "g", "module_dim": 3,
+                          "matrices": [bad if section == "reps" else zeros] + [zeros] * 2}},
+           "maps": {"m": {"domain": "algebra", "codomain": "algebra",
+                          "matrix": bad if section == "maps" else zeros}}}
+    with pytest.raises(BundleError) as exc:
+        parse_bundle(doc)
+    assert str(exc.value) == f"{where}: zero denominator in '0/0'"
 
 
 # -- each literal parsed once per bundle -------------------------------

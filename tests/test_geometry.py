@@ -70,6 +70,31 @@ def test_bilform_rejects_an_unknown_symmetry():
     assert BilForm.from_terms(2, [("tensor", 1, 2, 1)], "none").matrix[0, 1] == Scalar(1)
 
 
+_ENTRIES = st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+                     st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bilform_is_skew_exactly_when_its_transpose_is_its_negative(rows, cols, data):
+    """Against the definition mᵀ = -m: skew square matrices, some with one
+    entry changed in its real or imaginary part, and matrices of any shape."""
+    m = [[data.draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows == cols and data.draw(st.booleans()):
+        m = [[m[i][j] if i < j else -m[j][i] if i > j else ZERO for j in range(cols)]
+             for i in range(rows)]
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        m[i][j] = m[i][j] + data.draw(st.sampled_from([ZERO, Scalar(1), Scalar(0, 1)]))
+    m = Matrix.from_rows(m)
+    if m.transpose() == -m:
+        assert BilForm(m, SKEW).matrix == m
+    else:
+        with pytest.raises(ValueError, match="matrix is not skew"):
+            BilForm(m, SKEW)
+    with pytest.raises(ValueError, match="matrix is not skew"):
+        BilForm(Matrix.zero(rows, rows + 1), SKEW)
+
+
 def test_flat_context_is_built_once_per_algebra():
     for name, fresh in (("lie.L4sym", coadjoint_rep), ("prelie.rot4", coregular_rep)):
         g = parse_bundle(export_bundle(name)).algebra("g")

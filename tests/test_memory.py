@@ -5,6 +5,7 @@ peaks follow the few nonzero structure constants, not n^3."""
 import tracemalloc
 
 from hyperops.algebra import LieAlgebra, PreLieAlgebra, check_lie, coadjoint_rep
+from hyperops.bundle import parse_bundle
 from hyperops.linalg import Matrix
 from hyperops.operators import ALGEBRA, MODULE, LinMap, OperatorContext, is_nijenhuis, is_rdo
 from hyperops.search import HESSIAN, solve_forms
@@ -32,6 +33,19 @@ def test_nijenhuis_identity_at_n_64_peaks_within_1_2_mib():
     rep, peak = _peak(lambda: is_nijenhuis(g, n_map))
     assert rep.passed
     assert peak <= 1.2 * MIB, peak / MIB
+
+
+def test_bundle_with_the_identity_map_at_n_64_loads_within_0_3_mib():
+    # the n = 64 Nijenhuis bundle: 62 structure constants and a map of 4 096
+    # literals, 64 of them nonzero
+    constants = [{"i": 2 * a - 1, "j": 2 * a, "k": 64, "coeff": "1"} for a in range(1, 32)]
+    doc = {"algebras": {"g": {"kind": "lie", "dim": 64, "constants": constants}},
+           "maps": {"N": {"domain": "algebra", "codomain": "algebra",
+                          "matrix": [["1" if r == c else "0" for c in range(64)]
+                                     for r in range(64)]}}}
+    b, peak = _peak(lambda: parse_bundle(doc))
+    assert b.map("N").matrix == Matrix.identity(64) and b.algebra("g") == _lie64()
+    assert peak <= 0.3 * MIB, peak / MIB
 
 
 def test_rdo_identity_on_the_coadjoint_at_n_64_peaks_within_1_0_mib():
