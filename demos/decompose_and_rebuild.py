@@ -35,7 +35,7 @@ for name, tname, aname, variant in CASES:
         sign = "+Id" if sq == sq.identity(sq.rows) else "-Id"
         print(f"  {label}^2 = {sign}")
 
-    rebuilt = reconstruct_hyper(triple.ctx, dec.hflat, dec.i1, dec.i2)
+    rebuilt = reconstruct_hyper(triple.rho, dec.hflat, dec.i1, dec.i2)
     same = all(rebuilt.d[k].matrix == triple.d[dec.permutation[k]].matrix
                for k in range(3))
     print(f"  reconstruction reproduces the original operators: {same}")

@@ -15,7 +15,7 @@ from hyperops.hyper import (
     verify_composition_table,
     verify_hflat_identities,
 )
-from hyperops.operators import OperatorContext, is_rdo
+from hyperops.operators import is_rdo
 
 bundle = parse_bundle(export_bundle("lie.L4sym"))
 g = bundle.algebra("g")
@@ -27,10 +27,10 @@ for name in ("w1", "w2", "w3"):
 
 print("\nStep 2: each flat map is an invertible differential operator")
 print("relative to the coadjoint representation.")
-ctx = OperatorContext(g, coadjoint_rep(g))
+rho = coadjoint_rep(g)
 for name in ("w1", "w2", "w3"):
     d = form_to_map(bundle.form(name))
-    print(f"  {name}-flat: {'differential operator' if is_rdo(ctx, d).passed else 'no'}")
+    print(f"  {name}-flat: {'differential operator' if is_rdo(rho, d).passed else 'no'}")
 
 print("\nStep 3: classify the triple; the signature is computed, never assumed.")
 triple = classify_triple(bundle, "omega")

@@ -63,7 +63,6 @@ from .operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
     are_compatible,
     bracket_T,
     brackets_coincide,

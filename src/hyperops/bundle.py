@@ -25,6 +25,9 @@ pair is filled by antisymmetry unless it is given explicitly; pre-Lie entries
 list every nonzero product.  The indices i, j, k are JSON integers (not
 floats, booleans or strings).  Indices are 1-based throughout.
 
+A representation is kept as built, and the operator predicates take it as
+`Bundle.rep(name)` returns it: it carries its algebra.
+
 Each record is validated here and built by a public constructor, which sums
 its literals, each distinct one parsed once per bundle, into integer matrices
 without building a Scalar (a map or representation matrix from its nonzero
@@ -54,7 +57,7 @@ from .algebra import (
 from .geometry import SKEW, SYMMETRIC, BilForm, classify_hyper_hessian, classify_hyper_symplectic
 from .hyper import classify_hyper
 from .linalg import Matrix, accumulate
-from .operators import ALGEBRA, MODULE, LinMap, OperatorContext
+from .operators import ALGEBRA, MODULE, LinMap
 from .scalars import parse_gaussian
 
 
@@ -107,10 +110,6 @@ class Bundle:
 
     def triple(self, name: str) -> TripleRef:
         return _lookup(self.triples, name, "triple")
-
-    def context(self, rep_name: str) -> OperatorContext:
-        r = self.rep(rep_name)
-        return OperatorContext(r.algebra, r)
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -308,8 +307,7 @@ def classify_triple(bundle: Bundle, name: str):
     algebra)."""
     ref = bundle.triple(name)
     if ref.kind == "maps":
-        ctx = bundle.context(ref.rep)
-        return classify_hyper(ctx, *(bundle.map(m) for m in ref.members))
+        return classify_hyper(bundle.rep(ref.rep), *(bundle.map(m) for m in ref.members))
     g = bundle.algebra(ref.algebra)
     forms = [bundle.form(m) for m in ref.members]
     if isinstance(g, LieAlgebra):

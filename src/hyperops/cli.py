@@ -87,14 +87,13 @@ _CHECKS = {
     "lie": ("algebra", lambda b, a: check_lie(_algebra(b, a, LieAlgebra))),
     "prelie": ("algebra", lambda b, a: check_prelie(_algebra(b, a, PreLieAlgebra))),
     "rep": ("rep", lambda b, r: b.rep(r).check()),
-    "rdo": ("rep map", lambda b, r, m: is_rdo(b.context(r), b.map(m))),
-    "o-operator": ("rep map", lambda b, r, m: is_o_operator(b.context(r), b.map(m))),
+    "rdo": ("rep map", lambda b, r, m: is_rdo(b.rep(r), b.map(m))),
+    "o-operator": ("rep map", lambda b, r, m: is_o_operator(b.rep(r), b.map(m))),
     "nijenhuis": ("algebra map",
                   lambda b, a, m: is_nijenhuis(_algebra(b, a, LieAlgebra), b.map(m))),
-    "dn": ("rep d n", lambda b, r, d, n: is_dn(b.context(r), b.map(d), b.map(n))),
-    "kd": ("rep t d", lambda b, r, t, d: is_kd(b.context(r), b.map(t), b.map(d))),
-    "kn": ("rep t s n",
-           lambda b, r, t, s, n: is_kn(b.context(r), b.map(t), b.map(s), b.map(n))),
+    "dn": ("rep d n", lambda b, r, d, n: is_dn(b.rep(r), b.map(d), b.map(n))),
+    "kd": ("rep t d", lambda b, r, t, d: is_kd(b.rep(r), b.map(t), b.map(d))),
+    "kn": ("rep t s n", lambda b, r, t, s, n: is_kn(b.rep(r), b.map(t), b.map(s), b.map(n))),
     "symplectic": ("algebra form",
                    lambda b, a, f: is_symplectic(_algebra(b, a, LieAlgebra), b.form(f))),
     "hessian": ("algebra form",
@@ -164,7 +163,7 @@ def _cmd_decompose(ns) -> tuple[int, dict]:
 
 def _cmd_reconstruct(ns) -> tuple[int, dict]:
     b = load_bundle(ns.bundle)
-    triple = reconstruct_hyper(b.context(ns.rep), b.map(ns.hflat), b.map(ns.i1), b.map(ns.i2))
+    triple = reconstruct_hyper(b.rep(ns.rep), b.map(ns.hflat), b.map(ns.i1), b.map(ns.i2))
     d1, d2, d3 = triple.d
     return EXIT_PASS, {"eps": list(triple.eps), **_maps_json(d1=d1, d2=d2, d3=d3)}
 

@@ -7,6 +7,10 @@ at (i,j) and -1 at (j,i), tensor e_i*⊗e_j* contributes +1 at (i,j).
 
 The form identities (`FormIdentity`) are checked by `linalg.identity_test`,
 like every basis-tuple identity; their instances are the systems `search` solves.
+Each form check cross-checks its flat map against the coadjoint (Lie) or
+coregular (pre-Lie) representation, which `_flat_rep` builds once per
+`operators.memo_scope` request, keyed by the algebra's value; nothing is kept
+on the algebra itself.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable
 from .algebra import (
     LieAlgebra,
     PreLieAlgebra,
+    Representation,
     adjoint_rep,
     coadjoint_rep,
     coregular_rep,
@@ -39,7 +44,7 @@ from .operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
+    _memoized,
     is_nijenhuis,
     is_rdo,
     nijenhuis_square_sign,
@@ -221,25 +226,23 @@ def form_to_map(f: BilForm) -> LinMap:
     return LinMap(f.transposed, ALGEBRA, MODULE)
 
 
-def _flat_context(g) -> OperatorContext:
+@_memoized
+def _flat_rep(g) -> Representation:
     """The coadjoint action of a Lie algebra, or the coregular action of a
-    pre-Lie algebra's sub-adjacent algebra: the flat maps' target, kept on g."""
-    ctx = g.__dict__.get("_flat")
-    if ctx is None:
-        rep = coadjoint_rep(g) if isinstance(g, LieAlgebra) else coregular_rep(g)
-        ctx = g.__dict__["_flat"] = OperatorContext(rep.algebra, rep)
-    return ctx
+    pre-Lie algebra's sub-adjacent algebra: the flat maps' target, built once
+    per `operators.memo_scope`, keyed by g's value."""
+    return coadjoint_rep(g) if isinstance(g, LieAlgebra) else coregular_rep(g)
 
 
 def _form_structure(kind: str, identity: FormIdentity, g, f: BilForm) -> Report:
     """The identity plus nondegeneracy, cross-checked against the flat map
-    being a relative differential operator for the action of _flat_context(g)."""
+    being a relative differential operator for the action _flat_rep(g)."""
     if f.symmetry != identity.symmetry:
         raise ValueError(f"{kind} candidate must be declared {identity.symmetry}")
     rep = Report(f"{kind} structure")
     direct = identity.check(rep, g, f)
     rep.record("nondegenerate", (), f.is_nondegenerate())
-    rdo = is_rdo(_flat_context(g), form_to_map(f)).passed
+    rdo = is_rdo(_flat_rep(g), form_to_map(f)).passed
     rep.record("flat-map RDO (cross-check)", (), rdo)
     rep.record("routes agree", (), direct == rdo)
     return rep
@@ -265,7 +268,7 @@ def _classify_forms(kind: str, check, prefix: str, g, forms) -> HyperTriple:
     for idx, f in enumerate(forms):
         pre.merge(check(g, f), f"{prefix}{idx + 1}:")
     pre.require(f"not all forms are {kind}")
-    return classify_hyper(_flat_context(g), *(form_to_map(f) for f in forms))
+    return classify_hyper(_flat_rep(g), *(form_to_map(f) for f in forms))
 
 
 def classify_hyper_symplectic(g: LieAlgebra, w1: BilForm, w2: BilForm, w3: BilForm) -> HyperTriple:
@@ -380,7 +383,7 @@ def check_kahler_quad(g, q: KahlerQuad) -> Report:
     if not rep.passed:
         return rep
     try:
-        triple = classify_hyper(_flat_context(g), *(form_to_map(f) for f in forms))
+        triple = classify_hyper(_flat_rep(g), *(form_to_map(f) for f in forms))
     except ClassificationError as exc:
         rep.record("induced triple classifies", (), False, detail=str(exc))
         return rep
@@ -406,7 +409,7 @@ def kahler_suite(g, triple: HyperTriple) -> Report:
     # symmetric ones
     form = BilForm(dec.hflat.matrix.transpose(), SKEW if anti else SYMMETRIC)
     rep = check_kahler_quad(g, KahlerQuad(form, dec.i1, dec.i2, dec.i3, variant))
-    rebuilt = reconstruct_hyper(triple.ctx, dec.hflat, dec.i1, dec.i2)
+    rebuilt = reconstruct_hyper(triple.rho, dec.hflat, dec.i1, dec.i2)
     same = all(rebuilt.d[k].matrix == triple.d[p].matrix for k, p in enumerate(dec.permutation))
     rep.record("round-trip rebuilds the triple", (), same)
     return rep
@@ -432,8 +435,8 @@ def is_invariant_form(g, f: BilForm) -> Report:
     # conjugation identity: rho(x) f#(y) = f#([x,y]) for the coadjoint (Lie) or
     # coregular (pre-Lie, sub-adjacent bracket) action rho, stacked over the
     # basis: rho(e_i) f# against f# ad(e_i) = (ad(e_i)^T f)^T, as f# = f^T
-    ctx = _flat_context(g)
-    conj_ok = ctx.rep.st * f.transposed == block_transpose(ctx.g.unfolded[2] * f.matrix)
+    rho = _flat_rep(g)
+    conj_ok = rho.st * f.transposed == block_transpose(rho.algebra.unfolded[2] * f.matrix)
     rep.record("conjugation identity (cross-check)", (), conj_ok)
     rep.record("routes agree", (), direct_ok == conj_ok)
     return rep
@@ -503,11 +506,10 @@ def endo_triple_correspondence(g, f: BilForm, d1: LinMap, d2: LinMap, d3: LinMap
     # endomorphism direction: classify (d1,d2,d3) against the adjoint action,
     # or the regular action of the sub-adjacent algebra
     action = adjoint_rep(g) if lie else regular_rep(g)
-    ctx = OperatorContext(action.algebra, action)
     endo_maps = tuple(LinMap(d.matrix, ALGEBRA, MODULE) for d in ds)
     endo_ok, endo_eps, endo_detail = True, None, ""
     try:
-        endo_triple = classify_hyper(ctx, *endo_maps)
+        endo_triple = classify_hyper(action, *endo_maps)
         endo_eps = endo_triple.eps
     except ClassificationError as exc:
         endo_ok, endo_detail = False, str(exc)

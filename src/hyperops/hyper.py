@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import Representation
 from .linalg import Matrix, SingularMatrixError, combine, identity_test
 from .operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
     are_compatible,
     is_dn,
     is_kd,
@@ -33,10 +33,11 @@ def _cyc(i: int) -> int:
 
 @dataclass(frozen=True)
 class HyperTriple:
-    """Three invertible RDOs d with derived T_i = d_i^-1, N_i = T_{i-1}∘d_{i+1},
-    S_i = d_{i+1}∘T_{i-1}, signature eps, and the canonical map hflat."""
+    """Three invertible RDOs d of the representation rho, with derived
+    T_i = d_i^-1, N_i = T_{i-1}∘d_{i+1}, S_i = d_{i+1}∘T_{i-1}, signature eps,
+    and the canonical map hflat."""
 
-    ctx: OperatorContext
+    rho: Representation
     d: tuple  # three LinMap algebra->module
     t: tuple  # three LinMap module->algebra
     n: tuple  # three LinMap algebra->algebra
@@ -57,17 +58,17 @@ class ClassificationError(ValueError):
     """A triple failed hyper classification; message names the first violation."""
 
 
-def classify_hyper(ctx: OperatorContext, d1: LinMap, d2: LinMap, d3: LinMap) -> HyperTriple:
+def classify_hyper(rho: Representation, d1: LinMap, d2: LinMap, d3: LinMap) -> HyperTriple:
     """Check the three maps are invertible RDOs and the N_i square to +/-Id;
     eps is always computed from the matrices, never supplied."""
     ds, ts = (d1, d2, d3), []
     for i, d in enumerate(ds):
-        d.check_shape(ctx)
+        d.check_shape(rho)
         try:
             ts.append(d.inv())
         except SingularMatrixError as exc:
             raise ClassificationError(f"d{i + 1} is not invertible ({exc})") from exc
-        r = is_rdo(ctx, d)
+        r = is_rdo(rho, d)
         if not r.passed:
             raise ClassificationError(
                 f"d{i + 1} is not a relative differential operator; "
@@ -76,13 +77,13 @@ def classify_hyper(ctx: OperatorContext, d1: LinMap, d2: LinMap, d3: LinMap) -> 
     ns = tuple(ts[_cyc(i - 1)].compose(ds[_cyc(i + 1)]) for i in range(3))
     eps = []
     for i in range(3):
-        sign = nijenhuis_square_sign(ctx.g, ns[i])
+        sign = nijenhuis_square_sign(rho.algebra, ns[i])
         if sign is None:
             raise ClassificationError(f"N{i + 1}^2 is not +/-Id")
         eps.append(sign)
     ss = tuple(ds[_cyc(i + 1)].compose(ts[_cyc(i - 1)]) for i in range(3))
     hflat = ds[2].compose(ts[0]).compose(ds[1]).scale(eps[2] * eps[1])
-    return HyperTriple(ctx, ds, tuple(ts), ns, tuple(ss), tuple(eps), hflat)
+    return HyperTriple(rho, ds, tuple(ts), ns, tuple(ss), tuple(eps), hflat)
 
 
 def verify_hflat_identities(t: HyperTriple) -> Report:
@@ -150,14 +151,14 @@ def verify_composition_table(t: HyperTriple) -> Report:
             rep.record("(iv) closed form", (i + 1, j + 1), lhs.matrix == rhs.matrix)
         sq = t.s[i].compose(t.s[i])
         rep.record("(iv) S^2=eps·Id", (i + 1,),
-                   sq.matrix == Matrix.identity(t.ctx.m).scale(e[i]))
+                   sq.matrix == Matrix.identity(t.rho.module_dim).scale(e[i]))
         # (v) T_k∘d_i
-        for k, rhs in ((i, LinMap(Matrix.identity(t.ctx.n), ALGEBRA, ALGEBRA)),
+        for k, rhs in ((i, LinMap(Matrix.identity(t.rho.algebra.dim), ALGEBRA, ALGEBRA)),
                        (ip, t.n[im]), (im, t.n[ip].scale(e[ip]))):
             lhs = t.t[k].compose(t.d[i])
             rep.record("(v) T∘d", (k + 1, i + 1), lhs.matrix == rhs.matrix)
         # (vi) d_i∘T_k
-        for k, rhs in ((i, LinMap(Matrix.identity(t.ctx.m), MODULE, MODULE)),
+        for k, rhs in ((i, LinMap(Matrix.identity(t.rho.module_dim), MODULE, MODULE)),
                        (ip, t.s[im]), (im, t.s[ip].scale(e[ip]))):
             lhs = t.d[i].compose(t.t[k])
             rep.record("(vi) d∘T", (i + 1, k + 1), lhs.matrix == rhs.matrix)
@@ -170,31 +171,31 @@ def product_one_suite(t: HyperTriple) -> Report:
         raise PreconditionError(
             f"suite requires eps product +1, got eps={t.eps}")
     rep = Report("eps-product +1 suite")
-    ctx = t.ctx
+    rho = t.rho
     hb = t.hflat
     hb_inv = hb.inv()
     for i in range(3):
         im = _cyc(i - 1)
-        rep.record("(d_i,N_i) DN-structure", (i + 1,), is_dn(ctx, t.d[i], t.n[i]).passed)
+        rep.record("(d_i,N_i) DN-structure", (i + 1,), is_dn(rho, t.d[i], t.n[i]).passed)
         # key identity: S rho(Tu)v - S rho(Tv)u - rho(Tu)(Sv) + rho(Tv)(Su) = 0
-        sm, tm, (st, _, ts) = t.s[i].matrix, t.t[i].matrix, ctx.rep.unfolded
+        sm, tm, (st, _, ts) = t.s[i].matrix, t.t[i].matrix, rho.unfolded
         s_after, act_s = combine(ts, tm) * sm.transpose(), combine(st, tm) * sm
-        _, (fails,) = identity_test(dict.fromkeys("ijr", ctx.m), [
+        _, (fails,) = identity_test(dict.fromkeys("ijr", rho.module_dim), [
             (1, s_after, "ijr"), (-1, s_after, "jir"), (-1, act_s, "irj"), (1, act_s, "jri")],
             ordered=2)
         rep.record("key identity", (i + 1,), not fails,
                    tuple(u + 1 for u in min(fails)) if fails else None)
-        rep.record("(K_i,d_i) KD-structure", (i + 1,), is_kd(ctx, t.k(i), t.d[i]).passed)
+        rep.record("(K_i,d_i) KD-structure", (i + 1,), is_kd(rho, t.k(i), t.d[i]).passed)
         ni_from_h = t.t[i].compose(hb)
         rep.record("T_i∘hflat=eps[i-1]·N_i", (i + 1,),
                    ni_from_h.matrix == t.n[i].scale(t.eps[im]).matrix)
         rep.record("(hflat,T_i∘hflat) DN-structure", (i + 1,),
-                   is_dn(ctx, hb, ni_from_h).passed)
+                   is_dn(rho, hb, ni_from_h).passed)
         rep.record("(hflat^-1,S_i,N_i) KN-structure", (i + 1,),
-                   is_kn(ctx, hb_inv, t.s[i], t.n[i]).passed)
+                   is_kn(rho, hb_inv, t.s[i], t.n[i]).passed)
         rep.record("T_i compatible with hflat^-1", (i + 1,),
-                   are_compatible(ctx, t.t[i], hb_inv).passed)
-    rep.record("hflat is RDO", (), is_rdo(ctx, hb).passed)
+                   are_compatible(rho, t.t[i], hb_inv).passed)
+    rep.record("hflat is RDO", (), is_rdo(rho, hb).passed)
     return rep
 
 
@@ -223,7 +224,7 @@ def decompose_hyper(t: HyperTriple) -> Decomposition:
             if cand == PARA_NORMAL:
                 perm = tuple(_cyc(k + shift) for k in range(3))
                 break
-        t = classify_hyper(t.ctx, t.d[perm[0]], t.d[perm[1]], t.d[perm[2]])
+        t = classify_hyper(t.rho, t.d[perm[0]], t.d[perm[1]], t.d[perm[2]])
     hb = t.hflat
     if t.eps == (-1, -1, -1):
         i1, i2 = t.n[0], t.n[1]
@@ -237,14 +238,14 @@ def decompose_hyper(t: HyperTriple) -> Decomposition:
     return Decomposition(hb, i1, i2, i3, perm)
 
 
-def reconstruct_hyper(ctx: OperatorContext, hflat: LinMap, i1: LinMap, i2: LinMap) -> HyperTriple:
+def reconstruct_hyper(rho: Representation, hflat: LinMap, i1: LinMap, i2: LinMap) -> HyperTriple:
     """Converse direction: build d_i = hflat∘I_i with I_3 = I_1∘I_2 and classify."""
     problems = Report("reconstruction preconditions")
     anti = i1.compose(i2).matrix == -(i2.compose(i1).matrix)
     problems.record("I1∘I2=-I2∘I1", (), anti)
     for idx, ii in enumerate((i1, i2)):
         sq = ii.compose(ii).matrix
-        ident = Matrix.identity(ctx.n)
+        ident = Matrix.identity(rho.algebra.dim)
         problems.record("I^2=+/-Id", (idx + 1,), sq == ident or sq == -ident)
     try:
         hflat.inv()
@@ -253,24 +254,24 @@ def reconstruct_hyper(ctx: OperatorContext, hflat: LinMap, i1: LinMap, i2: LinMa
         problems.record("hflat invertible", (), False)
     problems.require("reconstruction preconditions failed")
     i3 = i1.compose(i2)
-    return classify_hyper(ctx, hflat.compose(i1), hflat.compose(i2), hflat.compose(i3))
+    return classify_hyper(rho, hflat.compose(i1), hflat.compose(i2), hflat.compose(i3))
 
 
 def derived_structures_report(t: HyperTriple) -> Report:
     """All KD/DN/KN/compatibility/Nijenhuis claims a hyper triple guarantees."""
     rep = Report("derived structures")
-    ctx = t.ctx
+    rho = t.rho
     for i in range(3):
-        nij = is_nijenhuis(ctx.g, t.n[i])
+        nij = is_nijenhuis(rho.algebra, t.n[i])
         rep.record("N_i Nijenhuis", (i + 1,), nij.passed)
         for k in range(3):
             if k == i:
                 continue
-            rep.record("(T_i,d_k) KD", (i + 1, k + 1), is_kd(ctx, t.t[i], t.d[k]).passed)
-            rep.record("(d_i,N_k) DN", (i + 1, k + 1), is_dn(ctx, t.d[i], t.n[k]).passed)
+            rep.record("(T_i,d_k) KD", (i + 1, k + 1), is_kd(rho, t.t[i], t.d[k]).passed)
+            rep.record("(d_i,N_k) DN", (i + 1, k + 1), is_dn(rho, t.d[i], t.n[k]).passed)
             rep.record("(T_i,S_k,N_k) KN", (i + 1, k + 1),
-                       is_kn(ctx, t.t[i], t.s[k], t.n[k]).passed)
+                       is_kn(rho, t.t[i], t.s[k], t.n[k]).passed)
         for j in range(i + 1, 3):
             rep.record("T_i,T_j compatible", (i + 1, j + 1),
-                       are_compatible(ctx, t.t[i], t.t[j]).passed)
+                       are_compatible(rho, t.t[i], t.t[j]).passed)
     return rep

@@ -2,6 +2,9 @@
 operators, dual-Nijenhuis pairs, deformed brackets/representations, and the
 DN / KD / KN structure and compatibility checks.
 
+Each operator is relative to a Representation rho of g on V, which carries g
+as rho.algebra; the predicates take rho itself.
+
 All identities are multilinear, so quantifying over basis tuples is exhaustive;
 reports cite 1-indexed basis indices.  Each is one `linalg.identity_test`:
 its terms are products of the maps with the unfoldings of ad and rho (the
@@ -16,9 +19,11 @@ sum products with the unfoldings straight into the stacks `algebra` keeps.
 Within `memo_scope()`, which the CLI opens around each request, the
 `@_memoized` predicates prove each fact once, keyed by name and argument
 values: every call returns a fresh copy of the first report, so a caller's
-mutation cannot reach a later answer.  `_deformed_representation` is kept
-there too, keyed the same way; a frozen Representation is returned as is.
-Exceptions are not cached, and outside a scope every call runs.
+mutation cannot reach a later answer.  The scope is the only cache of
+derived structures: `_deformed_representation` and `geometry`'s flat
+representation are kept there too, keyed the same way, and a frozen
+Representation is returned as is.  Exceptions are not cached, and outside a
+scope every call runs.
 """
 
 from __future__ import annotations
@@ -35,12 +40,12 @@ from .reporting import PreconditionError, Report
 ALGEBRA = "algebra"
 MODULE = "module"
 
-_memo: dict | None = None  # (predicate name, arguments) -> Report, in a scope
+_memo: dict | None = None  # (function name, arguments) -> result, in a scope
 
 
 @contextmanager
 def memo_scope():
-    """Cache the memoized predicates' reports until the block exits."""
+    """Cache the memoized functions' results until the block exits."""
     global _memo
     outer, _memo = _memo, {} if _memo is None else _memo
     try:
@@ -66,29 +71,6 @@ def _memoized(fn):
 
 
 @dataclass(frozen=True)
-class OperatorContext:
-    """Ambient data: a Lie algebra acting on a module through rep."""
-
-    g: LieAlgebra
-    rep: Representation
-
-    def __post_init__(self):
-        if self.rep.algebra != self.g:
-            raise ValueError("representation is not over the given Lie algebra")
-
-    @property
-    def n(self) -> int:
-        return self.g.dim
-
-    @property
-    def m(self) -> int:
-        return self.rep.module_dim
-
-    def dim_of(self, tag: str) -> int:
-        return self.n if tag == ALGEBRA else self.m
-
-
-@dataclass(frozen=True)
 class LinMap:
     """An exact matrix with domain/codomain tags (algebra or module)."""
 
@@ -100,8 +82,9 @@ class LinMap:
         if self.domain not in (ALGEBRA, MODULE) or self.codomain not in (ALGEBRA, MODULE):
             raise ValueError(f"bad tags ({self.domain}, {self.codomain})")
 
-    def check_shape(self, ctx: OperatorContext) -> None:
-        want = (ctx.dim_of(self.codomain), ctx.dim_of(self.domain))
+    def check_shape(self, rho: Representation) -> None:
+        dims = {ALGEBRA: rho.algebra.dim, MODULE: rho.module_dim}
+        want = (dims[self.codomain], dims[self.domain])
         got = (self.matrix.rows, self.matrix.cols)
         if want != got:
             raise DimensionError(f"map {self.domain}->{self.codomain}: matrix {got} != {want}")
@@ -142,41 +125,43 @@ class LinMap:
 
 
 @_memoized
-def is_rdo(ctx: OperatorContext, d: LinMap) -> Report:
+def is_rdo(rho: Representation, d: LinMap) -> Report:
     """d[x,y] = rho(x)d(y) - rho(y)d(x) on all basis pairs."""
-    d.check_shape(ctx)
+    d.check_shape(rho)
     if (d.domain, d.codomain) != (ALGEBRA, MODULE):
         raise DimensionError("relative differential operator must map algebra -> module")
     rep = Report("relative differential operator")
-    n, rd = ctx.n, ctx.rep.st * d.matrix  # rows (i, r): rho(e_i) d
+    n, rd = rho.algebra.dim, rho.st * d.matrix  # rows (i, r): rho(e_i) d
     rep.record_tuples("rdo", identity_test(
-        {"i": n, "j": n, "r": ctx.m},
-        [(1, d.matrix * ctx.g.unfolded[1], "rij"), (-1, rd, "irj"), (1, rd, "jri")], ordered=2))
+        {"i": n, "j": n, "r": rho.module_dim},
+        [(1, d.matrix * rho.algebra.unfolded[1], "rij"), (-1, rd, "irj"), (1, rd, "jri")],
+        ordered=2))
     return rep
 
 
-def inner_rdo(ctx: OperatorContext, u: Matrix) -> LinMap:
+def inner_rdo(rho: Representation, u: Matrix) -> LinMap:
     """The coboundary x -> rho(x) u, read off st u; always a relative differential operator."""
-    return LinMap((ctx.rep.st * u).reshape(ctx.n, ctx.m).transpose(), ALGEBRA, MODULE)
+    return LinMap((rho.st * u).reshape(rho.algebra.dim, rho.module_dim).transpose(),
+                  ALGEBRA, MODULE)
 
 
 @_memoized
-def is_o_operator(ctx: OperatorContext, t: LinMap) -> Report:
+def is_o_operator(rho: Representation, t: LinMap) -> Report:
     """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on all module basis pairs."""
-    t.check_shape(ctx)
+    t.check_shape(rho)
     if (t.domain, t.codomain) != (MODULE, ALGEBRA):
         raise DimensionError("O-operator must map module -> algebra")
-    rep = Report("O-operator")
+    rep, m = Report("O-operator"), rho.module_dim
     rep.record_tuples("o-operator", identity_test(
-        {"i": ctx.m, "j": ctx.m, "r": ctx.n}, _defect(ctx, t.matrix, t.matrix), ordered=2))
+        {"i": m, "j": m, "r": rho.algebra.dim}, _defect(rho, t.matrix, t.matrix), ordered=2))
     return rep
 
 
-def _defect(ctx: OperatorContext, a: Matrix, b: Matrix) -> list:
+def _defect(rho: Representation, a: Matrix, b: Matrix) -> list:
     """The terms of [au, bv] - a rho(bu)v + a rho(bv)u at basis pairs (u, v),
     read off [au, b.] (rows (u, k)) and a rho(bu) (rows (u, v))."""
-    after = combine(ctx.rep.unfolded[2], b) * a.transpose()
-    return [(1, combine(ctx.g.st, a) * b, "irj"), (-1, after, "ijr"), (1, after, "jir")]
+    after = combine(rho.unfolded[2], b) * a.transpose()
+    return [(1, combine(rho.algebra.st, a) * b, "irj"), (-1, after, "ijr"), (1, after, "jir")]
 
 
 @_memoized
@@ -226,13 +211,13 @@ def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
 
 
 @_memoized
-def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -> Report:
+def is_dual_nijenhuis_pair(rho: Representation, n_map: LinMap, s_map: LinMap) -> Report:
     """rho(Nx)(Sv) = S(rho(Nx)v) + rho(x)(S^2 v) - S(rho(x)(Sv)) for basis x, v."""
-    is_nijenhuis(ctx.g, n_map).require("N is not a Nijenhuis operator")
-    s_map.check_shape(ctx)
+    is_nijenhuis(rho.algebra, n_map).require("N is not a Nijenhuis operator")
+    s_map.check_shape(rho)
     rep = Report("dual-Nijenhuis pair")
-    n, m, nm, sm = ctx.n, ctx.m, n_map.matrix, s_map.matrix
-    st, row, ts = ctx.rep.unfolded
+    n, m, nm, sm = rho.algebra.dim, rho.module_dim, n_map.matrix, s_map.matrix
+    st, row, ts = rho.unfolded
     # rho(Ne_i)S e_a - S rho(Ne_i) e_a - rho(e_i)S^2 e_a + S rho(e_i)S e_a
     rep.record_tuples("dual-nijenhuis", identity_test(
         {"i": n, "j": m, "r": m},
@@ -241,48 +226,49 @@ def is_dual_nijenhuis_pair(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -
     return rep
 
 
-def deformed_representation(ctx: OperatorContext, n_map: LinMap, s_map: LinMap) -> Representation:
+def deformed_representation(rho: Representation, n_map: LinMap, s_map: LinMap) -> Representation:
     """varrho(x) = rho(Nx) - [rho(x), S], a representation of (g, [.,.]_N) on V."""
-    is_dual_nijenhuis_pair(ctx, n_map, s_map).require("(N,S) is not a dual-Nijenhuis pair")
-    return _deformed_representation(ctx, n_map.matrix, s_map.matrix)
+    is_dual_nijenhuis_pair(rho, n_map, s_map).require("(N,S) is not a dual-Nijenhuis pair")
+    return _deformed_representation(rho, n_map.matrix, s_map.matrix)
 
 
 @_memoized
-def _deformed_representation(ctx: OperatorContext, nm: Matrix, sm: Matrix) -> Representation:
+def _deformed_representation(rho: Representation, nm: Matrix, sm: Matrix) -> Representation:
     """varrho for the matrices nm, sm of a dual-Nijenhuis pair, stacked:
     varrho(e_i) = rho(N e_i) - rho(e_i) S + (rho(e_i)^T S^T)^T."""
-    st, _, ts = ctx.rep.unfolded
-    return _new(Representation, algebra=_deformed_bracket(ctx.g, nm), module_dim=ctx.m,
+    st, _, ts = rho.unfolded
+    return _new(Representation, algebra=_deformed_bracket(rho.algebra, nm),
+                module_dim=rho.module_dim,
                 st=combine(st, nm) - st * sm + block_transpose(ts * sm.transpose()))
 
 
 # -- brackets induced by an O-operator --------------------------------
 
 
-def bracket_T(ctx: OperatorContext, t: LinMap) -> tuple[PreLieAlgebra, LieAlgebra]:
+def bracket_T(rho: Representation, t: LinMap) -> tuple[PreLieAlgebra, LieAlgebra]:
     """Pre-Lie product u *T v = rho(Tu)v on V and its sub-adjacent bracket."""
-    is_o_operator(ctx, t).require("T is not an O-operator")
-    prelie = _new(PreLieAlgebra, dim=ctx.m, st=combine(ctx.rep.st, t.matrix))
+    is_o_operator(rho, t).require("T is not an O-operator")
+    prelie = _new(PreLieAlgebra, dim=rho.module_dim, st=combine(rho.st, t.matrix))
     return prelie, subadjacent(prelie)
 
 
-def brackets_coincide(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap) -> Report:
+def brackets_coincide(rho: Representation, t: LinMap, s_map: LinMap, n_map: LinMap) -> Report:
     """[.,.]^{NoT}, the S-deformation of [.,.]^T, and {.,.}^T_varrho agree pairwise."""
     nt = n_map.compose(t)
     ts = t.compose(s_map)
-    for a in range(ctx.m):
+    for a in range(rho.module_dim):
         if nt.matrix.col(a) != ts.matrix.col(a):
             raise PreconditionError(f"N∘T ≠ T∘S at module basis vector {a + 1}")
-    return _coincidence(ctx, t, s_map.matrix, nt, deformed_representation(ctx, n_map, s_map))
+    return _coincidence(rho, t, s_map.matrix, nt, deformed_representation(rho, n_map, s_map))
 
 
-def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
+def _coincidence(rho: Representation, t: LinMap, sm: Matrix, nt: LinMap,
                  varrho: Representation) -> Report:
     """The coincidence claims, given nt = N∘T = T∘S for the matrix sm of S and
     the representation varrho of a dual-Nijenhuis pair (N, S)."""
     rep = Report("bracket coincidence")
-    tm, m = t.matrix, ctx.m
-    st, _, ts = ctx.rep.unfolded  # rows (u, r) of combine(st, x): rho(xu)
+    tm, m = t.matrix, rho.module_dim
+    st, _, ts = rho.unfolded  # rows (u, r) of combine(st, x): rho(xu)
     act_nt, act_ts, act_t_s = combine(st, nt.matrix), combine(st, tm * sm), combine(st, tm) * sm
     act_vr, s_after = combine(varrho.st, tm), combine(ts, tm) * sm.transpose()
     # [u, v]^{NoT} against [Su, v]^T + [u, Sv]^T - S[u, v]^T, with
@@ -300,65 +286,64 @@ def _coincidence(ctx: OperatorContext, t: LinMap, sm: Matrix, nt: LinMap,
 
 
 @_memoized
-def is_dn(ctx: OperatorContext, d: LinMap, n_map: LinMap) -> Report:
+def is_dn(rho: Representation, d: LinMap, n_map: LinMap) -> Report:
     """DN-structure: d and d∘N are both relative differential operators, N Nijenhuis."""
     pre = Report("DN preconditions")
-    pre.merge(is_rdo(ctx, d), "d:")
-    pre.merge(is_nijenhuis(ctx.g, n_map), "N:")
+    pre.merge(is_rdo(rho, d), "d:")
+    pre.merge(is_nijenhuis(rho.algebra, n_map), "N:")
     pre.require("DN preconditions failed")
     rep = Report("DN-structure")
-    rep.merge(is_rdo(ctx, d.compose(n_map)), "d∘N:")
+    rep.merge(is_rdo(rho, d.compose(n_map)), "d∘N:")
     return rep
 
 
-def dn_powers(ctx: OperatorContext, d: LinMap, n_map: LinMap, kmax: int) -> Report:
+def dn_powers(rho: Representation, d: LinMap, n_map: LinMap, kmax: int) -> Report:
     """d∘N^k are relative differential operators and (d∘N^k, N^k) are DN, k=1..kmax."""
     rep = Report(f"DN powers up to {kmax}")
     for k in range(1, kmax + 1):
         nk = n_map.power(k)
         dk = d.compose(nk)
-        rep.record(f"rdo(d∘N^{k})", (k,), is_rdo(ctx, dk).passed)
-        rep.record(f"dn(d∘N^{k}, N^{k})", (k,), is_dn(ctx, dk, nk).passed)
+        rep.record(f"rdo(d∘N^{k})", (k,), is_rdo(rho, dk).passed)
+        rep.record(f"dn(d∘N^{k}, N^{k})", (k,), is_dn(rho, dk, nk).passed)
     return rep
 
 
 @_memoized
-def is_kd(ctx: OperatorContext, t: LinMap, d: LinMap) -> Report:
+def is_kd(rho: Representation, t: LinMap, d: LinMap) -> Report:
     """KD-structure: with N = T∘d, the composite d∘N is again an RDO."""
     pre = Report("KD preconditions")
-    pre.merge(is_o_operator(ctx, t), "T:")
-    pre.merge(is_rdo(ctx, d), "d:")
+    pre.merge(is_o_operator(rho, t), "T:")
+    pre.merge(is_rdo(rho, d), "d:")
     pre.require("KD preconditions failed")
     n_map = t.compose(d)
     rep = Report("KD-structure")
-    rep.merge(is_rdo(ctx, d.compose(n_map)), "d∘(T∘d):")
+    rep.merge(is_rdo(rho, d.compose(n_map)), "d∘(T∘d):")
     return rep
 
 
 @_memoized
-def is_kn(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap) -> Report:
+def is_kn(rho: Representation, t: LinMap, s_map: LinMap, n_map: LinMap) -> Report:
     """KN-structure: N∘T = T∘S, brackets coincide, plus the two O-operator consequences."""
     pre = Report("KN preconditions")
-    pre.merge(is_o_operator(ctx, t), "T:")
-    pre.merge(is_dual_nijenhuis_pair(ctx, n_map, s_map), "(N,S):")
+    pre.merge(is_o_operator(rho, t), "T:")
+    pre.merge(is_dual_nijenhuis_pair(rho, n_map, s_map), "(N,S):")
     pre.require("KN preconditions failed")
     rep = Report("KN-structure")
     nt = n_map.compose(t)
     commute = nt.matrix == t.compose(s_map).matrix
     rep.record("N∘T=T∘S", (), commute)
     if commute:
-        varrho = _deformed_representation(ctx, n_map.matrix, s_map.matrix)
-        rep.merge(_coincidence(ctx, t, s_map.matrix, nt, varrho))
+        varrho = _deformed_representation(rho, n_map.matrix, s_map.matrix)
+        rep.merge(_coincidence(rho, t, s_map.matrix, nt, varrho))
         # consequences: T is an O-operator for (deformed bracket, varrho);
         # N∘T is an O-operator for (g, rho)
-        rep.record("T O-operator on deformed algebra", (),
-                   is_o_operator(OperatorContext(varrho.algebra, varrho), t).passed)
-        rep.record("N∘T O-operator", (), is_o_operator(ctx, nt).passed)
+        rep.record("T O-operator on deformed algebra", (), is_o_operator(varrho, t).passed)
+        rep.record("N∘T O-operator", (), is_o_operator(rho, nt).passed)
     return rep
 
 
 @_memoized
-def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
+def are_compatible(rho: Representation, t1: LinMap, t2: LinMap) -> Report:
     """Mixed bilinear identity on basis pairs.
 
     It is exactly what makes every combination k1 T1 + k2 T2 an O-operator:
@@ -366,26 +351,26 @@ def are_compatible(ctx: OperatorContext, t1: LinMap, t2: LinMap) -> Report:
     quadratic in T, so def(k1 T1 + k2 T2) = k1^2 def(T1) + k2^2 def(T2)
     + k1 k2 mixed(T1, T2), where mixed(T1, T2) is the identity checked here."""
     pre = Report("compatibility preconditions")
-    pre.merge(is_o_operator(ctx, t1), "T1:")
-    pre.merge(is_o_operator(ctx, t2), "T2:")
+    pre.merge(is_o_operator(rho, t1), "T1:")
+    pre.merge(is_o_operator(rho, t2), "T2:")
     pre.require("compatibility preconditions failed")
-    rep = Report("compatible O-operators")
+    rep, m = Report("compatible O-operators"), rho.module_dim
     # [T1u, T2v] + [T2u, T1v] - T1(rho(T2u)v - rho(T2v)u) - T2(rho(T1u)v - rho(T1v)u)
     rep.record_tuples("mixed-identity", identity_test(
-        {"i": ctx.m, "j": ctx.m, "r": ctx.n},
-        _defect(ctx, t1.matrix, t2.matrix) + _defect(ctx, t2.matrix, t1.matrix), ordered=2))
+        {"i": m, "j": m, "r": rho.algebra.dim},
+        _defect(rho, t1.matrix, t2.matrix) + _defect(rho, t2.matrix, t1.matrix), ordered=2))
     return rep
 
 
-def kn_hierarchy(ctx: OperatorContext, t: LinMap, s_map: LinMap, n_map: LinMap,
+def kn_hierarchy(rho: Representation, t: LinMap, s_map: LinMap, n_map: LinMap,
                  kmax: int) -> Report:
     """N^k∘T are O-operators and pairwise compatible, for k, l <= kmax."""
-    is_kn(ctx, t, s_map, n_map).require("(T,S,N) is not a KN-structure")
+    is_kn(rho, t, s_map, n_map).require("(T,S,N) is not a KN-structure")
     rep = Report(f"KN hierarchy up to {kmax}")
     powers = [n_map.power(k).compose(t) for k in range(kmax + 1)]
     for k in range(kmax + 1):
-        rep.record(f"o-operator(N^{k}∘T)", (k,), is_o_operator(ctx, powers[k]).passed)
+        rep.record(f"o-operator(N^{k}∘T)", (k,), is_o_operator(rho, powers[k]).passed)
     for k, l in itertools.combinations(range(kmax + 1), 2):
         rep.record(f"compatible(N^{k}∘T, N^{l}∘T)", (k, l),
-                   are_compatible(ctx, powers[k], powers[l]).passed)
+                   are_compatible(rho, powers[k], powers[l]).passed)
     return rep

@@ -43,7 +43,6 @@ from hyperops.linalg import Matrix
 from hyperops.operators import (
     ALGEBRA,
     LinMap,
-    OperatorContext,
     dn_powers,
     is_o_operator,
     kn_hierarchy,
@@ -69,11 +68,11 @@ def _triple(name):
 def test_symplectic_triple_classification_and_operator_duality():
     b, t = _triple("lie.L4sym")
     g = b.algebra("g")
-    ctx = OperatorContext(g, coadjoint_rep(g))
+    rho = coadjoint_rep(g)
     for name in ("w1", "w2", "w3"):
         w = b.form(name)
         assert is_symplectic(g, w).passed
-        assert is_rdo(ctx, form_to_map(w)).passed
+        assert is_rdo(rho, form_to_map(w)).passed
 
 
 def test_hessian_triple_classification():
@@ -112,13 +111,13 @@ def test_signature_product_regimes():
         assert t.eps_product == 1
         assert product_one_suite(t).passed
         for i in range(3):
-            assert is_o_operator(t.ctx, t.k(i)).passed
+            assert is_o_operator(t.rho, t.k(i)).passed
     # product -1: decomposition into hflat and anticommuting structures, and back
     for name in ("lie.L4sym", "abelian.quat"):
         _, t = _triple(name)
         assert t.eps_product == -1
         dec = decompose_hyper(t)
-        rebuilt = reconstruct_hyper(t.ctx, dec.hflat, dec.i1, dec.i2)
+        rebuilt = reconstruct_hyper(t.rho, dec.hflat, dec.i1, dec.i2)
         for k in range(3):
             assert rebuilt.d[k].matrix == t.d[dec.permutation[k]].matrix
         assert rebuilt.eps == tuple(t.eps[p] for p in dec.permutation)
@@ -157,11 +156,11 @@ def test_operator_hierarchies():
     for name in TRIPLES:
         _, t = _triple(name)
         for i in range(3):
-            assert is_rdo(t.ctx, t.d[i]).passed
-            assert is_o_operator(t.ctx, t.t[i]).passed
+            assert is_rdo(t.rho, t.d[i]).passed
+            assert is_o_operator(t.rho, t.t[i]).passed
     _, t = _triple("lie.L4sym")
-    assert kn_hierarchy(t.ctx, t.t[0], t.s[1], t.n[1], kmax=3).passed
-    assert dn_powers(t.ctx, t.d[0], t.n[1], kmax=4).passed
+    assert kn_hierarchy(t.rho, t.t[0], t.s[1], t.n[1], kmax=3).passed
+    assert dn_powers(t.rho, t.d[0], t.n[1], kmax=4).passed
 
 
 def test_negative_paths_are_diagnosed_and_stable(tmp_path):

@@ -29,7 +29,6 @@ from hyperops.operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
     _deformed_bracket,
     bracket_T,
 )
@@ -289,8 +288,7 @@ def test_derived_structures_match_scalar_tensor_formulas(data):
     am = Matrix(m, m, [a[j] if k == m - 1 else ZERO for k in range(m) for j in range(m)])
     tm = Matrix(n, m, [data.draw(gauss) if j < m - 1 else ZERO for _ in r for j in range(m)])
     rho = [am.scale(v) for v in s]
-    ctx = OperatorContext(abelian(n), Representation(abelian(n), m, rho))
-    prelie, lie = bracket_T(ctx, LinMap(tm, MODULE, ALGEBRA))
+    prelie, lie = bracket_T(Representation(abelian(n), m, rho), LinMap(tm, MODULE, ALGEBRA))
     # e_b ._T e_j = rho(T e_b) e_j has k-th coordinate sum_i T[i, b] rho_i[k, j]
     q = [[[sum((tm[i, b] * rho[i][k, j] for i in r), ZERO) for k in range(m)]
           for j in range(m)] for b in range(m)]

@@ -87,12 +87,12 @@ def test_broken_variants_fail_for_documented_reasons():
     assert any(r.claim == "jacobi" and r.indices == (1, 2, 3) for r in rep.violations)
 
     b = parse_bundle(broken_variant("non-anticommuting"))
-    ctx = b.context("triv")
+    rho = b.rep("triv")
     hflat = LinMap(Matrix.identity(4), ALGEBRA, MODULE)
     i1 = LinMap(b.map("i1").matrix, ALGEBRA, ALGEBRA)
     i2 = LinMap(b.map("i2").matrix, ALGEBRA, ALGEBRA)
     with pytest.raises(PreconditionError):
-        reconstruct_hyper(ctx, hflat, i1, i2)
+        reconstruct_hyper(rho, hflat, i1, i2)
 
     b = parse_bundle(broken_variant("non-derivation"))
     with pytest.raises(PreconditionError) as exc:

@@ -26,7 +26,7 @@ from hyperops.geometry import (
     SYMMETRIC,
     BilForm,
     KahlerQuad,
-    _flat_context,
+    _flat_rep,
     check_hermitian_variant,
     check_kahler_quad,
     classify_hyper_hessian,
@@ -42,7 +42,7 @@ from hyperops.geometry import (
 )
 from hyperops.hyper import decompose_hyper, reconstruct_hyper
 from hyperops.linalg import Matrix
-from hyperops.operators import ALGEBRA, LinMap, OperatorContext
+from hyperops.operators import ALGEBRA, LinMap, memo_scope
 from hyperops.reporting import ClaimResult, PreconditionError, Report
 from hyperops.scalars import ZERO, Scalar
 from hyperops.search import instantiate, solve_forms
@@ -95,15 +95,18 @@ def test_bilform_is_skew_exactly_when_its_transpose_is_its_negative(rows, cols, 
         BilForm(Matrix.zero(rows, rows + 1), SKEW)
 
 
-def test_flat_context_is_built_once_per_algebra():
+def test_flat_rep_is_built_once_per_request():
     for name, fresh in (("lie.L4sym", coadjoint_rep), ("prelie.rot4", coregular_rep)):
         g = parse_bundle(export_bundle(name)).algebra("g")
-        ctx = _flat_context(g)
-        assert _flat_context(g) is ctx
-        rep = fresh(g)
-        assert ctx == OperatorContext(rep.algebra, rep)
-        # what is kept on the algebra takes no part in its equality or hash
         again = parse_bundle(export_bundle(name)).algebra("g")
+        with memo_scope():
+            rho = _flat_rep(g)
+            assert _flat_rep(g) is rho and _flat_rep(again) is rho  # keyed by value
+            assert rho == fresh(g)
+        # outside a scope every call builds, and nothing is kept on the algebra
+        # beyond its dimension, its stack and the views cached from the stack
+        assert _flat_rep(g) == rho and _flat_rep(g) is not rho
+        assert set(g.__dict__) <= {"dim", "st", "unfolded", "c", "p"}
         assert g == again and hash(g) == hash(again)
 
 
@@ -202,7 +205,7 @@ def test_para_hyper_kahler_quad_from_l4sym():
 def test_kahler_quad_converse_direction():
     # rebuild the triple from the quad pieces and compare operator by operator
     b, t, dec = _decomposed("lie.L4sym", "omega")
-    rebuilt = reconstruct_hyper(t.ctx, dec.hflat, dec.i1, dec.i2)
+    rebuilt = reconstruct_hyper(t.rho, dec.hflat, dec.i1, dec.i2)
     for k in range(3):
         assert rebuilt.d[k].matrix == t.d[dec.permutation[k]].matrix
 

@@ -41,17 +41,17 @@ def test_classification_signatures():
 def test_signature_is_computed_not_supplied():
     # scaling one operator by 2 breaks the square condition and classification fails
     b = parse_bundle(export_bundle("abelian.quat"))
-    ctx = b.context("triv")
+    rho = b.rep("triv")
     with pytest.raises(ClassificationError):
-        classify_hyper(ctx, b.map("mi").scale(2), b.map("mj"), b.map("mk"))
+        classify_hyper(rho, b.map("mi").scale(2), b.map("mj"), b.map("mk"))
 
 
 def test_noninvertible_rejected():
     b = parse_bundle(export_bundle("abelian.quat"))
-    ctx = b.context("triv")
+    rho = b.rep("triv")
     z = LinMap(Matrix.zero(4, 4), ALGEBRA, MODULE)
     with pytest.raises(ClassificationError) as exc:
-        classify_hyper(ctx, z, b.map("mj"), b.map("mk"))
+        classify_hyper(rho, z, b.map("mj"), b.map("mk"))
     assert "d1" in str(exc.value)
 
 
@@ -88,7 +88,7 @@ def test_k_maps_are_o_operators_in_plus_one_regime():
     for name, t, _ in _triples():
         if t.eps_product == 1:
             for i in range(3):
-                assert is_o_operator(t.ctx, t.k(i)).passed
+                assert is_o_operator(t.rho, t.k(i)).passed
 
 
 def test_decompose_reconstruct_round_trip():
@@ -99,7 +99,7 @@ def test_decompose_reconstruct_round_trip():
         # defining property: d_i = hflat ∘ I_i
         for idx, ii in enumerate((dec.i1, dec.i2, dec.i3)):
             assert dec.hflat.compose(ii).matrix == t.d[dec.permutation[idx]].matrix
-        rebuilt = reconstruct_hyper(t.ctx, dec.hflat, dec.i1, dec.i2)
+        rebuilt = reconstruct_hyper(t.rho, dec.hflat, dec.i1, dec.i2)
         for k in range(3):
             assert rebuilt.d[k].matrix == t.d[dec.permutation[k]].matrix
         assert rebuilt.eps == tuple(t.eps[p] for p in dec.permutation)
@@ -116,7 +116,7 @@ def test_para_input_is_cyclically_renumbered():
     # feed the L4sym triple in the order (w2, w3, w1): eps (1,-1,1) -> shifted to (1,1,-1)
     b = parse_bundle(export_bundle("lie.L4sym"))
     t = classify_triple(b, "omega")
-    perm_in = classify_hyper(t.ctx, t.d[1], t.d[2], t.d[0])
+    perm_in = classify_hyper(t.rho, t.d[1], t.d[2], t.d[0])
     assert perm_in.eps != (1, 1, -1) and perm_in.eps_product == -1
     dec = decompose_hyper(perm_in)
     assert dec.permutation != (0, 1, 2)
@@ -128,23 +128,23 @@ def test_para_input_is_cyclically_renumbered():
 
 def test_reconstruct_rejects_non_anticommuting():
     b = parse_bundle(export_bundle("abelian.quat"))
-    ctx = b.context("triv")
+    rho = b.rep("triv")
     mi = LinMap(b.map("mi").matrix, ALGEBRA, ALGEBRA)
     hflat = LinMap(Matrix.identity(4), ALGEBRA, MODULE)
     with pytest.raises(PreconditionError) as exc:
-        reconstruct_hyper(ctx, hflat, mi, mi)
+        reconstruct_hyper(rho, hflat, mi, mi)
     failing = [r.claim for r in exc.value.report.violations]
     assert "I1∘I2=-I2∘I1" in failing
 
 
 def test_reconstruct_rejects_singular_hflat():
     b = parse_bundle(export_bundle("abelian.quat"))
-    ctx = b.context("triv")
+    rho = b.rep("triv")
     mi = LinMap(b.map("mi").matrix, ALGEBRA, ALGEBRA)
     mj = LinMap(b.map("mj").matrix, ALGEBRA, ALGEBRA)
     hflat = LinMap(Matrix.zero(4, 4), ALGEBRA, MODULE)
     with pytest.raises(PreconditionError):
-        reconstruct_hyper(ctx, hflat, mi, mj)
+        reconstruct_hyper(rho, hflat, mi, mj)
 
 
 def test_reports_are_byte_stable():

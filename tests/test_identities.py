@@ -38,7 +38,6 @@ from hyperops.operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
     _coincidence,
     are_compatible,
     is_dual_nijenhuis_pair,
@@ -115,21 +114,21 @@ def ref_left_symmetry(g):
     return left_symmetric
 
 
-def ref_rdo(ctx, d):
-    eb = unit_columns(ctx.n)
+def ref_rdo(rho, d):
+    eb = unit_columns(rho.algebra.dim)
     dm = d.matrix
     return lambda i, j: (
-        dm * ctx.g.basis_bracket(i, j) == ctx.rep.mats[i] * (dm * eb[j])
-        - ctx.rep.mats[j] * (dm * eb[i]))
+        dm * rho.algebra.basis_bracket(i, j) == rho.mats[i] * (dm * eb[j])
+        - rho.mats[j] * (dm * eb[i]))
 
 
-def ref_o_operator(ctx, t):
-    vb, tm = unit_columns(ctx.m), t.matrix
+def ref_o_operator(rho, t):
+    vb, tm = unit_columns(rho.module_dim), t.matrix
 
     def holds(i, j):
         tu, tv = tm * vb[i], tm * vb[j]
-        return multiply(ctx.g, tu, tv) == tm * (act(ctx.rep, tu) * vb[j]
-                                                - act(ctx.rep, tv) * vb[i])
+        return multiply(rho.algebra, tu, tv) == tm * (act(rho, tu) * vb[j]
+                                                      - act(rho, tv) * vb[i])
 
     return holds
 
@@ -145,24 +144,24 @@ def ref_nijenhuis(g, n_map):
     return holds
 
 
-def ref_dual_nijenhuis(ctx, n_map, s_map):
-    eb, vb = unit_columns(ctx.n), unit_columns(ctx.m)
+def ref_dual_nijenhuis(rho, n_map, s_map):
+    eb, vb = unit_columns(rho.algebra.dim), unit_columns(rho.module_dim)
     nm, sm = n_map.matrix, s_map.matrix
-    rho_n = [act(ctx.rep, nm * x) for x in eb]
+    rho_n = [act(rho, nm * x) for x in eb]
 
     def holds(i, a):
-        rho_nx, rho_x, v = rho_n[i], ctx.rep.mats[i], vb[a]
+        rho_nx, rho_x, v = rho_n[i], rho.mats[i], vb[a]
         return (rho_nx * (sm * v) == sm * (rho_nx * v) + rho_x * (sm * (sm * v))
                 - sm * (rho_x * (sm * v)))
 
     return holds
 
 
-def ref_coincidence(ctx, t, sm, nt, varrho):
-    vb, tm = unit_columns(ctx.m), t.matrix
+def ref_coincidence(rho, t, sm, nt, varrho):
+    vb, tm = unit_columns(rho.module_dim), t.matrix
 
     def matrixwise(x, u, v):
-        return act(ctx.rep, x * u) * v - act(ctx.rep, x * v) * u
+        return act(rho, x * u) * v - act(rho, x * v) * u
 
     def holds(a, b):
         u, v = vb[a], vb[b]
@@ -175,24 +174,24 @@ def ref_coincidence(ctx, t, sm, nt, varrho):
     return holds
 
 
-def ref_mixed(ctx, t1, t2):
-    vb, a, b = unit_columns(ctx.m), t1.matrix, t2.matrix
+def ref_mixed(rho, t1, t2):
+    vb, a, b = unit_columns(rho.module_dim), t1.matrix, t2.matrix
 
     def holds(i, j):
         u, v = vb[i], vb[j]
-        lhs = multiply(ctx.g, a * u, b * v) + multiply(ctx.g, b * u, a * v)
-        return lhs == (a * (act(ctx.rep, b * u) * v - act(ctx.rep, b * v) * u)
-                       + b * (act(ctx.rep, a * u) * v - act(ctx.rep, a * v) * u))
+        lhs = multiply(rho.algebra, a * u, b * v) + multiply(rho.algebra, b * u, a * v)
+        return lhs == (a * (act(rho, b * u) * v - act(rho, b * v) * u)
+                       + b * (act(rho, a * u) * v - act(rho, a * v) * u))
 
     return holds
 
 
-def ref_key_identity(ctx, t_map, s_map):
-    vb, tm, sm = unit_columns(ctx.m), t_map.matrix, s_map.matrix
+def ref_key_identity(rho, t_map, s_map):
+    vb, tm, sm = unit_columns(rho.module_dim), t_map.matrix, s_map.matrix
 
     def holds(a, b):
         u, v = vb[a], vb[b]
-        rho_u, rho_v = act(ctx.rep, tm * u), act(ctx.rep, tm * v)
+        rho_u, rho_v = act(rho, tm * u), act(rho, tm * v)
         return (sm * (rho_u * v) - sm * (rho_v * u)
                 - rho_u * (sm * v) + rho_v * (sm * u)).is_zero()
 
@@ -273,38 +272,38 @@ def _lie_members(g):
 _PASS = Report()  # a passing precondition report
 
 
-def _check_all(ctx, d, t, n_map, s_map, t2, varrho):
+def _check_all(rho, d, t, n_map, s_map, t2, varrho):
     """Every identity on one input: d algebra -> module, t and t2 module ->
     algebra, n_map on the algebra, s_map on the module, varrho a
-    representation of some algebra of ctx's dimension on the module."""
-    g, r, n, m = ctx.g, ctx.rep, ctx.n, ctx.m
+    representation of some algebra of rho's dimension on the module."""
+    g, r, n, m = rho.algebra, rho, rho.algebra.dim, rho.module_dim
     _same_reports(lambda: r.check(), (ref_rep_hom(r), _pairs(n)))
     _same_reports(lambda: check_lie(g), *zip((ref_antisymmetry(g), ref_jacobi(g)),
                                              _lie_members(g)))
-    _same_reports(lambda: is_rdo(ctx, d), (ref_rdo(ctx, d), _pairs(n)))
-    _same_reports(lambda: is_o_operator(ctx, t), (ref_o_operator(ctx, t), _pairs(m)))
+    _same_reports(lambda: is_rdo(rho, d), (ref_rdo(rho, d), _pairs(n)))
+    _same_reports(lambda: is_o_operator(rho, t), (ref_o_operator(rho, t), _pairs(m)))
     _same_reports(lambda: is_nijenhuis(g, n_map), (ref_nijenhuis(g, n_map), _pairs(n)))
     _same_reports(lambda: _is_derivation(g, n_map),
                   (ref_derivation(g, n_map), _derivation_members(g)))
     # the pair predicates proved their preconditions first; stub those out
     with _patched((operators, "is_nijenhuis", lambda *a: _PASS),
                   (operators, "is_o_operator", lambda *a: _PASS)):
-        _same_reports(lambda: is_dual_nijenhuis_pair(ctx, n_map, s_map),
-                      (ref_dual_nijenhuis(ctx, n_map, s_map),
+        _same_reports(lambda: is_dual_nijenhuis_pair(rho, n_map, s_map),
+                      (ref_dual_nijenhuis(rho, n_map, s_map),
                        itertools.product(range(n), range(m))))
-        _same_reports(lambda: are_compatible(ctx, t, t2), (ref_mixed(ctx, t, t2), _pairs(m)))
+        _same_reports(lambda: are_compatible(rho, t, t2), (ref_mixed(rho, t, t2), _pairs(m)))
     nt = n_map.compose(t)
-    _same_reports(lambda: _coincidence(ctx, t, s_map.matrix, nt, varrho),
-                  (ref_coincidence(ctx, t, s_map.matrix, nt, varrho), _pairs(m)))
-    if ctx.n == ctx.m:  # product_one_suite inverts hflat, here the identity
-        triple = HyperTriple(ctx, (d,) * 3, (t,) * 3, (n_map,) * 3, (s_map,) * 3, (1, 1, 1),
-                             LinMap(Matrix.identity(ctx.n), ALGEBRA, MODULE))
+    _same_reports(lambda: _coincidence(rho, t, s_map.matrix, nt, varrho),
+                  (ref_coincidence(rho, t, s_map.matrix, nt, varrho), _pairs(m)))
+    if n == m:  # product_one_suite inverts hflat, here the identity
+        triple = HyperTriple(rho, (d,) * 3, (t,) * 3, (n_map,) * 3, (s_map,) * 3, (1, 1, 1),
+                             LinMap(Matrix.identity(n), ALGEBRA, MODULE))
         stubs = [(hyper, f, lambda *a: _PASS)
                  for f in ("is_dn", "is_kd", "is_kn", "are_compatible", "is_rdo")]
         with _patched(*stubs):
             got = product_one_suite(triple)
         # one claim per i, its first failing pair as counterexample
-        want, ref = Report(), ref_key_identity(ctx, t, s_map)
+        want, ref = Report(), ref_key_identity(rho, t, s_map)
         for i in range(3):
             ref_record(want, "key identity", _pairs(m), ref, at=(i + 1,))
         assert [c.to_json() for c in got.results if c.claim == "key identity"] == [
@@ -410,10 +409,10 @@ def operator_inputs(draw):
     def mat(rows, cols):
         return draw(gaussian_matrix(rows, cols, real))
 
-    ctx = OperatorContext(g, Representation(g, m, mats))
+    rho = Representation(g, m, mats)
     h = LieAlgebra(n, [mat(n, n) for _ in range(n)])
     varrho = Representation(h, m, [mat(m, m) for _ in range(n)])
-    return (ctx, LinMap(mat(m, n), ALGEBRA, MODULE), LinMap(mat(n, m), MODULE, ALGEBRA),
+    return (rho, LinMap(mat(m, n), ALGEBRA, MODULE), LinMap(mat(n, m), MODULE, ALGEBRA),
             LinMap(mat(n, n), ALGEBRA, ALGEBRA), LinMap(mat(m, m), MODULE, MODULE),
             LinMap(mat(n, m), MODULE, ALGEBRA), varrho)
 
@@ -449,8 +448,8 @@ def test_identities_match_the_reference_on_corpus_triples(eid, name):
     t = classify_triple(parse_bundle(export_bundle(eid)), name)
     for i in range(3):
         j = (i + 1) % 3
-        varrho = operators._deformed_representation(t.ctx, t.n[i].matrix, t.s[i].matrix)
-        _check_all(t.ctx, t.d[i], t.t[i], t.n[i], t.s[i], t.t[j], varrho)
+        varrho = operators._deformed_representation(t.rho, t.n[i].matrix, t.s[i].matrix)
+        _check_all(t.rho, t.d[i], t.t[i], t.n[i], t.s[i], t.t[j], varrho)
 
 
 @pytest.mark.parametrize("variant", ["non-jacobi", "non-derivation"])

@@ -13,7 +13,6 @@ from hyperops.algebra import (
     check_lie,
     coadjoint_rep,
     coregular_rep,
-    subadjacent,
     trivial_rep,
 )
 from hyperops.bundle import classify_triple, parse_bundle
@@ -24,7 +23,6 @@ from hyperops.operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
     are_compatible,
     bracket_T,
     brackets_coincide,
@@ -46,57 +44,57 @@ from hyperops.reporting import PreconditionError
 from hyperops.scalars import Scalar
 
 
-def _contexts():
-    """Ambient contexts with at least one known invertible differential operator."""
+def _reps():
+    """Representations with at least one known invertible differential operator."""
     out = []
     b = parse_bundle(export_bundle("lie.L4sym"))
     g = b.algebra("g")
-    ctx = OperatorContext(g, coadjoint_rep(g))
-    out.append((ctx, [form_to_map(b.form(n)) for n in ("w1", "w2", "w3")]))
+    rho = coadjoint_rep(g)
+    out.append((rho, [form_to_map(b.form(n)) for n in ("w1", "w2", "w3")]))
     b = parse_bundle(export_bundle("prelie.rot4"))
     p = b.algebra("g")
-    ctx = OperatorContext(subadjacent(p), coregular_rep(p))
-    out.append((ctx, [form_to_map(b.form(n)) for n in ("B1", "B2", "B3")]))
+    rho = coregular_rep(p)
+    out.append((rho, [form_to_map(b.form(n)) for n in ("B1", "B2", "B3")]))
     b = parse_bundle(export_bundle("abelian.quat"))
-    ctx = b.context("triv")
-    out.append((ctx, [b.map(n) for n in ("mi", "mj", "mk")]))
+    rho = b.rep("triv")
+    out.append((rho, [b.map(n) for n in ("mi", "mj", "mk")]))
     return out
 
 
 def test_rdo_on_corpus_operators():
-    for ctx, ds in _contexts():
+    for rho, ds in _reps():
         for d in ds:
-            assert is_rdo(ctx, d).passed
+            assert is_rdo(rho, d).passed
 
 
 def test_rdo_rejects_wrong_tags():
-    ctx, _ = _contexts()[0]
+    rho, _ = _reps()[0]
     with pytest.raises(Exception):
-        is_rdo(ctx, LinMap(Matrix.identity(4), MODULE, ALGEBRA))
+        is_rdo(rho, LinMap(Matrix.identity(4), MODULE, ALGEBRA))
 
 
 def test_inverse_duality_both_directions():
     # an invertible map is a differential operator iff its inverse is an O-operator
-    for ctx, ds in _contexts():
+    for rho, ds in _reps():
         for d in ds:
-            assert is_rdo(ctx, d).passed == is_o_operator(ctx, d.inv()).passed
+            assert is_rdo(rho, d).passed == is_o_operator(rho, d.inv()).passed
     # and a failing candidate fails on both sides
     b = parse_bundle(export_bundle("lie.L4sym"))
     g = b.algebra("g")
-    ctx = OperatorContext(g, coadjoint_rep(g))
+    rho = coadjoint_rep(g)
     bad = LinMap(Matrix.diag([1, 2, 3, 4]), ALGEBRA, MODULE)
-    assert not is_rdo(ctx, bad).passed
-    assert not is_o_operator(ctx, bad.inv()).passed
+    assert not is_rdo(rho, bad).passed
+    assert not is_o_operator(rho, bad.inv()).passed
 
 
 def test_inner_rdo_is_always_rdo():
     rng = random.Random(7)
-    for ctx, _ in _contexts():
+    for rho, _ in _reps():
         for _ in range(5):
             u = Matrix.column([Scalar(rng.randint(-4, 4), rng.randint(-2, 2))
-                               for _ in range(ctx.m)])
-            d = inner_rdo(ctx, u)
-            assert is_rdo(ctx, d).passed
+                               for _ in range(rho.module_dim)])
+            d = inner_rdo(rho, u)
+            assert is_rdo(rho, d).passed
 
 
 def test_nijenhuis_from_corpus_triples():
@@ -104,15 +102,15 @@ def test_nijenhuis_from_corpus_triples():
         b = parse_bundle(export_bundle(name))
         t = classify_triple(b, next(iter(b.triples)))
         for i in range(3):
-            rep = is_nijenhuis(t.ctx.g, t.n[i])
+            rep = is_nijenhuis(t.rho.algebra, t.n[i])
             assert rep.passed
-            assert nijenhuis_square_sign(t.ctx.g, t.n[i]) == t.eps[i]
+            assert nijenhuis_square_sign(t.rho.algebra, t.n[i]) == t.eps[i]
 
 
 def test_deformed_bracket_is_lie_and_n_is_morphism():
     b = parse_bundle(export_bundle("lie.L4sym"))
     t = classify_triple(b, "omega")
-    g = t.ctx.g
+    g = t.rho.algebra
     for i in range(3):
         gn = deformed_bracket(g, t.n[i])
         assert check_lie(gn).passed
@@ -143,15 +141,15 @@ def test_dual_nijenhuis_and_deformed_representation():
     b = parse_bundle(export_bundle("lie.L4sym"))
     t = classify_triple(b, "omega")
     for i in range(3):
-        assert is_dual_nijenhuis_pair(t.ctx, t.n[i], t.s[i]).passed
-        varrho = deformed_representation(t.ctx, t.n[i], t.s[i])
+        assert is_dual_nijenhuis_pair(t.rho, t.n[i], t.s[i]).passed
+        varrho = deformed_representation(t.rho, t.n[i], t.s[i])
         assert varrho.check().passed
 
 
 def test_bracket_T_builds_prelie_and_subadjacent():
     b = parse_bundle(export_bundle("lie.L4sym"))
     t = classify_triple(b, "omega")
-    prelie, sub = bracket_T(t.ctx, t.t[0])
+    prelie, sub = bracket_T(t.rho, t.t[0])
     from hyperops.algebra import check_prelie
     assert check_prelie(prelie).passed
     assert check_lie(sub).passed
@@ -161,7 +159,7 @@ def test_brackets_coincide_on_kn_data():
     b = parse_bundle(export_bundle("prelie.rot4"))
     t = classify_triple(b, "B")
     # for i != k, (T_i, S_k, N_k) satisfies N∘T = T∘S
-    rep = brackets_coincide(t.ctx, t.t[0], t.s[1], t.n[1])
+    rep = brackets_coincide(t.rho, t.t[0], t.s[1], t.n[1])
     assert rep.passed
 
 
@@ -169,7 +167,7 @@ def test_brackets_coincide_names_basis_vector_on_mismatch():
     b = parse_bundle(export_bundle("prelie.rot4"))
     t = classify_triple(b, "B")
     with pytest.raises(PreconditionError) as exc:
-        brackets_coincide(t.ctx, t.t[0], t.s[0].scale(Scalar(2)), t.n[0])
+        brackets_coincide(t.rho, t.t[0], t.s[0].scale(Scalar(2)), t.n[0])
     assert "basis vector" in str(exc.value)
 
 
@@ -186,22 +184,22 @@ def test_kn_proves_nijenhuis_and_pair_once(monkeypatch):
 
         monkeypatch.setattr(operators, name, counted)
     t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
-    assert operators.is_kn(t.ctx, t.t[0], t.s[1], t.n[1]).passed
+    assert operators.is_kn(t.rho, t.t[0], t.s[1], t.n[1]).passed
     assert calls == {"is_nijenhuis": 1, "is_dual_nijenhuis_pair": 1}
 
 
 def test_failing_pair_is_a_precondition_with_its_claims():
     t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
     s2 = t.s[1].scale(Scalar(2))
-    pair = is_dual_nijenhuis_pair(t.ctx, t.n[1], s2)
+    pair = is_dual_nijenhuis_pair(t.rho, t.n[1], s2)
     failing = [(r.claim, r.indices) for r in pair.violations]
     assert failing
     with pytest.raises(PreconditionError) as exc:
-        deformed_representation(t.ctx, t.n[1], s2)
+        deformed_representation(t.rho, t.n[1], s2)
     assert str(exc.value) == "(N,S) is not a dual-Nijenhuis pair"
     assert [(r.claim, r.indices) for r in exc.value.report.violations] == failing
     with pytest.raises(PreconditionError) as exc:
-        is_kn(t.ctx, t.t[0], s2, t.n[1])
+        is_kn(t.rho, t.t[0], s2, t.n[1])
     assert str(exc.value) == "KN preconditions failed"
     assert [(r.claim, r.indices) for r in exc.value.report.violations] == [
         ("(N,S):" + claim, idx) for claim, idx in failing]
@@ -215,9 +213,9 @@ def test_dn_kd_kn_on_derived_data():
             for k in range(3):
                 if k == i:
                     continue
-                assert is_kd(t.ctx, t.t[i], t.d[k]).passed
-                assert is_dn(t.ctx, t.d[i], t.n[k]).passed
-                assert is_kn(t.ctx, t.t[i], t.s[k], t.n[k]).passed
+                assert is_kd(t.rho, t.t[i], t.d[k]).passed
+                assert is_dn(t.rho, t.d[i], t.n[k]).passed
+                assert is_kn(t.rho, t.t[i], t.s[k], t.n[k]).passed
 
 
 def test_kd_implies_kn():
@@ -229,18 +227,18 @@ def test_kd_implies_kn():
             for k in range(3):
                 if k == i:
                     continue
-                assert is_kd(t.ctx, t.t[i], t.d[k]).passed
+                assert is_kd(t.rho, t.t[i], t.d[k]).passed
                 s = t.d[k].compose(t.t[i])
                 n = t.t[i].compose(t.d[k])
-                assert is_kn(t.ctx, t.t[i], s, n).passed
+                assert is_kn(t.rho, t.t[i], s, n).passed
 
 
 def test_compatibility_and_hierarchy():
     b = parse_bundle(export_bundle("lie.L4sym"))
     t = classify_triple(b, "omega")
-    assert are_compatible(t.ctx, t.t[0], t.t[1]).passed
-    assert kn_hierarchy(t.ctx, t.t[0], t.s[1], t.n[1], kmax=3).passed
-    assert dn_powers(t.ctx, t.d[0], t.n[1], kmax=4).passed
+    assert are_compatible(t.rho, t.t[0], t.t[1]).passed
+    assert kn_hierarchy(t.rho, t.t[0], t.s[1], t.n[1], kmax=3).passed
+    assert dn_powers(t.rho, t.d[0], t.n[1], kmax=4).passed
 
 
 def _combination(mats, x):
@@ -255,7 +253,7 @@ def _coadjoint_l4sym():
     g = parse_bundle(export_bundle("lie.L4sym")).algebra("g")
     ad = list(g.c)  # column j of c[i] is [e_i, e_j], so c[i] is ad(e_i)
     rho = [-m.transpose() for m in ad]
-    return OperatorContext(g, coadjoint_rep(g)), ad, rho
+    return coadjoint_rep(g), ad, rho
 
 
 def _cross(ad, rho, a, b, u, v):
@@ -276,7 +274,7 @@ _small = st.integers(-3, 3)
 def test_o_operator_defect_is_quadratic(e1, e2, k1, k2):
     # def(k1 T1 + k2 T2) = k1^2 def(T1) + k2^2 def(T2) + k1 k2 mixed(T1, T2),
     # which is why are_compatible checks the mixed identity alone
-    ctx, ad, rho = _coadjoint_l4sym()
+    action, ad, rho = _coadjoint_l4sym()
     t1, t2 = Matrix(4, 4, e1), Matrix(4, 4, e2)
     comb = t1.scale(k1) + t2.scale(k2)
     all_zero = True
@@ -288,12 +286,12 @@ def test_o_operator_defect_is_quadratic(e1, e2, k1, k2):
                + (_cross(ad, rho, t1, t2, u, v) + _cross(ad, rho, t2, t1, u, v)).scale(k1 * k2))
         assert lhs == rhs
         all_zero = all_zero and lhs.is_zero()
-    assert is_o_operator(ctx, LinMap(comb, MODULE, ALGEBRA)).passed == all_zero
+    assert is_o_operator(action, LinMap(comb, MODULE, ALGEBRA)).passed == all_zero
 
 
 def test_are_compatible_records_only_the_mixed_identity():
     t = classify_triple(parse_bundle(export_bundle("lie.L4sym")), "omega")
-    rep = are_compatible(t.ctx, t.t[0], t.t[1])
+    rep = are_compatible(t.rho, t.t[0], t.t[1])
     assert [(r.claim, r.indices) for r in rep.results] == [
         ("mixed-identity", p) for p in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
     _, ad, rho = _coadjoint_l4sym()
@@ -334,7 +332,7 @@ def test_brackets_coincide_names_the_first_mismatching_vector():
     g = abelian(2)
     ident = Matrix.identity(2)
     with pytest.raises(PreconditionError, match="at module basis vector 2$"):
-        brackets_coincide(OperatorContext(g, trivial_rep(g, 2)), LinMap(ident, MODULE, ALGEBRA),
+        brackets_coincide(trivial_rep(g, 2), LinMap(ident, MODULE, ALGEBRA),
                           LinMap(Matrix.diag([1, 2]), MODULE, MODULE),
                           LinMap(ident, ALGEBRA, ALGEBRA))
 
@@ -342,18 +340,18 @@ def test_brackets_coincide_names_the_first_mismatching_vector():
 def test_memo_returns_copies_a_caller_cannot_spoil():
     b = parse_bundle(export_bundle("abelian.quat"))
     d = b.map("mi")
-    want = is_rdo(b.context("triv"), d).to_json()  # outside any scope: uncached
+    want = is_rdo(b.rep("triv"), d).to_json()  # outside any scope: uncached
     assert operators._memo is None
     with operators.memo_scope():
-        first = is_rdo(b.context("triv"), d)
+        first = is_rdo(b.rep("triv"), d)
         first.record("spoiled", (), False)
         first.note("spoiled")
-        second = is_rdo(b.context("triv"), d)
+        second = is_rdo(b.rep("triv"), d)
         # an equal context, rebuilt, hits the one entry
         assert len(operators._memo) == 1
         assert second.to_json() == want
         second.results.clear()
-        assert is_rdo(b.context("triv"), d).to_json() == want
+        assert is_rdo(b.rep("triv"), d).to_json() == want
     assert operators._memo is None
 
 
@@ -363,7 +361,7 @@ def test_memo_raises_a_failing_precondition_again():
 
     def failure():
         with pytest.raises(PreconditionError) as exc:
-            is_kn(t.ctx, t.t[0], s2, t.n[1])
+            is_kn(t.rho, t.t[0], s2, t.n[1])
         return str(exc.value), exc.value.report.to_json()
 
     want = failure()  # outside any scope: uncached
@@ -371,4 +369,4 @@ def test_memo_raises_a_failing_precondition_again():
     with operators.memo_scope():
         assert failure() == want
         assert failure() == want
-        assert ("is_kn", (t.ctx, t.t[0], s2, t.n[1])) not in operators._memo
+        assert ("is_kn", (t.rho, t.t[0], s2, t.n[1])) not in operators._memo

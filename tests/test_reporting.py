@@ -17,7 +17,6 @@ from hyperops.operators import (
     ALGEBRA,
     MODULE,
     LinMap,
-    OperatorContext,
     brackets_coincide,
     is_kn,
     is_rdo,
@@ -40,7 +39,7 @@ def test_per_tuple_rdo():
     rows = [list(r) for r in (form_to_map(b.form("w1")).matrix.row(i) for i in range(4))]
     rows[3][3] = rows[3][3] + 1
     d = LinMap(Matrix.from_rows(rows), ALGEBRA, MODULE)
-    assert _claims(is_rdo(OperatorContext(g, coadjoint_rep(g)), d)) == [
+    assert _claims(is_rdo(coadjoint_rep(g), d)) == [
         ("rdo", (1, 2), True, None),
         ("rdo", (1, 3), True, None),
         ("rdo", (1, 4), False, (1, 4)),
@@ -59,7 +58,7 @@ def test_interleaved_bracket_claims_through_kn():
     for p in _PAIRS:
         brackets += [("bracket-NoT-vs-S-deformed", p, True, None),
                      ("bracket-NoT-vs-varrho", p, True, None)]
-    assert _claims(is_kn(t.ctx, t.t[0], t.s[1], t.n[1])) == (
+    assert _claims(is_kn(t.rho, t.t[0], t.s[1], t.n[1])) == (
         [("N∘T=T∘S", (), True, None)] + brackets
         + [("T O-operator on deformed algebra", (), True, None),
            ("N∘T O-operator", (), True, None)])
@@ -75,7 +74,7 @@ def test_interleaved_bracket_claims_on_failure():
         ok = p == (1, 3)
         expected += [("bracket-NoT-vs-S-deformed", p, ok, None if ok else p),
                      ("bracket-NoT-vs-varrho", p, ok, None if ok else p)]
-    assert _claims(brackets_coincide(t.ctx, bad_t, t.s[0], t.n[0])) == expected
+    assert _claims(brackets_coincide(t.rho, bad_t, t.s[0], t.n[0])) == expected
 
 
 def test_failures_then_summary():
@@ -164,14 +163,14 @@ def test_merge_keeps_every_field_and_prefixes_names():
 def test_claims_of_a_memoized_report_cannot_be_changed():
     b = parse_bundle(export_bundle("lie.L4sym"))
     g = b.algebra("g")
-    ctx = OperatorContext(g, coadjoint_rep(g))
+    rho = coadjoint_rep(g)
     d = LinMap(form_to_map(b.form("w1")).matrix, ALGEBRA, MODULE)
     with memo_scope():
-        first = is_rdo(ctx, d)
+        first = is_rdo(rho, d)
         with pytest.raises(AttributeError):
             first.results[0].passed = False
         first.results.clear()  # the list is the caller's own copy
-        assert is_rdo(ctx, d).passed and len(is_rdo(ctx, d).results) == 6
+        assert is_rdo(rho, d).passed and len(is_rdo(rho, d).results) == 6
 
 
 def test_claim_json_is_unchanged():

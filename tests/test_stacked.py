@@ -30,7 +30,6 @@ from hyperops.algebra import (
 from hyperops.corpus import export_bundle
 from hyperops.linalg import Matrix, _hstack, combine, cut
 from hyperops.operators import (
-    OperatorContext,
     _deformed_bracket,
     _deformed_representation,
     inner_rdo,
@@ -57,11 +56,11 @@ def ref_deformed_bracket(g, nm):
         cut(combine(st_, nm), n, n), cut(st_ * nm, n, n), cut(ts * nm.transpose(), n, n))])
 
 
-def ref_deformed_representation(ctx, nm, sm):
+def ref_deformed_representation(rho, nm, sm):
     """varrho(e_i) = rho(N e_i) - rho(e_i) S + S rho(e_i), one block at a time."""
-    m = ctx.m
-    st_, _, ts = ref_unfold(ctx.rep.mats, m)
-    return Representation(ref_deformed_bracket(ctx.g, nm), m, [
+    m = rho.module_dim
+    st_, _, ts = ref_unfold(rho.mats, m)
+    return Representation(ref_deformed_bracket(rho.algebra, nm), m, [
         a - b + c.transpose() for a, b, c in zip(
             cut(combine(st_, nm), m, m), cut(st_ * sm, m, m), cut(ts * sm.transpose(), m, m))])
 
@@ -78,9 +77,9 @@ def ref_subadjacent(g):
                           for i in range(n)])
 
 
-def ref_inner_rdo(ctx, u):
+def ref_inner_rdo(rho, u):
     """x -> rho(x) u, side by side over the basis."""
-    return _hstack(*(m * u for m in ctx.rep.mats))
+    return _hstack(*(m * u for m in rho.mats))
 
 
 # -- stacked against per-element ----------------------------------------
@@ -104,24 +103,24 @@ def structures(draw):
     blocks = [draw(matrices(n, n, real)) for _ in range(n)]
     g = LieAlgebra(n, blocks)
     rho = [draw(matrices(m, m, real)) for _ in range(n)]
-    ctx = OperatorContext(g, Representation(g, m, rho))
-    return (blocks, rho, g, PreLieAlgebra(n, blocks), ctx, draw(matrices(n, n, real)),
+    action = Representation(g, m, rho)
+    return (blocks, rho, g, PreLieAlgebra(n, blocks), action, draw(matrices(n, n, real)),
             draw(matrices(m, m, real)), draw(matrices(m, 1, real)))
 
 
 @given(structures())
 @settings(max_examples=120, deadline=None)
 def test_stacked_builders_match_their_per_element_references(data):
-    blocks, rho, g, p, ctx, nm, sm, u = data
-    n, m = g.dim, ctx.m
-    assert g.c == p.p == tuple(blocks) and ctx.rep.mats == tuple(rho)
-    for x, mats, d in ((g, blocks, n), (p, blocks, n), (ctx.rep, rho, m)):
+    blocks, rho, g, p, action, nm, sm, u = data
+    n, m = g.dim, action.module_dim
+    assert g.c == p.p == tuple(blocks) and action.mats == tuple(rho)
+    for x, mats, d in ((g, blocks, n), (p, blocks, n), (action, rho, m)):
         assert x.unfolded == ref_unfold(mats, d)
     built = {
         "deformed bracket": (_deformed_bracket(g, nm), ref_deformed_bracket(g, nm)),
-        "deformed representation": (_deformed_representation(ctx, nm, sm),
-                                    ref_deformed_representation(ctx, nm, sm)),
-        "dual": (dual_rep(ctx.rep), ref_dual_rep(ctx.rep)),
+        "deformed representation": (_deformed_representation(action, nm, sm),
+                                    ref_deformed_representation(action, nm, sm)),
+        "dual": (dual_rep(action), ref_dual_rep(action)),
         "coadjoint": (coadjoint_rep(g), ref_dual_rep(adjoint_rep(g))),
         "coregular": (coregular_rep(p), ref_dual_rep(regular_rep(p))),
         "sub-adjacent": (subadjacent(p), ref_subadjacent(p)),
@@ -130,7 +129,7 @@ def test_stacked_builders_match_their_per_element_references(data):
         assert got == want and hash(got) == hash(want), what
         mats, d = (got.mats, got.module_dim) if isinstance(got, Representation) else (got.c, n)
         assert got.unfolded == ref_unfold(mats, d), what
-    assert inner_rdo(ctx, u).matrix == ref_inner_rdo(ctx, u)
+    assert inner_rdo(action, u).matrix == ref_inner_rdo(action, u)
 
 
 # -- the work of one derived-suite request ------------------------------
