@@ -2,8 +2,9 @@
 
 `_CHECKS` maps each `check --what` kind to its argument usage and the library
 call, `_SUITES` maps each `suite --which` name to its identity suite, and
-`_COMMANDS` lists the subcommands `build_parser` adds.  `run` builds one parser
-on its first request and reuses it for every later request in the process.
+`_COMMANDS` lists the subcommands `build_parser` adds; `search-forms --target`
+takes the names of `search._TARGETS`.  `run` builds one parser on its first
+request and reuses it for every later request in the process.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = input/parse error,
 3 = a stated precondition failed.  JSON is the canonical report format, written
@@ -39,9 +40,10 @@ from .hyper import (
     verify_composition_table,
     verify_hflat_identities,
 )
-from .operators import is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo, memo_scope
+from .operators import (
+    ALGEBRA, is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo, memo_scope)
 from .reporting import PreconditionError, Report
-from .search import solve_forms
+from .search import _TARGETS, solve_forms
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -89,8 +91,8 @@ _CHECKS = {
     "rep": ("rep", lambda b, r: b.rep(r).check()),
     "rdo": ("rep map", lambda b, r, m: is_rdo(b.rep(r), b.map(m))),
     "o-operator": ("rep map", lambda b, r, m: is_o_operator(b.rep(r), b.map(m))),
-    "nijenhuis": ("algebra map",
-                  lambda b, a, m: is_nijenhuis(_algebra(b, a, LieAlgebra), b.map(m))),
+    "nijenhuis": ("algebra map", lambda b, a, m: is_nijenhuis(
+        _algebra(b, a, LieAlgebra), b.map(m).check_tags(ALGEBRA, ALGEBRA, "Nijenhuis operator"))),
     "dn": ("rep d n", lambda b, r, d, n: is_dn(b.rep(r), b.map(d), b.map(n))),
     "kd": ("rep t d", lambda b, r, t, d: is_kd(b.rep(r), b.map(t), b.map(d))),
     "kn": ("rep t s n", lambda b, r, t, s, n: is_kn(b.rep(r), b.map(t), b.map(s), b.map(n))),
@@ -218,8 +220,7 @@ _COMMANDS = {
                           for flag in ("--rep", "--hflat", "--i1", "--i2"))),
     "search-forms": ("solve for all forms of a kind on an algebra", _cmd_search_forms, (
         ("--algebra", {"required": True}),
-        ("--target", {"required": True, "choices": (
-            "symplectic", "hessian", "ad-invariant", "prelie-invariant")}))),
+        ("--target", {"required": True, "choices": _TARGETS}))),
     "corpus": ("list or re-run the built-in examples", _cmd_corpus, (
         ("action", {"choices": ("list", "run")}),
         ("id", {"nargs": "?"}))),

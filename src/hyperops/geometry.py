@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Callable
 
 from .algebra import (
@@ -106,12 +105,16 @@ class BilForm:
 
 @functools.cache
 def _coordinates(n: int, skew: bool) -> tuple:
-    """The coordinates of an n-dimensional form, and at r * n + u the (index,
-    sign) of f(e_r, e_u) among them, with sign 0 on a skew form's diagonal."""
-    coords = tuple((i, j) for i in range(n) for j in range(i + skew, n))
-    at = {(j, i): (m, -1 if skew else 1) for m, (i, j) in enumerate(coords)}
-    at.update((c, (m, 1)) for m, c in enumerate(coords))
-    return coords, tuple(at.get((r, u), (0, 0)) for r in range(n) for u in range(n))
+    """The coordinates of an n-dimensional form; at r * n + u the (index,
+    sign) of f(e_r, e_u) among them, with sign 0 on a skew form's diagonal;
+    and the placement matrix P, len(coords) x n^2, whose row m is coordinate
+    m's form flattened: 1 at its (i, j) and, negated when skew, at (j, i).
+    The form with coordinate row x is (x P).reshape(n, n)."""
+    coords, sign = tuple((i, j) for i in range(n) for j in range(i + skew, n)), -1 if skew else 1
+    rows = {m: {j * n + i: sign, i * n + j: 1} for m, (i, j) in enumerate(coords)}
+    at = {f: (m, s) for m, row in rows.items() for f, s in row.items()}
+    return (coords, tuple(at.get(f, (0, 0)) for f in range(n * n)),
+            Matrix._make(len(coords), n * n, rows, {}, 1, reduce=False))
 
 
 @dataclass(frozen=True)
@@ -148,36 +151,30 @@ class FormIdentity:
 
     def instances(self, g) -> dict:
         """{t: {m: (re, im)}}: the nonzero instances times the denominator of
-        g's constants, as nonzero Gaussian-integer coefficients on coords(n).
-        Each component c_k of a nonzero column e_p e_q of g adds sign * c_k at
-        f(e_k, e_u)'s `_coordinates` place for each term sign * f(e_p e_q, e_u)
-        of each triple that puts (p, q) at that term's pair."""
+        g's stack, as nonzero Gaussian-integer coefficients on coords(n).
+        Each nonzero entry (p n + k, q) of g.st, component k of e_p e_q, adds
+        sign times it at f(e_k, e_u)'s `_coordinates` place for each term
+        sign * f(e_p e_q, e_u) of each triple that puts (p, q) at that term's pair."""
         n, o = g.dim, self.ordered
-        place = _coordinates(n, self.symmetry == SKEW)[1]
-        mats = g.c if isinstance(g, LieAlgebra) else g.p  # column q of mats[p]: e_p e_q
-        den = lcm(*(m.den for m in mats))
-        cols = defaultdict(list)
-        for p, m in enumerate(mats):
-            for k, q, vr, vi in m.nonzeros():
-                cols[p, q].append((k, vr * (den // m.den), vi * (den // m.den)))
+        place, entries = _coordinates(n, self.symmetry == SKEW)[1], list(g.st.nonzeros())
         sums = defaultdict(dict)
         for sign, a, b in self.terms(0, 1, 2):  # where in t the term's u, p and q sit
             left = isinstance(a, tuple)
             (x, y), z = (a, b) if left else (b, a)
             t = [0, 0, 0]
-            for (p, q), col in sorted(cols.items()):
+            for pk, q, vr, vi in entries:
+                p, k = divmod(pk, n)
                 t[x], t[y] = p, q
                 # members: the ordered indices besides u's increase, u between its neighbours
                 if any(t[i] >= t[i + 1] for i in range(o - 1) if z != i != z - 1):
                     continue
                 for u in range(t[z - 1] + 1 if 0 < z < o else 0, t[z + 1] if z + 1 < o else n):
                     t[z] = u
-                    row = sums[tuple(t)]
-                    for k, vr, vi in col:
-                        m, s = place[k * n + u if left else u * n + k]
-                        if s:
-                            re, im = row.get(m, (0, 0))
-                            row[m] = re + sign * s * vr, im + sign * s * vi
+                    m, s = place[k * n + u if left else u * n + k]
+                    if s:
+                        row = sums[tuple(t)]
+                        re, im = row.get(m, (0, 0))
+                        row[m] = re + sign * s * vr, im + sign * s * vi
         return {t: r for t, row in sums.items() if (r := {m: v for m, v in row.items() if any(v)})}
 
     def check(self, rep: Report, g, f: BilForm, failures_only: bool = False) -> bool:

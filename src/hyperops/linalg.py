@@ -26,8 +26,9 @@ Scalar is the boundary type.  Constructors read ints, Fractions, literals
 and Scalars with ``scalars.as_gaussian`` and sum them with ``accumulate``.
 ``__getitem__``, ``row``, ``col``, ``entries``, ``det`` and ``solve_affine``
 return Scalars; ``nonzeros`` yields numerators.  ``kernel`` returns its
-basis as the rows of one Matrix; a pencil is those rows and a linear map
-from them to square matrices (`det_witness`), or a sequence of Matrices.
+basis as the rows of one Matrix; a pencil is those rows times a placement
+matrix, whose product's rows reshape to square matrices (`det_witness`),
+or a sequence of Matrices.
 Poly keeps Scalar coefficients.
 
 Every basis-tuple identity is an ``identity_test``: the nonzero entries of
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -802,25 +803,25 @@ def witness_points(nvars: int) -> Iterator[tuple]:
         yield tuple(point)
 
 
-def det_witness(kernel: Matrix, embed: Callable[[Matrix], Matrix]) -> tuple | None:
+def det_witness(kernel: Matrix, place: Matrix) -> tuple | None:
     """Integer parameters t with det(sum t_k M_k) != 0, or None when that
-    determinant is the zero polynomial, where the n x n matrices M_k (n >= 1)
-    are the rows of the d x c `kernel` under the linear map `embed` from 1 x c
-    rows; with no rows it is the zero matrix, so None.  Given the M_k, the
-    kernel is their row-major entries, one a row, and embed reshapes to n x n.
+    determinant is the zero polynomial, where M_k (n x n, n >= 1) is row k of
+    kernel place reshaped: the d x c `kernel` times the c x n^2 `place`, which
+    flattens a 1 x c row's form; with no rows it is the zero matrix, so None.
+    Given the M_k, the kernel is their row-major entries, one a row, and
+    place is the n^2 x n^2 identity.
 
     A nonzero determinant at any point proves the polynomial nonzero, so the
     points of `witness_points` are tried first, each by one Bareiss `det` of
-    embed(t kernel).  Only when all give 0 are the M_k built and the
-    polynomial expanded by `generic_determinant`: zero means no such t
-    exists, and otherwise a point is read off it.  Its degree in each t_k is
-    at most n, since every entry is linear in t."""
-    d = kernel.rows
+    (t kernel place).reshape(n, n).  Only when all give 0 are the M_k cut
+    from kernel place and the polynomial expanded by `generic_determinant`:
+    zero means no such t exists, and otherwise a point is read off it.  Its
+    degree in each t_k is at most n, since every entry is linear in t."""
+    d, n = kernel.rows, isqrt(place.cols)
     if not d:
         return None
     for point in witness_points(d):
-        if not embed(Matrix(1, d, point) * kernel).det().is_zero():
+        if not (Matrix(1, d, point) * kernel * place).reshape(n, n).det().is_zero():
             return point
-    mats = [embed(kernel._block(r, r + 1, 0, kernel.cols)) for r in range(d)]
-    det = generic_determinant(mats, mats[0].rows)
-    return None if det.is_zero() else det.nonzero_point(mats[0].rows)
+    det = generic_determinant(cut(kernel * place, n, n), n)
+    return None if det.is_zero() else det.nonzero_point(n)

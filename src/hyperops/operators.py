@@ -89,6 +89,12 @@ class LinMap:
         if want != got:
             raise DimensionError(f"map {self.domain}->{self.codomain}: matrix {got} != {want}")
 
+    def check_tags(self, domain: str, codomain: str, what: str) -> "LinMap":
+        """self, if it is tagged domain -> codomain; else DimensionError naming `what`."""
+        if (self.domain, self.codomain) != (domain, codomain):
+            raise DimensionError(f"{what} must map {domain} -> {codomain}")
+        return self
+
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
         if other.codomain != self.domain:
@@ -128,8 +134,7 @@ class LinMap:
 def is_rdo(rho: Representation, d: LinMap) -> Report:
     """d[x,y] = rho(x)d(y) - rho(y)d(x) on all basis pairs."""
     d.check_shape(rho)
-    if (d.domain, d.codomain) != (ALGEBRA, MODULE):
-        raise DimensionError("relative differential operator must map algebra -> module")
+    d.check_tags(ALGEBRA, MODULE, "relative differential operator")
     rep = Report("relative differential operator")
     n, rd = rho.algebra.dim, rho.st * d.matrix  # rows (i, r): rho(e_i) d
     rep.record_tuples("rdo", identity_test(
@@ -149,8 +154,7 @@ def inner_rdo(rho: Representation, u: Matrix) -> LinMap:
 def is_o_operator(rho: Representation, t: LinMap) -> Report:
     """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on all module basis pairs."""
     t.check_shape(rho)
-    if (t.domain, t.codomain) != (MODULE, ALGEBRA):
-        raise DimensionError("O-operator must map module -> algebra")
+    t.check_tags(MODULE, ALGEBRA, "O-operator")
     rep, m = Report("O-operator"), rho.module_dim
     rep.record_tuples("o-operator", identity_test(
         {"i": m, "j": m, "r": rho.algebra.dim}, _defect(rho, t.matrix, t.matrix), ordered=2))

@@ -5,16 +5,18 @@ The identity is linear in the form, so its solutions are the kernel of an
 integer system over the identity's coordinates (`FormIdentity.coords`).  Its
 rows are the instances (`FormIdentity.instances`), the identity at each basis
 tuple as a function of the coordinates (a form check evaluates it on one form
-through `linalg.identity_test`), read off the algebra's nonzero structure
-columns, so a basis tuple whose instance vanishes costs nothing.  Divided by
-their content and deduplicated, they go in chunks of at most len(coords)
-rows under the RREF so far through the one exact elimination, so its dense
-working rows number at most about 2 len(coords); the RREF is canonical, so
-its kernel is the full system's.  The space is that kernel, one solution a
-row over the coordinates: the form with parameters t is the n x n matrix
-`_embed` writes from the row t kernel, and the n x n basis is built only
-when asked for.  A skew target on an odd dimension has no nondegenerate
-form, as det A = det(-A^T) = -det A.  Otherwise existence is decided witness first
+through `linalg.identity_test`), read off the nonzero entries of the
+algebra's stack st, so a basis tuple whose instance vanishes costs nothing.
+Divided by their content and deduplicated, they go in chunks of at most
+len(coords) rows under the RREF so far through the one exact elimination, so
+its dense working rows number at most about 2 len(coords); the RREF is
+canonical, so its kernel is the full system's.  The space is that kernel, one solution a
+row over the coordinates.  Every form the search writes is a product with
+the placement matrix P of `geometry._coordinates`, whose row m is coordinate
+m's form flattened: the form with parameters t is (t kernel P).reshape(n, n),
+and the n x n basis, built only when asked for, is kernel P cut into n x n
+blocks.  A skew target on an odd dimension has no nondegenerate form, as
+det A = det(-A^T) = -det A.  Otherwise existence is decided witness first
 (`linalg.det_witness`): a nonzero determinant of the form at a small integer
 point t proves that a nondegenerate form exists and is kept as
 `FormSpaceResult.witness`.  Only when every tried point gives 0 is the
@@ -25,7 +27,7 @@ is zero and yields a witness otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from math import gcd
 
@@ -37,12 +39,14 @@ from .geometry import (
     SKEW,
     BilForm,
     FormIdentity,
+    _coordinates,
 )
 from .linalg import (
     DimensionError,
     Matrix,
     Poly,
     _kernel,
+    cut,
     det_witness,
     generic_determinant,
 )
@@ -67,21 +71,18 @@ class FormSpaceResult:
     symmetry: str
     coords: tuple  # coordinate index pairs (0-indexed)
     kernel: Matrix  # dim x len(coords); the solutions are combinations of its rows
+    place: Matrix  # len(coords) x n^2: row m is coordinate m's form, flattened
     witness: tuple | None  # parameters of a nondegenerate form; None when none exists
 
     @property
     def exists_nondegenerate(self) -> bool:
         return self.witness is not None
 
-    def embed(self, row: Matrix) -> Matrix:
-        """The n x n form of a 1 x len(coords) coordinate row."""
-        return _embed(self.coords, self.algebra.dim, self.symmetry == SKEW, row)
-
     @cached_property
     def basis(self) -> tuple:
-        """The n x n form of each kernel row, built on first access."""
-        k = self.kernel
-        return tuple(self.embed(k._block(r, r + 1, 0, k.cols)) for r in range(k.rows))
+        """The n x n form of each kernel row, cut from kernel P on first access."""
+        n, k = self.algebra.dim, self.kernel
+        return tuple(cut(k * self.place, n, n)) if k.rows else ()
 
     @cached_property
     def generic_det(self) -> Poly:
@@ -96,26 +97,13 @@ class FormSpaceResult:
     def contains(self, f: BilForm) -> bool:
         """Does f's full matrix lie in the space?  Each kernel row is 1 at its
         last nonzero coordinate, where every other row is 0 (`linalg._kernel`),
-        so exactly when f is the form of t kernel, t its entries there."""
+        so exactly when f's matrix is (t kernel P).reshape(n, n), t its
+        entries there."""
         n, k = self.algebra.dim, self.kernel
         if f.dim != n:
             raise DimensionError(f"form dim {f.dim} != algebra dim {n}")
         t = Matrix(1, k.rows, [f.matrix[self.coords[max(k.re[r])]] for r in range(k.rows)])
-        return self.embed(t * k) == f.matrix
-
-
-def _embed(coords, n: int, skew: bool, row: Matrix) -> Matrix:
-    """The n x n form whose coordinates (i, j) are the entries of the
-    1 x len(coords) row: each nonzero one at (i, j), and mirrored at (j, i),
-    negated when skew.  The row's numerators are reduced, and so are these."""
-    sign, out = -1 if skew else 1, ({}, {})
-    for _, k, a, b in row.nonzeros():
-        i, j = coords[k]
-        for part, v in zip(out, (a, b)):
-            if v:
-                part.setdefault(i, {})[j] = v
-                part.setdefault(j, {})[i] = sign * v
-    return Matrix._make(n, n, *out, row.den, reduce=False)
+        return (t * k * self.place).reshape(n, n) == f.matrix
 
 
 def _distinct_rows(g, identity: FormIdentity):
@@ -161,14 +149,16 @@ def solve_forms(g, target: str) -> FormSpaceResult:
     if identity is None:
         raise ValueError(f"unknown target {target!r}")
     identity.check_algebra(g, f"target {target}")
-    n = g.dim
-    coords, skew = tuple(identity.coords(n)), identity.symmetry == SKEW
+    n, skew = g.dim, identity.symmetry == SKEW
+    coords, _, place = _coordinates(n, skew)
     k = _kernel(*_reduced(_distinct_rows(g, identity), len(coords)), len(coords))
     # no odd skew matrix is invertible, so there is no witness to search for
-    witness = None if skew and n % 2 else det_witness(k, partial(_embed, coords, n, skew))
-    return FormSpaceResult(g, target, identity.symmetry, coords, k, witness)
+    witness = None if skew and n % 2 else det_witness(k, place)
+    return FormSpaceResult(g, target, identity.symmetry, coords, k, place, witness)
 
 
 def instantiate(result: FormSpaceResult, params) -> BilForm:
-    """The form sum params_k basis_k, embedded from params x kernel, with its symmetry tag."""
-    return BilForm(result.embed(Matrix(1, result.dim, params) * result.kernel), result.symmetry)
+    """The form sum params_k basis_k, (params kernel P).reshape(n, n), with its symmetry tag."""
+    n = result.algebra.dim
+    return BilForm((Matrix(1, result.dim, params) * result.kernel * result.place).reshape(n, n),
+                   result.symmetry)

@@ -18,6 +18,7 @@ from hyperops import cli, operators
 from hyperops.bundle import load_bundle
 from hyperops.corpus import broken_variant, export_bundle, list_examples
 from hyperops.geometry import _VARIANTS
+from hyperops.search import _TARGETS
 
 
 @pytest.fixture()
@@ -318,6 +319,19 @@ def test_check_on_wrong_algebra_kind_exits_two(corpus_files, capsys, eid, algebr
     assert payload["error"] == f"{algebra!r} is not {kind}"
 
 
+def test_nijenhuis_check_rejects_a_map_into_the_module(corpus_files, capsys):
+    """The CLI checks a Nijenhuis candidate's tags; the library predicate stays
+    lenient, so a Hermitian check that reads the algebra -> module map mi
+    as an endomorphism of its algebra still passes."""
+    quat = corpus_files["abelian.quat"]
+    code, payload = _run_json(capsys, ["check", quat, "--what", "nijenhuis", "--args", "a", "mi"])
+    assert code == cli.EXIT_PARSE and payload["status"] == "input-error"
+    assert payload["error"] == "Nijenhuis operator must map algebra -> algebra"
+    code, _ = _run_json(capsys, ["check", quat, "--what", "hermitian:hermitian",
+                                 "--args", "a", "B", "mi"])
+    assert code == cli.EXIT_PASS
+
+
 # -- the check table's messages ------------------------------------------------
 
 # usage of each --what kind, one word per --args name
@@ -482,6 +496,36 @@ def test_invalid_format_value_is_the_reported_reason(bundles):
     assert code == cli.EXIT_PARSE
     assert out == ("status: input-error\nerror: argument --format: invalid choice: 'xml' "
                    "(choose from 'text', 'json')\n")
+
+
+def _parsed(parser, argv):
+    """(stdout, stderr, InputError message or None) of one parse of argv."""
+    out, err, message = io.StringIO(), io.StringIO(), None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:  # --help
+            pass
+        except cli.InputError as exc:
+            message = str(exc)
+    return out.getvalue(), err.getvalue(), message
+
+
+def test_target_choices_are_the_search_targets(monkeypatch):
+    """search-forms --target takes search._TARGETS, and its help and
+    invalid-choice message are those of the written-out list of names."""
+    help_, fn, (algebra, (flag, options)) = cli._COMMANDS["search-forms"]
+    assert options["choices"] is _TARGETS
+    argvs = (["search-forms", "--help"],
+             ["search-forms", "b.json", "--algebra", "g", "--target", "bogus"])
+    got = [_parsed(cli.build_parser(), argv) for argv in argvs]
+    names = ("symplectic", "hessian", "ad-invariant", "prelie-invariant")
+    monkeypatch.setitem(cli._COMMANDS, "search-forms", (
+        help_, fn, (algebra, (flag, dict(options, choices=names)))))
+    assert [_parsed(cli.build_parser(), argv) for argv in argvs] == got
+    assert "--target {symplectic,hessian,ad-invariant,prelie-invariant}" in got[0][0]
+    assert got[1][2] == ("argument --target: invalid choice: 'bogus' (choose from "
+                         "'symplectic', 'hessian', 'ad-invariant', 'prelie-invariant')")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"],

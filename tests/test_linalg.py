@@ -193,10 +193,11 @@ def numerators(m):
 
 def pencil_kernel(mats, n):
     """`det_witness`'s arguments for the pencil sum t_k mats[k] of n x n
-    matrices: their row-major entries, one matrix a row, and the reshape."""
+    matrices: their row-major entries, one matrix a row, and the n^2 x n^2
+    identity as the placement."""
     kernel = (_hstack(*(m.reshape(1, m.rows * m.cols) for m in mats)).reshape(len(mats), n * n)
               if mats else Matrix.zero(0, n * n))
-    return kernel, lambda row: row.reshape(n, n)
+    return kernel, Matrix.identity(n * n)
 
 
 def ref_det_witness(mats, n):

@@ -18,7 +18,7 @@ from hyperops.algebra import (
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.corpus import export_bundle
 from hyperops.geometry import form_to_map
-from hyperops.linalg import Matrix
+from hyperops.linalg import DimensionError, Matrix
 from hyperops.operators import (
     ALGEBRA,
     MODULE,
@@ -71,6 +71,21 @@ def test_rdo_rejects_wrong_tags():
     rho, _ = _reps()[0]
     with pytest.raises(Exception):
         is_rdo(rho, LinMap(Matrix.identity(4), MODULE, ALGEBRA))
+
+
+@pytest.mark.parametrize("predicate,domain,codomain,what", [
+    (is_rdo, ALGEBRA, MODULE, "relative differential operator"),
+    (is_o_operator, MODULE, ALGEBRA, "O-operator"),
+])
+def test_operator_tags_are_checked_with_one_message(predicate, domain, codomain, what):
+    rho, _ = _reps()[0]
+    wrong = LinMap(Matrix.identity(4), codomain, domain)
+    with pytest.raises(DimensionError, match=rf"^{what} must map {domain} -> {codomain}$"):
+        predicate(rho, wrong)
+    with pytest.raises(DimensionError, match=r"^N must map algebra -> algebra$"):
+        wrong.check_tags(ALGEBRA, ALGEBRA, "N")
+    right = LinMap(Matrix.identity(4), domain, codomain)
+    assert right.check_tags(domain, codomain, what) is right
 
 
 def test_inverse_duality_both_directions():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from hyperops.bundle import parse_bundle
 from hyperops.corpus import export_bundle
-from hyperops.geometry import SKEW, BilForm, is_hessian, is_invariant_form, is_symplectic
+from hyperops.geometry import (
+    SKEW, BilForm, _coordinates, is_hessian, is_invariant_form, is_symplectic)
 from hyperops.linalg import (
     DimensionError, Matrix, _hstack, det_witness, generic_determinant, witness_points)
 from hyperops.scalars import ZERO, Scalar
@@ -119,6 +120,22 @@ def test_coordinate_ordering_is_row_major_upper_triangle():
     b = parse_bundle(export_bundle("lie.L4sym"))
     res = solve_forms(b.algebra("g"), SYMPLECTIC)
     assert res.coords == tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["symmetric", "skew"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_placement_rows_are_the_coordinate_forms(n, skew):
+    """Row m of P, reshaped to n x n, is 1 at coords[m], +1 (symmetric) or -1
+    (skew) at its mirror and 0 elsewhere; a skew form has no diagonal coordinate."""
+    coords, _, place = _coordinates(n, skew)
+    assert (place.rows, place.cols) == (len(coords), n * n)
+    for m, (i, j) in enumerate(coords):
+        want = [[0] * n for _ in range(n)]
+        want[j][i] = -1 if skew else 1
+        want[i][j] = 1
+        form = place._block(m, m + 1, 0, n * n).reshape(n, n)
+        assert form == Matrix.from_rows(want), (m, i, j)
+        assert not skew or all(form[r, r].is_zero() for r in range(n))
 
 
 def test_wrong_algebra_kind_rejected():
