@@ -1,10 +1,10 @@
 """Command-line front end: a thin table over the library.
 
-`_CHECKS` maps each `check --what` kind to its argument usage and the library
-call, `_SUITES` maps each `suite --which` name to its identity suite, and
-`_COMMANDS` lists the subcommands `build_parser` adds; `search-forms --target`
-takes the names of `search._TARGETS`.  `run` builds one parser on its first
-request and reuses it for every later request in the process.
+`_CHECKS` maps each `check --what` kind to one slot word per argument and the
+library call; `_resolve` looks up every bundle name a request gives and checks
+it against its `_SLOTS` word before any check runs.  `_SUITES` maps each `suite
+--which` name to its suite, `_COMMANDS` lists the subcommands.  `run` builds
+one parser on its first request and reuses it for every later request.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = input/parse error,
 3 = a stated precondition failed.  JSON is the canonical report format, written
@@ -41,7 +41,8 @@ from .hyper import (
     verify_hflat_identities,
 )
 from .operators import (
-    ALGEBRA, is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo, memo_scope)
+    DUAL_S, NIJENHUIS, O_OPERATOR, RDO, is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo,
+    memo_scope)
 from .reporting import PreconditionError, Report
 from .search import _TARGETS, solve_forms
 
@@ -68,55 +69,47 @@ def _maps_json(**maps) -> dict:
     return out
 
 
-def _algebra(bundle, name: str, kind: type):
-    """The bundle's algebra `name`, which must be a Lie or pre-Lie algebra as
-    `kind` says."""
-    g = bundle.algebra(name)
-    if not isinstance(g, kind):
-        raise InputError(f"{name!r} is not a {'Lie' if kind is LieAlgebra else 'pre-Lie'} algebra")
-    return g
+# slot word: (the Bundle lookup of its name, the algebra class or operator map
+# type its value must have, or None for any).  `map` is lenient: a Hermitian
+# check reads its map as an endomorphism of the algebra, whatever its tags.
+_SLOTS = {"lie": ("algebra", LieAlgebra), "prelie": ("algebra", PreLieAlgebra),
+          "algebra": ("algebra", None), "rep": ("rep", None), "form": ("form", None),
+          "map": ("map", None), "d": ("map", RDO), "t": ("map", O_OPERATOR),
+          "n": ("map", NIJENHUIS), "s": ("map", DUAL_S)}
 
 
-def _hermitian(variant: str):
-    return lambda b, a, f, m: check_hermitian_variant(_algebra(b, a, LieAlgebra), b.form(f),
-                                                      b.map(m), variant)
+def _resolve(bundle, words: str, names):
+    """The bundle's value of each name, looked up and checked as its slot word
+    says; a form must be declared over the first name, the algebra argument."""
+    for word, name in zip(words.split(), names):
+        lookup, need = _SLOTS[word]
+        value = getattr(bundle, lookup)(name)
+        if lookup == "algebra" and need and not isinstance(value, need):
+            raise InputError(f"{name!r} is not a {'Lie' if word == 'lie' else 'pre-Lie'} algebra")
+        if lookup == "form" and (over := bundle.form_algebra[name]) != names[0]:
+            raise InputError(f"form {name!r} is over {over!r}, not {names[0]!r}")
+        yield value.check_tags(*need) if lookup == "map" and need else value
 
 
-# kind: (usage with one word per --args name, check(bundle, *names)).  The
-# checks call library functions by module name inside lambdas, so that a
-# wrapper installed on the module attribute sees every call.
+# kind: (one _SLOTS word per --args name, check(*their values)).  The checks
+# call library functions by module name inside lambdas, so that a wrapper
+# installed on the module attribute sees every call.
 _CHECKS = {
-    "lie": ("algebra", lambda b, a: check_lie(_algebra(b, a, LieAlgebra))),
-    "prelie": ("algebra", lambda b, a: check_prelie(_algebra(b, a, PreLieAlgebra))),
-    "rep": ("rep", lambda b, r: b.rep(r).check()),
-    "rdo": ("rep map", lambda b, r, m: is_rdo(b.rep(r), b.map(m))),
-    "o-operator": ("rep map", lambda b, r, m: is_o_operator(b.rep(r), b.map(m))),
-    "nijenhuis": ("algebra map", lambda b, a, m: is_nijenhuis(
-        _algebra(b, a, LieAlgebra), b.map(m).check_tags(ALGEBRA, ALGEBRA, "Nijenhuis operator"))),
-    "dn": ("rep d n", lambda b, r, d, n: is_dn(b.rep(r), b.map(d), b.map(n))),
-    "kd": ("rep t d", lambda b, r, t, d: is_kd(b.rep(r), b.map(t), b.map(d))),
-    "kn": ("rep t s n", lambda b, r, t, s, n: is_kn(b.rep(r), b.map(t), b.map(s), b.map(n))),
-    "symplectic": ("algebra form",
-                   lambda b, a, f: is_symplectic(_algebra(b, a, LieAlgebra), b.form(f))),
-    "hessian": ("algebra form",
-                lambda b, a, f: is_hessian(_algebra(b, a, PreLieAlgebra), b.form(f))),
-    **{f"hermitian:{v}": ("algebra form map", _hermitian(v)) for v in _VARIANTS},
-    "invariant-form": ("algebra form",
-                       lambda b, a, f: is_invariant_form(b.algebra(a), b.form(f))),
+    "lie": ("lie", lambda g: check_lie(g)),
+    "prelie": ("prelie", lambda g: check_prelie(g)),
+    "rep": ("rep", lambda r: r.check()),
+    "rdo": ("rep d", lambda r, d: is_rdo(r, d)),
+    "o-operator": ("rep t", lambda r, t: is_o_operator(r, t)),
+    "nijenhuis": ("lie n", lambda g, n: is_nijenhuis(g, n)),
+    "dn": ("rep d n", lambda r, d, n: is_dn(r, d, n)),
+    "kd": ("rep t d", lambda r, t, d: is_kd(r, t, d)),
+    "kn": ("rep t s n", lambda r, t, s, n: is_kn(r, t, s, n)),
+    "symplectic": ("lie form", lambda g, f: is_symplectic(g, f)),
+    "hessian": ("prelie form", lambda g, f: is_hessian(g, f)),
+    **{f"hermitian:{v}": ("lie form map", lambda g, f, m, v=v: check_hermitian_variant(g, f, m, v))
+       for v in _VARIANTS},
+    "invariant-form": ("algebra form", lambda g, f: is_invariant_form(g, f)),
 }
-
-
-def _check_dispatch(bundle, what: str, args: tuple[str, ...] | list[str]) -> Report:
-    if what not in _CHECKS:
-        if what.startswith("hermitian:"):
-            raise InputError(f"unknown hermitian variant {what.split(':', 1)[1]!r} "
-                             f"(have: {sorted(_VARIANTS)})")
-        raise InputError(f"unknown check {what!r}")
-    usage, check = _CHECKS[what]
-    n = len(usage.split())
-    if len(args) != n:
-        raise InputError(f"expected {n} --args ({usage}), got {len(args)}")
-    return check(bundle, *args)
 
 
 def _reported(report: Report) -> tuple[int, dict]:
@@ -124,7 +117,17 @@ def _reported(report: Report) -> tuple[int, dict]:
 
 
 def _cmd_check(ns) -> tuple[int, dict]:
-    return _reported(_check_dispatch(load_bundle(ns.bundle), ns.what, ns.args))
+    bundle = load_bundle(ns.bundle)
+    if ns.what not in _CHECKS:
+        if ns.what.startswith("hermitian:"):
+            raise InputError(f"unknown hermitian variant {ns.what.split(':', 1)[1]!r} "
+                             f"(have: {sorted(_VARIANTS)})")
+        raise InputError(f"unknown check {ns.what!r}")
+    usage, check = _CHECKS[ns.what]
+    n = len(usage.split())
+    if len(ns.args) != n:
+        raise InputError(f"expected {n} --args ({usage}), got {len(ns.args)}")
+    return _reported(check(*_resolve(bundle, usage, ns.args)))
 
 
 def _cmd_classify(ns) -> tuple[int, dict]:
@@ -164,18 +167,15 @@ def _cmd_decompose(ns) -> tuple[int, dict]:
 
 
 def _cmd_reconstruct(ns) -> tuple[int, dict]:
-    b = load_bundle(ns.bundle)
-    triple = reconstruct_hyper(b.rep(ns.rep), b.map(ns.hflat), b.map(ns.i1), b.map(ns.i2))
+    triple = reconstruct_hyper(*_resolve(load_bundle(ns.bundle), "rep d n n",
+                                         (ns.rep, ns.hflat, ns.i1, ns.i2)))
     d1, d2, d3 = triple.d
     return EXIT_PASS, {"eps": list(triple.eps), **_maps_json(d1=d1, d2=d2, d3=d3)}
 
 
 def _cmd_search_forms(ns) -> tuple[int, dict]:
-    g = load_bundle(ns.bundle).algebra(ns.algebra)
-    try:
-        result = solve_forms(g, ns.target)
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
+    kind = "lie" if _TARGETS[ns.target].algebra is LieAlgebra else "prelie"
+    result = solve_forms(*_resolve(load_bundle(ns.bundle), kind, (ns.algebra,)), ns.target)
     return EXIT_PASS, {
         "target": ns.target,
         "space_dim": result.dim,

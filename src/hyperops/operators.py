@@ -39,6 +39,11 @@ from .reporting import PreconditionError, Report
 
 ALGEBRA = "algebra"
 MODULE = "module"
+# each operator's map type, (domain, codomain, what) as LinMap.check_tags takes it
+RDO = (ALGEBRA, MODULE, "relative differential operator")
+O_OPERATOR = (MODULE, ALGEBRA, "O-operator")
+NIJENHUIS = (ALGEBRA, ALGEBRA, "Nijenhuis operator")
+DUAL_S = (MODULE, MODULE, "S of a dual-Nijenhuis pair")
 
 _memo: dict | None = None  # (function name, arguments) -> result, in a scope
 
@@ -134,7 +139,7 @@ class LinMap:
 def is_rdo(rho: Representation, d: LinMap) -> Report:
     """d[x,y] = rho(x)d(y) - rho(y)d(x) on all basis pairs."""
     d.check_shape(rho)
-    d.check_tags(ALGEBRA, MODULE, "relative differential operator")
+    d.check_tags(*RDO)
     rep = Report("relative differential operator")
     n, rd = rho.algebra.dim, rho.st * d.matrix  # rows (i, r): rho(e_i) d
     rep.record_tuples("rdo", identity_test(
@@ -154,7 +159,7 @@ def inner_rdo(rho: Representation, u: Matrix) -> LinMap:
 def is_o_operator(rho: Representation, t: LinMap) -> Report:
     """[Tu,Tv] = T(rho(Tu)v - rho(Tv)u) on all module basis pairs."""
     t.check_shape(rho)
-    t.check_tags(MODULE, ALGEBRA, "O-operator")
+    t.check_tags(*O_OPERATOR)
     rep, m = Report("O-operator"), rho.module_dim
     rep.record_tuples("o-operator", identity_test(
         {"i": m, "j": m, "r": rho.algebra.dim}, _defect(rho, t.matrix, t.matrix), ordered=2))
@@ -217,8 +222,8 @@ def _deformed_bracket(g: LieAlgebra, nm: Matrix) -> LieAlgebra:
 @_memoized
 def is_dual_nijenhuis_pair(rho: Representation, n_map: LinMap, s_map: LinMap) -> Report:
     """rho(Nx)(Sv) = S(rho(Nx)v) + rho(x)(S^2 v) - S(rho(x)(Sv)) for basis x, v."""
-    is_nijenhuis(rho.algebra, n_map).require("N is not a Nijenhuis operator")
-    s_map.check_shape(rho)
+    is_nijenhuis(rho.algebra, n_map.check_tags(*NIJENHUIS)).require("N is not a Nijenhuis operator")
+    s_map.check_tags(*DUAL_S).check_shape(rho)
     rep = Report("dual-Nijenhuis pair")
     n, m, nm, sm = rho.algebra.dim, rho.module_dim, n_map.matrix, s_map.matrix
     st, row, ts = rho.unfolded
@@ -294,7 +299,7 @@ def is_dn(rho: Representation, d: LinMap, n_map: LinMap) -> Report:
     """DN-structure: d and d∘N are both relative differential operators, N Nijenhuis."""
     pre = Report("DN preconditions")
     pre.merge(is_rdo(rho, d), "d:")
-    pre.merge(is_nijenhuis(rho.algebra, n_map), "N:")
+    pre.merge(is_nijenhuis(rho.algebra, n_map.check_tags(*NIJENHUIS)), "N:")
     pre.require("DN preconditions failed")
     rep = Report("DN-structure")
     rep.merge(is_rdo(rho, d.compose(n_map)), "d∘N:")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperops
 from hyperops import cli, operators
-from hyperops.bundle import load_bundle
+from hyperops.bundle import classify_triple, load_bundle
 from hyperops.corpus import broken_variant, export_bundle, list_examples
 from hyperops.geometry import _VARIANTS
 from hyperops.search import _TARGETS
@@ -335,11 +335,11 @@ def test_nijenhuis_check_rejects_a_map_into_the_module(corpus_files, capsys):
 # -- the check table's messages ------------------------------------------------
 
 # usage of each --what kind, one word per --args name
-_USAGE = {"lie": "algebra", "prelie": "algebra", "rep": "rep", "rdo": "rep map",
-          "o-operator": "rep map", "nijenhuis": "algebra map", "dn": "rep d n",
-          "kd": "rep t d", "kn": "rep t s n", "symplectic": "algebra form",
-          "hessian": "algebra form", "invariant-form": "algebra form",
-          **{f"hermitian:{v}": "algebra form map" for v in _VARIANTS}}
+_USAGE = {"lie": "lie", "prelie": "prelie", "rep": "rep", "rdo": "rep d",
+          "o-operator": "rep t", "nijenhuis": "lie n", "dn": "rep d n",
+          "kd": "rep t d", "kn": "rep t s n", "symplectic": "lie form",
+          "hessian": "prelie form", "invariant-form": "algebra form",
+          **{f"hermitian:{v}": "lie form map" for v in _VARIANTS}}
 
 
 def test_check_kinds_are_the_documented_ones():
@@ -365,6 +365,165 @@ def test_unknown_check_messages(bundles):
     assert code == cli.EXIT_PARSE
     assert payload["error"] == ("unknown hermitian variant 'bogus' (have: ['anti-hermitian', "
                                 "'hermitian', 'para-anti-hermitian', 'para-hermitian'])")
+
+
+# -- every check argument against its slot type --------------------------------
+
+# slot word: (domain, codomain, what) of the map it takes
+_SLOT_TAGS = {"d": ("algebra", "module", "relative differential operator"),
+              "t": ("module", "algebra", "O-operator"),
+              "n": ("algebra", "algebra", "Nijenhuis operator"),
+              "s": ("module", "module", "S of a dual-Nijenhuis pair")}
+_TAG_PAIRS = [(a, b) for a in ("algebra", "module") for b in ("algebra", "module")]
+_SECTIONS = {"algebras": "algebra", "reps": "representation", "maps": "map", "forms": "form"}
+
+
+def _typed_doc(doc):
+    """The corpus document with a name of every type added: an algebra
+    `other` of the other kind with the dimension of the first, a form `f-x`
+    over each of the two, a rep `coad` over the first, and `map-a-m` and so
+    on, copies of one matrix tagged with each (domain, codomain)."""
+    doc = copy.deepcopy(doc)
+    first = sorted(doc["algebras"])[0]
+    kind, n = doc["algebras"][first]["kind"], doc["algebras"][first]["dim"]
+    doc["algebras"]["other"] = {"kind": "prelie" if kind == "lie" else "lie", "dim": n,
+                                "constants": []}
+    doc.setdefault("forms", {}).update({f"f-{a}": _form(a, "symmetric") for a in (first, "other")})
+    doc.setdefault("reps", {})["coad"] = {
+        "algebra": first, "constructor": "coadjoint" if kind == "lie" else "coregular"}
+    maps = doc.setdefault("maps", {})
+    matrix = next(iter(maps.values()), {}).get("matrix") or [
+        ["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    maps.update({f"map-{a[0]}-{b[0]}": {"domain": a, "codomain": b, "matrix": matrix}
+                 for a, b in _TAG_PAIRS})
+    return doc, first
+
+
+def _typed_names(doc, first, words):
+    """A type-correct name for each slot word, and the wrong-typed names of
+    each slot with the error each must give: every name of another section,
+    an algebra of the other kind, a map with each other tag pair, and a form
+    over the other algebra."""
+    kind = doc["algebras"][first]["kind"]
+    algebras = {kind: first, ("prelie" if kind == "lie" else "lie"): "other"}
+    right = {"lie": algebras["lie"], "prelie": algebras["prelie"], "algebra": first,
+             "rep": "coad", "map": "map-a-m",
+             **{w: f"map-{a[0]}-{b[0]}" for w, (a, b, _) in _SLOT_TAGS.items()}}
+    names = [right.get(w) for w in words]
+    if "form" in words:
+        names[words.index("form")] = f"f-{names[0]}"
+    section = {"lie": "algebras", "prelie": "algebras", "algebra": "algebras", "rep": "reps",
+               "form": "forms"}
+    wrong = []
+    for w in words:
+        own = section.get(w, "maps")
+        cases = {other: f"unknown {_SECTIONS[own]} {other!r}"
+                 for sec in _SECTIONS if sec != own for other in sorted(doc.get(sec, {}))
+                 if other not in doc.get(own, {})}
+        if w in ("lie", "prelie"):
+            bad = algebras["prelie" if w == "lie" else "lie"]
+            cases[bad] = f"{bad!r} is not a {'Lie' if w == 'lie' else 'pre-Lie'} algebra"
+        if w in _SLOT_TAGS:
+            a, b, what = _SLOT_TAGS[w]
+            cases.update({f"map-{x[0]}-{y[0]}": f"{what} must map {a} -> {b}"
+                          for x, y in _TAG_PAIRS if (x, y) != (a, b)})
+        if w == "form":
+            over = "other" if names[0] == first else first
+            cases[f"f-{over}"] = f"form 'f-{over}' is over {over!r}, not {names[0]!r}"
+        wrong.append(cases)
+    return names, wrong
+
+
+def _slot_cases():
+    return [pytest.param(eid, what, k, id=f"{what}-{eid}-slot{k + 1}")
+            for eid in sorted(_CORPUS) for what in sorted(_USAGE)
+            for k in range(len(_USAGE[what].split()))]
+
+
+@pytest.fixture(scope="module")
+def typed_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("typed")
+    out = {}
+    for eid, doc in _CORPUS.items():
+        typed, first = _typed_doc(doc)
+        path = root / (eid + ".json")
+        path.write_text(json.dumps(typed))
+        out[eid] = str(path), typed, first
+    return out
+
+
+@pytest.mark.parametrize("eid,what,slot", _slot_cases())
+def test_every_wrong_typed_argument_exits_two(typed_files, capsys, eid, what, slot):
+    """Each slot of each check kind, filled with a name of each wrong type
+    while the other slots hold type-correct names, exits 2 with one JSON
+    document whose error names the wrong argument's type."""
+    path, doc, first = typed_files[eid]
+    usage, bundle = _USAGE[what], load_bundle(path)
+    names, wrong = _typed_names(doc, first, usage.split())
+    list(cli._resolve(bundle, usage, names))  # the right names resolve
+    assert wrong[slot]
+    for bad, error in wrong[slot].items():
+        args = names[:slot] + [bad] + names[slot + 1:]
+        code, payload = _run_json(capsys, ["check", path, "--what", what, "--args", *args])
+        assert code == cli.EXIT_PARSE and payload["status"] == "input-error", (args, payload)
+        assert payload["error"].startswith(error), (args, payload["error"])
+        with pytest.raises(ValueError) as exc:  # from the slot function, before any predicate
+            list(cli._resolve(bundle, usage, args))
+        assert str(exc.value) == payload["error"]
+
+
+def _reproduction_bundles(tmp_path):
+    """abelian.quat plus ti (mi tagged module -> algebra) and a 4-dimensional
+    Lie algebra h; lie.L4sym with the coadjoint rep and two derived d maps of
+    its omega triple."""
+    quat = export_bundle("abelian.quat")
+    quat["maps"]["ti"] = dict(quat["maps"]["mi"], domain="module", codomain="algebra")
+    quat["algebras"]["h"] = {"kind": "lie", "dim": 4,
+                             "constants": [{"i": 1, "j": 2, "k": 3, "coeff": "1"}]}
+    ops = export_bundle("lie.L4sym")
+    triple = classify_triple(load_bundle(_write(tmp_path, "l4sym", ops)), "omega")
+    ops["reps"] = {"coad": {"algebra": "g", "constructor": "coadjoint"}}
+    ops["maps"] = {f"d{i + 1}": {"domain": d.domain, "codomain": d.codomain,
+                                 "matrix": cli._maps_json(d=d)["d"]}
+                   for i, d in enumerate(triple.d[:2])}
+    return _write(tmp_path, "quat", quat), _write(tmp_path, "ops", ops)
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("bundle,what,args,error", [
+    # S and N are both algebra -> module (exit 1, a verdict, without the slot check)
+    ("quat", "kn", ("triv", "ti", "mi", "mj"),
+     "S of a dual-Nijenhuis pair must map module -> module"),
+    # N is algebra -> module (exit 3, a verdict, without the slot check)
+    ("ops", "dn", ("coad", "d1", "d2"), "Nijenhuis operator must map algebra -> algebra"),
+    # B is declared over a, not h (exit 1, a verdict, without the slot check)
+    ("quat", "invariant-form", ("h", "B"), "form 'B' is over 'a', not 'h'"),
+])
+def test_mistyped_requests_get_no_verdict(tmp_path, capsys, bundle, what, args, error):
+    quat, ops = _reproduction_bundles(tmp_path)
+    path = {"quat": quat, "ops": ops}[bundle]
+    code, payload = _run_json(capsys, ["check", path, "--what", what, "--args", *args])
+    assert code == cli.EXIT_PARSE and payload["status"] == "input-error"
+    assert payload["error"] == error
+    assert "report" not in payload
+
+
+@pytest.mark.parametrize("tags", _TAG_PAIRS)
+def test_hermitian_map_slot_takes_any_tags(tmp_path, capsys, tags):
+    """The Hermitian check's `map` slot is lenient: mi, declared algebra ->
+    module, passes as it did, and so does each retagged copy of it."""
+    doc = export_bundle("abelian.quat")
+    doc["maps"]["m"] = dict(doc["maps"]["mi"], domain=tags[0], codomain=tags[1])
+    path = _write(tmp_path, "quat", doc)
+    for name in ("mi", "m"):
+        code, payload = _run_json(capsys, ["check", path, "--what", "hermitian:hermitian",
+                                           "--args", "a", "B", name])
+        assert code == cli.EXIT_PASS and payload["report"]["pass"] is True
 
 
 def test_kahler_suite_on_relabelled_para_hyper_triple(tmp_path):
@@ -568,10 +727,10 @@ def test_form_of_another_dimension_exits_two(mixed_dims, capsys, what, algebra, 
                                        "--args", algebra, form])
     assert code == cli.EXIT_PARSE
     assert payload["status"] == "input-error"
-    assert payload["error"] == f"form dim {form[-1]} != algebra dim {algebra[-1]}"
+    assert payload["error"] == f"form {form!r} is over {form[1:]!r}, not {algebra!r}"
 
 
-def test_memo_scope_closes_after_every_exit(bundles, monkeypatch):
+def test_memo_scope_closes_after_every_exit(bundles, tmp_path, monkeypatch):
     sizes = []
     scope = cli.memo_scope
 
@@ -585,10 +744,20 @@ def test_memo_scope_closes_after_every_exit(bundles, monkeypatch):
 
     monkeypatch.setattr(cli, "memo_scope", watched)
     quat = bundles["abelian.quat"]
+    # T = mi read as module -> algebra, N = Id and a 3 x 3 S on the 4-dimensional module
+    doc = export_bundle("abelian.quat")
+    doc["maps"].update(
+        t={**doc["maps"]["mi"], "domain": "module", "codomain": "algebra"},
+        n={**doc["maps"]["mi"], "codomain": "algebra",
+           "matrix": [["1" if i == j else "0" for j in range(4)] for i in range(4)]},
+        s={"domain": "module", "codomain": "module", "matrix": [["1", "0", "0"]] * 3})
+    misshapen = tmp_path / "misshapen-s.json"
+    misshapen.write_text(json.dumps(doc))
     for argv, want in (
         (["check", quat, "--what", "rdo", "--args", "triv", "mi"], cli.EXIT_PASS),
-        # proves d an RDO and N Nijenhuis, then cannot compose d∘N
-        (["check", quat, "--what", "dn", "--args", "triv", "mi", "mk"], cli.EXIT_PARSE),
+        # decides whether T is an O-operator and N Nijenhuis, then finds S misshapen
+        (["check", str(misshapen), "--what", "kn", "--args", "triv", "t", "s", "n"],
+         cli.EXIT_PARSE),
         # classifies the triple, then finds its signature product -1
         (["suite", quat, "--triple", "quat", "--which", "product-one"], cli.EXIT_PRECONDITION),
     ):

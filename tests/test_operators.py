@@ -1,6 +1,7 @@
 """Operator predicates: differential operators, O-operators, Nijenhuis
 operators, deformations, and the paired structures."""
 
+import contextlib
 import itertools
 import random
 
@@ -73,19 +74,46 @@ def test_rdo_rejects_wrong_tags():
         is_rdo(rho, LinMap(Matrix.identity(4), MODULE, ALGEBRA))
 
 
-@pytest.mark.parametrize("predicate,domain,codomain,what", [
-    (is_rdo, ALGEBRA, MODULE, "relative differential operator"),
-    (is_o_operator, MODULE, ALGEBRA, "O-operator"),
-])
-def test_operator_tags_are_checked_with_one_message(predicate, domain, codomain, what):
+def _identity(domain, codomain):
+    return LinMap(Matrix.identity(4), domain, codomain)
+
+
+_TAG_PAIRS = [(a, b) for a in (ALGEBRA, MODULE) for b in (ALGEBRA, MODULE)]
+
+
+@pytest.mark.parametrize("call,domain,codomain,what", [
+    (lambda rho, m: is_rdo(rho, m), ALGEBRA, MODULE, "relative differential operator"),
+    (lambda rho, m: is_o_operator(rho, m), MODULE, ALGEBRA, "O-operator"),
+    (lambda rho, m: is_dn(rho, _identity(ALGEBRA, MODULE), m),
+     ALGEBRA, ALGEBRA, "Nijenhuis operator"),
+    (lambda rho, m: is_dual_nijenhuis_pair(rho, m, _identity(MODULE, MODULE)),
+     ALGEBRA, ALGEBRA, "Nijenhuis operator"),
+    (lambda rho, m: is_dual_nijenhuis_pair(rho, _identity(ALGEBRA, ALGEBRA), m),
+     MODULE, MODULE, "S of a dual-Nijenhuis pair"),
+], ids=["rdo", "o-operator", "dn-N", "dual-nijenhuis-N", "dual-nijenhuis-S"])
+def test_operator_tags_are_checked_with_one_message(call, domain, codomain, what):
+    """Each predicate raises on every wrong tag pair of its map, with the
+    message `LinMap.check_tags` writes, and accepts the right one."""
     rho, _ = _reps()[0]
-    wrong = LinMap(Matrix.identity(4), codomain, domain)
-    with pytest.raises(DimensionError, match=rf"^{what} must map {domain} -> {codomain}$"):
-        predicate(rho, wrong)
+    for tags in _TAG_PAIRS:
+        if tags == (domain, codomain):  # may fail a precondition, never the tags
+            with contextlib.suppress(PreconditionError):
+                call(rho, _identity(*tags))
+            continue
+        with pytest.raises(DimensionError, match=rf"^{what} must map {domain} -> {codomain}$"):
+            call(rho, _identity(*tags))
     with pytest.raises(DimensionError, match=r"^N must map algebra -> algebra$"):
-        wrong.check_tags(ALGEBRA, ALGEBRA, "N")
-    right = LinMap(Matrix.identity(4), domain, codomain)
+        _identity(ALGEBRA, MODULE).check_tags(ALGEBRA, ALGEBRA, "N")
+    right = _identity(domain, codomain)
     assert right.check_tags(domain, codomain, what) is right
+
+
+def test_nijenhuis_predicate_takes_any_tags():
+    """`is_nijenhuis` reads its map as an endomorphism of g whatever its tags,
+    as a Hermitian check of an algebra -> module map needs."""
+    rho, _ = _reps()[0]
+    for tags in _TAG_PAIRS:
+        assert is_nijenhuis(rho.algebra, _identity(*tags)).passed
 
 
 def test_inverse_duality_both_directions():
