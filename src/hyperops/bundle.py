@@ -108,6 +108,12 @@ class Bundle:
     def form(self, name: str) -> BilForm:
         return _lookup(self.forms, name, "form")
 
+    def form_over(self, name: str, algebra: str) -> BilForm:
+        """The form `name`, which must be declared over the algebra named `algebra`."""
+        if (over := self.form_algebra.get(name, algebra)) != algebra:
+            raise BundleError(f"form {name!r} is over {over!r}, not {algebra!r}")
+        return self.form(name)
+
     def triple(self, name: str) -> TripleRef:
         return _lookup(self.triples, name, "triple")
 
@@ -249,12 +255,8 @@ def _parse_triple(name: str, rec: dict, bundle: Bundle) -> TripleRef:
             bundle.map(m)
     else:
         for m in members:
-            f_alg = bundle.form_algebra.get(m)
             bundle.form(m)
-            if f_alg != alg_name:
-                raise BundleError(
-                    f"triple {name!r}: form {m!r} is over {f_alg!r}, not {alg_name!r}"
-                )
+            _build(f"triple {name!r}", bundle.form_over, m, alg_name)
     return TripleRef(kind, alg_name, tuple(members), rep_name)
 
 

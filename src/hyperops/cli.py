@@ -41,8 +41,8 @@ from .hyper import (
     verify_hflat_identities,
 )
 from .operators import (
-    DUAL_S, NIJENHUIS, O_OPERATOR, RDO, is_dn, is_kd, is_kn, is_nijenhuis, is_o_operator, is_rdo,
-    memo_scope)
+    ALGEBRA, DUAL_S, MODULE, NIJENHUIS, O_OPERATOR, RDO, is_dn, is_kd, is_kn, is_nijenhuis,
+    is_o_operator, is_rdo, memo_scope)
 from .reporting import PreconditionError, Report
 from .search import _TARGETS, solve_forms
 
@@ -69,13 +69,15 @@ def _maps_json(**maps) -> dict:
     return out
 
 
-# slot word: (the Bundle lookup of its name, the algebra class or operator map
-# type its value must have, or None for any).  `map` is lenient: a Hermitian
-# check reads its map as an endomorphism of the algebra, whatever its tags.
+# slot word: (the Bundle lookup of its name, the algebra class or map type
+# (domain, codomain, what) its value must have, or None for any).  `map` is
+# lenient: a Hermitian check reads its map as an endomorphism of the algebra,
+# whatever its tags; `hflat` has the type of the d_i = hflat∘I_i it builds.
 _SLOTS = {"lie": ("algebra", LieAlgebra), "prelie": ("algebra", PreLieAlgebra),
           "algebra": ("algebra", None), "rep": ("rep", None), "form": ("form", None),
           "map": ("map", None), "d": ("map", RDO), "t": ("map", O_OPERATOR),
-          "n": ("map", NIJENHUIS), "s": ("map", DUAL_S)}
+          "n": ("map", NIJENHUIS), "s": ("map", DUAL_S),
+          "hflat": ("map", (ALGEBRA, MODULE, "hflat"))}
 
 
 def _resolve(bundle, words: str, names):
@@ -83,11 +85,10 @@ def _resolve(bundle, words: str, names):
     says; a form must be declared over the first name, the algebra argument."""
     for word, name in zip(words.split(), names):
         lookup, need = _SLOTS[word]
-        value = getattr(bundle, lookup)(name)
+        value = (bundle.form_over(name, names[0]) if lookup == "form"
+                 else getattr(bundle, lookup)(name))
         if lookup == "algebra" and need and not isinstance(value, need):
             raise InputError(f"{name!r} is not a {'Lie' if word == 'lie' else 'pre-Lie'} algebra")
-        if lookup == "form" and (over := bundle.form_algebra[name]) != names[0]:
-            raise InputError(f"form {name!r} is over {over!r}, not {names[0]!r}")
         yield value.check_tags(*need) if lookup == "map" and need else value
 
 
@@ -167,7 +168,7 @@ def _cmd_decompose(ns) -> tuple[int, dict]:
 
 
 def _cmd_reconstruct(ns) -> tuple[int, dict]:
-    triple = reconstruct_hyper(*_resolve(load_bundle(ns.bundle), "rep d n n",
+    triple = reconstruct_hyper(*_resolve(load_bundle(ns.bundle), "rep hflat n n",
                                          (ns.rep, ns.hflat, ns.i1, ns.i2)))
     d1, d2, d3 = triple.d
     return EXIT_PASS, {"eps": list(triple.eps), **_maps_json(d1=d1, d2=d2, d3=d3)}

@@ -8,7 +8,8 @@ as rho.algebra; the predicates take rho itself.
 All identities are multilinear, so quantifying over basis tuples is exhaustive;
 reports cite 1-indexed basis indices.  Each is one `linalg.identity_test`:
 its terms are products of the maps with the unfoldings of ad and rho (the
-maps once or twice), read at strides per basis pair.
+maps once or twice), read at strides per basis pair; its report keeps the
+failing sets, so `.passed` alone builds no claim per basis tuple.
 
 Public functions prove their preconditions once, at entry, each stated with
 `Report.require`, then call private builders (`_deformed_bracket`,
@@ -18,12 +19,12 @@ sum products with the unfoldings straight into the stacks `algebra` keeps.
 
 Within `memo_scope()`, which the CLI opens around each request, the
 `@_memoized` predicates prove each fact once, keyed by name and argument
-values: every call returns a fresh copy of the first report, so a caller's
-mutation cannot reach a later answer.  The scope is the only cache of
-derived structures: `_deformed_representation` and `geometry`'s flat
-representation are kept there too, keyed the same way, and a frozen
-Representation is returned as is.  Exceptions are not cached, and outside a
-scope every call runs.
+values: every call returns a copy of the first report (`Report.copy`), its
+lists the caller's own, so a caller's mutation cannot reach a later answer.
+The scope is the only cache of derived structures: `_deformed_representation`
+and `geometry`'s flat representation are kept there too, keyed the same way,
+and a frozen Representation is returned as is.  Exceptions are not cached,
+and outside a scope every call runs.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def _memoized(fn):
         rep = _memo.get((name, args))
         if rep is None:
             rep = _memo[name, args] = fn(*args)
-        return Report(rep.title, list(rep.results), list(rep.notes)) if isinstance(
-            rep, Report) else rep
+        return rep.copy() if isinstance(rep, Report) else rep
 
     return cached
 

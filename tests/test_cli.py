@@ -811,6 +811,40 @@ def test_map_triple_with_a_rep_over_another_algebra_exits_two(tmp_path, capsys):
     assert _run_json(capsys, ["classify-hyper", str(path), "--triple", "t"])[0] == cli.EXIT_PASS
 
 
+def test_form_triple_over_another_algebra_and_a_form_slot_give_one_message(tmp_path, capsys):
+    """`Bundle.form_over` holds the rule that a form is declared over a given
+    algebra: a forms triple prefixes its message with the triple's name, a
+    `form` slot gives it as it is."""
+    doc = export_bundle("lie.L4sym")
+    doc["algebras"]["h"] = dict(doc["algebras"]["g"])
+    doc["forms"]["w3"]["algebra"] = "h"
+    path = _write(tmp_path, "w3-over-h", doc)
+    code, payload = _run_json(capsys, ["classify-hyper", path, "--triple", "omega"])
+    assert code == cli.EXIT_PARSE and payload["status"] == "input-error"
+    assert payload["error"] == "triple 'omega': form 'w3' is over 'h', not 'g'"
+    del doc["triples"]
+    path = _write(tmp_path, "w3-over-h", doc)
+    code, payload = _run_json(capsys, ["check", path, "--what", "symplectic", "--args", "g", "w3"])
+    assert code == cli.EXIT_PARSE and payload["error"] == "form 'w3' is over 'h', not 'g'"
+    bundle = load_bundle(path)
+    assert bundle.form_over("w3", "h") is bundle.form("w3")
+
+
+@pytest.mark.parametrize("tags", [t for t in _TAG_PAIRS if t != ("algebra", "module")])
+def test_mistyped_hflat_is_named_as_hflat(tmp_path, capsys, tags):
+    """reconstruct's hflat needs only the type algebra -> module of the d_i =
+    hflat∘I_i it builds; a mistyped one is rejected under its own name, not
+    as a relative differential operator."""
+    doc = broken_variant("non-anticommuting")
+    doc["maps"]["hflat"] = dict(doc["maps"]["hflat"], domain=tags[0], codomain=tags[1])
+    path = _write(tmp_path, "hflat-mistyped", doc)
+    code, payload = _run_json(capsys, ["reconstruct", path, "--rep", "triv", "--hflat", "hflat",
+                                       "--i1", "i1", "--i2", "i2"])
+    assert code == cli.EXIT_PARSE and payload["status"] == "input-error"
+    assert payload["error"] == "hflat must map algebra -> module"
+    assert "report" not in payload
+
+
 def test_malformed_literal_in_two_maps_names_the_first(tmp_path, capsys):
     """A malformed literal is reported where it first appears, although each
     literal of a bundle is parsed only once."""

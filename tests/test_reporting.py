@@ -4,10 +4,13 @@ failures only followed by a summary claim, and first failure only.  Indices
 and counterexamples are 1-indexed basis tuples."""
 
 import dataclasses
+import itertools
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperops import hyper
+from hyperops import cli, hyper
 from hyperops.algebra import LieAlgebra, check_lie, coadjoint_rep
 from hyperops.bundle import classify_triple, parse_bundle
 from hyperops.corpus import broken_variant, export_bundle
@@ -23,6 +26,7 @@ from hyperops.operators import (
     memo_scope,
 )
 from hyperops.reporting import ClaimResult, PreconditionError, Report
+from test_linalg import ref_record
 
 
 def _claims(rep):
@@ -182,3 +186,135 @@ def test_claim_json_is_unchanged():
     rep = Report("t", [ClaimResult("a", (2,), True)], ["note"])
     assert rep.to_json() == {"title": "t", "pass": True, "notes": ["note"], "claims": [
         {"claim": "a", "indices": [2], "pass": True}]}
+
+
+# -- claims kept as recorded, built on first read ------------------------------
+
+
+class _Eager:
+    """The reference report: each claim a ClaimResult when it is recorded,
+    and merge copying every claim under its prefix."""
+
+    def __init__(self, title="", results=(), notes=()):
+        self.title, self.results, self.notes = title, list(results), list(notes)
+
+    def record(self, claim, indices, passed, counterexample=None, detail=""):
+        self.results.append(ClaimResult(claim, tuple(indices), passed, counterexample, detail))
+
+    def merge(self, other, prefix=""):
+        self.results += [r._replace(claim=prefix + r.claim) for r in other.results]
+        self.notes += other.notes
+
+    def to_json(self):
+        out = {"title": self.title, "pass": all(r.passed for r in self.results),
+               "claims": [r.to_json() for r in self.results]}
+        if self.notes:
+            out["notes"] = self.notes
+        return out
+
+
+@st.composite
+def _tuple_record(draw):
+    """A record_tuples call: one name, or two or three recorded interleaved;
+    member tuples of one or two indices; each name's failing set among them;
+    and the mode."""
+    size, width = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    tuples = list(itertools.product(range(size), repeat=width))
+    names = draw(st.sampled_from(["a", ("a", "b"), ("c", "a", "b")]))
+    failing = tuple(set(draw(st.lists(st.sampled_from(tuples), max_size=3)))
+                    for _ in ((names,) if isinstance(names, str) else names))
+    return names, tuples, failing, draw(st.booleans())
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 9), st.sampled_from("ab"),
+              st.lists(st.integers(1, 3), max_size=2), st.booleans(), st.sampled_from(["", "d"])),
+    st.tuples(st.just("tuples"), st.integers(0, 9), _tuple_record()),
+    st.tuples(st.just("merge"), st.integers(0, 9), st.integers(0, 9), st.sampled_from(["", "P:"])),
+    st.tuples(st.just("copy"), st.integers(0, 9)),
+    st.tuples(st.just("note"), st.integers(0, 9), st.sampled_from(["n", "m"])),
+    st.tuples(st.just("read"), st.integers(0, 9)))
+
+
+def _assert_same(rep, ref):
+    assert rep.to_json() == ref.to_json()
+    assert rep.passed is all(r.passed for r in ref.results)
+    assert rep.violations == [r for r in ref.results if not r.passed]
+    assert rep.results == ref.results
+
+
+@given(st.lists(_STEPS, max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_reports_read_as_the_eager_reference(steps):
+    """Random sequences of record, record_tuples (members a one-shot
+    iterator, both modes), merge with and without a prefix, memo copies and
+    reads read back as the eager reference does, every report at every read
+    and at the end."""
+    pool = [(Report(title), _Eager(title)) for title in ("r0", "r1")]
+    for kind, at, *args in steps:
+        rep, ref = pool[at % len(pool)]
+        if kind == "record":
+            name, indices, ok, detail = args
+            for r in (rep, ref):
+                r.record(name, indices, ok, None if ok else tuple(indices), detail)
+        elif kind == "tuples":
+            names, tuples, failing, failures_only = args[0]
+
+            def holds(*t, failing=failing, single=isinstance(names, str)):
+                flags = tuple(t not in keys for keys in failing)
+                return flags[0] if single else flags
+
+            got = rep.record_tuples(names, (iter(tuples), failing), failures_only)
+            assert got == ref_record(ref, names, tuples, holds, failures_only)
+        elif kind == "merge":
+            other, prefix = pool[args[0] % len(pool)], args[1]
+            rep.merge(other[0], prefix)
+            ref.merge(other[1], prefix)
+        elif kind == "copy":
+            pool.append((rep.copy(), _Eager(ref.title, ref.results, ref.notes)))
+        elif kind == "note":
+            rep.note(args[0])
+            ref.notes.append(args[0])
+        else:
+            _assert_same(rep, ref)
+    for rep, ref in pool:
+        _assert_same(rep, ref)
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """A one-item list counting the ClaimResults built from here on, each
+    construction and each _replace copy."""
+    count, new, make = [0], ClaimResult.__new__, ClaimResult._make
+
+    def counted_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_make(cls, iterable):
+        count[0] += 1
+        return make(iterable)
+
+    monkeypatch.setattr(ClaimResult, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(ClaimResult, "_make", classmethod(counted_make))
+    return count
+
+
+def test_a_suite_builds_only_the_claims_it_prints(tmp_path, built):
+    """The derived suite on lie.L4sym prints 24 claims and builds 51
+    ClaimResults: those 24 and the 27 plain claims its predicates record,
+    none per basis tuple (708 when every tuple was built); a passing
+    classification builds none (18 before)."""
+    paths = {}
+    for eid in ("lie.L4sym", "abelian.quat"):
+        paths[eid] = tmp_path / (eid + ".json")
+        paths[eid].write_text(json.dumps(export_bundle(eid)))
+    built[0] = 0
+    code, payload = cli.run(["suite", str(paths["lie.L4sym"]), "--triple", "omega",
+                             "--which", "derived"])
+    assert code == cli.EXIT_PASS and len(payload["report"]["claims"]) == 24
+    assert built[0] <= 51, built[0]
+    built[0] = 0
+    code, payload = cli.run(["classify-hyper", str(paths["abelian.quat"]), "--triple", "quat"])
+    assert code == cli.EXIT_PASS and payload["eps"] == [-1, -1, -1]
+    assert built[0] == 0
