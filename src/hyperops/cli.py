@@ -72,12 +72,12 @@ def _maps_json(**maps) -> dict:
 # slot word: (the Bundle lookup of its name, the algebra class or map type
 # (domain, codomain, what) its value must have, or None for any).  `map` is
 # lenient: a Hermitian check reads its map as an endomorphism of the algebra,
-# whatever its tags; `hflat` has the type of the d_i = hflat∘I_i it builds.
+# whatever its tags; `hflat` has the type of the d_i = hflat∘I_i, `i` of an I_i.
 _SLOTS = {"lie": ("algebra", LieAlgebra), "prelie": ("algebra", PreLieAlgebra),
           "algebra": ("algebra", None), "rep": ("rep", None), "form": ("form", None),
           "map": ("map", None), "d": ("map", RDO), "t": ("map", O_OPERATOR),
-          "n": ("map", NIJENHUIS), "s": ("map", DUAL_S),
-          "hflat": ("map", (ALGEBRA, MODULE, "hflat"))}
+          "n": ("map", NIJENHUIS), "s": ("map", DUAL_S), "hflat": ("map", (ALGEBRA, MODULE, "hflat")),
+          "i": ("map", (ALGEBRA, ALGEBRA, "(para-)complex structure"))}
 
 
 def _resolve(bundle, words: str, names):
@@ -168,7 +168,7 @@ def _cmd_decompose(ns) -> tuple[int, dict]:
 
 
 def _cmd_reconstruct(ns) -> tuple[int, dict]:
-    triple = reconstruct_hyper(*_resolve(load_bundle(ns.bundle), "rep hflat n n",
+    triple = reconstruct_hyper(*_resolve(load_bundle(ns.bundle), "rep hflat i i",
                                          (ns.rep, ns.hflat, ns.i1, ns.i2)))
     d1, d2, d3 = triple.d
     return EXIT_PASS, {"eps": list(triple.eps), **_maps_json(d1=d1, d2=d2, d3=d3)}

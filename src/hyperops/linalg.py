@@ -32,16 +32,17 @@ or a sequence of Matrices.
 Poly keeps Scalar coefficients.
 
 Every basis-tuple identity is an ``identity_test``: the nonzero entries of
-signed products of inputs and ``unfold``-ed constants, read at strides with
-no moved copy, sum to its residual, whose support among the identity's
-``members`` is each claim's plain set of failing tuples; `Report.record_tuples`
-records from those sets alone.
+signed products of inputs and ``unfold``-ed constants, keyed by one plan per
+shape (a row's key base made once; a product as wide as its reading adds j
+times one weight to it), sum to its residual, whose support among ``members``
+is each claim's plain set of failing tuples, all `Report.record_tuples` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, product
 from math import gcd, isqrt, lcm
 from operator import lt
@@ -449,33 +450,61 @@ def cut(m: Matrix, rows: int, cols: int, step: int = 1) -> list:
     return [Matrix._make(rows, cols, re, im, m.den) for re, im in parts]
 
 
-def _plan(sign: int, product, axes: str, weight: dict, sizes: dict) -> tuple:
-    """A term as (sign, product, width, weight, digits): read as rows `width`
-    wide, the size of its last axis letter, the product's entry (i, j) has the
-    key base(i) + j * weight[last], where base(i) sums each other letter's
-    digit (i // stride) % size of i times its weight."""
-    *lead, last = axes
-    digits, s = [], 1
-    for a in reversed(lead):
-        digits.append((s, sizes[a], weight[a]))
-        s *= sizes[a]
-    return sign, product, sizes[last], weight[last], digits
+class _Bases(dict):
+    """One term's row-key bases, each made on first use: row p's base sums
+    each lead letter's digit of p, read row-major, times its weight."""
+
+    def __init__(self, lead: str, sizes: dict, weight: dict):
+        self.digits = [(sizes[a], weight[a]) for a in reversed(lead)]
+
+    def __missing__(self, p: int) -> int:
+        base, rest = 0, p
+        for z, w in self.digits:
+            rest, d = divmod(rest, z)
+            base += d * w
+        self[p] = base
+        return base
 
 
-def _read(acc: tuple, f: int, m: Matrix, width: int, weight: int, digits: list) -> None:
+@lru_cache(maxsize=256)
+def _layout(sizes: tuple, axes: tuple, ordered: int, sliced: bool) -> tuple:
+    """One shape's plan, sizes as (letter, range) pairs and each claim's axis
+    strings: per term (width, weight, bases), its last letter's size and key
+    weight (tuple letters, then output letters, row-major) and `_Bases`; the
+    tuple letters' (weight, size); the member ranges; and the t[0] of each
+    slice, all but the last `ordered` - 1, or (None,): shape data only."""
+    sizes = dict(sizes)
+    letters = sorted({a for claim in axes for term in claim for a in term})
+    tuple_letters = [a for a in letters if a in "ijk"]
+    if "".join(tuple_letters) != "ijk"[sliced:sliced + len(tuple_letters)]:
+        raise ValueError(f"tuple letters {tuple_letters} leave out an earlier index")
+    weight, s = {}, 1
+    for a in reversed(tuple_letters + [a for a in letters if a not in "ijk"]):
+        weight[a], s = s, s * sizes[a]
+    ranges = tuple(sizes[a] for a in "ijk"[:sliced + len(tuple_letters)])
+    return (tuple(tuple((sizes[t[-1]], weight[t[-1]], _Bases(t[:-1], sizes, weight))
+                        for t in claim) for claim in axes),
+            tuple((weight[a], sizes[a]) for a in tuple_letters), ranges,
+            range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,))
+
+
+def _read(acc: tuple, f: int, m: Matrix, width: int, weight: int, bases: _Bases) -> None:
     """Add f times the numerators of m's nonzero entries to acc, dicts (re,
-    im) keyed as `_plan` says, entry (i, j) read at its row-major place
-    divmod(i * m.cols + j, width) in rows `width` wide, each row's key base
-    made once."""
-    cols, bases = m.cols, {}
+    im) keyed by a term's plan (`_layout`): entry (i, j) is read at its
+    row-major place (p, q) = divmod(i * m.cols + j, width) in rows `width`
+    wide, key bases[p] + q * weight; when m is `width` wide, that is (i, j)."""
+    cols = m.cols
     for part, x in zip(acc, (m.re, m.im)):
+        if cols == width:
+            for i, r in x.items():
+                base = bases[i]
+                for j, v in r.items():
+                    part[k] = part.get(k := base + j * weight, 0) + f * v
+            continue
         for i, r in x.items():
             for j, v in r.items():
                 p, q = divmod(i * cols + j, width)
-                if (base := bases.get(p)) is None:
-                    base = bases[p] = sum(p // s % z * w for s, z, w in digits)
-                k = base + q * weight
-                part[k] = part.get(k, 0) + f * v
+                part[k] = part.get(k := bases[p] + q * weight, 0) + f * v
 
 
 def members(ranges: Sequence[int], ordered: int = 0) -> Iterator[tuple]:
@@ -499,38 +528,29 @@ def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
     t[0], t[1], t[2] (a prefix of them), any other letter an output index;
     sizes gives each letter's range, and every term names the same letters.
     Every product is a Matrix, or every one is a pair sliced over t[0],
-    left[t[0]] * right or left * right[t[0]], whose axes leave out i.  Each
-    product's nonzero entries, decoded by `_plan` into keys numbering the
-    tuple letters, then the output letters, row-major, are summed into the
-    residual, whose member keys fail (`_failing`): read once, or for sliced
-    products once per t[0] that starts a member, one slice at a time."""
-    letters = sorted({a for claim in claims for _, _, axes in claim for a in axes})
-    tuple_letters = [a for a in letters if a in "ijk"]
+    left[t[0]] * right or left * right[t[0]], whose axes leave out i.  The
+    shape is planned once (`_layout`); each product's nonzero entries, keyed
+    by its term's plan, are summed into the residual, whose member keys fail
+    (`_failing`): read once, or for sliced products once per t[0] that
+    starts a member, one slice at a time, each through the same plan."""
     sliced = not isinstance(claims[0][0][1], Matrix)
-    if "".join(tuple_letters) != "ijk"[sliced:sliced + len(tuple_letters)]:
-        raise ValueError(f"tuple letters {tuple_letters} leave out an earlier index")
-    weight, s = {}, 1
-    for a in reversed(tuple_letters + [a for a in letters if a not in "ijk"]):
-        weight[a], s = s, s * sizes[a]
-    plans = [[_plan(*term, weight, sizes) for term in claim] for claim in claims]
-    places = [(weight[a], sizes[a]) for a in tuple_letters]
-    ranges = [sizes[a] for a in "ijk"[:sliced + len(tuple_letters)]]
-    failing = tuple(set() for _ in plans)
-    # a member's t[0] is below ranges[0] by more than the ordered - 1 indices after it
-    for t0 in range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,):
-        for keys, claim in zip(failing, plans):
-            keys |= _failing(claim, t0, places, ordered)
+    reads, places, ranges, starts = _layout(tuple(sizes.items()), tuple(
+        tuple(axes for _, _, axes in claim) for claim in claims), ordered, sliced)
+    failing = tuple(set() for _ in claims)
+    for t0 in starts:
+        for keys, claim, read in zip(failing, claims, reads):
+            keys |= _failing(claim, read, t0, places, ordered)
     return members(ranges, ordered), failing
 
 
-def _failing(claim: list, t0, places: list, ordered: int) -> set:
-    """The member tuples, starting with t0 unless it is None, where a planned
-    claim's residual is nonzero; its products are dropped on return."""
+def _failing(claim, read: list, t0, places: list, ordered: int) -> set:
+    """The member tuples, starting with t0 unless it is None, where a claim's
+    residual, read as planned, is nonzero; its products are dropped on return."""
     mats = [p if t0 is None else p[0][t0] * p[1] if isinstance(p[1], Matrix)
-            else p[0] * p[1][t0] for _, p, *_ in claim]
+            else p[0] * p[1][t0] for _, p, _ in claim]
     den, acc = lcm(*(m.den for m in mats)), ({}, {})
-    for (sign, _, *layout), m in zip(claim, mats):
-        _read(acc, sign * (den // m.den), m, *layout)
+    for (sign, _, _), m, term in zip(claim, mats, read):
+        _read(acc, sign * (den // m.den), m, *term)
     lead = () if t0 is None else (t0,)
     keys = {(*lead, *(k // w % z for w, z in places)) for part in acc for k, v in part.items() if v}
     return {t for t in keys if all(map(lt, t[:ordered - 1], t[1:ordered]))} if ordered > 1 else keys

@@ -845,6 +845,22 @@ def test_mistyped_hflat_is_named_as_hflat(tmp_path, capsys, tags):
     assert "report" not in payload
 
 
+@pytest.mark.parametrize("tags", [t for t in _TAG_PAIRS if t != ("algebra", "algebra")])
+@pytest.mark.parametrize("name", ["i1", "i2"])
+def test_mistyped_structure_is_named_as_a_complex_structure(tmp_path, capsys, name, tags):
+    """reconstruct's I_1 and I_2 need only the type algebra -> algebra of a
+    (para-)complex structure; a mistyped one is rejected as such, not as a
+    Nijenhuis operator."""
+    doc = broken_variant("non-anticommuting")
+    doc["maps"][name] = dict(doc["maps"][name], domain=tags[0], codomain=tags[1])
+    path = _write(tmp_path, f"{name}-mistyped", doc)
+    code, payload = _run_json(capsys, ["reconstruct", path, "--rep", "triv", "--hflat", "hflat",
+                                       "--i1", "i1", "--i2", "i2"])
+    assert code == cli.EXIT_PARSE and payload["status"] == "input-error"
+    assert payload["error"] == "(para-)complex structure must map algebra -> algebra"
+    assert "report" not in payload
+
+
 def test_malformed_literal_in_two_maps_names_the_first(tmp_path, capsys):
     """A malformed literal is reported where it first appears, although each
     literal of a bundle is parsed only once."""

@@ -4,7 +4,7 @@ the sparse-polynomial generic determinant."""
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 import sympy
@@ -18,6 +18,7 @@ from hyperops.linalg import (
     _eliminate,
     _hstack,
     _kernel,
+    _layout,
     block_transpose,
     combine,
     cut,
@@ -919,3 +920,86 @@ def test_sliced_products_are_made_only_for_member_starts():
     _, (fails,) = identity_test(sizes, [(1, (left, right), "jkr")], ordered=3)
     _, (want,) = identity_test(sizes, [(1, whole, "ijkr")], ordered=3)
     assert fails == want and want
+
+
+# -- one plan per identity shape ------------------------------------------
+
+def _split(draw, sizes, axes, other_width=False):
+    """A row count for a product of these axes: any that divides its entries,
+    or one whose width is not the last letter's size, where one is."""
+    total = prod(sizes[a] for a in axes)
+    rows = [d for d in range(1, total + 1) if total % d == 0]
+    split = [d for d in rows if total // d != sizes[axes[-1]]]
+    return draw(st.sampled_from(split if other_width and split else rows))
+
+
+def _shaped(draw, sizes, layouts, sliced):
+    """A claim with terms laid out as (sign, axes, rows), sparse values, and
+    the whole claim the dense reference reads: each term whole, or sliced over
+    i as left[i] * Id or Id * right[i], stacked over i for the reference."""
+    claim, whole = [], []
+    for sign, axes, rows in layouts:
+        total = prod(sizes[a] for a in axes)
+        if not sliced:
+            m = draw(factors(rows, total // rows, sparse=True))
+            claim.append((sign, m, axes))
+            whole.append((sign, m, axes))
+            continue
+        pieces = [draw(factors(rows, total // rows, sparse=True)) for _ in range(sizes["i"])]
+        pair = ((pieces, Matrix.identity(total // rows)) if draw(st.booleans())
+                else (Matrix.identity(rows), pieces))
+        claim.append((sign, pair, axes))
+        whole.append((sign, Matrix.from_rows([list(p.row(r)) for p in pieces
+                                              for r in range(rows)]), "i" + axes))
+    return claim, whole
+
+
+def _reads_like_the_reference(sizes, claim, whole, ordered, tuple_letters):
+    tuples, (fails,) = identity_test(sizes, claim, ordered=ordered)
+    tuples = list(tuples)
+    assert tuples == list(members([sizes[a] for a in tuple_letters], ordered))
+    assert fails == {t for t in tuples if not ref_holds(sizes, whole, t)}
+
+
+@given(st.sampled_from([0, 2, 3]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_each_identity_shape_reads_by_its_own_plan(ordered, sliced, data):
+    """Identity tests run one after another in one process, each checked
+    against the dense residual: the same axes at other sizes; at the same
+    sizes the axes permuted, and split at other rows, a width other than the
+    columns read; and the same shape at ordered 0.  Whatever plans earlier
+    shapes left cached, each reads as the reference does, and a shape seen
+    before is not planned again."""
+    tuple_letters = "ijk"[:data.draw(st.integers(max(ordered, 2), 3))]
+    letters = tuple_letters + "r"
+
+    def draw_sizes():
+        sizes = {a: data.draw(st.integers(1, 3)) for a in letters}
+        for a in tuple_letters[1:ordered]:  # the ordered indices share one range
+            sizes[a] = sizes["i"]
+        return sizes
+
+    def draw_axes():
+        return "".join(data.draw(st.permutations(letters[sliced:])))
+
+    def layouts(sizes, axes, other_width=False):
+        return [(sign, a, _split(data.draw, sizes, a, other_width))
+                for sign, a in zip(signs, axes)]
+
+    signs = data.draw(st.lists(st.sampled_from([1, -1, 2]), min_size=1, max_size=3))
+    axes = [draw_axes() for _ in signs]
+    sizes = draw_sizes()
+    base, other = layouts(sizes, axes), draw_sizes()
+    cases = [(sizes, base, ordered), (other, layouts(other, axes), ordered),
+             (sizes, layouts(sizes, [draw_axes() for _ in signs]), ordered)]
+    if ordered:
+        cases.append((sizes, base, 0))
+    for at, laid, order in cases:
+        claim, whole = _shaped(data.draw, at, laid, sliced)
+        _reads_like_the_reference(at, claim, whole, order, tuple_letters)
+    # the first shape again, its products split to another width: one plan
+    claim, whole = _shaped(data.draw, sizes, layouts(sizes, axes, other_width=True), sliced)
+    before = _layout.cache_info()
+    _reads_like_the_reference(sizes, claim, whole, ordered, tuple_letters)
+    after = _layout.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
