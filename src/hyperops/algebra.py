@@ -19,12 +19,12 @@ themselves, read at strides, in slices over the first basis index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import (
     DimensionError, Matrix, accumulate, combine, cut, identity_test, permute, stack, unfold)
 from .reporting import Report
+from .scalars import _Record
 
 
 def _new(cls, **fields):
@@ -62,24 +62,24 @@ def _blocks(st: Matrix, n: int) -> tuple:
     return tuple(cut(st, d, d)) if d else (st,) * n
 
 
-class _Unfolded:
+class _Unfolded(_Record):
     @cached_property
     def unfolded(self) -> tuple:
         """st and, made from it on first read, `linalg.unfold`'s two others."""
         return (self.st, *unfold(self.st))
 
 
-@dataclass(frozen=True, init=False)
 class _Algebra(_Unfolded):
-    dim: int
-    st: Matrix  # [L(e_1); ...; L(e_n)]: column j of block i is e_i e_j
-
     def __init__(self, dim: int, mats):
-        """From the dim left multiplications L(e_i), each dim x dim."""
+        """From the dim left multiplications L(e_i), each dim x dim, kept as
+        st = [L(e_1); ...; L(e_n)]: column j of block i is e_i e_j."""
         mats = tuple(mats)
         if len(mats) != dim or any(m.rows != dim or m.cols != dim for m in mats):
             raise DimensionError(f"a {dim}-dimensional algebra needs {dim} {dim}x{dim} matrices")
         self.__dict__.update(dim=dim, st=stack(mats, dim))
+
+    def _key(self) -> tuple:
+        return self.dim, self.st
 
 
 class LieAlgebra(_Algebra):
@@ -124,20 +124,19 @@ class PreLieAlgebra(_Algebra):
         return self.p[i]._block(0, self.dim, j, j + 1)
 
 
-@dataclass(frozen=True, init=False)
 class Representation(_Unfolded):
-    algebra: LieAlgebra
-    module_dim: int
-    st: Matrix  # [rho(e_1); ...; rho(e_n)]
-
     def __init__(self, algebra: LieAlgebra, module_dim: int, mats):
-        """From the matrices rho(e_i), each module_dim x module_dim."""
+        """From the matrices rho(e_i), each module_dim x module_dim, kept as
+        st = [rho(e_1); ...; rho(e_n)]."""
         mats, m = tuple(mats), module_dim
         if b := next((x for x in mats if (x.rows, x.cols) != (m, m)), None):
             raise DimensionError(f"representation matrix {b.rows}x{b.cols} on module of dim {m}")
         if len(mats) != algebra.dim:
             raise DimensionError(f"{len(mats)} matrices for algebra of dim {algebra.dim}")
         self.__dict__.update(algebra=algebra, module_dim=m, st=stack(mats, m))
+
+    def _key(self) -> tuple:
+        return self.algebra, self.module_dim, self.st
 
     @cached_property
     def mats(self) -> tuple:

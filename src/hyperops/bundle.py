@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import (
     LieAlgebra,
@@ -78,23 +78,20 @@ _CONSTRUCTORS = {
 }
 
 
-@dataclass(frozen=True)
-class TripleRef:
+class TripleRef(NamedTuple):
     kind: str  # "maps" | "forms"
     algebra: str
     members: tuple
     rep: str | None = None
 
 
-@dataclass
 class Bundle:
-    raw: dict
-    algebras: dict = field(default_factory=dict)
-    reps: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    forms: dict = field(default_factory=dict)
-    form_algebra: dict = field(default_factory=dict)
-    triples: dict = field(default_factory=dict)
+    def __init__(self, raw: dict, algebras=None, reps=None, maps=None, forms=None,
+                 form_algebra=None, triples=None):
+        """The document raw and its records by name, a new table for each not given."""
+        self.raw, tables = raw, (algebras, reps, maps, forms, form_algebra, triples)
+        (self.algebras, self.reps, self.maps, self.forms, self.form_algebra,
+         self.triples) = ({} if t is None else t for t in tables)
 
     def algebra(self, name: str):
         return _lookup(self.algebras, name, "algebra")

@@ -7,7 +7,7 @@ tests.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LieAlgebra, PreLieAlgebra, check_lie, check_prelie
 from .bundle import Bundle, classify_triple, parse_bundle
@@ -35,8 +35,7 @@ def _map(rows, domain="algebra", codomain="module"):
     return {"domain": domain, "codomain": codomain, "matrix": rows}
 
 
-@dataclass(frozen=True)
-class ExampleEntry:
+class ExampleEntry(NamedTuple):
     id: str
     kind: str
     description: str

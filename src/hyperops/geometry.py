@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import (
     LieAlgebra,
@@ -49,30 +48,31 @@ from .operators import (
     nijenhuis_square_sign,
 )
 from .reporting import PreconditionError, Report
-from .scalars import Scalar
+from .scalars import Scalar, _Record
 
 SYMMETRIC = "symmetric"
 SKEW = "skew"
 
 
-@dataclass(frozen=True)
-class BilForm:
-    matrix: Matrix
-    symmetry: str  # symmetric | skew | none
-    transposed: Matrix = field(init=False, repr=False, compare=False)  # the flat map's matrix
+class BilForm(_Record):
+    """A bilinear form's matrix, its declared symmetry (symmetric, skew or
+    none) and its transpose, the flat map's matrix."""
 
-    def __post_init__(self):
-        if self.symmetry not in (SYMMETRIC, SKEW, "none"):
-            raise ValueError(f"unknown symmetry {self.symmetry!r}")
-        m = self.matrix
-        object.__setattr__(self, "transposed", mt := m.transpose())
-        if self.symmetry == SYMMETRIC and mt != m:
+    def __init__(self, matrix: Matrix, symmetry: str):
+        if symmetry not in (SYMMETRIC, SKEW, "none"):
+            raise ValueError(f"unknown symmetry {symmetry!r}")
+        m, mt = matrix, matrix.transpose()
+        self.__dict__.update(matrix=m, symmetry=symmetry, transposed=mt)
+        if symmetry == SYMMETRIC and mt != m:
             raise ValueError("matrix is not symmetric")
         # skew: square, and each row of mt (as many entries) negates m's own
-        if self.symmetry == SKEW and (m.rows != m.cols or any(
+        if symmetry == SKEW and (m.rows != m.cols or any(
                 {j: -v for j, v in r.items()} != t.get(i)
                 for x, t in ((m.re, mt.re), (m.im, mt.im)) for i, r in x.items())):
             raise ValueError("matrix is not skew")
+
+    def _key(self) -> tuple:
+        return self.matrix, self.symmetry
 
     @property
     def dim(self) -> int:
@@ -117,8 +117,7 @@ def _coordinates(n: int, skew: bool) -> tuple:
             Matrix._make(len(coords), n * n, rows, {}, 1, reduce=False))
 
 
-@dataclass(frozen=True)
-class FormIdentity:
+class FormIdentity(NamedTuple):
     """A linear identity on the bilinear forms f of one symmetry class over
     one kind of algebra, with an instance per basis triple t: terms(*t) lists
     (sign, a, b) and the instance reads sum(sign * f(a, b)) = 0, where one of
@@ -324,8 +323,7 @@ _KAHLER_EPS = {
 _ANTI_KAHLER = (HYPER_ANTI_KAHLER, PARA_HYPER_ANTI_KAHLER)
 
 
-@dataclass(frozen=True)
-class KahlerQuad:
+class KahlerQuad(NamedTuple):
     form: BilForm
     i1: LinMap
     i2: LinMap

@@ -8,7 +8,7 @@ Index convention: triples are stored 0-indexed; i-1 and i+1 are cyclic mod 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Representation
 from .linalg import Matrix, SingularMatrixError, combine, identity_test
@@ -31,8 +31,7 @@ def _cyc(i: int) -> int:
     return i % 3
 
 
-@dataclass(frozen=True)
-class HyperTriple:
+class HyperTriple(NamedTuple):
     """Three invertible RDOs d of the representation rho, with derived
     T_i = d_i^-1, N_i = T_{i-1}∘d_{i+1}, S_i = d_{i+1}∘T_{i-1}, signature eps,
     and the canonical map hflat."""
@@ -199,8 +198,7 @@ def product_one_suite(t: HyperTriple) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     hflat: LinMap
     i1: LinMap
     i2: LinMap

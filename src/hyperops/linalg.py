@@ -40,15 +40,14 @@ is each claim's plain set of failing tuples, all `Report.record_tuples` reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import lt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .scalars import ONE, ZERO, Scalar, as_gaussian
+from .scalars import ONE, ZERO, Scalar, _Record, as_gaussian
 
 
 class DimensionError(ValueError):
@@ -471,8 +470,10 @@ def _layout(sizes: tuple, axes: tuple, ordered: int, sliced: bool) -> tuple:
     """One shape's plan, sizes as (letter, range) pairs and each claim's axis
     strings: per term (width, weight, bases), its last letter's size and key
     weight (tuple letters, then output letters, row-major) and `_Bases`; the
-    tuple letters' (weight, size); the member ranges; and the t[0] of each
-    slice, all but the last `ordered` - 1, or (None,): shape data only."""
+    tuple letters' decode, (unit, sizes): a key over unit, the product of
+    the output letters' sizes, is its tuple's row-major index over sizes,
+    last letter first; the member ranges; and the t[0] of each slice, all
+    but the last `ordered` - 1, or (None,): shape data only."""
     sizes = dict(sizes)
     letters = sorted({a for claim in axes for term in claim for a in term})
     tuple_letters = [a for a in letters if a in "ijk"]
@@ -484,7 +485,8 @@ def _layout(sizes: tuple, axes: tuple, ordered: int, sliced: bool) -> tuple:
     ranges = tuple(sizes[a] for a in "ijk"[:sliced + len(tuple_letters)])
     return (tuple(tuple((sizes[t[-1]], weight[t[-1]], _Bases(t[:-1], sizes, weight))
                         for t in claim) for claim in axes),
-            tuple((weight[a], sizes[a]) for a in tuple_letters), ranges,
+            (prod(sizes[a] for a in letters if a not in "ijk"),
+             tuple(sizes[a] for a in reversed(tuple_letters))), ranges,
             range(ranges[0] - max(ordered - 1, 0)) if sliced else (None,))
 
 
@@ -534,25 +536,31 @@ def identity_test(sizes: dict, *claims, ordered: int = 0) -> tuple:
     (`_failing`): read once, or for sliced products once per t[0] that
     starts a member, one slice at a time, each through the same plan."""
     sliced = not isinstance(claims[0][0][1], Matrix)
-    reads, places, ranges, starts = _layout(tuple(sizes.items()), tuple(
+    reads, decode, ranges, starts = _layout(tuple(sizes.items()), tuple(
         tuple(axes for _, _, axes in claim) for claim in claims), ordered, sliced)
     failing = tuple(set() for _ in claims)
     for t0 in starts:
         for keys, claim, read in zip(failing, claims, reads):
-            keys |= _failing(claim, read, t0, places, ordered)
+            keys |= _failing(claim, read, t0, decode, ordered)
     return members(ranges, ordered), failing
 
 
-def _failing(claim, read: list, t0, places: list, ordered: int) -> set:
+def _failing(claim, read: list, t0, decode: tuple, ordered: int) -> set:
     """The member tuples, starting with t0 unless it is None, where a claim's
-    residual, read as planned, is nonzero; its products are dropped on return."""
+    residual, read as planned, is nonzero, each decoded once by a divmod
+    walk; its products are dropped on return."""
     mats = [p if t0 is None else p[0][t0] * p[1] if isinstance(p[1], Matrix)
             else p[0] * p[1][t0] for _, p, _ in claim]
     den, acc = lcm(*(m.den for m in mats)), ({}, {})
     for (sign, _, _), m, term in zip(claim, mats, read):
         _read(acc, sign * (den // m.den), m, *term)
-    lead = () if t0 is None else (t0,)
-    keys = {(*lead, *(k // w % z for w, z in places)) for part in acc for k, v in part.items() if v}
+    lead, (unit, sizes), keys = () if t0 is None else (t0,), decode, set()
+    for q in {k // unit for part in acc for k, v in part.items() if v}:
+        digits = []
+        for z in sizes:
+            q, d = divmod(q, z)
+            digits.append(d)
+        keys.add((*lead, *reversed(digits)))
     return {t for t in keys if all(map(lt, t[:ordered - 1], t[1:ordered]))} if ordered > 1 else keys
 
 
@@ -653,8 +661,7 @@ def _kernel(m: Matrix, pivots: list, ncols: int) -> Matrix:
     return Matrix._make(len(free), ncols, *out, m.den)
 
 
-@dataclass(frozen=True)
-class AffineSolutionSpace:
+class AffineSolutionSpace(NamedTuple):
     """Solution set {particular + span(basis)} of a linear system."""
 
     particular: tuple
@@ -683,12 +690,17 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolutionSpace | None:
 # -- sparse polynomials -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """Sparse polynomial over Q(i): exponent tuple -> nonzero coefficient."""
 
-    variables: int
-    terms: tuple = field(default=())  # tuple of (exponents, Scalar)
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables: int, terms: tuple = ()):  # tuple of (exponents, Scalar)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+
+    def _key(self) -> tuple:
+        return self.variables, self.terms
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "Poly":

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .algebra import LieAlgebra, PreLieAlgebra, Representation, _new, subadjacent
 from .linalg import DimensionError, Matrix, block_transpose, combine, identity_test
@@ -75,17 +75,15 @@ def _memoized(fn):
     return cached
 
 
-@dataclass(frozen=True)
-class LinMap:
+class LinMap(namedtuple("LinMap", "matrix domain codomain")):
     """An exact matrix with domain/codomain tags (algebra or module)."""
 
-    matrix: Matrix
-    domain: str
-    codomain: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.domain not in (ALGEBRA, MODULE) or self.codomain not in (ALGEBRA, MODULE):
-            raise ValueError(f"bad tags ({self.domain}, {self.codomain})")
+    def __new__(cls, matrix: Matrix, domain: str, codomain: str):
+        if domain not in (ALGEBRA, MODULE) or codomain not in (ALGEBRA, MODULE):
+            raise ValueError(f"bad tags ({domain}, {codomain})")
+        return tuple.__new__(cls, (matrix, domain, codomain))
 
     def check_shape(self, rho: Representation) -> None:
         dims = {ALGEBRA: rho.algebra.dim, MODULE: rho.module_dim}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -26,18 +25,35 @@ class ScalarArithmeticError(ZeroDivisionError):
     """Raised on division or inversion by zero."""
 
 
-@dataclass(frozen=True)
-class Scalar:
+class _Record:
+    """A frozen record, equal to a record of its own class with an equal
+    `_key()`, its fields, and hashed as that."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Scalar(_Record):
     """An element of Q(i).  Fraction keeps both parts reduced and canonical."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re=Fraction(0), im=Fraction(0)):
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+
+    def _key(self) -> tuple:
+        return self.re, self.im
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:

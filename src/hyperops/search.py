@@ -26,7 +26,6 @@ is zero and yields a witness otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import gcd
@@ -50,6 +49,7 @@ from .linalg import (
     det_witness,
     generic_determinant,
 )
+from .scalars import _Record
 
 SYMPLECTIC = "symplectic"
 HESSIAN = "hessian"
@@ -64,15 +64,21 @@ _TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class FormSpaceResult:
-    algebra: object
-    target: str
-    symmetry: str
-    coords: tuple  # coordinate index pairs (0-indexed)
-    kernel: Matrix  # dim x len(coords); the solutions are combinations of its rows
-    place: Matrix  # len(coords) x n^2: row m is coordinate m's form, flattened
-    witness: tuple | None  # parameters of a nondegenerate form; None when none exists
+class FormSpaceResult(_Record):
+    """The forms of one symmetry class on an algebra that satisfy a target
+    identity: coords, the coordinate index pairs (0-indexed); kernel, dim x
+    len(coords), whose rows' combinations are the solutions; place, len(coords)
+    x n^2, whose row m is coordinate m's form, flattened; and witness, the
+    parameters of a nondegenerate form, or None when none exists."""
+
+    def __init__(self, algebra, target: str, symmetry: str, coords: tuple, kernel: Matrix,
+                 place: Matrix, witness: tuple | None):
+        self.__dict__.update(algebra=algebra, target=target, symmetry=symmetry, coords=coords,
+                             kernel=kernel, place=place, witness=witness)
+
+    def _key(self) -> tuple:
+        return (self.algebra, self.target, self.symmetry, self.coords, self.kernel, self.place,
+                self.witness)
 
     @property
     def exists_nondegenerate(self) -> bool:

@@ -316,8 +316,8 @@ def test_no_scalar_arithmetic_past_parse(monkeypatch):
         method = getattr(Scalar, name)
         monkeypatch.setattr(Scalar, name,
                             lambda *args, _m=method, _n=name: calls.append(_n) or _m(*args))
-    post_init = Scalar.__post_init__
-    monkeypatch.setattr(Scalar, "__post_init__", lambda s: built.append(s) or post_init(s))
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda s, *a: built.append(s) or init(s, *a))
     bundles = {key: parse_bundle(doc) for key, doc in docs.items()}
     assert (calls, built) == ([], [])
     for eid, triple in _TRIPLES:

@@ -3,7 +3,6 @@ per recording style: per basis tuple, two claims interleaved per tuple,
 failures only followed by a summary claim, and first failure only.  Indices
 and counterexamples are 1-indexed basis tuples."""
 
-import dataclasses
 import itertools
 import json
 
@@ -112,7 +111,7 @@ def test_first_failure_key_identity(monkeypatch):
         monkeypatch.setattr(hyper, name, lambda *args: Report())
     s1 = LinMap(Matrix.from_rows([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
                 MODULE, MODULE)
-    rep = hyper.product_one_suite(dataclasses.replace(t, s=(s1,) + t.s[1:]))
+    rep = hyper.product_one_suite(t._replace(s=(s1,) + t.s[1:]))
     assert [c for c in _claims(rep) if c[0] == "key identity"] == [
         ("key identity", (1,), False, (1, 4)),
         ("key identity", (2,), True, None),
